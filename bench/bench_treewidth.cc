@@ -156,6 +156,8 @@ BENCHMARK(BM_TreewidthDpIndexed_ThreadSweep)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMicrosecond);
 
+// The min-fill order plus its bags, on partial 3-trees, with a complexity
+// fit: each elimination step should cost about a local degree squared.
 void BM_Decomposition_MinFill(benchmark::State& state) {
   Rng rng(55);
   Graph g = RandomPartialKTree(static_cast<size_t>(state.range(0)), 3, 0.8,
@@ -167,10 +169,11 @@ void BM_Decomposition_MinFill(benchmark::State& state) {
     benchmark::DoNotOptimize(td);
   }
   state.counters["width"] = width;
+  state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_Decomposition_MinFill)
-    ->Arg(32)->Arg(64)->Arg(128)->Arg(256)
-    ->Unit(benchmark::kMicrosecond);
+    ->RangeMultiplier(2)->Range(32, 4096)
+    ->Unit(benchmark::kMicrosecond)->Complexity(benchmark::oAuto);
 
 }  // namespace
 }  // namespace cqcs

@@ -31,7 +31,7 @@ int main() {
       chain.AddTuple(0, {v, u});
     }
   }
-  TreeDecomposition td = HeuristicDecomposition(chain);
+  TreeDecomposition td = *HeuristicDecomposition(chain);
   std::printf("diamond chain: %zu elements, decomposition width %d\n",
               chain.universe_size(), td.Width());
 
@@ -68,7 +68,7 @@ int main() {
   std::printf(
       "\nwide pipeline: Gaifman width %d, incidence-style binary encoding "
       "has %zu elements over %zu coincidence relations\n",
-      HeuristicDecomposition(pipeline).Width(), enc.encoded.universe_size(),
+      HeuristicDecomposition(pipeline)->Width(), enc.encoded.universe_size(),
       enc.vocabulary->size());
   bool via_binary = HomomorphismExistsViaBinaryEncoding(
       pipeline, wide_db, [](const Structure& ea, const Structure& eb) {

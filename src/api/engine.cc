@@ -113,6 +113,7 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
 
   // ---- Routing. ----------------------------------------------------------
   Backend chosen = options_.backend;
+  Status route_status = Status::OK();  // a budget trip while routing
   if (chosen == Backend::kAuto) {
     if (!decide_like) {
       // Counting/enumeration/projection: the full Yannakakis program
@@ -159,9 +160,11 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
     } else {
       // Staged decision tree, cheapest predicate first, stopping at the
       // first island that fires: classifying a Boolean target is near-free,
-      // GYO is quadratic in the source's atoms, and the min-fill estimate
-      // (the expensive stage) only runs when the earlier islands refused.
-      // The profile records exactly the evidence that was computed.
+      // GYO is near-linear in the source's atoms, and the min-fill estimate
+      // (the costliest stage: incremental, about the local degree squared
+      // per eliminated vertex, and governed) only runs when the earlier
+      // islands refused. The profile records exactly the evidence that was
+      // computed.
       InstanceProfile& prof = r.explain.profile;
       FillSizeStats(a, b, &prof);
       prof.target_boolean = problem.TargetBoolean();
@@ -192,31 +195,40 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
           r.explain.fallbacks.push_back(
               "acyclic: source hypergraph is cyclic (GYO leaves live "
               "edges)");
-          const TreeDecomposition& dec = problem.SourceDecomposition();
-          prof.width_known = true;
-          prof.width_estimate = dec.Width();
-          prof.decomposition_bags = dec.node_count();
-          prof.treewidth_dp_cost = EstimateTreewidthDpCost(
-              prof.decomposition_bags, prof.width_estimate, b.universe_size());
-          if (prof.width_estimate >= 0 &&
-              prof.width_estimate <= options_.max_auto_width &&
-              prof.treewidth_dp_cost <= options_.treewidth_cost_budget) {
+          route_status = problem.EnsureSourceDecomposition(governor);
+          if (!route_status.ok()) {
+            // Only a budget trip stops the min-fill build. The budget is
+            // spent, so the run unwinds below like a backend trip.
             chosen = Backend::kTreewidth;
-            why << "min-fill width estimate " << prof.width_estimate
-                << " (bags=" << prof.decomposition_bags << ", est. DP cost "
-                << prof.treewidth_dp_cost
-                << "): bag-by-bag dynamic program (Theorem 5.4)";
+            why << "the min-fill width estimate ran out of budget";
           } else {
-            std::ostringstream note;
-            note << "treewidth: min-fill estimate " << prof.width_estimate
-                 << " / est. DP cost " << prof.treewidth_dp_cost
-                 << " exceeds the gate (max_auto_width="
-                 << options_.max_auto_width
-                 << ", budget=" << options_.treewidth_cost_budget << ")";
-            r.explain.fallbacks.push_back(note.str());
-            chosen = Backend::kUniform;
-            why << "no tractable island matched the profile; uniform "
-                   "backtracking search";
+            const TreeDecomposition& dec = problem.SourceDecomposition();
+            prof.width_known = true;
+            prof.width_estimate = dec.Width();
+            prof.decomposition_bags = dec.node_count();
+            prof.treewidth_dp_cost =
+                EstimateTreewidthDpCost(prof.decomposition_bags,
+                                        prof.width_estimate, b.universe_size());
+            if (prof.width_estimate >= 0 &&
+                prof.width_estimate <= options_.max_auto_width &&
+                prof.treewidth_dp_cost <= options_.treewidth_cost_budget) {
+              chosen = Backend::kTreewidth;
+              why << "min-fill width estimate " << prof.width_estimate
+                  << " (bags=" << prof.decomposition_bags << ", est. DP cost "
+                  << prof.treewidth_dp_cost
+                  << "): bag-by-bag dynamic program (Theorem 5.4)";
+            } else {
+              std::ostringstream note;
+              note << "treewidth: min-fill estimate " << prof.width_estimate
+                   << " / est. DP cost " << prof.treewidth_dp_cost
+                   << " exceeds the gate (max_auto_width="
+                   << options_.max_auto_width
+                   << ", budget=" << options_.treewidth_cost_budget << ")";
+              r.explain.fallbacks.push_back(note.str());
+              chosen = Backend::kUniform;
+              why << "no tractable island matched the profile; uniform "
+                     "backtracking search";
+            }
           }
         }
       }
@@ -231,8 +243,8 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
   // budget, demote to the uniform search before any table is built: the
   // search streams over the CSP instance and charges almost nothing, so it
   // can still decide within the budget where the DP provably cannot.
-  if (governor != nullptr && options_.memory_budget_bytes > 0 &&
-      options_.backend == Backend::kAuto &&
+  if (route_status.ok() && governor != nullptr &&
+      options_.memory_budget_bytes > 0 && options_.backend == Backend::kAuto &&
       (chosen == Backend::kAcyclic || chosen == Backend::kTreewidth)) {
     size_t estimate =
         chosen == Backend::kAcyclic
@@ -421,7 +433,7 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
     return Status::Internal("unknown backend");
   };
 
-  Status st = run_backend(chosen);
+  Status st = route_status.ok() ? run_backend(chosen) : route_status;
   if (!st.ok() && options_.backend == Backend::kAuto &&
       chosen != Backend::kUniform &&
       st.code() != StatusCode::kResourceExhausted) {

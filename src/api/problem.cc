@@ -147,7 +147,8 @@ const TreeDecomposition& HomProblem::SourceDecomposition() const {
   SourceCache& cache = *source_cache_;
   MutexLock lock(cache.mu);
   if (!cache.decomposition.has_value()) {
-    cache.decomposition = HeuristicDecomposition(*source_);
+    // Ungoverned, the build cannot fail.
+    cache.decomposition = *HeuristicDecomposition(*source_);
   }
   return *cache.decomposition;
 }
@@ -156,16 +157,10 @@ Status HomProblem::EnsureSourceDecomposition(ResourceGovernor* governor) const {
   SourceCache& cache = *source_cache_;
   MutexLock lock(cache.mu);
   if (cache.decomposition.has_value()) return Status::OK();
-  if (governor == nullptr) {
-    cache.decomposition = HeuristicDecomposition(*source_);
-    return Status::OK();
-  }
   // A trip leaves the cache empty — never a torn artifact — so the problem
   // stays reusable under a fresh budget.
-  Result<TreeDecomposition> decomposition =
-      HeuristicDecomposition(*source_, governor);
-  if (!decomposition.ok()) return decomposition.status();
-  cache.decomposition = *std::move(decomposition);
+  CQCS_ASSIGN_OR_RETURN(cache.decomposition,
+                        HeuristicDecomposition(*source_, governor));
   return Status::OK();
 }
 

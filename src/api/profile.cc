@@ -76,8 +76,7 @@ InstanceProfile Analyze(const Structure& a, const Structure& b) {
   // the same hypergraph the canonical query would present, without
   // materializing the query.
   bool acyclic = IsAcyclicStructure(a);
-  TreeDecomposition decomposition = HeuristicDecomposition(a);
-  return BuildProfile(a, b, acyclic, decomposition);
+  return BuildProfile(a, b, acyclic, *HeuristicDecomposition(a));
 }
 
 std::string InstanceProfile::ToString() const {

@@ -134,7 +134,7 @@ Result<FoFormula> BuildSentenceFromDecomposition(
 }
 
 Result<FoFormula> BuildSentence(const Structure& a) {
-  return BuildSentenceFromDecomposition(a, HeuristicDecomposition(a));
+  return BuildSentenceFromDecomposition(a, *HeuristicDecomposition(a));
 }
 
 }  // namespace cqcs

@@ -1,9 +1,8 @@
 #include "treewidth/decomposition.h"
 
 #include <algorithm>
-#include <bit>
+#include <functional>
 #include <queue>
-#include <set>
 #include <sstream>
 
 #include "common/check.h"
@@ -39,51 +38,98 @@ bool BagContains(const std::vector<Element>& bag, Element e) {
   return std::binary_search(bag.begin(), bag.end(), e);
 }
 
-}  // namespace
+/// Element -> the nodes whose bags hold it, as a CSR in ascending node
+/// order. Coverage checks probe the rarest element's list instead of
+/// scanning every bag.
+struct NodeLists {
+  std::vector<uint32_t> offsets;  // universe + 1
+  std::vector<uint32_t> nodes;
 
-Status TreeDecomposition::ValidateFor(const Graph& g) const {
-  const size_t n = g.vertex_count();
-  if (n > 0 && bags_.empty()) {
+  size_t count(Element e) const { return offsets[e + 1] - offsets[e]; }
+  std::span<const uint32_t> of(Element e) const {
+    return {nodes.data() + offsets[e], count(e)};
+  }
+};
+
+/// The node-local conditions, in O(Σ|bag| · log w): bags are nonempty and
+/// in range, and every element lies in at least one bag whose nodes form a
+/// subtree — exactly one of them (its top) has a parent not holding the
+/// element. Builds `lists` for the coverage checks that follow.
+Status IndexAndCheckElements(const TreeDecomposition& td, size_t n,
+                             NodeLists* lists) {
+  const size_t nodes = td.node_count();
+  if (n > 0 && nodes == 0) {
     return Status::InvalidArgument("no bags for a nonempty graph");
   }
-  for (const auto& bag : bags_) {
-    if (bag.empty()) return Status::InvalidArgument("empty bag");
-    for (Element e : bag) {
+  for (uint32_t node = 0; node < nodes; ++node) {
+    if (td.bag(node).empty()) return Status::InvalidArgument("empty bag");
+    for (Element e : td.bag(node)) {
       if (e >= n) return Status::InvalidArgument("bag element out of range");
     }
   }
-  // (1) vertex coverage and (3) connectedness, per vertex.
-  for (Element v = 0; v < n; ++v) {
-    size_t containing = 0;
-    size_t tops = 0;  // nodes containing v whose parent does not
-    for (uint32_t node = 0; node < bags_.size(); ++node) {
-      if (!BagContains(bags_[node], v)) continue;
-      ++containing;
-      uint32_t p = parents_[node];
-      if (p == kNoParent || !BagContains(bags_[p], v)) ++tops;
+  lists->offsets.assign(n + 1, 0);
+  std::vector<uint32_t> tops(n, 0);
+  for (uint32_t node = 0; node < nodes; ++node) {
+    const uint32_t p = td.parent(node);
+    for (Element e : td.bag(node)) {
+      ++lists->offsets[e + 1];
+      if (p == TreeDecomposition::kNoParent || !BagContains(td.bag(p), e)) {
+        ++tops[e];
+      }
     }
-    if (containing == 0) {
+  }
+  for (size_t e = 0; e < n; ++e) lists->offsets[e + 1] += lists->offsets[e];
+  lists->nodes.resize(lists->offsets.back());
+  std::vector<uint32_t> fill(lists->offsets.begin(), lists->offsets.end() - 1);
+  for (uint32_t node = 0; node < nodes; ++node) {
+    for (Element e : td.bag(node)) lists->nodes[fill[e]++] = node;
+  }
+  for (Element v = 0; v < n; ++v) {
+    if (lists->count(v) == 0) {
       return Status::InvalidArgument("vertex " + std::to_string(v) +
                                      " is in no bag");
     }
-    if (tops != 1) {
+    if (tops[v] != 1) {
       return Status::InvalidArgument(
           "bags containing vertex " + std::to_string(v) +
           " do not form a subtree");
     }
   }
-  // (2) edge coverage.
-  for (uint32_t u = 0; u < n; ++u) {
+  return Status::OK();
+}
+
+/// First node (ascending) whose bag covers `elems`, probing the node list
+/// of the first element with the fewest nodes; kNoParent when none does.
+uint32_t CoveringNode(const TreeDecomposition& td, const NodeLists& lists,
+                      std::span<const Element> elems) {
+  Element rare = elems[0];
+  for (Element e : elems) {
+    if (lists.count(e) < lists.count(rare)) rare = e;
+  }
+  for (uint32_t node : lists.of(rare)) {
+    const std::vector<Element>& bag = td.bag(node);
+    bool covered = true;
+    for (Element e : elems) {
+      if (!BagContains(bag, e)) {
+        covered = false;
+        break;
+      }
+    }
+    if (covered) return node;
+  }
+  return TreeDecomposition::kNoParent;
+}
+
+}  // namespace
+
+Status TreeDecomposition::ValidateFor(const Graph& g) const {
+  NodeLists lists;
+  CQCS_RETURN_IF_ERROR(IndexAndCheckElements(*this, g.vertex_count(), &lists));
+  for (uint32_t u = 0; u < g.vertex_count(); ++u) {
     for (uint32_t v : g.neighbors(u)) {
       if (v < u) continue;
-      bool covered = false;
-      for (const auto& bag : bags_) {
-        if (BagContains(bag, u) && BagContains(bag, v)) {
-          covered = true;
-          break;
-        }
-      }
-      if (!covered) {
+      const Element edge[2] = {u, v};
+      if (CoveringNode(*this, lists, edge) == kNoParent) {
         return Status::InvalidArgument("edge {" + std::to_string(u) + "," +
                                        std::to_string(v) + "} is in no bag");
       }
@@ -92,29 +138,24 @@ Status TreeDecomposition::ValidateFor(const Graph& g) const {
   return Status::OK();
 }
 
-Status TreeDecomposition::ValidateFor(const Structure& a) const {
+Status TreeDecomposition::ValidateFor(const Structure& a,
+                                      TupleAssignment* assignment) const {
   // Lemma 5.1: a tree decomposition of A is one of its Gaifman graph and
-  // vice versa; tuple coverage is implied by clique coverage, but check the
-  // tuple condition directly for a sharper error message.
-  CQCS_RETURN_IF_ERROR(ValidateFor(GaifmanGraph(a)));
+  // vice versa. Covering every tuple covers every Gaifman edge, so the
+  // tuples are checked directly and no Gaifman graph is built.
+  NodeLists lists;
+  CQCS_RETURN_IF_ERROR(IndexAndCheckElements(*this, a.universe_size(), &lists));
+  if (assignment != nullptr) assignment->assign(node_count(), {});
   const Vocabulary& vocab = *a.vocabulary();
   for (RelId id = 0; id < vocab.size(); ++id) {
     const Relation& r = a.relation(id);
     for (uint32_t t = 0; t < r.tuple_count(); ++t) {
-      std::span<const Element> tup = r.tuple(t);
-      bool covered = false;
-      for (const auto& bag : bags_) {
-        bool all = true;
-        for (Element e : tup) all &= BagContains(bag, e);
-        if (all) {
-          covered = true;
-          break;
-        }
-      }
-      if (!covered) {
+      const uint32_t node = CoveringNode(*this, lists, r.tuple(t));
+      if (node == kNoParent) {
         return Status::InvalidArgument("a tuple of " + vocab.name(id) +
                                        " is covered by no bag");
       }
+      if (assignment != nullptr) (*assignment)[node].emplace_back(id, t);
     }
   }
   return Status::OK();
@@ -139,129 +180,236 @@ std::string TreeDecomposition::ToString() const {
   return out.str();
 }
 
-TreeDecomposition DecompositionFromEliminationOrder(
-    const Graph& g, const std::vector<uint32_t>& order) {
-  const size_t n = g.vertex_count();
-  CQCS_CHECK_MSG(order.size() == n, "order must list every vertex once");
-  std::vector<std::set<uint32_t>> adj(n);
-  for (uint32_t v = 0; v < n; ++v) {
-    for (uint32_t w : g.neighbors(v)) adj[v].insert(w);
-  }
-  std::vector<size_t> position(n);
-  for (size_t i = 0; i < n; ++i) {
-    CQCS_CHECK(order[i] < n);
-    position[order[i]] = i;
-  }
-  // Simulate elimination, recording each vertex's bag.
-  std::vector<std::vector<Element>> bag_of(n);
-  for (uint32_t v : order) {
-    std::vector<Element> bag{v};
-    for (uint32_t w : adj[v]) bag.push_back(w);
-    bag_of[v] = bag;
-    // Fill-in among remaining neighbors, then remove v.
-    for (uint32_t w1 : adj[v]) {
-      for (uint32_t w2 : adj[v]) {
-        if (w1 != w2) adj[w1].insert(w2);
-      }
-      adj[w1].erase(v);
-    }
-    adj[v].clear();
-  }
-  // Build the tree in reverse elimination order: the bag of v hangs under
-  // the bag of its earliest-eliminated higher neighbor.
-  TreeDecomposition out;
-  if (n == 0) return out;
-  std::vector<uint32_t> node_of(n);
-  for (size_t i = n; i-- > 0;) {
-    uint32_t v = order[i];
-    uint32_t parent = TreeDecomposition::kNoParent;
-    size_t best = SIZE_MAX;
-    for (Element w : bag_of[v]) {
-      if (w == v) continue;
-      if (position[w] < best) {
-        best = position[w];
-        parent = node_of[w];
-      }
-    }
-    node_of[v] = out.AddNode(bag_of[v], parent);
-  }
-  return out;
-}
-
 namespace {
 
-/// Each elimination step is an O(n · deg²) scan, so the governed variant
-/// polls once per step; `governor` may be null (ungoverned).
-Result<std::vector<uint32_t>> GreedyOrder(const Graph& g, bool min_fill,
-                                          ResourceGovernor* governor) {
-  const size_t n = g.vertex_count();
-  std::vector<std::set<uint32_t>> adj(n);
-  for (uint32_t v = 0; v < n; ++v) {
-    for (uint32_t w : g.neighbors(v)) adj[v].insert(w);
+using FillEdges = std::vector<std::pair<uint32_t, uint32_t>>;
+
+/// Vertex elimination on flat sorted adjacency: the one core under the
+/// greedy orders and DecompositionFromEliminationOrder. Eliminating v
+/// records the bag {v} ∪ N(v), makes N(v) a clique (the fill-in) and
+/// removes v; BuildTree() then links the recorded bags.
+class EliminationGraph {
+ public:
+  explicit EliminationGraph(const Graph& g)
+      : adj_(g.vertex_count()),
+        position_(g.vertex_count(), kLive),
+        bags_(g.vertex_count()) {
+    for (uint32_t v = 0; v < adj_.size(); ++v) {
+      std::span<const uint32_t> nbrs = g.neighbors(v);
+      adj_[v].assign(nbrs.begin(), nbrs.end());
+    }
+    order_.reserve(adj_.size());
   }
-  std::vector<uint8_t> eliminated(n, 0);
-  std::vector<uint32_t> order;
-  order.reserve(n);
+
+  bool eliminated(uint32_t v) const { return position_[v] != kLive; }
+  const std::vector<uint32_t>& neighbors(uint32_t v) const { return adj_[v]; }
+  const std::vector<uint32_t>& order() const { return order_; }
+  /// {v} ∪ N(v) at v's elimination, sorted.
+  const std::vector<Element>& bag(uint32_t v) const { return bags_[v]; }
+
+  /// Eliminates the live vertex v. Each new fill edge {a, b}, a < b, is
+  /// appended to `fill` when it is non-null.
+  void Eliminate(uint32_t v, FillEdges* fill) {
+    const std::vector<uint32_t>& nv = adj_[v];
+    for (uint32_t w : nv) {
+      // adj(w) := (adj(w) \ {v}) ∪ (N(v) \ {w}), as one sorted merge.
+      const std::vector<uint32_t>& old = adj_[w];
+      merged_.clear();
+      size_t i = 0, j = 0;
+      while (i < old.size() || j < nv.size()) {
+        if (j == nv.size() || (i < old.size() && old[i] < nv[j])) {
+          if (old[i] != v) merged_.push_back(old[i]);
+          ++i;
+        } else if (i == old.size() || nv[j] < old[i]) {
+          const uint32_t x = nv[j++];
+          if (x == w) continue;
+          merged_.push_back(x);
+          if (fill != nullptr && w < x) fill->emplace_back(w, x);
+        } else {
+          merged_.push_back(old[i]);
+          ++i;
+          ++j;
+        }
+      }
+      adj_[w].swap(merged_);
+    }
+    std::vector<Element>& bag = bags_[v];
+    bag.reserve(nv.size() + 1);
+    auto split = std::lower_bound(nv.begin(), nv.end(), v);
+    bag.insert(bag.end(), nv.begin(), split);
+    bag.push_back(v);
+    bag.insert(bag.end(), split, nv.end());
+    std::vector<uint32_t>().swap(adj_[v]);
+    position_[v] = static_cast<uint32_t>(order_.size());
+    order_.push_back(v);
+  }
+
+  /// The tree over the recorded bags, once every vertex is eliminated: in
+  /// reverse elimination order, the bag of v hangs under the bag of its
+  /// earliest-eliminated higher neighbor.
+  TreeDecomposition BuildTree() && {
+    TreeDecomposition out;
+    std::vector<uint32_t> node_of(order_.size());
+    for (size_t i = order_.size(); i-- > 0;) {
+      const uint32_t v = order_[i];
+      uint32_t parent = TreeDecomposition::kNoParent;
+      uint32_t best = kLive;
+      for (Element w : bags_[v]) {
+        if (w != v && position_[w] < best) {
+          best = position_[w];
+          parent = node_of[w];
+        }
+      }
+      node_of[v] = out.AddNode(std::move(bags_[v]), parent);
+    }
+    return out;
+  }
+
+ private:
+  static constexpr uint32_t kLive = UINT32_MAX;
+
+  std::vector<std::vector<uint32_t>> adj_;  // live vertices only, sorted
+  std::vector<uint32_t> position_;          // elimination step, or kLive
+  std::vector<std::vector<Element>> bags_;
+  std::vector<uint32_t> order_;
+  std::vector<uint32_t> merged_;  // merge scratch, reused across steps
+};
+
+/// Greedy elimination: repeatedly eliminates the live vertex with the
+/// lowest score — its fill-in (min-fill) or its degree (min-degree) —
+/// taking the smallest id among ties. Scores sit in a lazy min-heap keyed
+/// by (score, id); an entry goes stale once its vertex is rescored or
+/// eliminated and is dropped when it surfaces. Eliminating v only changes
+/// the scores of N(v), which are recomputed, and — for min-fill — of the
+/// common neighbours of each fill edge {a, b} outside N[v], whose fill-in
+/// loses exactly the now-adjacent pair (a, b). The governor (null:
+/// ungoverned) is polled once per elimination.
+Result<EliminationGraph> GreedyEliminate(const Graph& g, bool min_fill,
+                                         ResourceGovernor* governor) {
+  const size_t n = g.vertex_count();
+  EliminationGraph eg(g);
+  std::vector<uint8_t> mark(n, 0);  // scratch flags, all zero between uses
+
+  // Pairs of v's neighbours that are not adjacent: C(d, 2) minus the edges
+  // inside N(v), each counted from both ends.
+  auto fill_in = [&](uint32_t v) -> size_t {
+    const std::vector<uint32_t>& nv = eg.neighbors(v);
+    const size_t d = nv.size();
+    if (d < 2) return 0;
+    for (uint32_t x : nv) mark[x] = 1;
+    size_t twice_edges = 0;
+    for (uint32_t x : nv) {
+      const std::vector<uint32_t>& nx = eg.neighbors(x);
+      if (nx.size() <= d) {
+        for (uint32_t y : nx) twice_edges += mark[y];
+      } else {
+        for (uint32_t y : nv) {
+          twice_edges += std::binary_search(nx.begin(), nx.end(), y);
+        }
+      }
+    }
+    for (uint32_t x : nv) mark[x] = 0;
+    return d * (d - 1) / 2 - twice_edges / 2;
+  };
+  auto score_of = [&](uint32_t v) {
+    return min_fill ? fill_in(v) : eg.neighbors(v).size();
+  };
+
+  using Entry = std::pair<size_t, uint32_t>;  // (score, vertex)
+  std::vector<size_t> score(n);
+  std::vector<Entry> entries(n);
+  for (uint32_t v = 0; v < n; ++v) {
+    score[v] = score_of(v);
+    entries[v] = {score[v], v};
+  }
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap(
+      std::greater<Entry>(), std::move(entries));
+
+  FillEdges fill;
+  std::vector<uint32_t> touched;
   for (size_t step = 0; step < n; ++step) {
     if (governor != nullptr) CQCS_RETURN_IF_ERROR(governor->Poll());
-    uint32_t best = UINT32_MAX;
-    size_t best_score = SIZE_MAX;
-    for (uint32_t v = 0; v < n; ++v) {
-      if (eliminated[v]) continue;
-      size_t score;
-      if (min_fill) {
-        score = 0;
-        for (uint32_t w1 : adj[v]) {
-          for (uint32_t w2 : adj[v]) {
-            if (w1 < w2 && adj[w1].count(w2) == 0) ++score;
+    uint32_t v;
+    for (;;) {
+      auto [s, u] = heap.top();
+      heap.pop();
+      if (!eg.eliminated(u) && s == score[u]) {
+        v = u;
+        break;
+      }
+    }
+    fill.clear();
+    eg.Eliminate(v, min_fill ? &fill : nullptr);
+    const std::vector<Element>& closed = eg.bag(v);  // N[v]
+    if (!fill.empty()) {
+      // mark: 1 = in N[v], 2 = outside N[v] with a lowered fill-in.
+      for (Element x : closed) mark[x] = 1;
+      for (auto [a, b] : fill) {
+        const std::vector<uint32_t>& na = eg.neighbors(a);
+        const std::vector<uint32_t>& nb = eg.neighbors(b);
+        for (size_t i = 0, j = 0; i < na.size() && j < nb.size();) {
+          if (na[i] < nb[j]) {
+            ++i;
+          } else if (nb[j] < na[i]) {
+            ++j;
+          } else {
+            const uint32_t x = na[i];
+            ++i;
+            ++j;
+            if (mark[x] == 1) continue;
+            --score[x];
+            if (mark[x] == 0) {
+              mark[x] = 2;
+              touched.push_back(x);
+            }
           }
         }
-      } else {
-        score = adj[v].size();
       }
-      if (score < best_score) {
-        best_score = score;
-        best = v;
+      for (uint32_t x : touched) {
+        heap.emplace(score[x], x);
+        mark[x] = 0;
       }
+      touched.clear();
+      for (Element x : closed) mark[x] = 0;
     }
-    order.push_back(best);
-    eliminated[best] = 1;
-    for (uint32_t w1 : adj[best]) {
-      for (uint32_t w2 : adj[best]) {
-        if (w1 != w2) adj[w1].insert(w2);
-      }
-      adj[w1].erase(best);
+    for (Element w : closed) {
+      if (w == v) continue;
+      score[w] = score_of(w);
+      heap.emplace(score[w], w);
     }
-    adj[best].clear();
   }
-  return order;
+  return eg;
 }
 
 }  // namespace
 
+TreeDecomposition DecompositionFromEliminationOrder(
+    const Graph& g, const std::vector<uint32_t>& order) {
+  const size_t n = g.vertex_count();
+  CQCS_CHECK_MSG(order.size() == n, "order must list every vertex once");
+  EliminationGraph eg(g);
+  for (uint32_t v : order) {
+    CQCS_CHECK(v < n);
+    CQCS_CHECK_MSG(!eg.eliminated(v), "order must list every vertex once");
+    eg.Eliminate(v, nullptr);
+  }
+  return std::move(eg).BuildTree();
+}
+
 std::vector<uint32_t> MinDegreeOrder(const Graph& g) {
-  return *GreedyOrder(g, /*min_fill=*/false, nullptr);
+  return (*GreedyEliminate(g, /*min_fill=*/false, nullptr)).order();
 }
 
 std::vector<uint32_t> MinFillOrder(const Graph& g) {
-  return *GreedyOrder(g, /*min_fill=*/true, nullptr);
-}
-
-TreeDecomposition HeuristicDecomposition(const Structure& a) {
-  Graph g = GaifmanGraph(a);
-  return DecompositionFromEliminationOrder(g, MinFillOrder(g));
+  return (*GreedyEliminate(g, /*min_fill=*/true, nullptr)).order();
 }
 
 Result<TreeDecomposition> HeuristicDecomposition(const Structure& a,
                                                  ResourceGovernor* governor) {
-  Graph g = GaifmanGraph(a);
-  Result<std::vector<uint32_t>> order =
-      GreedyOrder(g, /*min_fill=*/true, governor);
-  if (!order.ok()) return order.status();
-  // The elimination simulation below re-runs the fill-in; one more poll
-  // bounds it to roughly the cost already admitted above.
-  CQCS_RETURN_IF_ERROR(governor->Poll());
-  return DecompositionFromEliminationOrder(g, *order);
+  CQCS_ASSIGN_OR_RETURN(
+      EliminationGraph eg,
+      GreedyEliminate(GaifmanGraph(a), /*min_fill=*/true, governor));
+  return std::move(eg).BuildTree();
 }
 
 Result<int> ExactTreewidth(const Graph& g) {
@@ -317,8 +465,9 @@ Result<int> ExactTreewidth(const Graph& g) {
 }
 
 int HeuristicIncidenceTreewidth(const Structure& a) {
-  Graph g = IncidenceGraph(a);
-  return DecompositionFromEliminationOrder(g, MinFillOrder(g)).Width();
+  return (*GreedyEliminate(IncidenceGraph(a), /*min_fill=*/true, nullptr))
+      .BuildTree()
+      .Width();
 }
 
 }  // namespace cqcs

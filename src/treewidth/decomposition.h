@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -45,13 +46,25 @@ class TreeDecomposition {
   /// Width = max bag size - 1 (-1 if there are no nodes).
   int Width() const;
 
+  /// For each node, the tuples (relation, tuple index) of a structure
+  /// assigned to it: every tuple lands on one node whose bag covers it.
+  using TupleAssignment = std::vector<std::vector<std::pair<RelId, uint32_t>>>;
+
   /// Checks the three decomposition conditions against a graph: vertex and
-  /// edge coverage, and connectedness of every vertex's bag set.
+  /// edge coverage, and connectedness of every vertex's bag set. Runs over
+  /// a per-vertex node-list index built in O(Σ|bag| · log w) for width w:
+  /// connectedness counts the nodes holding a vertex whose parent lacks it
+  /// (exactly one "top" per vertex), and an edge probes only the node list
+  /// of its rarer endpoint.
   Status ValidateFor(const Graph& g) const;
 
-  /// Checks the structure version: every tuple's elements lie in one bag.
-  /// (Lemma 5.1: equivalent to ValidateFor(GaifmanGraph(a)).)
-  Status ValidateFor(const Structure& a) const;
+  /// Checks the structure version: every tuple's elements lie in one bag
+  /// (Lemma 5.1: equivalent to validating against the Gaifman graph, which
+  /// is never built). When `assignment` is non-null it receives, per node,
+  /// the tuples covered there — the first node (ascending) holding the
+  /// tuple among those of its rarest element.
+  Status ValidateFor(const Structure& a,
+                     TupleAssignment* assignment = nullptr) const;
 
   /// Diagnostic rendering: one "node -> parent: {bag}" line per node.
   std::string ToString() const;
@@ -69,21 +82,25 @@ class TreeDecomposition {
 TreeDecomposition DecompositionFromEliminationOrder(
     const Graph& g, const std::vector<uint32_t>& order);
 
-/// Min-degree heuristic elimination order.
+/// Min-degree heuristic elimination order: always eliminate a vertex of
+/// least remaining degree, the smallest id among ties.
 std::vector<uint32_t> MinDegreeOrder(const Graph& g);
 
-/// Min-fill heuristic elimination order (usually tighter, a bit slower).
+/// Min-fill heuristic elimination order (usually tighter): always eliminate
+/// a vertex whose elimination adds the fewest fill edges, the smallest id
+/// among ties. Both orders run incrementally — a lazy heap of scores where
+/// each elimination rescores only the vertices it affects — so a step costs
+/// about the local degree squared, not a rescan of the graph.
 std::vector<uint32_t> MinFillOrder(const Graph& g);
 
-/// Heuristic decomposition of a structure via its Gaifman graph (min-fill).
-TreeDecomposition HeuristicDecomposition(const Structure& a);
-
-/// Governed variant: min-fill's O(n · deg²) selection scans poll the
-/// governor once per eliminated vertex, so a deadline or cancellation
-/// aborts the ordering with kResourceExhausted instead of running the
-/// full quadratic-or-worse pass. `governor` must not be null.
-Result<TreeDecomposition> HeuristicDecomposition(const Structure& a,
-                                                 ResourceGovernor* governor);
+/// Heuristic decomposition of a structure via its Gaifman graph: the
+/// min-fill elimination, whose bags are recorded as it goes — identical to
+/// DecompositionFromEliminationOrder(g, MinFillOrder(g)). A non-null
+/// governor is polled once per eliminated vertex, so a deadline or
+/// cancellation aborts with kResourceExhausted; without one the build
+/// cannot fail.
+Result<TreeDecomposition> HeuristicDecomposition(
+    const Structure& a, ResourceGovernor* governor = nullptr);
 
 /// Exact treewidth by dynamic programming over vertex subsets
 /// (O(2^n · n^2); bounded to n <= 24). Errors with Unsupported beyond that.

@@ -32,7 +32,10 @@ Result<std::optional<Homomorphism>> SolveViaTreeDecomposition(
     return Status::InvalidArgument("vocabulary mismatch");
   }
   if (governor != nullptr) CQCS_RETURN_IF_ERROR(governor->Poll());
-  CQCS_RETURN_IF_ERROR(decomposition.ValidateFor(a));
+  // Validation also assigns every tuple of A to a node whose bag covers it
+  // (linear: it probes the rarest element's node list).
+  TreeDecomposition::TupleAssignment tuples_of_node;
+  CQCS_RETURN_IF_ERROR(decomposition.ValidateFor(a, &tuples_of_node));
   const unsigned workers = ResolveThreadCount(num_threads);
   if (stats != nullptr) {
     stats->width = decomposition.Width();
@@ -49,65 +52,6 @@ Result<std::optional<Homomorphism>> SolveViaTreeDecomposition(
   const size_t num_nodes = decomposition.node_count();
   const size_t m = b.universe_size();
   const Vocabulary& vocab = *a.vocabulary();
-
-  // element -> containing nodes, CSR. Tuple-to-bag assignment probes the
-  // rarest element's short node list instead of scanning every bag.
-  std::vector<uint32_t> node_offsets(a.universe_size() + 1, 0);
-  // cqcs-lint: allow(unpolled-loop): bounded by sum of bag sizes <= nodes * (width + 1)
-  for (uint32_t node = 0; node < num_nodes; ++node) {
-    for (Element e : decomposition.bag(node)) ++node_offsets[e + 1];
-  }
-  for (size_t e = 0; e < a.universe_size(); ++e) {
-    node_offsets[e + 1] += node_offsets[e];
-  }
-  std::vector<uint32_t> node_list(node_offsets.back());
-  {
-    std::vector<uint32_t> fill(node_offsets.begin(), node_offsets.end() - 1);
-    // cqcs-lint: allow(unpolled-loop): same sum-of-bag-sizes bound as the counting pass above
-    for (uint32_t node = 0; node < num_nodes; ++node) {
-      for (Element e : decomposition.bag(node)) node_list[fill[e]++] = node;
-    }
-  }
-
-  // Assign every tuple of A to a node whose bag covers it: candidates are
-  // the nodes holding the tuple's rarest element.
-  std::vector<std::vector<std::pair<RelId, uint32_t>>> tuples_of_node(
-      num_nodes);
-  uint64_t assign_tick = 0;  // governor poll stride over A's tuples
-  for (RelId id = 0; id < vocab.size(); ++id) {
-    const Relation& r = a.relation(id);
-    for (uint32_t t = 0; t < r.tuple_count(); ++t) {
-      if (governor != nullptr && (++assign_tick & 1023) == 0) {
-        CQCS_RETURN_IF_ERROR(governor->Poll());
-      }
-      std::span<const Element> tup = r.tuple(t);
-      Element rare = tup[0];
-      for (Element e : tup) {
-        if (node_offsets[e + 1] - node_offsets[e] <
-            node_offsets[rare + 1] - node_offsets[rare]) {
-          rare = e;
-        }
-      }
-      bool placed = false;
-      for (uint32_t i = node_offsets[rare];
-           i < node_offsets[rare + 1] && !placed; ++i) {
-        uint32_t node = node_list[i];
-        const auto& bag = decomposition.bag(node);
-        bool covered = true;
-        for (Element e : tup) {
-          if (!std::binary_search(bag.begin(), bag.end(), e)) {
-            covered = false;
-            break;
-          }
-        }
-        if (covered) {
-          tuples_of_node[node].emplace_back(id, t);
-          placed = true;
-        }
-      }
-      CQCS_CHECK(placed);  // guaranteed by ValidateFor
-    }
-  }
 
   // Hash membership indexes on B's relations (only the ones A uses):
   // the DP's inner check becomes an O(1) probe on the flattened tuple
@@ -328,15 +272,9 @@ Result<std::optional<Homomorphism>> SolveViaTreeDecomposition(
 Result<std::optional<Homomorphism>> SolveBoundedTreewidth(
     const Structure& a, const Structure& b, TreewidthSolveStats* stats,
     ResourceGovernor* governor, unsigned num_threads) {
-  if (governor == nullptr) {
-    TreeDecomposition decomposition = HeuristicDecomposition(a);
-    return SolveViaTreeDecomposition(a, b, decomposition, stats,
-                                     /*governor=*/nullptr, num_threads);
-  }
-  Result<TreeDecomposition> decomposition =
-      HeuristicDecomposition(a, governor);
-  if (!decomposition.ok()) return decomposition.status();
-  return SolveViaTreeDecomposition(a, b, *decomposition, stats, governor,
+  CQCS_ASSIGN_OR_RETURN(TreeDecomposition decomposition,
+                        HeuristicDecomposition(a, governor));
+  return SolveViaTreeDecomposition(a, b, decomposition, stats, governor,
                                    num_threads);
 }
 

@@ -97,7 +97,7 @@ TEST(FoEvaluateTest, SentenceAndErrors) {
 TEST(FromDecompositionTest, SlotBudgetMatchesWidth) {
   auto vocab = MakeGraphVocabulary();
   Structure cycle = UndirectedCycleStructure(vocab, 8);
-  TreeDecomposition td = HeuristicDecomposition(cycle);
+  TreeDecomposition td = *HeuristicDecomposition(cycle);
   ASSERT_EQ(td.Width(), 2);
   auto sentence = BuildSentenceFromDecomposition(cycle, td);
   ASSERT_TRUE(sentence.ok()) << sentence.status().ToString();

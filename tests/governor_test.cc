@@ -562,6 +562,39 @@ TEST(GovernorEngineTest, TrippedDecompositionBuildCachesNothing) {
   EXPECT_TRUE(p.SourceDecomposition().ValidateFor(a).ok());
 }
 
+TEST(GovernorEngineTest, AutoRoutingDecompositionIsGoverned) {
+  // kAuto on a cyclic source with a non-Boolean target reaches stage 3,
+  // whose min-fill build must poll the run's governor: the first poll
+  // trips, and the run unwinds to the standard tripped result before any
+  // backend starts.
+  Rng rng(7011);
+  auto vocab = MakeGraphVocabulary();
+  Structure a = UndirectedCycleStructure(vocab, 9);
+  Structure b = RandomGraphStructure(vocab, 4, 0.6, rng, true);
+  HomProblem p = MustProblem(HomProblem::FromStructures(a, b));
+
+  EngineOptions tripping;  // kAuto
+  tripping.failpoints.trip_after_checks = 1;
+  EngineResult r = MustRun(HomEngine(tripping), p, HomTask::kDecide);
+  ExpectCleanTrip(r, HomTask::kDecide);
+  EXPECT_FALSE(r.explain.profile.width_known) << r.explain.ToString();
+  EXPECT_FALSE(r.stats.used_treewidth);
+  EXPECT_FALSE(r.stats.used_search);
+  bool mentioned = false;
+  for (const auto& f : r.explain.fallbacks) {
+    if (f.find("exhausted") != std::string::npos) mentioned = true;
+  }
+  EXPECT_TRUE(mentioned) << r.explain.ToString();
+
+  // The trip cached no decomposition: an ungoverned re-run builds it,
+  // routes on it, and matches the oracle.
+  EngineResult ok = MustRun(HomEngine(), p, HomTask::kDecide);
+  EXPECT_FALSE(ok.stats.governor.enabled);
+  EXPECT_TRUE(ok.explain.profile.width_known);
+  EXPECT_EQ(ok.decided, OracleDecide(a, b));
+  EXPECT_TRUE(p.SourceDecomposition().ValidateFor(a).ok());
+}
+
 // ---- Deadlines and budgets end to end. ------------------------------------
 
 TEST(GovernorEngineTest, DeadlineStopsAnUnfinishableCount) {

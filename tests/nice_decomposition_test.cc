@@ -17,7 +17,7 @@ TEST(NiceDecompositionTest, PreservesWidthAndValidates) {
     uint32_t k = 1 + static_cast<uint32_t>(rng.Below(3));
     Graph g = RandomPartialKTree(5 + rng.Below(12), k, 0.8, rng);
     Structure a = StructureFromGraph(vocab, g);
-    TreeDecomposition td = HeuristicDecomposition(a);
+    TreeDecomposition td = *HeuristicDecomposition(a);
     NiceDecomposition nice = MakeNice(td);
     EXPECT_EQ(nice.Width(), td.Width());
     EXPECT_TRUE(nice.ValidateFor(a).ok()) << nice.ValidateFor(a).ToString();
@@ -28,7 +28,7 @@ TEST(NiceDecompositionTest, NodeKindsArePresent) {
   auto vocab = MakeGraphVocabulary();
   // A star forces a join-free spine; a branching decomposition gets joins.
   Structure grid = GridStructure(vocab, 3, 3);
-  NiceDecomposition nice = MakeNice(HeuristicDecomposition(grid));
+  NiceDecomposition nice = MakeNice(*HeuristicDecomposition(grid));
   bool has_leaf = false, has_introduce = false, has_forget = false;
   for (const auto& node : nice.nodes) {
     has_leaf |= node.kind == NiceNodeKind::kLeaf;
@@ -49,7 +49,7 @@ TEST(NiceDpTest, MatchesGeneralDpAndBacktracking) {
     Structure a = StructureFromGraph(vocab, ga);
     Structure b = RandomGraphStructure(vocab, 2 + rng.Below(4), 0.5, rng,
                                        /*symmetric=*/true);
-    TreeDecomposition td = HeuristicDecomposition(a);
+    TreeDecomposition td = *HeuristicDecomposition(a);
     NiceDecomposition nice = MakeNice(td);
     auto via_nice = SolveViaNiceDecomposition(a, b, nice);
     ASSERT_TRUE(via_nice.ok()) << via_nice.status().ToString();
@@ -73,7 +73,7 @@ TEST(NiceDpTest, HandlesSelfLoopsAndUnaryFacts) {
   b.AddTuple(e, {0, 0});
   b.AddTuple(e, {0, 1});
   b.AddTuple(p, {1});
-  NiceDecomposition nice = MakeNice(HeuristicDecomposition(a));
+  NiceDecomposition nice = MakeNice(*HeuristicDecomposition(a));
   auto h = SolveViaNiceDecomposition(a, b, nice);
   ASSERT_TRUE(h.ok());
   ASSERT_TRUE(h->has_value());
@@ -91,7 +91,7 @@ TEST(NiceDpTest, EmptySource) {
   auto vocab = MakeGraphVocabulary();
   Structure empty(vocab, 0);
   Structure b = CliqueStructure(vocab, 2);
-  NiceDecomposition nice = MakeNice(HeuristicDecomposition(empty));
+  NiceDecomposition nice = MakeNice(*HeuristicDecomposition(empty));
   auto h = SolveViaNiceDecomposition(empty, b, nice);
   ASSERT_TRUE(h.ok());
   EXPECT_TRUE(h->has_value());

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+
 #include "common/rng.h"
 #include "gen/generators.h"
 #include "solver/backtracking.h"
@@ -28,6 +31,327 @@ Graph CliqueGraph(size_t n) {
     for (uint32_t j = i + 1; j < n; ++j) g.AddEdge(i, j);
   }
   return g;
+}
+
+// ---- Reference elimination: the original O(n^2 * d^2) scan. ---------------
+//
+// MinFillOrder / MinDegreeOrder / HeuristicDecomposition run incrementally
+// (a lazy score heap over flat adjacency). These are the plain
+// definitions they must reproduce exactly: at every step rescan every live
+// vertex on std::set adjacency and take the lowest score, the smallest id
+// among ties; then simulate the elimination once more to record the bags.
+
+std::vector<std::set<uint32_t>> SetAdjacency(const Graph& g) {
+  std::vector<std::set<uint32_t>> adj(g.vertex_count());
+  for (uint32_t v = 0; v < g.vertex_count(); ++v) {
+    for (uint32_t w : g.neighbors(v)) adj[v].insert(w);
+  }
+  return adj;
+}
+
+void EliminateFromSets(std::vector<std::set<uint32_t>>& adj, uint32_t v) {
+  for (uint32_t w1 : adj[v]) {
+    for (uint32_t w2 : adj[v]) {
+      if (w1 != w2) adj[w1].insert(w2);
+    }
+    adj[w1].erase(v);
+  }
+  adj[v].clear();
+}
+
+std::vector<uint32_t> ReferenceOrder(const Graph& g, bool min_fill) {
+  const size_t n = g.vertex_count();
+  std::vector<std::set<uint32_t>> adj = SetAdjacency(g);
+  std::vector<uint8_t> eliminated(n, 0);
+  std::vector<uint32_t> order;
+  for (size_t step = 0; step < n; ++step) {
+    uint32_t best = UINT32_MAX;
+    size_t best_score = SIZE_MAX;
+    for (uint32_t v = 0; v < n; ++v) {
+      if (eliminated[v]) continue;
+      size_t score = 0;
+      if (min_fill) {
+        for (uint32_t w1 : adj[v]) {
+          for (uint32_t w2 : adj[v]) {
+            if (w1 < w2 && adj[w1].count(w2) == 0) ++score;
+          }
+        }
+      } else {
+        score = adj[v].size();
+      }
+      if (score < best_score) {
+        best_score = score;
+        best = v;
+      }
+    }
+    order.push_back(best);
+    eliminated[best] = 1;
+    EliminateFromSets(adj, best);
+  }
+  return order;
+}
+
+TreeDecomposition ReferenceDecomposition(const Graph& g,
+                                         const std::vector<uint32_t>& order) {
+  const size_t n = g.vertex_count();
+  std::vector<std::set<uint32_t>> adj = SetAdjacency(g);
+  std::vector<size_t> position(n);
+  for (size_t i = 0; i < n; ++i) position[order[i]] = i;
+  std::vector<std::vector<Element>> bag_of(n);
+  for (uint32_t v : order) {
+    bag_of[v].push_back(v);
+    bag_of[v].insert(bag_of[v].end(), adj[v].begin(), adj[v].end());
+    EliminateFromSets(adj, v);
+  }
+  TreeDecomposition out;
+  std::vector<uint32_t> node_of(n);
+  for (size_t i = n; i-- > 0;) {
+    const uint32_t v = order[i];
+    uint32_t parent = TreeDecomposition::kNoParent;
+    size_t best = SIZE_MAX;
+    for (Element w : bag_of[v]) {
+      if (w != v && position[w] < best) {
+        best = position[w];
+        parent = node_of[w];
+      }
+    }
+    node_of[v] = out.AddNode(bag_of[v], parent);
+  }
+  return out;
+}
+
+Graph RandomGnp(size_t n, double p, Rng& rng) {
+  Graph g(n);
+  for (uint32_t u = 0; u < n; ++u) {
+    for (uint32_t v = u + 1; v < n; ++v) {
+      if (rng.Chance(p)) g.AddEdge(u, v);
+    }
+  }
+  return g;
+}
+
+/// The shape sweep of the equivalence net: trivial graphs, disconnected
+/// unions, cliques, stars, partial k-trees for k = 1..4, and G(n, p).
+Graph RandomShape(int trial, Rng& rng) {
+  switch (trial % 8) {
+    case 0:
+      return Graph(rng.Below(2));  // empty or a single vertex
+    case 1: {
+      // Disconnected: two random pieces side by side, plus isolated vertices.
+      Graph left = RandomPartialKTree(3 + rng.Below(12), 2, 0.7, rng);
+      Graph right = RandomGnp(1 + rng.Below(10), 0.4, rng);
+      const uint32_t off = static_cast<uint32_t>(left.vertex_count());
+      Graph g(off + right.vertex_count() + rng.Below(3));
+      for (uint32_t u = 0; u < off; ++u) {
+        for (uint32_t v : left.neighbors(u)) g.AddEdge(u, v);
+      }
+      for (uint32_t u = 0; u < right.vertex_count(); ++u) {
+        for (uint32_t v : right.neighbors(u)) g.AddEdge(off + u, off + v);
+      }
+      return g;
+    }
+    case 2: {
+      Graph g(1 + rng.Below(9));
+      for (uint32_t u = 0; u < g.vertex_count(); ++u) {
+        for (uint32_t v = u + 1; v < g.vertex_count(); ++v) g.AddEdge(u, v);
+      }
+      return g;
+    }
+    case 3: {
+      // Star with its center at a random id, sometimes with extra leaf edges.
+      const size_t n = 2 + rng.Below(30);
+      const uint32_t center = static_cast<uint32_t>(rng.Below(n));
+      Graph g(n);
+      for (uint32_t v = 0; v < n; ++v) g.AddEdge(center, v);
+      for (int extra = static_cast<int>(rng.Below(3)); extra > 0; --extra) {
+        g.AddEdge(static_cast<uint32_t>(rng.Below(n)),
+                  static_cast<uint32_t>(rng.Below(n)));
+      }
+      return g;
+    }
+    case 4:
+    case 5: {
+      const uint32_t k = 1 + static_cast<uint32_t>(rng.Below(4));
+      return RandomPartialKTree(k + 1 + rng.Below(40), k,
+                                0.5 + 0.5 * rng.Chance(0.5), rng);
+    }
+    default:
+      return RandomGnp(rng.Below(36), 0.05 + 0.4 * (rng.Below(100) / 100.0),
+                       rng);
+  }
+}
+
+TEST(EliminationOrderTest, IncrementalOrdersMatchTheReferenceScan) {
+  Rng rng(2024);
+  auto vocab = MakeGraphVocabulary();
+  for (int trial = 0; trial < 2400; ++trial) {
+    Graph g = RandomShape(trial, rng);
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " n="
+                                    << g.vertex_count() << " m="
+                                    << g.edge_count());
+    const std::vector<uint32_t> fill_order = ReferenceOrder(g, true);
+    ASSERT_EQ(MinFillOrder(g), fill_order);
+    ASSERT_EQ(MinDegreeOrder(g), ReferenceOrder(g, false));
+
+    // HeuristicDecomposition records the bags during its own elimination;
+    // bags and parents must equal the reference's node for node.
+    const std::string want = ReferenceDecomposition(g, fill_order).ToString();
+    Result<TreeDecomposition> td =
+        HeuristicDecomposition(StructureFromGraph(vocab, g));
+    ASSERT_TRUE(td.ok());
+    ASSERT_EQ(td->ToString(), want);
+    ASSERT_EQ(DecompositionFromEliminationOrder(g, fill_order).ToString(),
+              want);
+
+    // Any order, not just greedy ones, goes through the same flat core.
+    std::vector<uint32_t> shuffled = fill_order;
+    rng.Shuffle(shuffled);
+    ASSERT_EQ(DecompositionFromEliminationOrder(g, shuffled).ToString(),
+              ReferenceDecomposition(g, shuffled).ToString());
+  }
+}
+
+// ---- Validation rejects every broken condition. ----------------------------
+
+/// A copy of `td` with each node's bag and parent passed through `edit`.
+TreeDecomposition Rebuild(
+    const TreeDecomposition& td,
+    const std::function<void(uint32_t, std::vector<Element>&, uint32_t&)>&
+        edit) {
+  TreeDecomposition out;
+  for (uint32_t node = 0; node < td.node_count(); ++node) {
+    std::vector<Element> bag = td.bag(node);
+    uint32_t parent = td.parent(node);
+    edit(node, bag, parent);
+    out.AddNode(std::move(bag), parent);
+  }
+  return out;
+}
+
+TEST(DecompositionTest, ValidationRejectsEveryBrokenCondition) {
+  auto vocab = MakeGraphVocabulary();
+  Structure a = UndirectedCycleStructure(vocab, 10);
+  Graph g = GaifmanGraph(a);
+  const TreeDecomposition td = *HeuristicDecomposition(a);
+  ASSERT_TRUE(td.ValidateFor(a).ok());
+  ASSERT_TRUE(td.ValidateFor(g).ok());
+  ASSERT_GE(td.node_count(), 4u);
+
+  // Both overloads share the element-level conditions and their messages.
+  auto expect_both = [&](const TreeDecomposition& broken,
+                         const std::string& message) {
+    Status sg = broken.ValidateFor(g);
+    Status sa = broken.ValidateFor(a);
+    EXPECT_EQ(sg.code(), StatusCode::kInvalidArgument) << sg.ToString();
+    EXPECT_EQ(sg.message(), message);
+    EXPECT_EQ(sa.code(), StatusCode::kInvalidArgument) << sa.ToString();
+    EXPECT_EQ(sa.message(), message);
+  };
+
+  expect_both(TreeDecomposition(), "no bags for a nonempty graph");
+  expect_both(Rebuild(td,
+                      [](uint32_t node, std::vector<Element>& bag, uint32_t&) {
+                        if (node == 2) bag.clear();
+                      }),
+              "empty bag");
+  expect_both(Rebuild(td,
+                      [](uint32_t node, std::vector<Element>& bag, uint32_t&) {
+                        if (node == 1) bag.push_back(10);
+                      }),
+              "bag element out of range");
+  // Drop a vertex from every bag (one that is never a bag on its own, so
+  // no bag empties first).
+  int dropped = 0;
+  for (Element x = 0; x < 10; ++x) {
+    bool alone = false;
+    for (uint32_t node = 0; node < td.node_count(); ++node) {
+      alone |= td.bag(node) == std::vector<Element>{x};
+    }
+    if (alone) continue;
+    ++dropped;
+    expect_both(Rebuild(td,
+                        [&](uint32_t, std::vector<Element>& bag, uint32_t&) {
+                          std::erase(bag, x);
+                        }),
+                "vertex " + std::to_string(x) + " is in no bag");
+  }
+  EXPECT_GT(dropped, 0);
+
+  // Non-subtree: add a vertex to a node that neither holds it nor touches
+  // a node holding it, so its nodes split into two tops.
+  for (Element x = 0; x < 10; ++x) {
+    auto holds = [&](uint32_t node) {
+      const auto& bag = td.bag(node);
+      return std::binary_search(bag.begin(), bag.end(), x);
+    };
+    for (uint32_t node = 0; node < td.node_count(); ++node) {
+      const uint32_t p = td.parent(node);
+      bool touches = holds(node) ||
+                     (p != TreeDecomposition::kNoParent && holds(p));
+      for (uint32_t child : td.children(node)) touches |= holds(child);
+      if (touches) continue;
+      SCOPED_TRACE(testing::Message() << "x=" << x << " node=" << node);
+      // Elements below x are untouched, so x is the first one reported.
+      expect_both(Rebuild(td,
+                          [&](uint32_t n, std::vector<Element>& bag,
+                              uint32_t&) {
+                            if (n == node) bag.push_back(x);
+                          }),
+                  "bags containing vertex " + std::to_string(x) +
+                      " do not form a subtree");
+    }
+  }
+
+  // Uncovered edge (graph) and uncovered tuple (structure): link two
+  // elements that share no bag.
+  bool found = false;
+  for (Element u = 0; u < 10 && !found; ++u) {
+    for (Element v = u + 1; v < 10 && !found; ++v) {
+      bool share = false;
+      for (uint32_t node = 0; node < td.node_count(); ++node) {
+        const auto& bag = td.bag(node);
+        share |= std::binary_search(bag.begin(), bag.end(), u) &&
+                 std::binary_search(bag.begin(), bag.end(), v);
+      }
+      if (share) continue;
+      found = true;
+      Graph wider = g;
+      wider.AddEdge(u, v);
+      Status sg = td.ValidateFor(wider);
+      EXPECT_EQ(sg.message(), "edge {" + std::to_string(u) + "," +
+                                  std::to_string(v) + "} is in no bag");
+      Structure extra = a;
+      extra.AddTuple(0, {v, u});
+      Status sa = td.ValidateFor(extra);
+      EXPECT_EQ(sa.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(sa.message(), "a tuple of E is covered by no bag");
+    }
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST(DecompositionTest, ValidationAssignsEveryTupleToACoveringNode) {
+  Rng rng(61);
+  auto vocab = MakeGraphVocabulary();
+  for (int trial = 0; trial < 20; ++trial) {
+    Structure a = StructureFromGraph(
+        vocab, RandomPartialKTree(4 + rng.Below(30), 2, 0.8, rng));
+    const TreeDecomposition td = *HeuristicDecomposition(a);
+    TreeDecomposition::TupleAssignment assignment;
+    ASSERT_TRUE(td.ValidateFor(a, &assignment).ok());
+    ASSERT_EQ(assignment.size(), td.node_count());
+    size_t assigned = 0;
+    for (uint32_t node = 0; node < td.node_count(); ++node) {
+      const auto& bag = td.bag(node);
+      for (auto [rel, t] : assignment[node]) {
+        ++assigned;
+        for (Element e : a.relation(rel).tuple(t)) {
+          EXPECT_TRUE(std::binary_search(bag.begin(), bag.end(), e));
+        }
+      }
+    }
+    EXPECT_EQ(assigned, a.TotalTuples());
+  }
 }
 
 TEST(DecompositionTest, ManualValidDecomposition) {
