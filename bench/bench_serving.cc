@@ -19,6 +19,11 @@
 // plan-only arm's plan_hit_rate counter (>= 0.90 after warmup — the result
 // cache is off, so every request consults the plan cache) and the full-cache
 // arm's ops_per_sec against the disabled arm (>= 5x).
+//
+// BM_ServingHitPathClients is the scaling arm: 1/2/4/8 client threads
+// sharing one engine whose answers are all cached, swept over zipfian
+// theta 0.5 and 0.99 (Arg 0 = theta x 100). Its ops_per_sec is the
+// clients' combined throughput over wall time.
 
 #include <benchmark/benchmark.h>
 #include <unistd.h>
@@ -27,6 +32,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -213,6 +219,120 @@ void BM_ServingDurableUpdateHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_ServingDurableUpdateHeavy)
     ->Arg(0)->Arg(1)->Arg(2)
+    ->Unit(benchmark::kMicrosecond);
+
+// ---- Concurrent clients on the result-hit path. ---------------------------
+
+constexpr uint32_t kHitVariants = 3;
+
+/// Whitespace variant v of a query text: the variants share one canonical
+/// form, so they share one result entry but are three distinct raw texts.
+std::string WhitespaceVariant(const std::string& text, uint32_t v) {
+  std::string out;
+  for (char c : text) {
+    if (v == 1 && c == ' ') continue;  // compact
+    if (v == 2 && c == ',') {
+      out += " ,";  // padded
+      continue;
+    }
+    out += c;
+  }
+  return out;
+}
+
+/// One engine shared by every client thread, every (query, variant, db)
+/// answer cached before timing starts.
+struct HitPathFixture {
+  serve::ServingEngine engine;
+  std::vector<serve::ServeRequest> requests;  ///< [query][variant][db]
+
+  static size_t Index(uint32_t q, uint32_t v, uint32_t d) {
+    return (static_cast<size_t>(q) * kHitVariants + v) * kDbPool + d;
+  }
+};
+
+std::unique_ptr<HitPathFixture> MakeHitPathFixture() {
+  auto fixture = std::make_unique<HitPathFixture>();
+  auto vocab = MakeGraphVocabulary();
+  for (uint32_t d = 0; d < kDbPool; ++d) {
+    if (!fixture->engine.UpsertDatabase(DbName(d), MakeDb(vocab, d, 0)).ok()) {
+      return nullptr;
+    }
+  }
+  const std::vector<std::string> queries = MakeQueryPool(vocab, kQueryPool);
+  fixture->requests.resize(static_cast<size_t>(kQueryPool) * kHitVariants *
+                           kDbPool);
+  for (uint32_t q = 0; q < kQueryPool; ++q) {
+    for (uint32_t v = 0; v < kHitVariants; ++v) {
+      for (uint32_t d = 0; d < kDbPool; ++d) {
+        serve::ServeRequest& request =
+            fixture->requests[HitPathFixture::Index(q, v, d)];
+        request.query = WhitespaceVariant(queries[q], v);
+        request.database = DbName(d);
+        request.task = HomTask::kDecide;
+        if (!fixture->engine.Serve(request).ok()) return nullptr;
+      }
+    }
+  }
+  return fixture;
+}
+
+// Set up by thread 0 before the timed loop and torn down by it after;
+// google-benchmark holds every thread at the loop's start and end.
+std::unique_ptr<HitPathFixture> hit_path_fixture;
+
+void BM_ServingHitPathClients(benchmark::State& state) {
+  if (state.thread_index() == 0) hit_path_fixture = MakeHitPathFixture();
+  const double theta = static_cast<double>(state.range(0)) / 100.0;
+  auto chooser = serve::MakeKeyChooser(serve::Distribution::kZipfian,
+                                       kQueryPool, theta);
+  Rng rng(0x417 + static_cast<uint64_t>(state.thread_index()) * 7919);
+  std::vector<double> lat_us;
+  lat_us.reserve(1 << 16);
+  uint64_t misses = 0;
+  for (auto _ : state) {
+    if (hit_path_fixture == nullptr) {
+      state.SkipWithError("hit-path fixture set-up failed");
+      break;
+    }
+    const uint32_t q = chooser->Next(rng);
+    const auto v = static_cast<uint32_t>(rng.Below(kHitVariants));
+    const auto d = static_cast<uint32_t>(rng.Below(kDbPool));
+    const serve::ServeRequest& request =
+        hit_path_fixture->requests[HitPathFixture::Index(q, v, d)];
+    const auto start = std::chrono::steady_clock::now();
+    auto result = hit_path_fixture->engine.Serve(request);
+    const auto stop = std::chrono::steady_clock::now();
+    if (!result.ok() || !result->stats.serve.result_cache_hit) ++misses;
+    benchmark::DoNotOptimize(result);
+    lat_us.push_back(
+        std::chrono::duration<double, std::micro>(stop - start).count());
+  }
+
+  std::sort(lat_us.begin(), lat_us.end());
+  auto pct = [&](double p) {
+    if (lat_us.empty()) return 0.0;
+    return lat_us[static_cast<size_t>(p * (lat_us.size() - 1))];
+  };
+  using benchmark::Counter;
+  // Percentiles are per client, averaged over clients; ops_per_sec sums
+  // the clients' requests over the wall time.
+  state.counters["p50_us"] = Counter(pct(0.50), Counter::kAvgThreads);
+  state.counters["p95_us"] = Counter(pct(0.95), Counter::kAvgThreads);
+  state.counters["p99_us"] = Counter(pct(0.99), Counter::kAvgThreads);
+  state.counters["ops_per_sec"] =
+      Counter(static_cast<double>(lat_us.size()), Counter::kIsRate);
+  state.counters["non_hits"] = static_cast<double>(misses);
+  if (state.thread_index() == 0) hit_path_fixture.reset();
+}
+// The skew sweep (theta 0.5, 0.99) times the client sweep (1, 2, 4, 8).
+void HitPathSweep(benchmark::internal::Benchmark* b) {
+  for (int theta_x100 : {50, 99}) b->Arg(theta_x100);
+  b->ThreadRange(1, 8);
+}
+BENCHMARK(BM_ServingHitPathClients)
+    ->Apply(HitPathSweep)
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -16,7 +16,9 @@
 #                       with p50/p95/p99 latency, throughput, and cache hit
 #                       rates as counters; plus the PR 8 durable arm, the
 #                       same update-heavy mix WAL-backed under
-#                       fsync=always / interval / never.
+#                       fsync=always / interval / never; plus the
+#                       concurrent-clients arm, 1/2/4/8 client threads on
+#                       the result-hit path at zipfian 0.5 and 0.99.
 #
 # Each merged file's .context.host records the hardware and build the
 # numbers came from — nproc, compiler, build type, git sha — because the
@@ -53,15 +55,15 @@ SERVING_OUT="BENCH_serving.json"
 SOLVER_BINS=(bench_hardness bench_uniform_boolean bench_acyclic bench_treewidth bench_rel)
 SOLVER_FILTER='BM_CliqueIntoRandomGraph|BM_PlantedCliqueRecovery|BM_SparseRefutationFc|BM_Backtracking_NodeThroughput|BM_Horn_Backtracking|BM_CliqueRefutationParallel|BM_PlantedCliqueParallel|BM_EngineAutoVsUniform|BM_YannakakisTask|BM_TreewidthDpIndexed|BM_Decomposition_MinFill|BM_ProbeBatch'
 SERVING_BINS=(bench_serving)
-SERVING_FILTER='BM_ServingReadHeavy|BM_ServingUpdateHeavy|BM_ServingDurableUpdateHeavy'
+SERVING_FILTER='BM_ServingReadHeavy|BM_ServingUpdateHeavy|BM_ServingDurableUpdateHeavy|BM_ServingHitPathClients'
 MIN_TIME="${BENCH_MIN_TIME:-0.2}"
 if [[ "$QUICK" == 1 ]]; then
   # Smoke series: one cheap entry per binary plus the parallel scaling
   # series (its correctness under load is exactly what CI should smoke),
   # and for serving the disabled-vs-full-cache pair at zipfian 0.99 (the
-  # pair the headline speedup claim compares).
+  # pair the headline speedup claim compares) plus the 4-client hit path.
   SOLVER_FILTER='BM_CliqueIntoRandomGraph/3|BM_Backtracking_NodeThroughput/|BM_CliqueRefutationParallel|BM_YannakakisTask_Witness/0/64|BM_YannakakisTask_CountThreads/2/4096|BM_TreewidthDpIndexed_SourceSweep/128|BM_ProbeBatch_Batched/1024'
-  SERVING_FILTER='BM_ServingReadHeavy/0/2|BM_ServingReadHeavy/2/2'
+  SERVING_FILTER='BM_ServingReadHeavy/0/2|BM_ServingReadHeavy/2/2|BM_ServingHitPathClients/99/real_time/threads:4'
   MIN_TIME="${BENCH_MIN_TIME:-0.01}"
 fi
 

@@ -42,6 +42,11 @@ class Relation {
   /// Set membership; O(log m) after a one-time O(m log m) index build.
   bool Contains(std::span<const Element> tuple) const;
 
+  /// Builds (or reuses) the sorted index behind Contains. Neither this nor
+  /// EnsurePositionIndex is synchronized: a relation shared across threads
+  /// must have both built before it is shared.
+  void EnsureIndex() const;
+
   /// Builds (or reuses) the (position, value) support index: for every
   /// position p < arity and value v < num_values, the list of tuple ids t
   /// with tuple(t)[p] == v, in increasing t. One O(m·arity) CSR pass; the
@@ -71,7 +76,6 @@ class Relation {
   bool operator==(const Relation& other) const;
 
  private:
-  void EnsureIndex() const;
   /// Lexicographic comparison of tuples at offsets a and b.
   bool TupleLess(size_t a, size_t b) const;
 

@@ -1,6 +1,7 @@
 #include "serve/serving.h"
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -64,6 +65,41 @@ bool ValidDatabaseName(const std::string& name) {
   return IsCatalogName(name) && name.find_first_of("|#") == std::string::npos;
 }
 
+/// Builds every relation's lazily built indexes — the sorted index behind
+/// Contains and the position index the CSP propagator walks (sized by the
+/// universe, as solver/csp.cc asks for it). Relation builds them on first
+/// use without synchronization, and one registered structure feeds
+/// concurrent WithTarget / CSP builds, so they must exist before the
+/// structure is published.
+void BuildIndexes(const Structure& db) {
+  const auto num_values = static_cast<Element>(db.universe_size());
+  for (RelId id = 0; id < db.vocabulary()->size(); ++id) {
+    const Relation& relation = db.relation(id);
+    relation.EnsureIndex();
+    relation.EnsurePositionIndex(num_values);
+  }
+}
+
+/// Counts one event; each counter is exact on its own.
+void Count(std::atomic<uint64_t>& counter, uint64_t n = 1) {
+  counter.fetch_add(n, std::memory_order_relaxed);
+}
+
+/// Counts a request's outcome. Release pairs with the acquire loads in
+/// stats(): a snapshot that sees this outcome also sees its request.
+void CountOutcome(std::atomic<uint64_t>& counter) {
+  counter.fetch_add(1, std::memory_order_release);
+}
+
+std::string LimitsKey(const EngineOptions& engine) {
+  std::string key = "|cl=";
+  key += std::to_string(engine.count_limit);
+  key += "|mr=";
+  key += std::to_string(engine.max_results);
+  key += engine.project_count_only ? "|pc=1|" : "|pc=0|";
+  return key;
+}
+
 }  // namespace
 
 std::string ServeStats::ToJson() const {
@@ -96,27 +132,44 @@ std::string ServeStats::ToJson() const {
   return out.str();
 }
 
+ServingEngine::DbEntry::DbEntry(const std::string& name,
+                                uint64_t registered_version,
+                                std::shared_ptr<const Structure> db)
+    : structure(std::move(db)),
+      version(registered_version),
+      target_key(name + "#" + std::to_string(version)),
+      vocab_key(structure->vocabulary()->ToString()),
+      memo_prefix(std::to_string(vocab_key.size()) + "|" + vocab_key + "|") {}
+
 ServingEngine::ServingEngine(ServeOptions options)
     : options_(options),
       plan_cache_(options.plan_cache_entries),
-      result_cache_(options.result_cache_entries) {}
+      result_cache_(options.result_cache_entries),
+      canonical_memo_(options.result_cache_entries),
+      limits_key_(LimitsKey(options.engine)) {}
 
 Status ServingEngine::Open(RecoveryInfo* info) {
   if (options_.durability.data_dir.empty()) return Status::OK();
   std::vector<CatalogEntry> recovered;
   auto manager = DurabilityManager::Open(options_.durability, &recovered, info);
   if (!manager.ok()) return manager.status();
+  std::vector<std::pair<std::string, std::shared_ptr<const DbEntry>>> entries;
+  entries.reserve(recovered.size());
+  for (CatalogEntry& entry : recovered) {
+    BuildIndexes(entry.db);
+    entries.emplace_back(
+        entry.name,
+        std::make_shared<const DbEntry>(
+            entry.name, entry.version,
+            std::make_shared<const Structure>(std::move(entry.db))));
+  }
   MutexLock lock(registry_mu_);
   durability_ = *std::move(manager);
   registry_.clear();
-  for (CatalogEntry& entry : recovered) {
-    DbEntry& slot = registry_[entry.name];
-    slot.structure = std::make_shared<const Structure>(std::move(entry.db));
-    slot.version = entry.version;
-  }
-  MutexLock stats_lock(stats_mu_);
-  stats_.recovered_dbs = registry_.size();
-  stats_.records_replayed = info != nullptr ? info->records_replayed : 0;
+  for (auto& [name, entry] : entries) registry_[name] = std::move(entry);
+  counters_.recovered_dbs.store(registry_.size(), std::memory_order_relaxed);
+  counters_.records_replayed.store(
+      info != nullptr ? info->records_replayed : 0, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -136,6 +189,7 @@ size_t ServingEngine::InvalidateFor(const std::string& name) {
   // quarantined query may be cheap against the new contents.
   MutexLock lock(quarantine_mu_);
   strikes_.clear();
+  strike_entries_.store(0, std::memory_order_relaxed);
   return dropped;
 }
 
@@ -144,7 +198,7 @@ std::vector<ServingEngine::CatalogRef> ServingEngine::CatalogRefsLocked()
   std::vector<CatalogRef> catalog;
   catalog.reserve(registry_.size());
   for (const auto& [name, entry] : registry_) {
-    catalog.push_back(CatalogRef{name, entry.version, entry.structure});
+    catalog.push_back(CatalogRef{name, entry->version, entry->structure});
   }
   std::sort(catalog.begin(), catalog.end(),
             [](const CatalogRef& a, const CatalogRef& b) {
@@ -188,20 +242,20 @@ Status ServingEngine::UpsertDatabase(const std::string& name, Structure db) {
         "whitespace, and control bytes (got \"" + name + "\")");
   }
   CQCS_RETURN_IF_ERROR(db.Validate());
+  BuildIndexes(db);
   auto shared = std::make_shared<const Structure>(std::move(db));
   std::optional<std::pair<uint64_t, std::vector<CatalogRef>>> snapshot;
   {
     MutexLock lock(registry_mu_);
     if (degraded_) {
-      MutexLock stats_lock(stats_mu_);
-      ++stats_.update_refusals;
+      Count(counters_.update_refusals);
       return Status::Unavailable(
           "serving is degraded (the write-ahead log stopped accepting "
           "writes); updates are refused, reads keep serving");
     }
     auto it = registry_.find(name);
     const uint64_t next_version =
-        it != registry_.end() ? it->second.version + 1 : 1;
+        it != registry_.end() ? it->second->version + 1 : 1;
     if (durability_ != nullptr) {
       // Log BEFORE apply: an update is acknowledged only once it is
       // durably in the WAL, and a refused append must leave the registry
@@ -212,23 +266,18 @@ Status ServingEngine::UpsertDatabase(const std::string& name, Structure db) {
         // I/O failure means the log can no longer be trusted to
         // acknowledge anything — sticky degraded mode.
         if (logged.code() != StatusCode::kInvalidArgument) degraded_ = true;
-        MutexLock stats_lock(stats_mu_);
-        ++stats_.update_refusals;
+        Count(counters_.update_refusals);
         return logged;
       }
     }
-    DbEntry& entry = registry_[name];
-    entry.structure = std::move(shared);
-    entry.version = next_version;
+    registry_[name] =
+        std::make_shared<const DbEntry>(name, next_version, std::move(shared));
     snapshot = MaybeRotateForSnapshotLocked();
   }
   if (snapshot.has_value()) FinishSnapshot(snapshot->first, snapshot->second);
   const size_t dropped = InvalidateFor(name);
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.updates;
-    stats_.invalidated_entries += dropped;
-  }
+  Count(counters_.updates);
+  Count(counters_.invalidated_entries, dropped);
   return Status::OK();
 }
 
@@ -241,8 +290,7 @@ Status ServingEngine::DropDatabase(const std::string& name) {
       return Status::NotFound("no database named \"" + name + "\"");
     }
     if (degraded_) {
-      MutexLock stats_lock(stats_mu_);
-      ++stats_.update_refusals;
+      Count(counters_.update_refusals);
       return Status::Unavailable(
           "serving is degraded (the write-ahead log stopped accepting "
           "writes); updates are refused, reads keep serving");
@@ -251,8 +299,7 @@ Status ServingEngine::DropDatabase(const std::string& name) {
       Status logged = durability_->AppendDrop(name);
       if (!logged.ok()) {
         if (logged.code() != StatusCode::kInvalidArgument) degraded_ = true;
-        MutexLock stats_lock(stats_mu_);
-        ++stats_.update_refusals;
+        Count(counters_.update_refusals);
         return logged;
       }
     }
@@ -260,9 +307,7 @@ Status ServingEngine::DropDatabase(const std::string& name) {
     snapshot = MaybeRotateForSnapshotLocked();
   }
   if (snapshot.has_value()) FinishSnapshot(snapshot->first, snapshot->second);
-  const size_t dropped = InvalidateFor(name);
-  MutexLock lock(stats_mu_);
-  stats_.invalidated_entries += dropped;
+  Count(counters_.invalidated_entries, InvalidateFor(name));
   return Status::OK();
 }
 
@@ -273,7 +318,7 @@ std::vector<std::pair<std::string, uint64_t>> ServingEngine::ListDatabases()
     MutexLock lock(registry_mu_);
     out.reserve(registry_.size());
     for (const auto& [name, entry] : registry_) {
-      out.emplace_back(name, entry.version);
+      out.emplace_back(name, entry->version);
     }
   }
   std::sort(out.begin(), out.end());
@@ -287,7 +332,7 @@ Result<std::shared_ptr<const Structure>> ServingEngine::GetDatabase(
   if (it == registry_.end()) {
     return Status::NotFound("no database named \"" + name + "\"");
   }
-  return it->second.structure;
+  return it->second->structure;
 }
 
 bool ServingEngine::degraded() const {
@@ -296,17 +341,14 @@ bool ServingEngine::degraded() const {
          (durability_ != nullptr && durability_->stats().poisoned);
 }
 
-Result<ServingEngine::ResolvedDb> ServingEngine::ResolveDatabase(
-    const std::string& name) const {
+Result<std::shared_ptr<const ServingEngine::DbEntry>>
+ServingEngine::ResolveDatabase(const std::string& name) const {
   MutexLock lock(registry_mu_);
   auto it = registry_.find(name);
   if (it == registry_.end()) {
     return Status::NotFound("no database named \"" + name + "\"");
   }
-  ResolvedDb db;
-  db.structure = it->second.structure;
-  db.target_key = name + "#" + std::to_string(it->second.version);
-  return db;
+  return it->second;
 }
 
 void ServingEngine::FillServeSnapshot(EngineResult* result, bool plan_hit,
@@ -315,31 +357,33 @@ void ServingEngine::FillServeSnapshot(EngineResult* result, bool plan_hit,
   s.enabled = true;
   s.plan_cache_hit = plan_hit;
   s.result_cache_hit = result_hit;
-  MutexLock lock(stats_mu_);
-  s.shed_total = stats_.shed_queue + stats_.shed_bytes;
+  s.shed_total = counters_.shed_queue.load(std::memory_order_relaxed) +
+                 counters_.shed_bytes.load(std::memory_order_relaxed);
   s.queue_depth = in_flight_.load(std::memory_order_relaxed);
-  s.plan_hit_rate = stats_.PlanHitRate();
-  s.result_hit_rate = stats_.ResultHitRate();
+  auto rate = [](const std::atomic<uint64_t>& hits,
+                 const std::atomic<uint64_t>& misses) {
+    const uint64_t h = hits.load(std::memory_order_relaxed);
+    const uint64_t total = h + misses.load(std::memory_order_relaxed);
+    return total == 0 ? 0.0 : static_cast<double>(h) / total;
+  };
+  s.plan_hit_rate = rate(counters_.plan_hits, counters_.plan_misses);
+  s.result_hit_rate = rate(counters_.result_hits, counters_.result_misses);
 }
 
 Result<EngineResult> ServingEngine::Serve(const ServeRequest& request) {
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.requests;
-  }
+  Count(counters_.requests);
 
   // ---- Queue-depth admission: shed, never stall. -------------------------
   const size_t depth = in_flight_.fetch_add(1, std::memory_order_relaxed) + 1;
   AdmissionGuard guard(&in_flight_, &in_flight_bytes_);
-  {
-    // The peak counts arrivals, shed or served: a shed request did occupy
-    // this depth for the instant the bound was evaluated against it.
-    MutexLock lock(stats_mu_);
-    stats_.queue_depth_peak = std::max(stats_.queue_depth_peak, depth);
+  // The peak counts arrivals, shed or served: a shed request did occupy
+  // this depth for the instant the bound was evaluated against it.
+  size_t peak = counters_.queue_depth_peak.load(std::memory_order_relaxed);
+  while (depth > peak && !counters_.queue_depth_peak.compare_exchange_weak(
+                             peak, depth, std::memory_order_relaxed)) {
   }
   if (options_.max_queue_depth > 0 && depth > options_.max_queue_depth) {
-    MutexLock lock(stats_mu_);
-    ++stats_.shed_queue;
+    CountOutcome(counters_.shed_queue);
     return Status::ResourceExhausted(
         "request shed: queue depth " + std::to_string(depth) +
         " exceeds the admission bound " +
@@ -347,12 +391,13 @@ Result<EngineResult> ServingEngine::Serve(const ServeRequest& request) {
   }
 
   // ---- Poison-query quarantine: refuse known budget-burners up front. ----
-  if (options_.poison_strikes > 0) {
+  // The lock is skipped while no text has a strike (the common case).
+  if (options_.poison_strikes > 0 &&
+      strike_entries_.load(std::memory_order_relaxed) > 0) {
     MutexLock lock(quarantine_mu_);
     auto it = strikes_.find(request.query);
     if (it != strikes_.end() && it->second >= options_.poison_strikes) {
-      MutexLock stats_lock(stats_mu_);
-      ++stats_.quarantined;
+      CountOutcome(counters_.quarantined);
       return Status::ResourceExhausted(
           "query quarantined: it tripped the resource budget " +
           std::to_string(it->second) +
@@ -362,53 +407,65 @@ Result<EngineResult> ServingEngine::Serve(const ServeRequest& request) {
   }
 
   // ---- Resolve the database and canonicalize the query. ------------------
-  auto db = ResolveDatabase(request.database);
-  if (!db.ok()) {
-    MutexLock lock(stats_mu_);
-    ++stats_.errors;
-    return db.status();
+  auto resolved = ResolveDatabase(request.database);
+  if (!resolved.ok()) {
+    CountOutcome(counters_.errors);
+    return resolved.status();
   }
-  auto query = ParseQuery(request.query, db->structure->vocabulary());
-  if (!query.ok()) {
-    MutexLock lock(stats_mu_);
-    ++stats_.errors;
-    return query.status();
-  }
+  const DbEntry& db = **resolved;
   // The canonical text (parse -> print) makes whitespace/naming variants of
-  // one query share a plan; the vocabulary string keeps equal texts over
-  // different schemas apart.
-  const std::string canonical = ToString(*query);
-  const std::string vocab_key = db->structure->vocabulary()->ToString();
+  // one query share a plan and a result; the vocabulary string keeps equal
+  // texts over different schemas apart. The memo skips the parse for a
+  // text seen before over this schema; the query itself is parsed only if
+  // a plan has to be compiled from it.
+  std::optional<ConjunctiveQuery> query;
+  std::shared_ptr<const std::string> canonical;
+  const bool memoize = options_.result_cache_entries > 0;
+  std::optional<CacheKey> memo_key;
+  if (memoize) {
+    memo_key = CacheKey::FromCanonical(db.memo_prefix + request.query);
+    canonical = canonical_memo_.Get(*memo_key);
+  }
+  if (canonical == nullptr) {
+    auto parsed = ParseQuery(request.query, db.structure->vocabulary());
+    if (!parsed.ok()) {
+      CountOutcome(counters_.errors);
+      return parsed.status();
+    }
+    canonical = std::make_shared<const std::string>(ToString(*parsed));
+    query.emplace(*std::move(parsed));
+    if (memoize) canonical_memo_.Put(*memo_key, canonical);
+  }
 
   // ---- Result cache. -----------------------------------------------------
-  std::ostringstream result_key_text;
-  result_key_text << "res|" << HomTaskName(request.task)
-                  << "|cl=" << options_.engine.count_limit
-                  << "|mr=" << options_.engine.max_results
-                  << "|pc=" << (options_.engine.project_count_only ? 1 : 0)
-                  << "|" << db->target_key << "|" << canonical;
+  const char* task_name = HomTaskName(request.task);
+  std::string result_key_text;
+  result_key_text.reserve(4 + std::strlen(task_name) + limits_key_.size() +
+                          db.target_key.size() + 1 + canonical->size());
+  result_key_text += "res|";
+  result_key_text += task_name;
+  result_key_text += limits_key_;
+  result_key_text += db.target_key;
+  result_key_text += '|';
+  result_key_text += *canonical;
   const CacheKey result_key =
-      CacheKey::FromCanonical(std::move(result_key_text).str());
+      CacheKey::FromCanonical(std::move(result_key_text));
   if (options_.result_cache_entries > 0) {
     if (std::shared_ptr<const EngineResult> hit = result_cache_.Get(result_key)) {
       EngineResult copy = *hit;
-      {
-        MutexLock lock(stats_mu_);
-        ++stats_.result_hits;
-        ++stats_.served;
-      }
+      Count(counters_.result_hits);
+      CountOutcome(counters_.served);
       FillServeSnapshot(&copy, /*plan_hit=*/false, /*result_hit=*/true);
       return copy;
     }
-    MutexLock lock(stats_mu_);
-    ++stats_.result_misses;
+    Count(counters_.result_misses);
   }
 
   // ---- Plan cache: pair level first, then source level + rebind. ---------
-  const CacheKey pair_key = CacheKey::FromCanonical(
-      "pair|" + db->target_key + "|" + canonical);
+  const CacheKey pair_key =
+      CacheKey::FromCanonical("pair|" + db.target_key + "|" + *canonical);
   const CacheKey src_key =
-      CacheKey::FromCanonical("src|" + vocab_key + "|" + canonical);
+      CacheKey::FromCanonical("src|" + db.vocab_key + "|" + *canonical);
   std::shared_ptr<const HomProblem> problem;
   bool plan_hit = false;
   if (options_.plan_cache_entries > 0) {
@@ -418,7 +475,7 @@ Result<EngineResult> ServingEngine::Serve(const ServeRequest& request) {
     } else if (std::shared_ptr<const HomProblem> src = plan_cache_.Get(src_key)) {
       // Same query, new database (or new version): share every source-side
       // artifact, rebuild only the target side.
-      auto rebound = src->WithTarget(db->structure);
+      auto rebound = src->WithTarget(db.structure);
       if (rebound.ok()) {
         plan_hit = true;
         auto shared = std::make_shared<const HomProblem>(*std::move(rebound));
@@ -430,10 +487,17 @@ Result<EngineResult> ServingEngine::Serve(const ServeRequest& request) {
     }
   }
   if (problem == nullptr) {
-    auto compiled = HomProblem::FromQuery(*query, *db->structure);
+    if (!query.has_value()) {
+      auto parsed = ParseQuery(request.query, db.structure->vocabulary());
+      if (!parsed.ok()) {
+        CountOutcome(counters_.errors);
+        return parsed.status();
+      }
+      query.emplace(*std::move(parsed));
+    }
+    auto compiled = HomProblem::FromQuery(*query, *db.structure);
     if (!compiled.ok()) {
-      MutexLock lock(stats_mu_);
-      ++stats_.errors;
+      CountOutcome(counters_.errors);
       return compiled.status();
     }
     auto shared = std::make_shared<const HomProblem>(*std::move(compiled));
@@ -443,14 +507,7 @@ Result<EngineResult> ServingEngine::Serve(const ServeRequest& request) {
     }
     problem = std::move(shared);
   }
-  {
-    MutexLock lock(stats_mu_);
-    if (plan_hit) {
-      ++stats_.plan_hits;
-    } else {
-      ++stats_.plan_misses;
-    }
-  }
+  Count(plan_hit ? counters_.plan_hits : counters_.plan_misses);
 
   // ---- In-flight bytes admission. ----------------------------------------
   // The same size-bound estimate the engine's pre-flight admission uses
@@ -459,12 +516,11 @@ Result<EngineResult> ServingEngine::Serve(const ServeRequest& request) {
   // footprint, and already validated against the governor's accounting.
   if (options_.max_inflight_bytes > 0) {
     const size_t estimate =
-        EstimateAcyclicBytes(problem->source(), *db->structure);
+        EstimateAcyclicBytes(problem->source(), *db.structure);
     size_t current = in_flight_bytes_.load(std::memory_order_relaxed);
     for (;;) {
       if (SatAdd(current, estimate, SIZE_MAX) > options_.max_inflight_bytes) {
-        MutexLock lock(stats_mu_);
-        ++stats_.shed_bytes;
+        CountOutcome(counters_.shed_bytes);
         return Status::ResourceExhausted(
             "request shed: size-bound estimate " + std::to_string(estimate) +
             " bytes does not fit under the in-flight admission budget (" +
@@ -483,13 +539,14 @@ Result<EngineResult> ServingEngine::Serve(const ServeRequest& request) {
   HomEngine engine(options_.engine);
   auto result = engine.Run(*problem, request.task);
   if (!result.ok()) {
-    MutexLock lock(stats_mu_);
-    ++stats_.errors;
+    CountOutcome(counters_.errors);
     return result.status();
   }
-  if (options_.poison_strikes > 0) {
+  const bool poison_trip = IsPoisonTrip(result->stats.governor);
+  if (options_.poison_strikes > 0 &&
+      (poison_trip || strike_entries_.load(std::memory_order_relaxed) > 0)) {
     MutexLock lock(quarantine_mu_);
-    if (IsPoisonTrip(result->stats.governor)) {
+    if (poison_trip) {
       if (strikes_.count(request.query) == 0 &&
           strikes_.size() >= kMaxQuarantineEntries) {
         strikes_.erase(strikes_.begin());
@@ -498,26 +555,43 @@ Result<EngineResult> ServingEngine::Serve(const ServeRequest& request) {
     } else {
       strikes_.erase(request.query);  // a clean run resets the count
     }
+    strike_entries_.store(strikes_.size(), std::memory_order_relaxed);
   }
   if (options_.result_cache_entries > 0 && IsCacheable(*result)) {
     auto cached = std::make_shared<EngineResult>(*result);
     cached->stats.serve = ServeRequestStats{};  // hits refill it per request
     result_cache_.Put(result_key, std::move(cached));
   }
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.served;
-  }
+  CountOutcome(counters_.served);
   FillServeSnapshot(&*result, plan_hit, /*result_hit=*/false);
   return result;
 }
 
 ServeStats ServingEngine::stats() const {
   ServeStats snapshot;
-  {
-    MutexLock lock(stats_mu_);
-    snapshot = stats_;
-  }
+  // Outcomes before requests, with acquire: see Counters.
+  snapshot.served = counters_.served.load(std::memory_order_acquire);
+  snapshot.errors = counters_.errors.load(std::memory_order_acquire);
+  snapshot.shed_queue = counters_.shed_queue.load(std::memory_order_acquire);
+  snapshot.shed_bytes = counters_.shed_bytes.load(std::memory_order_acquire);
+  snapshot.quarantined = counters_.quarantined.load(std::memory_order_acquire);
+  snapshot.requests = counters_.requests.load(std::memory_order_relaxed);
+  snapshot.plan_hits = counters_.plan_hits.load(std::memory_order_relaxed);
+  snapshot.plan_misses = counters_.plan_misses.load(std::memory_order_relaxed);
+  snapshot.result_hits = counters_.result_hits.load(std::memory_order_relaxed);
+  snapshot.result_misses =
+      counters_.result_misses.load(std::memory_order_relaxed);
+  snapshot.updates = counters_.updates.load(std::memory_order_relaxed);
+  snapshot.invalidated_entries =
+      counters_.invalidated_entries.load(std::memory_order_relaxed);
+  snapshot.update_refusals =
+      counters_.update_refusals.load(std::memory_order_relaxed);
+  snapshot.recovered_dbs =
+      counters_.recovered_dbs.load(std::memory_order_relaxed);
+  snapshot.records_replayed =
+      counters_.records_replayed.load(std::memory_order_relaxed);
+  snapshot.queue_depth_peak =
+      counters_.queue_depth_peak.load(std::memory_order_relaxed);
   snapshot.queue_depth = in_flight_.load(std::memory_order_relaxed);
   snapshot.inflight_bytes = in_flight_bytes_.load(std::memory_order_relaxed);
   snapshot.plan_cache_entries = plan_cache_.size();

@@ -21,7 +21,11 @@
 //                 database is re-registered: UpsertDatabase bumps the
 //                 version (making stale keys unreachable) AND sweeps the
 //                 old entries out. Unknown results (governor trips, node
-//                 limits) are never cached.
+//                 limits) are never cached. A bounded memo from (schema,
+//                 raw query text) to the canonical text lets a repeated
+//                 text reach its result entry without a parse, so a hit
+//                 costs a registry lookup, two cache probes, and the
+//                 answer copy (docs/serving.md, "Hit path").
 //   Admission     queue-level load shedding on top of the per-request
 //                 ResourceGovernor budgets: a global in-flight request
 //                 bound (queue depth) and an in-flight bytes bound fed by
@@ -173,8 +177,9 @@ class ServingEngine {
   /// name was never registered.
   Status DropDatabase(const std::string& name);
 
-  /// Serves one request. Errors: InvalidArgument for unparsable queries,
-  /// NotFound for unknown database names, ResourceExhausted when admission
+  /// Serves one request. Errors: ParseError for unparsable queries,
+  /// NotFound for unknown database names or relation symbols the
+  /// database's vocabulary lacks, ResourceExhausted when admission
   /// sheds the request (stats.shed_* tells which bound) or the per-request
   /// governor would not admit it. A successful result carries
   /// stats.serve.{plan_cache_hit, result_cache_hit} and the usual engine
@@ -199,13 +204,41 @@ class ServingEngine {
   const ServeOptions& options() const { return options_; }
 
  private:
+  /// One registration, immutable once published: the key segments every
+  /// request needs are computed here once, not per request.
   struct DbEntry {
+    DbEntry(const std::string& name, uint64_t registered_version,
+            std::shared_ptr<const Structure> db);
+
     std::shared_ptr<const Structure> structure;
     uint64_t version = 0;
+    std::string target_key;   ///< "name#version"
+    std::string vocab_key;    ///< the vocabulary's ToString()
+    std::string memo_prefix;  ///< vocab_key, length-framed, for memo keys
   };
-  struct ResolvedDb {
-    std::shared_ptr<const Structure> structure;
-    std::string target_key;  ///< "name#version"
+
+  /// The live counters behind ServeStats, lock-free. Each counter is exact.
+  /// Request outcomes (served, errors, shed_*, quarantined) are counted
+  /// with release after the request's `requests` bump, and stats() loads
+  /// them with acquire before loading `requests`, so no snapshot shows
+  /// more outcomes than requests.
+  struct Counters {
+    std::atomic<uint64_t> requests{0};
+    std::atomic<uint64_t> served{0};
+    std::atomic<uint64_t> errors{0};
+    std::atomic<uint64_t> plan_hits{0};
+    std::atomic<uint64_t> plan_misses{0};
+    std::atomic<uint64_t> result_hits{0};
+    std::atomic<uint64_t> result_misses{0};
+    std::atomic<uint64_t> shed_queue{0};
+    std::atomic<uint64_t> shed_bytes{0};
+    std::atomic<uint64_t> updates{0};
+    std::atomic<uint64_t> invalidated_entries{0};
+    std::atomic<uint64_t> update_refusals{0};
+    std::atomic<uint64_t> quarantined{0};
+    std::atomic<uint64_t> recovered_dbs{0};
+    std::atomic<uint64_t> records_replayed{0};
+    std::atomic<size_t> queue_depth_peak{0};
   };
 
   /// A cheap catalog handle: shared_ptr copies, no Structure deep copy —
@@ -217,7 +250,10 @@ class ServingEngine {
     std::shared_ptr<const Structure> db;
   };
 
-  Result<ResolvedDb> ResolveDatabase(const std::string& name) const;
+  /// The current registration of `name`: one map probe and one refcount
+  /// bump under registry_mu_.
+  Result<std::shared_ptr<const DbEntry>> ResolveDatabase(
+      const std::string& name) const;
   void FillServeSnapshot(EngineResult* result, bool plan_hit,
                          bool result_hit) const;
   /// Sweeps both caches of entries computed against `name` and clears the
@@ -243,7 +279,7 @@ class ServingEngine {
   /// equal registry apply order, and a snapshot must see a registry no
   /// append can be racing past.
   mutable Mutex registry_mu_;
-  std::unordered_map<std::string, DbEntry> registry_
+  std::unordered_map<std::string, std::shared_ptr<const DbEntry>> registry_
       CQCS_GUARDED_BY(registry_mu_);
   /// Written once by Open() before serving starts, then only read; the
   /// manager carries its own internal lock. Not guarded: FinishSnapshot()
@@ -257,16 +293,24 @@ class ServingEngine {
   mutable Mutex quarantine_mu_;
   std::unordered_map<std::string, uint32_t> strikes_
       CQCS_GUARDED_BY(quarantine_mu_);
+  /// strikes_.size(), stored under quarantine_mu_; while it reads 0 a
+  /// request skips the quarantine lock altogether.
+  std::atomic<size_t> strike_entries_{0};
 
   /// Both plan levels live in one LRU; keys are prefixed "src|" / "pair|".
   LruCache<HomProblem> plan_cache_;
   LruCache<EngineResult> result_cache_;
+  /// (memo_prefix + raw query text) -> canonical query text, sized like the
+  /// result cache. Only parsable texts are entered.
+  LruCache<std::string> canonical_memo_;
+  /// "|cl=<count_limit>|mr=<max_results>|pc=<0|1>|": the result-key segment
+  /// fixed by options_.
+  const std::string limits_key_;
 
   std::atomic<size_t> in_flight_{0};
   std::atomic<size_t> in_flight_bytes_{0};
 
-  mutable Mutex stats_mu_;
-  ServeStats stats_ CQCS_GUARDED_BY(stats_mu_);
+  Counters counters_;
 };
 
 }  // namespace cqcs::serve

@@ -17,6 +17,12 @@
 //     lock) while snapshot serialization and pruning run outside it, and
 //     readers keep serving throughout. A reopen afterwards must recover
 //     the exact final catalog.
+//   - Cold queries from several threads against a freshly registered
+//     database that was never indexed: every request rebinds a cached
+//     source plan onto the same shared structure (WithTarget shares it,
+//     no copy) and builds its target side (CSP network or treewidth
+//     tables) over it, so the relations' lazily built indexes must
+//     already exist when the structure is published.
 
 #include <gtest/gtest.h>
 
@@ -280,6 +286,90 @@ TEST(ServeStressTest, DurableConcurrentUpdatesSnapshotWithoutBlockingReads) {
     }
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(ServeStressTest, ColdQueriesOnAFreshDatabaseShareItsIndexesSafely) {
+  auto vocab = MakeGraphVocabulary();
+  // Cyclic queries, all distinct. kUniform builds a CSP network (the
+  // position index); kAuto sends cycles to the treewidth DP (Contains on
+  // the sorted index).
+  std::vector<std::string> queries;
+  for (size_t length = 3; length <= 6; ++length) {
+    for (size_t chord = 0; chord < 2; ++chord) {
+      std::string q = "Q() :- ";
+      for (size_t v = 0; v < length; ++v) {
+        if (v > 0) q += ", ";
+        q += "E(X" + std::to_string(v) + ", X" +
+             std::to_string((v + 1) % length) + ")";
+      }
+      if (chord == 1) q += ", E(X0, X2)";
+      queries.push_back(q + ".");
+    }
+  }
+  constexpr int kColdThreads = 4;
+  for (Backend backend : {Backend::kUniform, Backend::kAuto}) {
+    serve::ServeOptions options;
+    options.engine.backend = backend;
+    options.engine.count_limit = 1u << 20;
+    Rng rng(0xc01d);
+    const Structure db =
+        RandomGraphStructure(vocab, 14, 0.3, rng, /*symmetric=*/true);
+    // The oracle runs on its own copy: the served copy stays unindexed
+    // until UpsertDatabase publishes it.
+    std::vector<size_t> expected;
+    {
+      const Structure oracle_db = db;
+      for (const std::string& text : queries) {
+        auto q = ParseQuery(text, vocab);
+        ASSERT_TRUE(q.ok()) << text;
+        auto problem = HomProblem::FromQuery(*q, oracle_db);
+        ASSERT_TRUE(problem.ok());
+        auto r = HomEngine(options.engine).Run(*problem, HomTask::kCount);
+        ASSERT_TRUE(r.ok());
+        expected.push_back(r->count);
+      }
+    }
+    serve::ServingEngine serving(options);
+    // Warm the source plans on another database: a cold compile copies its
+    // target, while the rebind below shares the registered structure.
+    Rng warm_rng(0x3a7);
+    ASSERT_TRUE(serving
+                    .UpsertDatabase("warm", RandomGraphStructure(
+                                                vocab, 8, 0.4, warm_rng,
+                                                /*symmetric=*/true))
+                    .ok());
+    for (const std::string& text : queries) {
+      serve::ServeRequest request;
+      request.query = text;
+      request.database = "warm";
+      ASSERT_TRUE(serving.Serve(request).ok()) << text;
+    }
+    ASSERT_TRUE(serving.UpsertDatabase("fresh", db).ok());
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int worker = 0; worker < kColdThreads; ++worker) {
+      threads.emplace_back([&, worker] {
+        // Every thread walks the whole pool from a different offset, so
+        // the first requests all start cold at the same moment.
+        for (size_t i = 0; i < queries.size(); ++i) {
+          const size_t q = (i + worker * 3) % queries.size();
+          serve::ServeRequest request;
+          request.query = queries[q];
+          request.database = "fresh";
+          request.task = HomTask::kCount;
+          auto r = serving.Serve(request);
+          if (!r.ok() || r->count != expected[q]) ++failures;
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(failures.load(), 0) << "backend " << BackendName(backend);
+    const serve::ServeStats stats = serving.stats();
+    EXPECT_EQ(stats.errors, 0u);
+    // Every fresh-database request took a plan hit: a rebind or, for a
+    // query another thread rebound first, the shared pair plan.
+    EXPECT_EQ(stats.plan_misses, queries.size());
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
@@ -55,19 +56,24 @@ TEST(LruCacheTest, CapacityZeroDisables) {
   EXPECT_EQ(cache.Get(CacheKey::FromCanonical("a")), nullptr);
 }
 
-TEST(LruCacheTest, PutReplacesExistingKey) {
-  LruCache<int> cache(4);
+// A capacity small enough for one shard (exact LRU order) and one large
+// enough to be split; the collision and replacement cases run at both.
+constexpr size_t kSingleShardCapacity = 8;
+constexpr size_t kShardedCapacity = LruCache<int>::kShardThreshold;
+
+void ExpectPutReplacesExistingKey(size_t capacity) {
+  LruCache<int> cache(capacity);
   cache.Put(CacheKey::FromCanonical("a"), std::make_shared<int>(1));
   cache.Put(CacheKey::FromCanonical("a"), std::make_shared<int>(2));
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(*cache.Get(CacheKey::FromCanonical("a")), 2);
 }
 
-TEST(LruCacheTest, ForcedDigestCollisionNeverCrossServes) {
-  // Two DISTINCT canonical keys forced into the same 64-bit bucket: the
-  // cache must keep both and serve each its own value — full-key equality,
-  // never digest equality alone.
-  LruCache<std::string> cache(8);
+void ExpectCollisionNeverCrossServes(size_t capacity) {
+  // Two DISTINCT canonical keys forced into the same 64-bit bucket (and so
+  // the same shard): the cache must keep both and serve each its own value
+  // — full-key equality, never digest equality alone.
+  LruCache<std::string> cache(capacity);
   const CacheKey k1 = CacheKey::WithDigest("Q1() :- E(X, Y).", 42);
   const CacheKey k2 = CacheKey::WithDigest("Q2() :- E(X, X).", 42);
   ASSERT_EQ(k1.digest, k2.digest);
@@ -81,8 +87,8 @@ TEST(LruCacheTest, ForcedDigestCollisionNeverCrossServes) {
   EXPECT_EQ(*cache.Get(k2), "answer-2");
 }
 
-TEST(LruCacheTest, ForcedDigestCollisionEvictsAndErasesTheRightEntry) {
-  LruCache<int> cache(8);
+void ExpectCollisionEvictsAndErasesTheRightEntry(size_t capacity) {
+  LruCache<int> cache(capacity);
   const CacheKey k1 = CacheKey::WithDigest("one", 7);
   const CacheKey k2 = CacheKey::WithDigest("two", 7);
   const CacheKey k3 = CacheKey::WithDigest("three", 7);
@@ -98,6 +104,113 @@ TEST(LruCacheTest, ForcedDigestCollisionEvictsAndErasesTheRightEntry) {
   ASSERT_NE(cache.Get(k3), nullptr);
   EXPECT_EQ(*cache.Get(k1), 1);
   EXPECT_EQ(*cache.Get(k3), 3);
+}
+
+TEST(LruCacheTest, PutReplacesExistingKey) {
+  ExpectPutReplacesExistingKey(kSingleShardCapacity);
+}
+
+TEST(LruCacheTest, PutReplacesExistingKeySharded) {
+  ExpectPutReplacesExistingKey(kShardedCapacity);
+}
+
+TEST(LruCacheTest, ForcedDigestCollisionNeverCrossServes) {
+  ExpectCollisionNeverCrossServes(kSingleShardCapacity);
+}
+
+TEST(LruCacheTest, ForcedDigestCollisionNeverCrossServesSharded) {
+  ExpectCollisionNeverCrossServes(kShardedCapacity);
+}
+
+TEST(LruCacheTest, ForcedDigestCollisionEvictsAndErasesTheRightEntry) {
+  ExpectCollisionEvictsAndErasesTheRightEntry(kSingleShardCapacity);
+}
+
+TEST(LruCacheTest, ForcedDigestCollisionEvictsAndErasesTheRightEntrySharded) {
+  ExpectCollisionEvictsAndErasesTheRightEntry(kShardedCapacity);
+}
+
+TEST(LruCacheTest, ShardCountFollowsCapacityAlone) {
+  EXPECT_EQ(LruCache<int>(0).shard_count(), 1u);
+  EXPECT_EQ(LruCache<int>(kShardedCapacity - 1).shard_count(), 1u);
+  EXPECT_EQ(LruCache<int>(kShardedCapacity).shard_count(),
+            LruCache<int>::kShards);
+  EXPECT_EQ(LruCache<int>(4096).shard_count(), LruCache<int>::kShards);
+}
+
+TEST(LruCacheTest, OverfilledShardedCacheStaysWithinCapacity) {
+  // Capacity not a multiple of the shard count: the per-shard shares must
+  // still sum to exactly the capacity.
+  const size_t capacity = kShardedCapacity + 7;
+  LruCache<int> cache(capacity);
+  ASSERT_EQ(cache.shard_count(), LruCache<int>::kShards);
+  const int kKeys = 5000;
+  for (int i = 0; i < kKeys; ++i) {
+    cache.Put(CacheKey::FromCanonical("key-" + std::to_string(i)),
+              std::make_shared<int>(i));
+    ASSERT_LE(cache.size(), capacity) << "after " << i + 1 << " puts";
+  }
+  const serve::CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.insertions, static_cast<uint64_t>(kKeys));
+  EXPECT_EQ(stats.evictions + stats.entries, static_cast<uint64_t>(kKeys));
+  // The most recent key is always resident: eviction is LRU per shard.
+  EXPECT_NE(cache.Get(CacheKey::FromCanonical(
+                "key-" + std::to_string(kKeys - 1))),
+            nullptr);
+}
+
+TEST(LruCacheTest, ShardedCacheKeepsAnEntryHitOftenEnoughResident) {
+  // A sharded cache skips promotion while an entry is provably in the
+  // front quarter of its shard. An entry hit every few insertions must
+  // therefore survive any amount of streaming traffic, and every hit must
+  // still be served.
+  LruCache<int> cache(kShardedCapacity);
+  const CacheKey hot = CacheKey::FromCanonical("hot");
+  cache.Put(hot, std::make_shared<int>(-1));
+  const int kKeys = 20000;
+  uint64_t gets = 0;
+  for (int i = 0; i < kKeys; ++i) {
+    cache.Put(CacheKey::FromCanonical("key-" + std::to_string(i)),
+              std::make_shared<int>(i));
+    if (i % 32 == 31) {
+      ++gets;
+      const std::shared_ptr<const int> value = cache.Get(hot);
+      ASSERT_NE(value, nullptr) << "evicted after " << i + 1 << " puts";
+      EXPECT_EQ(*value, -1);
+    }
+  }
+  EXPECT_EQ(cache.stats().hits, gets);
+  EXPECT_LE(cache.size(), kShardedCapacity);
+}
+
+TEST(LruCacheTest, EraseIfAndClearSweepEveryShard) {
+  // 1000 keys under a 4096-entry capacity (256 per shard): nothing is
+  // evicted, so the sweeps must find every key wherever its shard is.
+  LruCache<int> cache(4096);
+  const int kKeys = 1000;
+  for (int i = 0; i < kKeys; ++i) {
+    cache.Put(CacheKey::FromCanonical("key-" + std::to_string(i)),
+              std::make_shared<int>(i));
+  }
+  ASSERT_EQ(cache.size(), static_cast<size_t>(kKeys));
+  const size_t dropped = cache.EraseIf([](const CacheKey& k) {
+    return std::stoi(k.canonical.substr(4)) % 2 == 0;
+  });
+  EXPECT_EQ(dropped, static_cast<size_t>(kKeys / 2));
+  EXPECT_EQ(cache.size(), static_cast<size_t>(kKeys / 2));
+  for (int i = 0; i < kKeys; ++i) {
+    const bool present =
+        cache.Get(CacheKey::FromCanonical("key-" + std::to_string(i))) !=
+        nullptr;
+    EXPECT_EQ(present, i % 2 == 1) << i;
+  }
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
+  for (int i = 1; i < kKeys; i += 2) {
+    EXPECT_EQ(cache.Get(CacheKey::FromCanonical("key-" + std::to_string(i))),
+              nullptr);
+  }
+  EXPECT_EQ(cache.stats().invalidations, static_cast<uint64_t>(kKeys));
 }
 
 // ---- Workload generator. --------------------------------------------------
@@ -474,6 +587,193 @@ TEST(ServingEngineTest, StatsJsonAndEngineStatsCarryServeFields) {
   auto direct = engine.Run(*problem, HomTask::kDecide);
   ASSERT_TRUE(direct.ok());
   EXPECT_NE(direct->ToJson().find("\"serve\":null"), std::string::npos);
+}
+
+// ---- The hit path: memoized canonical text, shared entries, counters. -----
+
+TEST(ServingEngineTest, WhitespaceVariantsShareOneResultEntry) {
+  auto vocab = MakeGraphVocabulary();
+  serve::ServingEngine serving;
+  ASSERT_TRUE(serving.UpsertDatabase("g", MakeTestDb(vocab, 0, 0)).ok());
+  const std::vector<std::string> variants = {
+      "Q(X) :- E(X, Y), E(Y, Z).", "Q(X):-E(X,Y),E(Y,Z).",
+      "Q( X )  :-  E( X , Y ) , E( Y , Z ) ."};
+  serve::ServeRequest request;
+  request.database = "g";
+  request.task = HomTask::kCount;
+  size_t expected_count = 0;
+  for (size_t i = 0; i < variants.size(); ++i) {
+    request.query = variants[i];
+    auto served = serving.Serve(request);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    if (i == 0) {
+      EXPECT_FALSE(served->stats.serve.result_cache_hit);
+      expected_count = served->count;
+    } else {
+      EXPECT_TRUE(served->stats.serve.result_cache_hit) << variants[i];
+      EXPECT_EQ(served->count, expected_count);
+    }
+    EXPECT_EQ(serving.stats().result_cache_entries, 1u);
+  }
+  // Repeats of a memoized variant hit the same entry too.
+  request.query = variants[1];
+  auto again = serving.Serve(request);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->stats.serve.result_cache_hit);
+  const serve::ServeStats stats = serving.stats();
+  EXPECT_EQ(stats.result_hits, variants.size());
+  EXPECT_EQ(stats.result_misses, 1u);
+  EXPECT_EQ(stats.result_cache_entries, 1u);
+}
+
+TEST(ServingEngineTest, SameTextOverTwoVocabulariesNeverCrossServes) {
+  // Two schemas: the graph vocabulary {E/2} and {E/2, F/2}. The same raw
+  // text must be canonicalized per schema: a text parsed (and memoized)
+  // over one must not skip the parse over the other.
+  auto graph = MakeGraphVocabulary();
+  auto wide = std::make_shared<Vocabulary>();
+  wide->AddRelation("E", 2);
+  wide->AddRelation("F", 2);
+  serve::ServingEngine serving;
+  ASSERT_TRUE(serving.UpsertDatabase("g", CliqueStructure(graph, 3)).ok());
+  Structure w(wide, 3);
+  w.AddTuple(1, {0, 1});  // F only: E is empty
+  ASSERT_TRUE(serving.UpsertDatabase("w", std::move(w)).ok());
+
+  serve::ServeRequest request;
+  request.task = HomTask::kDecide;
+  request.query = "Q() :- F(X, Y).";
+  request.database = "w";
+  auto over_wide = serving.Serve(request);
+  ASSERT_TRUE(over_wide.ok()) << over_wide.status().ToString();
+  EXPECT_TRUE(over_wide->decided);
+  // F does not exist in the graph schema: a memo shared across schemas
+  // would have answered from the wide schema's canonical text.
+  request.database = "g";
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(serving.Serve(request).status().code(), StatusCode::kNotFound);
+  }
+
+  request.query = "Q() :- E(X, Y).";
+  for (int pass = 0; pass < 2; ++pass) {
+    request.database = "g";
+    auto over_graph = serving.Serve(request);
+    ASSERT_TRUE(over_graph.ok());
+    EXPECT_TRUE(over_graph->decided) << "pass " << pass;
+    request.database = "w";
+    auto over_w = serving.Serve(request);
+    ASSERT_TRUE(over_w.ok());
+    EXPECT_FALSE(over_w->decided) << "pass " << pass;
+    EXPECT_EQ(over_w->stats.serve.result_cache_hit, pass == 1);
+  }
+}
+
+TEST(ServingEngineTest, UnparsableTextErrorsOnEveryCall) {
+  // Parse errors are never memoized: every call re-parses and fails.
+  auto vocab = MakeGraphVocabulary();
+  serve::ServingEngine serving;
+  ASSERT_TRUE(serving.UpsertDatabase("g", MakeTestDb(vocab, 0, 0)).ok());
+  serve::ServeRequest request;
+  request.query = "Q(X :- E(X, Y";
+  request.database = "g";
+  const int kCalls = 4;
+  for (int i = 0; i < kCalls; ++i) {
+    auto served = serving.Serve(request);
+    ASSERT_FALSE(served.ok());
+    EXPECT_EQ(served.status().code(), StatusCode::kParseError) << i;
+    EXPECT_EQ(serving.stats().errors, static_cast<uint64_t>(i + 1));
+  }
+  const serve::ServeStats stats = serving.stats();
+  EXPECT_EQ(stats.requests, static_cast<uint64_t>(kCalls));
+  EXPECT_EQ(stats.served, 0u);
+  EXPECT_EQ(stats.result_cache_entries, 0u);
+}
+
+TEST(ServingEngineTest, QuarantineRefusesByRawTextWhenMemoHits) {
+  // A deadline-bound query (the UnknownResultsAreNotCached shape) strikes
+  // out; its text is memoized from the first call on, yet the quarantine
+  // still refuses it by raw text. A whitespace variant is a different
+  // text and still runs.
+  auto vocab = MakeGraphVocabulary();
+  serve::ServeOptions options;
+  options.engine.deadline_ms = 1;
+  options.engine.count_limit = static_cast<size_t>(-1);
+  options.engine.backend = Backend::kUniform;
+  options.poison_strikes = 2;
+  serve::ServingEngine serving(options);
+  ASSERT_TRUE(serving.UpsertDatabase("big", CliqueStructure(vocab, 24)).ok());
+  serve::ServeRequest request;
+  request.query = ToString(ChainQuery(vocab, 6));
+  request.database = "big";
+  request.task = HomTask::kCount;
+  for (uint32_t strike = 0; strike < options.poison_strikes; ++strike) {
+    auto served = serving.Serve(request);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ASSERT_TRUE(served->stats.governor.tripped);
+  }
+  for (int i = 0; i < 2; ++i) {
+    auto refused = serving.Serve(request);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  }
+  EXPECT_EQ(serving.stats().quarantined, 2u);
+  EXPECT_EQ(serving.stats().poisoned_queries, 1u);
+
+  serve::ServeRequest variant = request;
+  variant.query = " " + request.query;
+  auto other = serving.Serve(variant);
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  EXPECT_EQ(serving.stats().quarantined, 2u);
+
+  // An update clears the quarantine; the memoized text runs again.
+  ASSERT_TRUE(serving.UpsertDatabase("big", CliqueStructure(vocab, 24)).ok());
+  EXPECT_TRUE(serving.Serve(request).ok());
+}
+
+TEST(ServingEngineTest, MidFlightStatsNeverShowMoreOutcomesThanRequests) {
+  // Clients mix hits, misses, parse errors, unknown databases, and (with a
+  // queue bound below the client count) sheds, while a poller takes
+  // snapshots. A snapshot need not be one instant, but it must never count
+  // a request's outcome without the request.
+  auto vocab = MakeGraphVocabulary();
+  serve::ServeOptions options;
+  options.max_queue_depth = 2;
+  serve::ServingEngine serving(options);
+  ASSERT_TRUE(serving.UpsertDatabase("g", MakeTestDb(vocab, 0, 0)).ok());
+  const auto queries = MakeTestQueries(vocab);
+  std::atomic<bool> done{false};
+  std::atomic<int> violations{0};
+  std::thread poller([&] {
+    while (!done.load()) {
+      const serve::ServeStats s = serving.stats();
+      if (s.served + s.errors + s.shed_queue + s.shed_bytes + s.quarantined >
+          s.requests) {
+        ++violations;
+      }
+    }
+  });
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < 400; ++i) {
+        serve::ServeRequest request;
+        request.database = i % 13 == 0 ? "missing" : "g";
+        request.query =
+            i % 7 == 0 ? "Q( :- E(" : queries[(c + i) % queries.size()];
+        CQCS_IGNORE_RESULT(serving.Serve(request));
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  done.store(true);
+  poller.join();
+  EXPECT_EQ(violations.load(), 0);
+  const serve::ServeStats s = serving.stats();
+  EXPECT_EQ(s.requests, 4u * 400u);
+  EXPECT_EQ(s.served + s.errors + s.shed_queue + s.shed_bytes + s.quarantined,
+            s.requests);
+  EXPECT_GT(s.errors, 0u);
+  EXPECT_GT(s.result_hits, 0u);
 }
 
 }  // namespace
