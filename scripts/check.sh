@@ -5,9 +5,10 @@
 #                       warning set are enforced here), full tier-1 ctest
 #   2. lint             ctest -L lint in the same tree (rule unit tests +
 #                       the cqcs_lint sweep over src/ + tools/)
-#   3. sanitizers       the ROADMAP.md sanitizer map: -L serve under TSan,
-#                       -L durable under ASan and UBSan, -L solver-parallel
-#                       under TSan
+#   3. sanitizers       the ROADMAP.md sanitizer map: -L serve, -L poly and
+#                       -L solver-parallel under TSan, -L durable under ASan
+#                       and UBSan, -L robust, -L poly and -L engine under
+#                       ASan (the treewidth DP is index arithmetic)
 #
 # `--quick` stops after step 2 — the sanitizer builds triple the wall time
 # and exist to gate merges, not edit-compile loops.
@@ -77,7 +78,7 @@ sanitize_step() {
 }
 
 sanitize_step thread "serve|solver-parallel|poly"
-sanitize_step address "durable|robust"
+sanitize_step address "durable|robust|poly|engine"
 sanitize_step undefined "durable"
 
 echo

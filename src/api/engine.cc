@@ -195,12 +195,36 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
           r.explain.fallbacks.push_back(
               "acyclic: source hypergraph is cyclic (GYO leaves live "
               "edges)");
-          route_status = problem.EnsureSourceDecomposition(governor);
+          // The gate "w <= max_auto_width and bags * |B|^(w+1) <= budget"
+          // is "w <= w_cap" (min-fill makes one bag per element), and w_cap
+          // is known up front: min-fill is skipped when no width fits and
+          // otherwise stops at the first bag wider than w_cap + 1.
+          const int w_cap = TreewidthWidthCap(
+              a.universe_size(), b.universe_size(), options_.max_auto_width,
+              options_.treewidth_cost_budget);
+          WidthCap cap{.max_width = w_cap};
+          if (w_cap >= 0) {
+            route_status = problem.EnsureSourceDecomposition(governor, &cap);
+          }
+          std::ostringstream refusal;  // the evidence that missed the gate
           if (!route_status.ok()) {
             // Only a budget trip stops the min-fill build. The budget is
             // spent, so the run unwinds below like a backend trip.
             chosen = Backend::kTreewidth;
             why << "the min-fill width estimate ran out of budget";
+          } else if (w_cap < 0) {
+            refusal << "even width 0 (est. DP cost "
+                    << EstimateTreewidthDpCost(a.universe_size(), 0,
+                                               b.universe_size())
+                    << "; min-fill skipped)";
+          } else if (cap.stopped) {
+            prof.width_known = prof.width_lower_bound = true;
+            prof.width_estimate = cap.width_lower_bound;
+            prof.eliminations_done = cap.eliminated;
+            refusal << "min-fill width>" << w_cap << " (a bag of width "
+                    << cap.width_lower_bound << "; stopped after "
+                    << cap.eliminated << " of " << a.universe_size()
+                    << " eliminations)";
           } else {
             const TreeDecomposition& dec = problem.SourceDecomposition();
             prof.width_known = true;
@@ -209,26 +233,25 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
             prof.treewidth_dp_cost =
                 EstimateTreewidthDpCost(prof.decomposition_bags,
                                         prof.width_estimate, b.universe_size());
-            if (prof.width_estimate >= 0 &&
-                prof.width_estimate <= options_.max_auto_width &&
-                prof.treewidth_dp_cost <= options_.treewidth_cost_budget) {
+            if (prof.width_estimate <= w_cap) {
               chosen = Backend::kTreewidth;
               why << "min-fill width estimate " << prof.width_estimate
                   << " (bags=" << prof.decomposition_bags << ", est. DP cost "
                   << prof.treewidth_dp_cost
                   << "): bag-by-bag dynamic program (Theorem 5.4)";
             } else {
-              std::ostringstream note;
-              note << "treewidth: min-fill estimate " << prof.width_estimate
-                   << " / est. DP cost " << prof.treewidth_dp_cost
-                   << " exceeds the gate (max_auto_width="
-                   << options_.max_auto_width
-                   << ", budget=" << options_.treewidth_cost_budget << ")";
-              r.explain.fallbacks.push_back(note.str());
-              chosen = Backend::kUniform;
-              why << "no tractable island matched the profile; uniform "
-                     "backtracking search";
+              refusal << "min-fill estimate " << prof.width_estimate
+                      << " / est. DP cost " << prof.treewidth_dp_cost;
             }
+          }
+          if (!refusal.str().empty()) {
+            refusal << " exceeds the gate (max_auto_width="
+                    << options_.max_auto_width
+                    << ", budget=" << options_.treewidth_cost_budget << ")";
+            r.explain.fallbacks.push_back("treewidth: " + refusal.str());
+            chosen = Backend::kUniform;
+            why << "no tractable island matched the profile; uniform "
+                   "backtracking search";
           }
         }
       }

@@ -22,6 +22,9 @@ struct HomProblem::SourceCache {
   bool acyclic_known CQCS_GUARDED_BY(mu) = false;
   bool acyclic CQCS_GUARDED_BY(mu) = false;
   std::optional<TreeDecomposition> decomposition CQCS_GUARDED_BY(mu);
+  // A capped build that stopped: min-fill's width is at least
+  // width_lower_bound. A decomposition, once built, takes precedence.
+  std::optional<WidthCap> width_refusal CQCS_GUARDED_BY(mu);
 };
 
 // Pair products: the profile (needs the target half) and the constraint
@@ -153,14 +156,28 @@ const TreeDecomposition& HomProblem::SourceDecomposition() const {
   return *cache.decomposition;
 }
 
-Status HomProblem::EnsureSourceDecomposition(ResourceGovernor* governor) const {
+Status HomProblem::EnsureSourceDecomposition(ResourceGovernor* governor,
+                                             WidthCap* cap) const {
   SourceCache& cache = *source_cache_;
   MutexLock lock(cache.mu);
+  if (cap != nullptr) cap->stopped = false;
   if (cache.decomposition.has_value()) return Status::OK();
+  if (cap != nullptr && cache.width_refusal.has_value() &&
+      cap->max_width < cache.width_refusal->width_lower_bound) {
+    cap->stopped = true;
+    cap->width_lower_bound = cache.width_refusal->width_lower_bound;
+    cap->eliminated = cache.width_refusal->eliminated;
+    return Status::OK();
+  }
   // A trip leaves the cache empty — never a torn artifact — so the problem
   // stays reusable under a fresh budget.
-  CQCS_ASSIGN_OR_RETURN(cache.decomposition,
-                        HeuristicDecomposition(*source_, governor));
+  CQCS_ASSIGN_OR_RETURN(TreeDecomposition built,
+                        HeuristicDecomposition(*source_, governor, cap));
+  if (cap != nullptr && cap->stopped) {
+    cache.width_refusal = *cap;
+  } else {
+    cache.decomposition = std::move(built);
+  }
   return Status::OK();
 }
 

@@ -132,7 +132,14 @@ class HomProblem {
   /// result is cached exactly like SourceDecomposition(); a tripped build
   /// caches nothing, so a later (re-budgeted) run can complete it. A null
   /// governor degrades to the ungoverned build.
-  Status EnsureSourceDecomposition(ResourceGovernor* governor) const;
+  ///
+  /// A non-null `cap` bounds the build as HeuristicDecomposition does (the
+  /// router's stage 3). When the elimination stops, cap->stopped is set and
+  /// only that verdict is cached: a later call whose cap is below the
+  /// cached lower bound is answered from it without eliminating. A cached
+  /// decomposition is returned whatever its width (cap->stopped false).
+  Status EnsureSourceDecomposition(ResourceGovernor* governor,
+                                   WidthCap* cap = nullptr) const;
 
   /// The constraint network for the uniform backend, with B's CSR support
   /// indexes materialized. Built once per (source, target) pair.

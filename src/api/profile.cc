@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/saturating.h"
-#include "cq/gyo.h"
 
 namespace cqcs {
 
@@ -27,6 +26,18 @@ double EstimateTreewidthDpCost(size_t bags, int width,
   size_t entries = SatPow(target_universe,
                           static_cast<size_t>(width) + 1, SIZE_MAX);
   return static_cast<double>(SatMul(bags, entries, SIZE_MAX));
+}
+
+int TreewidthWidthCap(size_t source_universe, size_t target_universe,
+                      int max_width, double budget) {
+  // No decomposition is wider than the universe, so the scan stops there.
+  int cap = -1;
+  while (cap < max_width && static_cast<size_t>(cap) + 1 < source_universe &&
+         EstimateTreewidthDpCost(source_universe, cap + 1, target_universe) <=
+             budget) {
+    ++cap;
+  }
+  return cap;
 }
 
 size_t EstimateTreewidthDpBytes(size_t bags, int width,
@@ -71,14 +82,6 @@ InstanceProfile BuildProfile(const Structure& a, const Structure& b,
   return p;
 }
 
-InstanceProfile Analyze(const Structure& a, const Structure& b) {
-  // The shared queue-driven GYO (cq/gyo.h) runs directly on A's tuples —
-  // the same hypergraph the canonical query would present, without
-  // materializing the query.
-  bool acyclic = IsAcyclicStructure(a);
-  return BuildProfile(a, b, acyclic, *HeuristicDecomposition(a));
-}
-
 std::string InstanceProfile::ToString() const {
   std::ostringstream out;
   out << "source ‖A‖=" << source_size << " (n=" << source_universe
@@ -97,7 +100,11 @@ std::string InstanceProfile::ToString() const {
   } else {
     out << "acyclicity not evaluated, ";
   }
-  if (width_known) {
+  if (width_known && width_lower_bound) {
+    out << "width>=" << width_estimate << " (min-fill stopped after "
+        << eliminations_done << " of " << source_universe
+        << " eliminations)";
+  } else if (width_known) {
     out << "width<=" << width_estimate << " (" << decomposition_bags
         << " bags, est. DP cost " << treewidth_dp_cost << ")";
   } else {
@@ -121,7 +128,11 @@ std::string InstanceProfile::ToJson() const {
       << "\",\"source_acyclic\":"
       << (acyclicity_known ? (source_acyclic ? "true" : "false") : "null")
       << ",\"width_estimate\":";
-  if (width_known) {
+  if (width_known && width_lower_bound) {
+    out << "null,\"width_lower_bound\":" << width_estimate
+        << ",\"eliminations_done\":" << eliminations_done
+        << ",\"decomposition_bags\":null,\"treewidth_dp_cost\":null";
+  } else if (width_known) {
     out << width_estimate << ",\"decomposition_bags\":" << decomposition_bags
         << ",\"treewidth_dp_cost\":" << treewidth_dp_cost;
   } else {

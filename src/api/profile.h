@@ -22,7 +22,8 @@
 namespace cqcs {
 
 /// Everything the router needs to know about a hom(A -> B) instance.
-/// Produced by Analyze() (one-shot) or cached inside a HomProblem.
+/// Cached inside a HomProblem (Profile()), or built stage by stage by the
+/// engine's router.
 struct InstanceProfile {
   // -- Size statistics (‖·‖ is the paper's size measure).
   size_t source_universe = 0;
@@ -49,11 +50,17 @@ struct InstanceProfile {
   // `width_known` marks whether the (comparatively expensive) min-fill
   // stage actually ran.
   bool width_known = false;
-  int width_estimate = -1;         ///< max bag size - 1; -1 for empty source
+  /// Max bag size - 1 (-1 for an empty source). When `width_lower_bound`
+  /// is set, the router's capped min-fill stopped early and this is only a
+  /// lower bound on min-fill's width: the largest bag it saw, minus one.
+  int width_estimate = -1;
+  bool width_lower_bound = false;
+  size_t eliminations_done = 0;    ///< before the stop (lower bound only)
   size_t decomposition_bags = 0;   ///< nodes of the heuristic decomposition
+                                   ///< (0 for a lower bound)
   /// Estimated DP table work: decomposition_bags * |B|^{width+1}. The gate
   /// the router compares against its cost budget (a crude size bound; see
-  /// the header comment).
+  /// the header comment). 0 for a lower bound.
   double treewidth_dp_cost = 0.0;
 
   /// One-line diagnostic rendering.
@@ -77,10 +84,18 @@ void FillSizeStats(const Structure& a, const Structure& b,
 
 /// The treewidth cost gate: bags * |target_universe|^(width+1), 0 when the
 /// decomposition is empty (width -1). One definition so the router and
-/// Analyze() can never disagree about the cost model. Computed in saturating
+/// Profile() can never disagree about the cost model. Computed in saturating
 /// integer arithmetic (common/saturating.h) and widened to double; overflow
 /// saturates far above any router budget instead of wrapping.
 double EstimateTreewidthDpCost(size_t bags, int width, size_t target_universe);
+
+/// The widest min-fill decomposition the router's treewidth gate admits:
+/// the largest w <= max_width with EstimateTreewidthDpCost(source_universe,
+/// w, target_universe) <= budget (min-fill makes one bag per source
+/// element), or -1 when none does. The cost never falls as w grows, so
+/// "width <= cap" is exactly the gate, known before anything is eliminated.
+int TreewidthWidthCap(size_t source_universe, size_t target_universe,
+                      int max_width, double budget);
 
 /// Worst-case bytes the treewidth DP can charge against a memory budget:
 /// bags * |B|^(width+1) rows of (width+1) Elements. Saturates at SIZE_MAX
@@ -96,14 +111,6 @@ size_t EstimateTreewidthDpBytes(size_t bags, int width, size_t target_universe);
 /// Shared by the engine's pre-flight admission and the serving layer's
 /// in-flight-bytes queue policy.
 size_t EstimateAcyclicBytes(const Structure& a, const Structure& b);
-
-/// One-shot analysis of a structure pair: runs GYO (via the canonical query
-/// of A) and the min-fill heuristic, then classifies B. The structures are
-/// expected to share a vocabulary (the profile itself never compares them,
-/// but a profile of mismatched structures routes a problem that has no
-/// answer). Prefer HomProblem::Profile() when the instance will be solved —
-/// it caches the artifacts this function throws away.
-InstanceProfile Analyze(const Structure& a, const Structure& b);
 
 }  // namespace cqcs
 

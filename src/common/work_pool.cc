@@ -109,10 +109,6 @@ MorselCounters MorselPool::Run(size_t total, unsigned workers,
     return counters;
   }
 
-  // Pool threads beside the caller, never more than there are morsels to
-  // claim beyond the caller's first: waking a worker that will find the
-  // cursor exhausted costs a context switch (and, on few-core hosts, adds
-  // scheduling latency to the caller's done-wait) for zero work.
   const size_t chunks = (total + morsel_rows - 1) / morsel_rows;
   // Pool threads beside the caller are capped three ways: never more than
   // the caller asked for, never more than there are morsels to claim

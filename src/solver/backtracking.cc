@@ -11,7 +11,6 @@ namespace cqcs {
 namespace {
 
 using solver_internal::ParallelSearch;
-using solver_internal::ResolveThreadCount;
 using solver_internal::SearchContext;
 
 // Row hash for projection deduplication.

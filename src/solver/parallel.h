@@ -43,14 +43,6 @@
 namespace cqcs {
 namespace solver_internal {
 
-/// SolveOptions::num_threads -> actual worker count: 0 means one per
-/// hardware thread (never less than 1). The mapping lives in
-/// common/work_pool.h (shared with the relational kernel); this forwarder
-/// keeps historical solver_internal:: call sites compiling unchanged.
-inline unsigned ResolveThreadCount(unsigned num_threads) {
-  return cqcs::ResolveThreadCount(num_threads);
-}
-
 /// Runs the full search with ResolveThreadCount(options.num_threads)
 /// workers. Mirrors SearchContext::Run: `on_solution` is invoked once per
 /// solution found (serialized; returning false cancels every worker), and

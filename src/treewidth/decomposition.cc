@@ -283,9 +283,13 @@ class EliminationGraph {
 /// the scores of N(v), which are recomputed, and — for min-fill — of the
 /// common neighbours of each fill edge {a, b} outside N[v], whose fill-in
 /// loses exactly the now-adjacent pair (a, b). The governor (null:
-/// ungoverned) is polled once per elimination.
+/// ungoverned) is polled once per elimination. The elimination stops early,
+/// leaving the chosen vertex live, when that vertex has more than
+/// `max_degree` live neighbours; its degree then goes to *stop_degree.
 Result<EliminationGraph> GreedyEliminate(const Graph& g, bool min_fill,
-                                         ResourceGovernor* governor) {
+                                         ResourceGovernor* governor,
+                                         size_t max_degree = SIZE_MAX,
+                                         size_t* stop_degree = nullptr) {
   const size_t n = g.vertex_count();
   EliminationGraph eg(g);
   std::vector<uint8_t> mark(n, 0);  // scratch flags, all zero between uses
@@ -337,6 +341,10 @@ Result<EliminationGraph> GreedyEliminate(const Graph& g, bool min_fill,
         v = u;
         break;
       }
+    }
+    if (eg.neighbors(v).size() > max_degree) {
+      *stop_degree = eg.neighbors(v).size();
+      break;
     }
     fill.clear();
     eg.Eliminate(v, min_fill ? &fill : nullptr);
@@ -405,10 +413,27 @@ std::vector<uint32_t> MinFillOrder(const Graph& g) {
 }
 
 Result<TreeDecomposition> HeuristicDecomposition(const Structure& a,
-                                                 ResourceGovernor* governor) {
+                                                 ResourceGovernor* governor,
+                                                 WidthCap* cap) {
+  // Every bag before the stop fits the cap, so the stopping bag is the
+  // largest one seen.
+  size_t max_degree = SIZE_MAX;
+  size_t stop_degree = 0;
+  if (cap != nullptr) {
+    CQCS_CHECK_MSG(cap->max_width >= 0, "width cap must be nonnegative");
+    cap->stopped = false;
+    max_degree = static_cast<size_t>(cap->max_width);
+  }
   CQCS_ASSIGN_OR_RETURN(
       EliminationGraph eg,
-      GreedyEliminate(GaifmanGraph(a), /*min_fill=*/true, governor));
+      GreedyEliminate(GaifmanGraph(a), /*min_fill=*/true, governor,
+                      max_degree, &stop_degree));
+  if (eg.order().size() < a.universe_size()) {
+    cap->stopped = true;
+    cap->width_lower_bound = static_cast<int>(stop_degree);
+    cap->eliminated = eg.order().size();
+    return TreeDecomposition();
+  }
   return std::move(eg).BuildTree();
 }
 

@@ -93,14 +93,30 @@ std::vector<uint32_t> MinDegreeOrder(const Graph& g);
 /// about the local degree squared, not a rescan of the graph.
 std::vector<uint32_t> MinFillOrder(const Graph& g);
 
+/// An optional width cap for HeuristicDecomposition, and where a capped
+/// elimination stopped.
+struct WidthCap {
+  int max_width = 0;           ///< in, >= 0: the widest bag allowed, minus one
+  bool stopped = false;        ///< out: some bag exceeded the cap
+  int width_lower_bound = -1;  ///< out, on a stop: largest bag seen minus one
+  size_t eliminated = 0;       ///< out, on a stop: eliminations before it
+};
+
 /// Heuristic decomposition of a structure via its Gaifman graph: the
 /// min-fill elimination, whose bags are recorded as it goes — identical to
 /// DecompositionFromEliminationOrder(g, MinFillOrder(g)). A non-null
 /// governor is polled once per eliminated vertex, so a deadline or
 /// cancellation aborts with kResourceExhausted; without one the build
 /// cannot fail.
+///
+/// A non-null `cap` bounds the elimination: it stops before recording the
+/// first bag of more than cap->max_width + 1 elements, sets cap->stopped,
+/// and returns an empty decomposition. The min-fill width then exceeds the
+/// cap and is at least cap->width_lower_bound. An elimination that never
+/// exceeds the cap returns the uncapped decomposition.
 Result<TreeDecomposition> HeuristicDecomposition(
-    const Structure& a, ResourceGovernor* governor = nullptr);
+    const Structure& a, ResourceGovernor* governor = nullptr,
+    WidthCap* cap = nullptr);
 
 /// Exact treewidth by dynamic programming over vertex subsets
 /// (O(2^n · n^2); bounded to n <= 24). Errors with Unsupported beyond that.

@@ -12,6 +12,7 @@
 #define CQCS_TREEWIDTH_HOM_DP_H_
 
 #include <optional>
+#include <vector>
 
 #include "common/status.h"
 #include "core/homomorphism.h"
@@ -26,7 +27,11 @@ class ResourceGovernor;  // common/governor.h
 /// count) while steals depends on scheduling.
 struct TreewidthSolveStats {
   int width = -1;              ///< width of the decomposition used
-  size_t table_entries = 0;    ///< total bag-assignment rows considered
+  /// Bag assignments the pruned walk visited, partial ones included: one
+  /// per value tried at one bag position. A filter that fails skips every
+  /// assignment below it, so this counts work done, not the |B|^{w+1}
+  /// candidates per bag.
+  size_t table_entries = 0;
   size_t table_rows = 0;       ///< rows kept across all node tables (one
                                ///< per distinct parent-intersection key)
   unsigned workers = 0;        ///< resolved worker count of the run
@@ -40,7 +45,7 @@ struct TreewidthSolveStats {
 /// homomorphism or nullopt.
 ///
 /// An optional ResourceGovernor (common/governor.h) bounds the run: the
-/// bag-assignment odometer polls it on a stride and the DP tables charge
+/// bag-assignment walk polls it on a stride and the DP tables charge
 /// their growth against its memory budget; a trip unwinds with
 /// kResourceExhausted and no partial answer.
 ///
@@ -50,11 +55,16 @@ struct TreewidthSolveStats {
 /// next-shallower depth — and the bags within a level, which share no
 /// data, fan out on the shared MorselPool. Answer and stats (minus
 /// workers/steals) are identical at every thread count.
+///
+/// A non-null `node_tables` receives, per node, the rows its table kept
+/// (row-major, in the order kept; empty for nodes the DP never reached),
+/// so DP implementations can be compared table for table.
 Result<std::optional<Homomorphism>> SolveViaTreeDecomposition(
     const Structure& a, const Structure& b,
     const TreeDecomposition& decomposition,
     TreewidthSolveStats* stats = nullptr,
-    ResourceGovernor* governor = nullptr, unsigned num_threads = 1);
+    ResourceGovernor* governor = nullptr, unsigned num_threads = 1,
+    std::vector<std::vector<Element>>* node_tables = nullptr);
 
 /// Convenience: builds a min-fill heuristic decomposition of A and runs the
 /// DP. Polynomial whenever A's treewidth is bounded (the heuristic width is

@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <vector>
 
 #include "api/engine.h"
+#include "common/governor.h"
 #include "common/rng.h"
 #include "core/homomorphism.h"
 #include "cq/containment.h"
@@ -449,6 +452,136 @@ TEST(EngineRoutingTest, TrivialUniversesShortCircuit) {
   EngineResult r2 = MustRun(engine, to_empty, HomTask::kDecide);
   EXPECT_FALSE(r2.decided);
   EXPECT_FALSE(r2.stats.search.limit_hit);
+}
+
+// ---- The width-capped stage 3 against the full min-fill gate. --------------
+
+/// G(n, p), partial k-trees for k = 1..5, and cliques.
+Structure RoutingSource(int trial, Rng& rng) {
+  auto vocab = MakeGraphVocabulary();
+  switch (trial % 3) {
+    case 0:
+      return RandomGraphStructure(vocab, 4 + rng.Below(24),
+                                  0.1 + 0.1 * rng.Below(4), rng, true);
+    case 1: {
+      const uint32_t k = 1 + static_cast<uint32_t>(rng.Below(5));
+      return StructureFromGraph(
+          vocab, RandomPartialKTree(k + 1 + rng.Below(30), k, 0.9, rng));
+    }
+    default:
+      return CliqueStructure(vocab, 2 + rng.Below(8));
+  }
+}
+
+TEST(EngineRoutingTest, CappedStageThreeRoutesLikeTheFullGate) {
+  Rng rng(1515);
+  auto vocab = MakeGraphVocabulary();
+  int capped_refusals = 0;
+  int completed = 0;
+  for (int trial = 0; trial < 90; ++trial) {
+    Structure a = RoutingSource(trial, rng);
+    // Non-Boolean targets (|B| = 1 or 3..6), so stage 1 always refuses.
+    const size_t m = rng.Chance(0.2) ? 1 : 3 + rng.Below(4);
+    Structure b = RandomGraphStructure(vocab, m, 0.6, rng, true);
+    const TreeDecomposition full = *HeuristicDecomposition(a);
+    const int w = full.Width();
+    const double cost = EstimateTreewidthDpCost(full.node_count(), w, m);
+
+    // The default gate, then gates straddling this instance: the budget
+    // exactly at and just under its cost, and the width cap at and just
+    // under its width.
+    std::vector<EngineOptions> variants(5);
+    variants[1].treewidth_cost_budget = cost;
+    variants[2].treewidth_cost_budget = std::nextafter(cost, 0.0);
+    variants[3].max_auto_width = w;
+    variants[4].max_auto_width = w - 1;
+    variants[4].treewidth_cost_budget = 1e12;
+    for (size_t v = 0; v < variants.size(); ++v) {
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " variant " << v
+                                      << " n=" << a.universe_size()
+                                      << " |B|=" << m << " w=" << w);
+      const EngineOptions& options = variants[v];
+      HomProblem p = MustProblem(HomProblem::FromStructures(a, b));
+      // The gate as it reads on the full min-fill decomposition.
+      const Backend want =
+          p.SourceAcyclic() ? Backend::kAcyclic
+          : w <= options.max_auto_width && cost <= options.treewidth_cost_budget
+              ? Backend::kTreewidth
+              : Backend::kUniform;
+      const EngineResult cold = MustRun(HomEngine(options), p, HomTask::kDecide);
+      ASSERT_EQ(cold.explain.chosen, want) << cold.explain.ToString();
+      // A warm rerun answers from what the cold one cached.
+      const EngineResult warm = MustRun(HomEngine(options), p, HomTask::kDecide);
+      ASSERT_EQ(warm.explain.chosen, want) << warm.explain.ToString();
+      EXPECT_EQ(cold.decided, warm.decided);
+
+      const InstanceProfile& prof = cold.explain.profile;
+      if (!prof.width_known) continue;
+      if (prof.width_lower_bound) {
+        ++capped_refusals;
+        const int cap = TreewidthWidthCap(a.universe_size(), m,
+                                          options.max_auto_width,
+                                          options.treewidth_cost_budget);
+        EXPECT_GT(prof.width_estimate, cap);
+        EXPECT_LE(prof.width_estimate, w);
+        EXPECT_LT(prof.eliminations_done, a.universe_size());
+      } else {
+        // The completed capped elimination cached min-fill's decomposition.
+        ++completed;
+        EXPECT_EQ(prof.width_estimate, w);
+        EXPECT_EQ(p.SourceDecomposition().ToString(), full.ToString());
+      }
+    }
+  }
+  EXPECT_GT(capped_refusals, 20);
+  EXPECT_GT(completed, 20);
+}
+
+TEST(EngineRoutingTest, CappedRefusalIsCachedAndExplained) {
+  // K8 -> K7: the cap is 3 by default; the first elimination already
+  // records a bag of 8, so min-fill stops before eliminating anything.
+  auto vocab = MakeGraphVocabulary();
+  HomProblem p = MustProblem(HomProblem::FromStructures(
+      CliqueStructure(vocab, 8), CliqueStructure(vocab, 7)));
+  EngineResult r = MustRun(HomEngine(), p, HomTask::kDecide);
+  EXPECT_EQ(r.explain.chosen, Backend::kUniform);
+  EXPECT_FALSE(r.decided);
+  EXPECT_TRUE(r.explain.profile.width_lower_bound);
+  EXPECT_EQ(r.explain.profile.width_estimate, 7);
+  EXPECT_EQ(r.explain.profile.eliminations_done, 0u);
+  const std::string text = r.explain.ToString();
+  EXPECT_NE(text.find("min-fill width>3 (a bag of width 7; stopped after 0 of "
+                      "8 eliminations)"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("width>=7 (min-fill stopped after 0 of 8 eliminations)"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(r.ToJson().find("\"width_lower_bound\":7"), std::string::npos);
+
+  // The verdict is cached: a capped rerun needs no elimination (a governor
+  // that trips on its first poll would stop one), and an uncapped request
+  // still builds the full decomposition.
+  WidthCap cap{.max_width = 3};
+  ResourceGovernor tripping;
+  GovernorFailpoints fp;
+  fp.trip_after_checks = 1;
+  tripping.set_failpoints(fp);
+  ASSERT_TRUE(p.EnsureSourceDecomposition(&tripping, &cap).ok());
+  EXPECT_TRUE(cap.stopped);
+  EXPECT_EQ(cap.width_lower_bound, 7);
+  EXPECT_EQ(p.SourceDecomposition().Width(), 7);
+
+  // A gate no width fits skips min-fill altogether.
+  EngineOptions tight;
+  tight.treewidth_cost_budget = 1;
+  HomProblem q = MustProblem(HomProblem::FromStructures(
+      CliqueStructure(vocab, 4), CliqueStructure(vocab, 3)));
+  EngineResult skipped = MustRun(HomEngine(tight), q, HomTask::kDecide);
+  EXPECT_EQ(skipped.explain.chosen, Backend::kUniform);
+  EXPECT_FALSE(skipped.explain.profile.width_known);
+  EXPECT_NE(skipped.explain.ToString().find("min-fill skipped"),
+            std::string::npos);
 }
 
 TEST(EngineRoutingTest, ExplainRendersJson) {

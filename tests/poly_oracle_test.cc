@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -462,6 +466,223 @@ TEST(PolyOracleTest, DirectAcyclicApiAgreesWithEngine) {
     EXPECT_EQ(w->has_value(), !oracle.empty());
     if (w->has_value()) EXPECT_TRUE(oracle.count(**w));
   }
+}
+
+// ---- The pruned bag walk against the full odometer. -----------------------
+//
+// SolveViaTreeDecomposition walks each bag's assignments depth-first and
+// prunes at the first failing filter. The reference below is the DP it
+// replaced, kept here only as the oracle: every one of the |B|^(w+1)
+// assignments per bag in odometer order (position 0 fastest), each filtered
+// afterwards, with std::set / std::map standing in for the hash indexes.
+// Both keep the first row per parent key, so their tables must agree row
+// for row.
+
+struct ReferenceDp {
+  Status status;
+  std::optional<Homomorphism> witness;
+  std::vector<std::vector<Element>> tables;
+  size_t table_rows = 0;
+};
+
+ReferenceDp ReferenceOdometerDp(const Structure& a, const Structure& b,
+                                const TreeDecomposition& td) {
+  ReferenceDp out;
+  TreeDecomposition::TupleAssignment tuples_of_node;
+  out.status = td.ValidateFor(a, &tuples_of_node);
+  if (!out.status.ok()) return out;
+  if (a.universe_size() == 0) {
+    out.witness = Homomorphism{};
+    return out;
+  }
+  const size_t nodes = td.node_count();
+  const size_t m = b.universe_size();
+  auto in = [](const std::vector<Element>& bag, Element e) {
+    return std::binary_search(bag.begin(), bag.end(), e);
+  };
+  // `node`'s key — its elements shared with its parent — read off an
+  // assignment of `bag`, which is the node's own bag or its parent's.
+  auto key_of = [&](uint32_t node, const std::vector<Element>& bag,
+                    std::span<const Element> assign) {
+    std::vector<Element> key;
+    if (td.parent(node) == TreeDecomposition::kNoParent) return key;
+    for (size_t i = 0; i < bag.size(); ++i) {
+      if (in(td.bag(node), bag[i]) && in(td.bag(td.parent(node)), bag[i])) {
+        key.push_back(assign[i]);
+      }
+    }
+    return key;
+  };
+  std::vector<std::map<std::vector<Element>, size_t>> row_of_key(nodes);
+  out.tables.assign(nodes, {});
+  std::vector<uint32_t> depth(nodes, 0);
+  for (uint32_t node = 0; node < nodes; ++node) {
+    if (td.parent(node) != TreeDecomposition::kNoParent) {
+      depth[node] = depth[td.parent(node)] + 1;
+    }
+  }
+  for (uint32_t d = *std::max_element(depth.begin(), depth.end()) + 1;
+       d-- > 0;) {
+    for (uint32_t node = 0; node < nodes; ++node) {
+      if (depth[node] != d) continue;
+      const std::vector<Element>& bag = td.bag(node);
+      std::vector<Element> assign(bag.size(), 0);
+      for (bool more = m > 0; more;) {
+        bool ok = true;
+        for (auto [rel, t] : tuples_of_node[node]) {
+          std::vector<Element> image;
+          for (Element e : a.relation(rel).tuple(t)) {
+            image.push_back(assign[std::lower_bound(bag.begin(), bag.end(), e) -
+                                   bag.begin()]);
+          }
+          ok = ok && b.relation(rel).Contains(image);
+        }
+        for (uint32_t child : td.children(node)) {
+          ok = ok && row_of_key[child].count(key_of(child, bag, assign)) > 0;
+        }
+        std::vector<Element>& table = out.tables[node];
+        if (ok && row_of_key[node]
+                      .emplace(key_of(node, bag, assign), table.size() / bag.size())
+                      .second) {
+          table.insert(table.end(), assign.begin(), assign.end());
+        }
+        size_t pos = 0;  // the odometer: position 0 turns fastest
+        while (pos < assign.size() && ++assign[pos] == m) assign[pos++] = 0;
+        more = pos < assign.size();
+      }
+    }
+    // Emptiness is checked in node order once the level is done.
+    for (uint32_t node = 0; node < nodes; ++node) {
+      if (depth[node] != d) continue;
+      out.table_rows += out.tables[node].size() / td.bag(node).size();
+      if (out.tables[node].empty()) return out;
+    }
+  }
+  Homomorphism h(a.universe_size(), kUnassigned);
+  std::vector<std::pair<uint32_t, size_t>> stack;  // (node, row)
+  for (uint32_t node = 0; node < nodes; ++node) {
+    if (td.parent(node) == TreeDecomposition::kNoParent) stack.push_back({node, 0});
+  }
+  while (!stack.empty()) {
+    auto [node, row] = stack.back();
+    stack.pop_back();
+    const std::vector<Element>& bag = td.bag(node);
+    std::span<const Element> assign(out.tables[node].data() + row * bag.size(),
+                                    bag.size());
+    for (size_t i = 0; i < bag.size(); ++i) h[bag[i]] = assign[i];
+    for (uint32_t child : td.children(node)) {
+      stack.push_back({child, row_of_key[child].at(key_of(child, bag, assign))});
+    }
+  }
+  out.witness = std::move(h);
+  return out;
+}
+
+/// Runs the DP at 1, 2 and 8 threads and checks each run against the
+/// reference: status, decision, witness bytes, every node's table and
+/// table_rows; table_entries must not depend on the thread count.
+void ExpectMatchesOdometer(const Structure& a, const Structure& b,
+                           const TreeDecomposition& td) {
+  const ReferenceDp want = ReferenceOdometerDp(a, b, td);
+  size_t entries = 0;
+  for (unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    TreewidthSolveStats stats;
+    std::vector<std::vector<Element>> tables;
+    auto got = SolveViaTreeDecomposition(a, b, td, &stats, nullptr, threads,
+                                         &tables);
+    ASSERT_EQ(got.ok(), want.status.ok()) << got.status().ToString();
+    if (!got.ok()) {
+      EXPECT_EQ(got.status().ToString(), want.status.ToString());
+      continue;
+    }
+    ASSERT_EQ(got->has_value(), want.witness.has_value());
+    if (want.witness.has_value()) {
+      EXPECT_EQ(**got, *want.witness);
+      EXPECT_TRUE(IsHomomorphism(a, b, **got));
+    }
+    ASSERT_EQ(tables, want.tables);
+    EXPECT_EQ(stats.table_rows, want.table_rows);
+    if (threads == 1) entries = stats.table_entries;
+    EXPECT_EQ(stats.table_entries, entries);
+  }
+}
+
+/// Sum over bags of |B|^|bag|: the reference's work, to keep it quick.
+double OdometerWork(const TreeDecomposition& td, size_t m) {
+  double work = 0;
+  for (uint32_t node = 0; node < td.node_count(); ++node) {
+    work += std::pow(static_cast<double>(m), td.bag(node).size());
+  }
+  return work;
+}
+
+/// `td` with every root but node 0 hung under node 0: children that share
+/// no element with their parent (valid, as the pieces are disjoint).
+TreeDecomposition JoinRoots(const TreeDecomposition& td) {
+  TreeDecomposition out;
+  for (uint32_t node = 0; node < td.node_count(); ++node) {
+    uint32_t parent = td.parent(node);
+    if (parent == TreeDecomposition::kNoParent && node > 0) parent = 0;
+    out.AddNode(td.bag(node), parent);
+  }
+  return out;
+}
+
+TEST(PolyOracleTest, PrunedBagWalkMatchesTheOdometer) {
+  Rng rng(1414);
+  auto graph_vocab = MakeGraphVocabulary();
+  auto mixed_vocab = std::make_shared<Vocabulary>();
+  mixed_vocab->AddRelation("E", 2);
+  mixed_vocab->AddRelation("P", 1);
+  mixed_vocab->AddRelation("R", 3);
+  int compared = 0;
+  for (int trial = 0; trial < 480; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const uint32_t k = 1 + static_cast<uint32_t>(rng.Below(4));
+    const size_t m = rng.Below(6);  // |B| = 0 and 1 included
+    // Every fourth source keeps only 30% of its k-tree's edges: a forest of
+    // pieces, often with isolated vertices. Every third pair is random
+    // E/2, P/1, R/3 facts (self-loops, unary facts, arity 3); the others
+    // are graphs into symmetric or directed targets.
+    const double keep = trial % 4 == 3 ? 0.3 : 0.6 + 0.4 * rng.Chance(0.5);
+    const bool mixed = trial % 3 == 2;
+    Structure a = mixed ? RandomStructure(mixed_vocab, 1 + rng.Below(9),
+                                          2 + rng.Below(6), rng)
+                        : StructureFromGraph(
+                              graph_vocab, RandomPartialKTree(
+                                               k + 1 + rng.Below(24), k, keep,
+                                               rng));
+    Structure b =
+        mixed ? RandomStructure(mixed_vocab, m, m == 0 ? 0 : 1 + m * m, rng)
+              : RandomGraphStructure(graph_vocab, m, 0.5, rng, trial % 3 == 0);
+    TreeDecomposition td = *HeuristicDecomposition(a);
+    if (rng.Chance(0.3)) td = JoinRoots(td);
+    if (OdometerWork(td, m) > 2e5) continue;
+    ExpectMatchesOdometer(a, b, td);
+    ++compared;
+  }
+  EXPECT_GT(compared, 400);
+}
+
+TEST(PolyOracleTest, PrunedBagWalkDegenerateShapes) {
+  auto vocab = MakeGraphVocabulary();
+  // Empty sources, and isolated vertices (single-element bags, no tuples)
+  // as a forest and joined under one root, into |B| = 0, 1 and 3.
+  Structure empty(vocab, 0);
+  Structure isolated(vocab, 4);
+  const TreeDecomposition apart = *HeuristicDecomposition(isolated);
+  for (size_t m : {0, 1, 3}) {
+    const Structure b = CliqueStructure(vocab, m);
+    ExpectMatchesOdometer(empty, b, TreeDecomposition());
+    ExpectMatchesOdometer(isolated, b, apart);
+    ExpectMatchesOdometer(isolated, b, JoinRoots(apart));
+  }
+  // An empty bag is rejected by validation in both.
+  Structure path = PathStructure(vocab, 3);
+  TreeDecomposition td = *HeuristicDecomposition(path);
+  td.AddNode({}, 0);
+  ExpectMatchesOdometer(path, CliqueStructure(vocab, 2), td);
 }
 
 }  // namespace

@@ -542,6 +542,42 @@ TEST(HomDpTest, EmptySource) {
   EXPECT_TRUE((*dp)->empty());
 }
 
+TEST(HomDpTest, EmptySourceViaSuppliedDecomposition) {
+  auto vocab = MakeGraphVocabulary();
+  Structure empty(vocab, 0);
+  auto via = SolveViaTreeDecomposition(empty, CliqueStructure(vocab, 2),
+                                       *HeuristicDecomposition(empty));
+  ASSERT_TRUE(via.ok());
+  ASSERT_TRUE(via->has_value());
+  EXPECT_TRUE((*via)->empty());
+}
+
+TEST(HomDpTest, HandlesSelfLoopsAndUnaryFacts) {
+  auto vocab = std::make_shared<Vocabulary>();
+  RelId e = vocab->AddRelation("E", 2);
+  RelId p = vocab->AddRelation("P", 1);
+  Structure a(vocab, 2);
+  a.AddTuple(e, {0, 0});  // self loop: an all-same-element tuple
+  a.AddTuple(e, {0, 1});
+  a.AddTuple(p, {1});
+  Structure b(vocab, 2);
+  b.AddTuple(e, {0, 0});
+  b.AddTuple(e, {0, 1});
+  b.AddTuple(p, {1});
+  const TreeDecomposition td = *HeuristicDecomposition(a);
+  auto h = SolveViaTreeDecomposition(a, b, td);
+  ASSERT_TRUE(h.ok());
+  ASSERT_TRUE(h->has_value());
+  EXPECT_TRUE(IsHomomorphism(a, b, **h));
+  // Remove the loop from B: now element 0 has no image.
+  Structure b2(vocab, 2);
+  b2.AddTuple(e, {0, 1});
+  b2.AddTuple(p, {1});
+  auto h2 = SolveViaTreeDecomposition(a, b2, td);
+  ASSERT_TRUE(h2.ok());
+  EXPECT_FALSE(h2->has_value());
+}
+
 TEST(HomDpTest, EmptyTarget) {
   auto vocab = MakeGraphVocabulary();
   Structure a = PathStructure(vocab, 3);
