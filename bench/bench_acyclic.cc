@@ -5,6 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "api/engine.h"
 #include "cq/acyclic.h"
 #include "cq/containment.h"
@@ -150,6 +153,79 @@ BENCHMARK(BM_YannakakisTask_Enumerate)
     ->Args({0, 512})->Args({1, 512})
     ->Args({0, 4096})->Args({1, 4096})
     ->Unit(benchmark::kMillisecond);
+
+// Churn-shaped series: the acyclic traffic of the serving miss path. Tree
+// queries of 3-8 E-atoms (a quarter chains, a quarter stars, the rest
+// random attachment trees; every atom randomly oriented; head X0) into a
+// symmetric G(512, deg 6), compiled and run per request on the kAcyclic
+// route at one thread. Each iteration serves the next of 64 fixed
+// queries, so the reported time is per request.
+constexpr size_t kChurnShapedQueries = 64;
+constexpr size_t kChurnShapedCountCap = 10000;
+
+std::vector<ConjunctiveQuery> ChurnShapedQueries(const VocabularyPtr& vocab,
+                                                 Rng& rng) {
+  const RelId e = *vocab->FindRelation("E");
+  std::vector<ConjunctiveQuery> out;
+  for (size_t i = 0; i < kChurnShapedQueries; ++i) {
+    const size_t atoms = 3 + rng.Below(6);
+    const size_t shape = i % 8 < 2 ? 0 : i % 8 < 4 ? 1 : 2;
+    ConjunctiveQuery q(vocab, "Q");
+    std::vector<VarId> vars;
+    for (size_t v = 0; v <= atoms; ++v) {
+      vars.push_back(q.GetOrCreateVar("X" + std::to_string(v)));
+    }
+    for (size_t v = 1; v <= atoms; ++v) {
+      const size_t parent = shape == 0 ? v - 1 : shape == 1 ? 0 : rng.Below(v);
+      if (rng.Chance(0.5)) {
+        q.AddAtom(e, {vars[parent], vars[v]});
+      } else {
+        q.AddAtom(e, {vars[v], vars[parent]});
+      }
+    }
+    q.SetHead({vars[0]});
+    out.push_back(std::move(q));
+  }
+  return out;
+}
+
+void RunChurnShapedTask(benchmark::State& state, HomTask task) {
+  Rng rng(8112);
+  auto vocab = MakeGraphVocabulary();
+  const Structure db =
+      RandomGraphStructure(vocab, 512, 6.0 / 511, rng, /*symmetric=*/true);
+  const std::vector<ConjunctiveQuery> queries = ChurnShapedQueries(vocab, rng);
+  EngineOptions options;
+  options.backend = Backend::kAcyclic;
+  options.count_limit = kChurnShapedCountCap;
+  HomEngine engine(options);
+  size_t next = 0;
+  uint64_t answers = 0, semijoins = 0, join_rows = 0;
+  for (auto _ : state) {
+    auto problem = HomProblem::FromQuery(queries[next], db);
+    auto r = engine.Run(*problem, task);
+    if (r.ok()) {
+      answers += task == HomTask::kDecide ? r->decided : r->rows.size();
+      semijoins += r->stats.yannakakis.semijoins;
+      join_rows += r->stats.yannakakis.join_rows;
+    }
+    benchmark::DoNotOptimize(r);
+    next = (next + 1) % queries.size();
+  }
+  const double runs = static_cast<double>(state.iterations());
+  state.counters["answers_per_run"] = static_cast<double>(answers) / runs;
+  state.counters["semijoins_per_run"] = static_cast<double>(semijoins) / runs;
+  state.counters["join_rows_per_run"] = static_cast<double>(join_rows) / runs;
+}
+
+void BM_YannakakisTask_Decide(benchmark::State& state) {
+  RunChurnShapedTask(state, HomTask::kDecide);
+}
+void BM_YannakakisTask_Project(benchmark::State& state) {
+  RunChurnShapedTask(state, HomTask::kProject);
+}
+BENCHMARK(BM_YannakakisTask_Decide)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_YannakakisTask_Project)->Unit(benchmark::kMicrosecond);
 
 // Thread sweep over the morsel-parallel acyclic route (same instance and
 // caps as the Count series above, problem compiled once so the series

@@ -66,7 +66,8 @@ fi
 
 # ---- 3. sanitizer map (ROADMAP.md) ----------------------------------------
 # label-regex pairs per sanitizer; serve and solver-parallel are the
-# thread-heavy nets, durable parses arbitrarily corrupt bytes.
+# thread-heavy nets, durable parses arbitrarily corrupt bytes, and poly does
+# saturating count arithmetic and hash-chain index arithmetic.
 sanitize_step() {
   local sanitizer="$1" labels="$2"
   local dir="build-check-$sanitizer"
@@ -79,7 +80,7 @@ sanitize_step() {
 
 sanitize_step thread "serve|solver-parallel|poly"
 sanitize_step address "durable|robust|poly|engine"
-sanitize_step undefined "durable"
+sanitize_step undefined "durable|poly"
 
 echo
 if [ "$FAILED" -ne 0 ]; then

@@ -22,22 +22,31 @@ using rel::HashIndex;
 using rel::Table;
 
 /// One Yannakakis run: GYO, per-atom table materialization into the
-/// columnar kernel, semijoin reduction, then whichever task phase the
-/// caller asks for. After Prepare(/*full_reduce=*/true) every surviving
-/// row of every table participates in at least one solution — the
-/// invariant all four task phases lean on.
+/// columnar kernel, then only the passes the caller's task reads:
+///
+///   task              semijoin passes         match indexes
+///   decide            bottom-up               -
+///   count             none                    over the unreduced tables
+///   witness/enumerate bottom-up + top-down    over the reduced tables
+///   project(-count)   bottom-up + top-down    -
+///
+/// After the full reduction every surviving row of every table
+/// participates in at least one solution — the invariant the walk
+/// (witness/enumerate) and the join-project pass lean on. Count needs no
+/// reduction: it is one bottom-up sum-product pass in which a row whose
+/// subtree has no match simply sums to 0.
 ///
 /// Parallelism (num_threads > 1): per-atom materialization runs distinct
 /// (relation, layout) groups concurrently, the semijoin sweeps and join
 /// phase morsel-parallelize inside rel::Semijoin / rel::HashJoinAppend,
-/// the count DP splits its per-parent-row loop (disjoint cnt writes), and
-/// the match indexes build one-per-node concurrently — all on the shared
-/// MorselPool. Every phase merges or checks results at deterministic
-/// structural boundaries (atom order, node order, morsel order), so the
-/// answer AND the stats (minus workers/steals) match the sequential run
-/// byte for byte. The enumeration walk and ProjectDistinct stay
-/// sequential: their outputs are defined by global first-occurrence
-/// order.
+/// the count pass splits its per-parent-row loop (disjoint cnt writes),
+/// and the match indexes build one-per-node concurrently — all on the
+/// shared MorselPool. Every phase merges or checks results at
+/// deterministic structural boundaries (atom order, node order, morsel
+/// order), so the answer AND the stats (minus workers/steals) match the
+/// sequential run byte for byte. The enumeration walk, the count pass's
+/// per-key fold and ProjectDistinct stay sequential: their outputs are
+/// defined by row order.
 class Yannakakis {
  public:
   Yannakakis(const ConjunctiveQuery& q, const Structure& d,
@@ -59,33 +68,50 @@ class Yannakakis {
     }
   }
 
-  /// Validates, runs GYO, materializes, and semijoin-reduces (bottom-up
-  /// only for decide; + top-down and match indexes for the full program).
+  /// What a task phase reads; Prepare runs exactly those passes (see the
+  /// table above).
+  enum class Passes {
+    kDecide,   ///< bottom-up semijoins; satisfiable() is the answer
+    kCount,    ///< no semijoins; match indexes over the unreduced tables
+    kWalk,     ///< full reduction + match indexes (witness, enumerate)
+    kProject,  ///< full reduction, no match indexes (project, its count)
+  };
+
+  /// Validates, runs GYO, materializes, then runs `passes`.
   /// InvalidArgument for cyclic queries / vocabulary mismatch.
-  Status Prepare(bool full_reduce);
+  Status Prepare(Passes passes);
 
   /// False when some table emptied: no assignment satisfies the body.
+  /// After Prepare(kCount) only a materialized table can have emptied, so
+  /// true does not imply a solution exists.
   bool satisfiable() const { return satisfiable_; }
 
-  // The task phases below require Prepare(true) and satisfiable(). Each
-  // errors with kResourceExhausted on a governor trip; *out / the return
-  // value must then be discarded (the Unknown contract — no torn results).
+  // The task phases below require satisfiable() and the Prepare named on
+  // each. Each errors with kResourceExhausted on a governor trip; *out /
+  // the return value must then be discarded (the Unknown contract — no
+  // torn results).
 
   /// Appends up to max_results assignments (indexed by VarId) to *out.
+  /// Prepare(kWalk).
   Status Enumerate(size_t max_results, std::vector<std::vector<Element>>* out);
 
-  /// min(#assignments, limit).
+  /// min(#assignments, limit). Prepare(kCount).
   Result<size_t> Count(size_t limit);
 
   /// Distinct projections onto `proj`, up to max_results.
+  /// Prepare(kProject).
   Result<std::vector<std::vector<Element>>> Project(
       std::span<const VarId> proj, size_t max_results);
 
   /// min(#distinct projections onto `proj`, limit) via the same bottom-up
   /// reduction as Project, without assembling the cross product.
+  /// Prepare(kProject).
   Result<size_t> ProjectCount(std::span<const VarId> proj, size_t limit);
 
  private:
+  /// The semijoin passes: bottom-up, then top-down unless `passes` is
+  /// kDecide. Clears satisfiable_ when a table empties.
+  Status Reduce(Passes passes);
   Status MaterializeAll();
   /// Materializes atom `i`'s table (a group representative: no memo hit).
   /// Thread-safe against other groups — writes only tables_[i] and the
@@ -93,6 +119,9 @@ class Yannakakis {
   Status MaterializeGroup(size_t i, const std::vector<uint32_t>& col_of_arg);
   /// The bottom-up join-project pass shared by Project and ProjectCount:
   /// fills r_table/r_cols per node (see Project for the invariants).
+  /// r_table stays empty for a non-root node that keeps only its
+  /// connector: its parent's join with it is an identity, so no one
+  /// reads it.
   Status ProjectReduce(std::span<const VarId> proj,
                        std::vector<Table>* r_table,
                        std::vector<std::vector<VarId>>* r_cols);
@@ -145,8 +174,8 @@ class Yannakakis {
   std::vector<std::vector<VarId>> shared_vars_;
   std::vector<std::vector<uint32_t>> shared_child_cols_;
   std::vector<std::vector<uint32_t>> shared_parent_cols_;
-  // Match index per non-root node, keyed on shared_child_cols_, built
-  // over the fully reduced tables (full_reduce only).
+  // Match index per non-root node, keyed on shared_child_cols_ (kCount and
+  // kWalk only).
   std::vector<HashIndex> match_index_;
   std::vector<VarId> isolated_;               // variables in no atom
   std::vector<Element> assign_;               // Enumerate's scratch
@@ -163,7 +192,7 @@ class Yannakakis {
   bool satisfiable_ = false;
 };
 
-Status Yannakakis::Prepare(bool full_reduce) {
+Status Yannakakis::Prepare(Passes passes) {
   if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->Poll());
   CQCS_RETURN_IF_ERROR(q_.Validate());
   if (!q_.vocabulary()->Equals(*d_.vocabulary())) {
@@ -249,6 +278,40 @@ Status Yannakakis::Prepare(bool full_reduce) {
     }
   }
 
+  if (passes != Passes::kCount) CQCS_RETURN_IF_ERROR(Reduce(passes));
+  if (!satisfiable_ || passes == Passes::kDecide) return Status::OK();
+
+  // Match indexes for the count pass and the walk. Builds are independent
+  // per node (disjoint match_index_ slots), so they run as node-range
+  // morsels on the shared pool.
+  if (passes == Passes::kCount || passes == Passes::kWalk) {
+    match_index_.resize(m_);
+    auto body = [&](unsigned, size_t begin, size_t end) {
+      for (size_t node = begin; node < end; ++node) {
+        if (tree_.parent[node] == JoinTree::kNoParent) continue;
+        if (gov_ != nullptr && !gov_->Poll().ok()) return false;
+        match_index_[node].AttachGovernor(gov_);
+        match_index_[node].Build(
+            tables_[node].data(), tables_[node].width(),
+            static_cast<uint32_t>(tables_[node].row_count()),
+            shared_child_cols_[node]);
+      }
+      return true;
+    };
+    mc_.MergeFrom(MorselPool::Shared().Run(m_, threads_, 64, body));
+    if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->TripStatus());
+  }
+
+  // Forest pre-order for the enumeration walk (parents before children).
+  if (passes == Passes::kWalk) {
+    seq_.reserve(m_);
+    for (size_t i = order_.size(); i-- > 0;) seq_.push_back(order_[i]);
+  }
+  if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->TripStatus());
+  return Status::OK();
+}
+
+Status Yannakakis::Reduce(Passes passes) {
   // Bottom-up pass: parent := parent ⋉ child, children first, so every
   // table is final for its own parent's filtering. Governed runs poll
   // once per semijoin — each is one bounded table sweep.
@@ -277,7 +340,7 @@ Status Yannakakis::Prepare(bool full_reduce) {
   // reduced — catch it here so satisfiable() is never read off a
   // half-reduced program.
   if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->TripStatus());
-  if (!full_reduce) return Status::OK();
+  if (passes == Passes::kDecide) return Status::OK();
 
   // Top-down pass: child := child ⋉ parent, parents first. A parent row
   // always keeps at least one match in each child (the match that let it
@@ -300,32 +363,6 @@ Status Yannakakis::Prepare(bool full_reduce) {
       CQCS_CHECK(!tables_[child].empty());
     }
   }
-
-  // Final match indexes for the task phases. Builds are independent per
-  // node (disjoint match_index_ slots), so they run as node-range morsels
-  // on the shared pool.
-  match_index_.resize(m_);
-  {
-    auto body = [&](unsigned, size_t begin, size_t end) {
-      for (size_t node = begin; node < end; ++node) {
-        if (tree_.parent[node] == JoinTree::kNoParent) continue;
-        if (gov_ != nullptr && !gov_->Poll().ok()) return false;
-        match_index_[node].AttachGovernor(gov_);
-        match_index_[node].Build(
-            tables_[node].data(), tables_[node].width(),
-            static_cast<uint32_t>(tables_[node].row_count()),
-            shared_child_cols_[node]);
-      }
-      return true;
-    };
-    mc_.MergeFrom(MorselPool::Shared().Run(m_, threads_, 64, body));
-    if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->TripStatus());
-  }
-
-  // Forest pre-order for the enumeration walk (parents before children).
-  seq_.reserve(m_);
-  for (size_t i = order_.size(); i-- > 0;) seq_.push_back(order_[i]);
-  if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->TripStatus());
   return Status::OK();
 }
 
@@ -399,14 +436,10 @@ Status Yannakakis::MaterializeGroup(size_t i,
   tables_[i] = Table(width);
   Table& table = tables_[i];
   table.AttachGovernor(gov_);
-  HashIndex dedup;
-  dedup.AttachGovernor(gov_);
-  std::vector<uint32_t> all_cols(width);
-  for (uint32_t c = 0; c < width; ++c) all_cols[c] = c;
-  dedup.Reset(width, all_cols);
-
   const Relation& rel = d_.relation(atom.rel);
-  std::vector<Element> row(width);
+  // Without repeated variables every tuple lands: size the buffer once.
+  if (width == atom.args.size()) table.Reserve(rel.tuple_count());
+
   uint64_t tick = 0;  // local stride: groups poll concurrently
   for (uint32_t t = 0; t < rel.tuple_count(); ++t) {
     if (gov_ != nullptr && (++tick & 1023) == 0) {
@@ -421,11 +454,28 @@ Status Yannakakis::MaterializeGroup(size_t i,
       }
     }
     if (!ok) continue;
+    Element* row = table.AppendRowSlot();
     for (size_t p = 0; p < tup.size(); ++p) row[col_of_arg[p]] = tup[p];
-    if (dedup.FindFirst(table.data(), row) != HashIndex::kNone) continue;
-    table.AppendRow(row);
-    dedup.Add(table.data(), static_cast<uint32_t>(table.row_count() - 1));
   }
+
+  // Bulk dedup: one build keyed on every column. Insert prepends, so each
+  // key's chain ends at its first occurrence (Next == kNone); keeping
+  // exactly those rows, ascending, is first-occurrence dedup in order.
+  const uint32_t rows = static_cast<uint32_t>(table.row_count());
+  std::vector<uint32_t> all_cols(width);
+  for (uint32_t c = 0; c < width; ++c) all_cols[c] = c;
+  HashIndex dedup;
+  dedup.AttachGovernor(gov_);
+  dedup.Build(table.data(), width, rows, std::move(all_cols));
+  std::vector<uint32_t> keep;
+  keep.reserve(rows);
+  for (uint32_t r = 0; r < rows; ++r) {
+    if (gov_ != nullptr && (++tick & 1023) == 0) {
+      CQCS_RETURN_IF_ERROR(gov_->Poll());
+    }
+    if (dedup.Next(r) == HashIndex::kNone) keep.push_back(r);
+  }
+  if (keep.size() < rows) table.KeepRows(keep);
   return Status::OK();
 }
 
@@ -524,19 +574,34 @@ Status Yannakakis::Enumerate(size_t max_results,
 
 Result<size_t> Yannakakis::Count(size_t limit) {
   CQCS_CHECK(satisfiable_);
-  // Bottom-up product/sum DP: cnt[node][r] = number of assignments of
-  // node's subtree variables extending row r. The (node, child) order is
-  // a data dependency; the per-parent-row loop inside one pair is not —
-  // each row r writes only cnt[node][r] — so it splits into row morsels.
-  // Saturation makes each cnt entry depend only on the child's finished
-  // column, never on neighbors, so the parallel result is bitwise the
-  // sequential one.
+  // One bottom-up sum-product pass over the unreduced tables: cnt[node][r]
+  // = min(#assignments of node's subtree variables extending row r, limit).
+  // A row whose subtree has no match sums to 0 — exactly what the semijoin
+  // passes would have pruned — and saturation is exact in any order, since
+  // min(a·b, L) = min(min(a,L)·min(b,L), L) and likewise for sums.
+  //
+  // Per child, an ascending fold turns cnt[child] into per-key suffix sums
+  // along the match chains: Insert prepends, so Next(s) < s, and each
+  // chain head ends up holding its whole key's sum. A parent row then
+  // costs one FindFirst. The (node, child) order and the fold are data
+  // dependencies; the per-parent-row loop is not — each row r writes only
+  // cnt[node][r] — so it splits into row morsels and the parallel result
+  // is bitwise the sequential one.
   std::vector<std::vector<size_t>> cnt(m_);
   for (uint32_t node : order_) {
     const Table& table = tables_[node];
     cnt[node].assign(table.row_count(), 1);
     for (uint32_t child : children_[node]) {
       const Table& ct = tables_[child];
+      const HashIndex& index = match_index_[child];
+      std::vector<size_t>& agg = cnt[child];
+      for (uint32_t s = 0; s < agg.size(); ++s) {
+        CQCS_RETURN_IF_ERROR(PollTick());
+        const uint32_t next = index.Next(s);
+        if (next != HashIndex::kNone) {
+          agg[s] = SatAdd(agg[s], agg[next], limit);
+        }
+      }
       auto body = [&](unsigned, size_t begin, size_t end) {
         std::vector<Element> key;
         for (size_t r = begin; r < end; ++r) {
@@ -547,18 +612,17 @@ Result<size_t> Yannakakis::Count(size_t limit) {
           std::span<const Element> row = table.row(r);
           key.clear();
           for (uint32_t c : shared_parent_cols_[child]) key.push_back(row[c]);
-          size_t sum = 0;
-          for (uint32_t s = match_index_[child].FindFirst(ct.data(), key);
-               s != HashIndex::kNone; s = match_index_[child].Next(s)) {
-            sum = SatAdd(sum, cnt[child][s], limit);
-          }
-          cnt[node][r] = SatMul(cnt[node][r], sum, limit);
+          const uint32_t head = index.FindFirst(ct.data(), key);
+          cnt[node][r] = head == HashIndex::kNone
+                             ? 0
+                             : SatMul(cnt[node][r], agg[head], limit);
         }
         return true;
       };
       mc_.MergeFrom(
           MorselPool::Shared().Run(table.row_count(), threads_, 0, body));
       if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->TripStatus());
+      agg = std::vector<size_t>();  // read by this parent only
     }
   }
   size_t total = 1;
@@ -591,7 +655,9 @@ Status Yannakakis::ProjectReduce(std::span<const VarId> proj,
   index.AttachGovernor(gov_);
   scratch.AttachGovernor(gov_);
   for (uint32_t node : order_) {
-    Table cur = tables_[node];  // governed copy: inherits the attachment
+    // `cur` reads the node's own table until the first join replaces it.
+    Table joined;
+    const Table* cur = &tables_[node];
     std::vector<VarId> cur_cols = vars_[node];
     for (uint32_t child : children_[node]) {
       if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->Poll());
@@ -600,37 +666,45 @@ Status Yannakakis::ProjectReduce(std::span<const VarId> proj,
       // also occurs above it must occur in the child's bag too (running
       // intersection), so the extras are always fresh columns.
       const std::vector<VarId>& shared = shared_vars_[child];
-      std::vector<uint32_t> left_key, right_key, extras;
+      const std::vector<VarId>& child_cols = (*r_cols)[child];
+      std::vector<uint32_t> extras;
       std::vector<VarId> extra_vars;
-      for (VarId v : shared) {
-        left_key.push_back(static_cast<uint32_t>(
-            std::find(cur_cols.begin(), cur_cols.end(), v) -
-            cur_cols.begin()));
-      }
-      for (size_t i = 0; i < (*r_cols)[child].size(); ++i) {
-        VarId v = (*r_cols)[child][i];
+      for (size_t i = 0; i < child_cols.size(); ++i) {
+        VarId v = child_cols[i];
         if (std::find(shared.begin(), shared.end(), v) != shared.end()) {
           continue;
         }
         extras.push_back(static_cast<uint32_t>(i));
         extra_vars.push_back(v);
       }
-      for (VarId v : shared) {
-        right_key.push_back(static_cast<uint32_t>(
-            std::find((*r_cols)[child].begin(), (*r_cols)[child].end(), v) -
-            (*r_cols)[child].begin()));
+      // Identity join: a child adding no columns would hold exactly the
+      // distinct connector values of its reduced subtree, and after the
+      // full reduction every row of `cur` has its connector value there —
+      // one match per row, in row order — so the join would reproduce
+      // `cur`. (That child's R is therefore never built; see below.)
+      if (!extras.empty()) {
+        std::vector<uint32_t> left_key, right_key;
+        for (VarId v : shared) {
+          left_key.push_back(static_cast<uint32_t>(
+              std::find(cur_cols.begin(), cur_cols.end(), v) -
+              cur_cols.begin()));
+          right_key.push_back(static_cast<uint32_t>(
+              std::find(child_cols.begin(), child_cols.end(), v) -
+              child_cols.begin()));
+        }
+        index.Build((*r_table)[child].data(), (*r_table)[child].width(),
+                    static_cast<uint32_t>((*r_table)[child].row_count()),
+                    std::move(right_key));
+        Table next(static_cast<uint32_t>(cur->width() + extras.size()));
+        next.AttachGovernor(gov_);
+        rel::HashJoinAppend(*cur, left_key, (*r_table)[child], index, extras,
+                            &next, gov_, Par());
+        joined = std::move(next);
+        cur = &joined;
+        cur_cols.insert(cur_cols.end(), extra_vars.begin(), extra_vars.end());
       }
-      index.Build((*r_table)[child].data(), (*r_table)[child].width(),
-                  static_cast<uint32_t>((*r_table)[child].row_count()),
-                  right_key);
-      Table next(static_cast<uint32_t>(cur.width() + extras.size()));
-      next.AttachGovernor(gov_);
-      rel::HashJoinAppend(cur, left_key, (*r_table)[child], index, extras,
-                          &next, gov_, Par());
-      cur = std::move(next);
-      cur_cols.insert(cur_cols.end(), extra_vars.begin(), extra_vars.end());
-      if (stats_ != nullptr) stats_->join_rows += cur.row_count();
-      BumpTable(cur.row_count());
+      if (stats_ != nullptr) stats_->join_rows += cur->row_count();
+      BumpTable(cur->row_count());
     }
     // Keep projection columns plus the connector to the parent.
     std::vector<uint32_t> keep_cols;
@@ -647,11 +721,19 @@ Status Yannakakis::ProjectReduce(std::span<const VarId> proj,
         keep_vars.push_back(v);
       }
     }
+    // A non-root node keeping only its connector adds no columns, so its
+    // parent's join with it is an identity that never reads R[node]: the
+    // projection is dead. Skipping it leaves max_table_rows as it was:
+    // R[node] never has more rows than `cur`, and `cur` never more than a
+    // table already counted (its join, or its atom table as materialized).
+    const bool connector_only = tree_.parent[node] != JoinTree::kNoParent &&
+                                keep_vars.size() == shared_vars_[node].size();
+    (*r_cols)[node] = std::move(keep_vars);
+    if (connector_only) continue;
     (*r_table)[node] = Table(static_cast<uint32_t>(keep_cols.size()));
     (*r_table)[node].AttachGovernor(gov_);
-    rel::ProjectDistinct(cur, keep_cols, &(*r_table)[node], &scratch,
+    rel::ProjectDistinct(*cur, keep_cols, &(*r_table)[node], &scratch,
                          SIZE_MAX, gov_);
-    (*r_cols)[node] = std::move(keep_vars);
     BumpTable((*r_table)[node].row_count());
     if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->TripStatus());
   }
@@ -774,7 +856,7 @@ Result<bool> EvaluateBooleanAcyclic(const ConjunctiveQuery& q,
                                     ResourceGovernor* governor,
                                     unsigned num_threads) {
   Yannakakis run(q, d, stats, governor, num_threads);
-  CQCS_RETURN_IF_ERROR(run.Prepare(/*full_reduce=*/false));
+  CQCS_RETURN_IF_ERROR(run.Prepare(Yannakakis::Passes::kDecide));
   CQCS_RETURN_IF_ERROR(FinalTrip(governor));
   return run.satisfiable();
 }
@@ -783,7 +865,7 @@ Result<std::optional<std::vector<Element>>> AcyclicWitness(
     const ConjunctiveQuery& q, const Structure& d, YannakakisStats* stats,
     ResourceGovernor* governor, unsigned num_threads) {
   Yannakakis run(q, d, stats, governor, num_threads);
-  CQCS_RETURN_IF_ERROR(run.Prepare(/*full_reduce=*/true));
+  CQCS_RETURN_IF_ERROR(run.Prepare(Yannakakis::Passes::kWalk));
   if (!run.satisfiable()) {
     CQCS_RETURN_IF_ERROR(FinalTrip(governor));
     return std::optional<std::vector<Element>>();
@@ -800,7 +882,7 @@ Result<size_t> AcyclicCount(const ConjunctiveQuery& q, const Structure& d,
                             ResourceGovernor* governor,
                             unsigned num_threads) {
   Yannakakis run(q, d, stats, governor, num_threads);
-  CQCS_RETURN_IF_ERROR(run.Prepare(/*full_reduce=*/true));
+  CQCS_RETURN_IF_ERROR(run.Prepare(Yannakakis::Passes::kCount));
   if (!run.satisfiable()) {
     CQCS_RETURN_IF_ERROR(FinalTrip(governor));
     return size_t{0};
@@ -816,7 +898,7 @@ Result<std::vector<std::vector<Element>>> AcyclicEnumerate(
     YannakakisStats* stats, ResourceGovernor* governor,
     unsigned num_threads) {
   Yannakakis run(q, d, stats, governor, num_threads);
-  CQCS_RETURN_IF_ERROR(run.Prepare(/*full_reduce=*/true));
+  CQCS_RETURN_IF_ERROR(run.Prepare(Yannakakis::Passes::kWalk));
   std::vector<std::vector<Element>> out;
   if (!run.satisfiable()) {
     CQCS_RETURN_IF_ERROR(FinalTrip(governor));
@@ -838,7 +920,7 @@ Result<std::vector<std::vector<Element>>> AcyclicProject(
     }
   }
   Yannakakis run(q, d, stats, governor, num_threads);
-  CQCS_RETURN_IF_ERROR(run.Prepare(/*full_reduce=*/true));
+  CQCS_RETURN_IF_ERROR(run.Prepare(Yannakakis::Passes::kProject));
   if (!run.satisfiable()) {
     CQCS_RETURN_IF_ERROR(FinalTrip(governor));
     return std::vector<std::vector<Element>>();
@@ -862,7 +944,7 @@ Result<size_t> AcyclicProjectCount(const ConjunctiveQuery& q,
     }
   }
   Yannakakis run(q, d, stats, governor, num_threads);
-  CQCS_RETURN_IF_ERROR(run.Prepare(/*full_reduce=*/true));
+  CQCS_RETURN_IF_ERROR(run.Prepare(Yannakakis::Passes::kProject));
   if (!run.satisfiable()) {
     CQCS_RETURN_IF_ERROR(FinalTrip(governor));
     return size_t{0};

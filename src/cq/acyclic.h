@@ -6,12 +6,13 @@
 // bottom-up + top-down semijoin reduction every surviving table row
 // participates in at least one solution, which makes witness extraction a
 // single top-down walk, enumeration output-bounded (poly delay per
-// solution), counting a bottom-up product/sum DP, and projection a
-// bottom-up join-project pass whose intermediates stay bounded by
-// input x output (the size-bound frame of Valiant & Valiant,
-// arXiv:0909.2030). Tables live in the columnar rel/ kernel: flat
-// rel::Table rows, open-addressing rel::HashIndex probes, no per-row
-// allocation.
+// solution), and projection a bottom-up join-project pass whose
+// intermediates stay bounded by input x output (the size-bound frame of
+// Valiant & Valiant, arXiv:0909.2030). Counting needs no reduction: it is
+// one bottom-up sum-product pass in which a row with no match below sums
+// to 0. Each task runs only the passes it reads. Tables live in the
+// columnar rel/ kernel: flat rel::Table rows, open-addressing
+// rel::HashIndex probes, no per-row allocation.
 //
 // Containment Q1 ⊆ Q2 with acyclic Q2 is then polynomial: attach the head
 // markers to Q2 (unary atoms keep it acyclic) and evaluate over D_{Q1}.
@@ -54,7 +55,9 @@ struct YannakakisStats {
   uint64_t rows_materialized = 0; ///< distinct rows loaded into atom tables
   uint64_t max_table_rows = 0;    ///< peak rows in any one table
   uint64_t semijoins = 0;         ///< semijoin operator applications
+                                  ///< (0 on count: it runs no semijoins)
   uint64_t rows_pruned = 0;       ///< rows removed by the semijoin passes
+                                  ///< (0 on count)
   uint64_t join_rows = 0;         ///< rows produced by the projection phase
   unsigned workers = 0;           ///< resolved worker count of the run
   uint64_t morsels = 0;           ///< morsel dispatches across all passes
@@ -81,7 +84,7 @@ Result<JoinTree> BuildJoinTree(const ConjunctiveQuery& q);
 ///
 /// They also take `num_threads` (same convention as
 /// SolveOptions::num_threads: 1 = sequential, 0 = one per hardware
-/// thread, N = N workers): the materialization, semijoin, count-DP, and
+/// thread, N = N workers): the materialization, semijoin, count, and
 /// join phases then run as morsels on the shared MorselPool. Results and
 /// all stats except workers/steals are byte-identical at every thread
 /// count — parallelism changes wall-clock, never the answer.
@@ -93,11 +96,12 @@ Result<bool> EvaluateBooleanAcyclic(const ConjunctiveQuery& q,
 
 // -- Assignment-level tasks. -----------------------------------------------
 //
-// The following run the full reduction (bottom-up + top-down) and answer
-// about total assignments of ALL q.var_count() variables into d's
-// universe: a variable in no atom ranges freely over the universe (for
-// the canonical query of a structure, those are the isolated source
-// elements). Errors mirror EvaluateBooleanAcyclic.
+// The following answer about total assignments of ALL q.var_count()
+// variables into d's universe: a variable in no atom ranges freely over
+// the universe (for the canonical query of a structure, those are the
+// isolated source elements). Witness, enumerate and the projections run
+// the full reduction (bottom-up + top-down); count runs none. Errors
+// mirror EvaluateBooleanAcyclic.
 
 /// One satisfying assignment (indexed by VarId), or nullopt.
 Result<std::optional<std::vector<Element>>> AcyclicWitness(
@@ -107,7 +111,9 @@ Result<std::optional<std::vector<Element>>> AcyclicWitness(
 
 /// Number of satisfying assignments, saturated at `limit` (the result is
 /// min(true count, limit), so callers can cap astronomically large
-/// counts without overflow).
+/// counts without overflow). One bottom-up sum-product pass over the
+/// unreduced atom tables; saturation is exact in any order, since
+/// min(a·b, L) = min(min(a,L)·min(b,L), L).
 Result<size_t> AcyclicCount(const ConjunctiveQuery& q, const Structure& d,
                             size_t limit = SIZE_MAX,
                             YannakakisStats* stats = nullptr,

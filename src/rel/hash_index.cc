@@ -157,8 +157,8 @@ void HashIndex::Insert(const Element* base, uint32_t row) {
   size_t slot = HashRow(base, row) & mask;
   while (slots_[slot] != kNone) {
     if (RowsMatch(base, slots_[slot], row)) {
-      // Same key: prepend to the chain (order within a key is irrelevant
-      // to every operator).
+      // Same key: prepend to the chain. Chains therefore run in
+      // descending row order, which Yannakakis relies on (see Next()).
       next_[row] = slots_[slot];
       slots_[slot] = row;
       return;

@@ -130,7 +130,10 @@ class HashIndex {
   /// key_cols().size().
   void FindFirstBatch(const Element* base, ProbeBatch* batch) const;
 
-  /// Next row with the same key as `row`, or kNone.
+  /// Next row with the same key as `row`, or kNone. A chain runs in
+  /// descending row order — Next(row) < row, FindFirst returns the key's
+  /// last row, and Next(row) == kNone exactly at its first — which
+  /// Yannakakis' count fold and bulk dedup rely on (cq/acyclic.cc).
   uint32_t Next(uint32_t row) const { return next_[row]; }
 
   /// Rows indexed so far.

@@ -15,6 +15,7 @@
 #include "common/saturating.h"
 #include "core/homomorphism.h"
 #include "core/io.h"
+#include "cq/acyclic.h"
 #include "cq/parser.h"
 #include "datalog/parser.h"
 #include "gen/generators.h"
@@ -732,6 +733,94 @@ TEST(GovernorEngineTest, GovernedRunThatFitsBudgetMatchesUngoverned) {
       EXPECT_TRUE(IsHomomorphism(a, b, *r.witness));
     }
     EXPECT_NE(r.stats.ToJson().find("\"governor\":{"), std::string::npos);
+  }
+}
+
+// The acyclic count and project runs on a churn-shaped instance (a tree
+// query into G(64, deg 6)), with a trip injected at every poll and at every
+// charge in turn. Each trip must surface as kResourceExhausted with no
+// count or rows, every charged byte must be released, and the next
+// ungoverned run must still give the ungoverned answer.
+TEST(GovernorEngineTest, AcyclicCountAndProjectTripAtEveryCheckAndCharge) {
+  Rng rng(7020);
+  auto vocab = MakeGraphVocabulary();
+  Structure a = StructureFromGraph(vocab, RandomTree(6, rng));
+  Structure b = RandomGraphStructure(vocab, 64, 6.0 / 63, rng,
+                                     /*symmetric=*/true);
+  HomProblem p = MustProblem(HomProblem::FromStructures(a, b));
+  const ConjunctiveQuery& q = p.SourceCanonicalQuery();
+  const std::vector<VarId> proj = {0, static_cast<VarId>(q.var_count() - 1)};
+  constexpr size_t kLimit = 1000;
+
+  // One run of the task; the answer folds a count or rows into rows.
+  auto run = [&](bool project, ResourceGovernor* gov,
+                 std::vector<std::vector<Element>>* answer) -> Status {
+    if (project) {
+      auto rows = AcyclicProject(q, b, proj, SIZE_MAX, nullptr, gov);
+      if (rows.ok()) *answer = *std::move(rows);
+      return rows.status();
+    }
+    auto count = AcyclicCount(q, b, kLimit, nullptr, gov);
+    if (count.ok()) *answer = {{static_cast<Element>(*count)}};
+    return count.status();
+  };
+
+  for (bool project : {false, true}) {
+    SCOPED_TRACE(project ? "project" : "count");
+    std::vector<std::vector<Element>> want;
+    ASSERT_TRUE(run(project, nullptr, &want).ok());
+    ASSERT_FALSE(want.empty());
+
+    // A governed run that fits its budget: same answer, nothing left
+    // charged, and the number of polls to sweep.
+    uint64_t checks = 0;
+    {
+      ResourceGovernor fits(/*deadline_ms=*/60'000, /*memory=*/256u << 20);
+      std::vector<std::vector<Element>> got;
+      ASSERT_TRUE(run(project, &fits, &got).ok());
+      EXPECT_EQ(got, want);
+      EXPECT_GT(fits.peak_bytes(), 0u);
+      EXPECT_EQ(fits.bytes_in_use(), 0u);
+      checks = fits.checks();
+      ASSERT_GT(checks, 0u);
+    }
+
+    // Runs under `fp`; true when the run tripped (and did so cleanly).
+    auto run_tripping = [&](const GovernorFailpoints& fp) {
+      ResourceGovernor gov;
+      gov.set_failpoints(fp);
+      std::vector<std::vector<Element>> got;
+      Status s = run(project, &gov, &got);
+      EXPECT_EQ(gov.bytes_in_use(), 0u);
+      if (s.ok()) {
+        EXPECT_FALSE(gov.tripped());
+        EXPECT_EQ(got, want);
+        return false;
+      }
+      EXPECT_EQ(s.code(), StatusCode::kResourceExhausted) << s.ToString();
+      EXPECT_EQ(gov.trip_cause(), TripCause::kFailpoint);
+      EXPECT_TRUE(got.empty());
+      std::vector<std::vector<Element>> again;
+      EXPECT_TRUE(run(project, nullptr, &again).ok());
+      EXPECT_EQ(again, want);
+      return true;
+    };
+    for (uint64_t k = 1; k <= checks; ++k) {
+      SCOPED_TRACE(testing::Message() << "trip_after_checks=" << k);
+      GovernorFailpoints fp;
+      fp.trip_after_checks = k;
+      EXPECT_TRUE(run_tripping(fp));
+    }
+    // Charges have no counter to read: sweep until a run gets through.
+    uint64_t k = 1;
+    for (;; ++k) {
+      SCOPED_TRACE(testing::Message() << "trip_after_charges=" << k);
+      ASSERT_LT(k, 10'000u);
+      GovernorFailpoints fp;
+      fp.trip_after_charges = k;
+      if (!run_tripping(fp)) break;
+    }
+    EXPECT_GT(k, 1u);
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
@@ -17,9 +18,11 @@
 
 #include "api/engine.h"
 #include "common/rng.h"
+#include "common/saturating.h"
 #include "core/homomorphism.h"
 #include "cq/acyclic.h"
 #include "gen/generators.h"
+#include "rel/hash_index.h"
 #include "solver/backtracking.h"
 #include "treewidth/hom_dp.h"
 
@@ -683,6 +686,591 @@ TEST(PolyOracleTest, PrunedBagWalkDegenerateShapes) {
   TreeDecomposition td = *HeuristicDecomposition(path);
   td.AddNode({}, 0);
   ExpectMatchesOdometer(path, CliqueStructure(vocab, 2), td);
+}
+
+// ---- The one-pass count and the pruned projection against the full
+// reduction. ----------------------------------------------------------------
+//
+// AcyclicCount runs one bottom-up sum-product pass over the unreduced atom
+// tables, and AcyclicProject skips the joins with children that add no
+// columns. The reference below is the program they replaced, kept here only
+// as the oracle, over std containers: probe-then-append materialization,
+// the bottom-up and top-down semijoin passes, a count DP that walks every
+// match of every parent row, and a join-project pass that joins every
+// child. Its join emits a left row's matches newest first — the hash
+// index's chain order — so reference and kernel agree row for row.
+
+using Rows = std::vector<std::vector<Element>>;
+
+class ReferenceYannakakis {
+ public:
+  ReferenceYannakakis(const ConjunctiveQuery& q, const Structure& d)
+      : q_(q), d_(d), m_(q.atoms().size()) {
+    tree_ = *BuildJoinTree(q);
+    Materialize();
+    Shape();
+    for (const Rows& t : tables_) {
+      if (t.empty()) return;
+    }
+    satisfiable_ = Reduce();
+  }
+
+  uint64_t rows_materialized() const { return rows_materialized_; }
+  uint64_t materialized_max() const { return materialized_max_; }
+  uint64_t rows_pruned() const { return rows_pruned_; }
+
+  /// min(#assignments, limit): the saturated product/sum DP over the
+  /// reduced tables, summing each parent row's matches one by one.
+  size_t Count(size_t limit) const {
+    if (!satisfiable_) return 0;
+    std::vector<std::vector<size_t>> cnt(m_);
+    for (uint32_t node : order_) {
+      cnt[node].assign(tables_[node].size(), 1);
+      for (uint32_t child : children_[node]) {
+        for (size_t r = 0; r < tables_[node].size(); ++r) {
+          const auto key = Key(node, tables_[node][r], shared_[child]);
+          size_t sum = 0;
+          for (size_t s = 0; s < tables_[child].size(); ++s) {
+            if (Key(child, tables_[child][s], shared_[child]) == key) {
+              sum = SatAdd(sum, cnt[child][s], limit);
+            }
+          }
+          cnt[node][r] = SatMul(cnt[node][r], sum, limit);
+        }
+      }
+    }
+    size_t total = 1;
+    for (uint32_t root : roots_) {
+      size_t tree_total = 0;
+      for (size_t c : cnt[root]) tree_total = SatAdd(tree_total, c, limit);
+      total = SatMul(total, tree_total, limit);
+    }
+    for (size_t k = 0; k < isolated_.size(); ++k) {
+      total = SatMul(total, d_.universe_size(), limit);
+    }
+    return total;
+  }
+
+  struct Projection {
+    Rows rows;
+    uint64_t join_rows = 0;
+    uint64_t max_table_rows = 0;
+  };
+
+  /// Distinct projections onto `proj` in AcyclicProject's order, with the
+  /// join_rows and max_table_rows that every-child joining produces.
+  Projection Project(std::span<const VarId> proj) const {
+    Projection out;
+    out.max_table_rows = materialized_max_;
+    if (!satisfiable_) return out;
+    if (d_.universe_size() == 0 && q_.var_count() > 0) return out;
+    std::vector<uint8_t> in_proj(q_.var_count(), 0);
+    for (VarId v : proj) in_proj[v] = 1;
+    auto bump = [&](size_t rows) {
+      out.max_table_rows = std::max<uint64_t>(out.max_table_rows, rows);
+    };
+    std::vector<Rows> r_table(m_);
+    std::vector<std::vector<VarId>> r_cols(m_);
+    for (uint32_t node : order_) {
+      Rows cur = tables_[node];
+      std::vector<VarId> cols = vars_[node];
+      for (uint32_t child : children_[node]) {
+        std::vector<size_t> extras;
+        for (size_t i = 0; i < r_cols[child].size(); ++i) {
+          if (!Contains(shared_[child], r_cols[child][i])) extras.push_back(i);
+        }
+        Rows next;
+        for (const auto& row : cur) {
+          const auto key = Project(cols, row, shared_[child]);
+          for (size_t s = r_table[child].size(); s-- > 0;) {
+            if (Project(r_cols[child], r_table[child][s], shared_[child]) !=
+                key) {
+              continue;
+            }
+            std::vector<Element> joined = row;
+            for (size_t i : extras) joined.push_back(r_table[child][s][i]);
+            next.push_back(std::move(joined));
+          }
+        }
+        for (size_t i : extras) cols.push_back(r_cols[child][i]);
+        cur = std::move(next);
+        out.join_rows += cur.size();
+        bump(cur.size());
+      }
+      std::vector<VarId> keep;
+      for (VarId v : cols) {
+        const bool connector = tree_.parent[node] != JoinTree::kNoParent &&
+                               Contains(shared_[node], v);
+        if (in_proj[v] || connector) keep.push_back(v);
+      }
+      std::set<std::vector<Element>> seen;
+      for (const auto& row : cur) {
+        auto projected = Project(cols, row, keep);
+        if (seen.insert(projected).second) {
+          r_table[node].push_back(std::move(projected));
+        }
+      }
+      r_cols[node] = std::move(keep);
+      bump(r_table[node].size());
+    }
+    // Cross product over the trees' rows and the isolated projection
+    // variables: isolated values turn fastest, then tree 0's row, ...
+    std::vector<VarId> iso_proj;
+    for (VarId v : isolated_) {
+      if (in_proj[v]) iso_proj.push_back(v);
+    }
+    std::vector<Element> value_of(q_.var_count(), 0);
+    std::vector<size_t> root_row(roots_.size(), 0);
+    std::vector<Element> iso_val(iso_proj.size(), 0);
+    while (true) {
+      for (size_t t = 0; t < roots_.size(); ++t) {
+        const auto& cols = r_cols[roots_[t]];
+        for (size_t i = 0; i < cols.size(); ++i) {
+          value_of[cols[i]] = r_table[roots_[t]][root_row[t]][i];
+        }
+      }
+      for (size_t i = 0; i < iso_proj.size(); ++i) {
+        value_of[iso_proj[i]] = iso_val[i];
+      }
+      std::vector<Element> row;
+      for (VarId v : proj) row.push_back(value_of[v]);
+      out.rows.push_back(std::move(row));
+      size_t k = 0;
+      while (k < iso_val.size() && ++iso_val[k] == d_.universe_size()) {
+        iso_val[k++] = 0;
+      }
+      if (k < iso_val.size()) continue;
+      size_t t = 0;
+      while (t < roots_.size() &&
+             ++root_row[t] == r_table[roots_[t]].size()) {
+        root_row[t++] = 0;
+      }
+      if (t == roots_.size()) break;
+    }
+    return out;
+  }
+
+ private:
+  static bool Contains(const std::vector<VarId>& vars, VarId v) {
+    return std::find(vars.begin(), vars.end(), v) != vars.end();
+  }
+  /// `row` (columns `cols`) read off at the variables `on`.
+  static std::vector<Element> Project(const std::vector<VarId>& cols,
+                                      const std::vector<Element>& row,
+                                      const std::vector<VarId>& on) {
+    std::vector<Element> out;
+    for (VarId v : on) {
+      out.push_back(row[std::find(cols.begin(), cols.end(), v) - cols.begin()]);
+    }
+    return out;
+  }
+  std::vector<Element> Key(uint32_t node, const std::vector<Element>& row,
+                           const std::vector<VarId>& on) const {
+    return Project(vars_[node], row, on);
+  }
+
+  void Materialize() {
+    vars_.resize(m_);
+    tables_.resize(m_);
+    std::vector<uint8_t> in_atom(q_.var_count(), 0);
+    for (size_t i = 0; i < m_; ++i) {
+      const Atom& atom = q_.atoms()[i];
+      vars_[i].assign(atom.args.begin(), atom.args.end());
+      std::sort(vars_[i].begin(), vars_[i].end());
+      vars_[i].erase(std::unique(vars_[i].begin(), vars_[i].end()),
+                     vars_[i].end());
+      for (VarId v : atom.args) in_atom[v] = 1;
+      const Relation& rel = d_.relation(atom.rel);
+      std::set<std::vector<Element>> seen;
+      for (size_t t = 0; t < rel.tuple_count(); ++t) {
+        std::map<VarId, Element> value;
+        bool ok = true;
+        for (size_t p = 0; p < atom.args.size(); ++p) {
+          auto [it, fresh] = value.emplace(atom.args[p], rel.tuple(t)[p]);
+          ok = ok && it->second == rel.tuple(t)[p];
+        }
+        if (!ok) continue;
+        std::vector<Element> row;
+        for (VarId v : vars_[i]) row.push_back(value[v]);
+        if (seen.insert(row).second) tables_[i].push_back(std::move(row));
+      }
+      rows_materialized_ += tables_[i].size();
+      materialized_max_ =
+          std::max<uint64_t>(materialized_max_, tables_[i].size());
+    }
+    for (VarId v = 0; v < q_.var_count(); ++v) {
+      if (!in_atom[v]) isolated_.push_back(v);
+    }
+  }
+
+  /// Children lists (ascending), roots, shared variables, and a
+  /// children-first order (deepest nodes first).
+  void Shape() {
+    children_.resize(m_);
+    shared_.resize(m_);
+    std::vector<size_t> depth(m_, 0);
+    for (uint32_t i = 0; i < m_; ++i) {
+      const uint32_t p = tree_.parent[i];
+      if (p == JoinTree::kNoParent) {
+        roots_.push_back(i);
+        continue;
+      }
+      children_[p].push_back(i);
+      std::set_intersection(vars_[i].begin(), vars_[i].end(),
+                            vars_[p].begin(), vars_[p].end(),
+                            std::back_inserter(shared_[i]));
+      for (uint32_t a = p; a != JoinTree::kNoParent; a = tree_.parent[a]) {
+        ++depth[i];
+      }
+    }
+    for (uint32_t i = 0; i < m_; ++i) order_.push_back(i);
+    std::stable_sort(
+        order_.begin(), order_.end(),
+        [&](uint32_t a, uint32_t b) { return depth[a] > depth[b]; });
+  }
+
+  /// left := left ⋉ right on `shared_[child]`; counts the removed rows.
+  void Semijoin(uint32_t left, uint32_t right, uint32_t child) {
+    std::set<std::vector<Element>> keys;
+    for (const auto& row : tables_[right]) {
+      keys.insert(Key(right, row, shared_[child]));
+    }
+    Rows kept;
+    for (auto& row : tables_[left]) {
+      if (keys.count(Key(left, row, shared_[child]))) {
+        kept.push_back(std::move(row));
+      }
+    }
+    rows_pruned_ += tables_[left].size() - kept.size();
+    tables_[left] = std::move(kept);
+  }
+
+  /// The full reduction; false when the bottom-up pass empties a table.
+  bool Reduce() {
+    for (uint32_t node : order_) {
+      const uint32_t p = tree_.parent[node];
+      if (p == JoinTree::kNoParent) continue;
+      Semijoin(p, node, node);
+      if (tables_[p].empty()) return false;
+    }
+    for (size_t i = order_.size(); i-- > 0;) {
+      for (uint32_t child : children_[order_[i]]) {
+        Semijoin(child, order_[i], child);
+      }
+    }
+    return true;
+  }
+
+  const ConjunctiveQuery& q_;
+  const Structure& d_;
+  const size_t m_;
+  JoinTree tree_;
+  std::vector<std::vector<VarId>> vars_;
+  std::vector<Rows> tables_;
+  std::vector<std::vector<uint32_t>> children_;
+  std::vector<std::vector<VarId>> shared_;
+  std::vector<uint32_t> roots_;
+  std::vector<uint32_t> order_;
+  std::vector<VarId> isolated_;
+  bool satisfiable_ = false;
+  uint64_t rows_materialized_ = 0;
+  uint64_t materialized_max_ = 0;
+  uint64_t rows_pruned_ = 0;
+};
+
+TEST(PolyOracleTest, HashIndexChainsRunInDescendingRowOrder) {
+  // The count fold and the bulk dedup read this off the chains: Next(r) < r,
+  // FindFirst yields a key's last row, and only its first row ends a chain.
+  // Checked for a bulk Build and for Add with its regrowth.
+  Rng rng(1518);
+  std::vector<Element> rows;
+  for (int r = 0; r < 500; ++r) {
+    rows.push_back(static_cast<Element>(rng.Below(7)));
+    rows.push_back(static_cast<Element>(rng.Below(3)));
+  }
+  const uint32_t n = static_cast<uint32_t>(rows.size() / 2);
+  rel::HashIndex built, added;
+  built.Build(rows.data(), 2, n, {0, 1});
+  added.Reset(2, {0, 1});
+  for (uint32_t r = 0; r < n; ++r) added.Add(rows.data(), r);
+  for (const rel::HashIndex* index : {&built, &added}) {
+    std::map<std::vector<Element>, uint32_t> first, last;
+    for (uint32_t r = 0; r < n; ++r) {
+      const std::vector<Element> key = {rows[2 * r], rows[2 * r + 1]};
+      first.emplace(key, r);
+      last[key] = r;
+      const uint32_t next = index->Next(r);
+      if (next != rel::HashIndex::kNone) EXPECT_LT(next, r);
+      EXPECT_EQ(next == rel::HashIndex::kNone, first.at(key) == r);
+    }
+    for (const auto& [key, r] : last) {
+      EXPECT_EQ(index->FindFirst(rows.data(), key), r);
+    }
+  }
+}
+
+constexpr unsigned kEquivalenceThreads[] = {1, 2, 8};
+
+/// AcyclicCount at several limits and thread counts against the reference:
+/// equal counts, no semijoins, and the reference's materialization stats.
+void ExpectCountMatchesReference(const ConjunctiveQuery& q,
+                                 const Structure& d,
+                                 const ReferenceYannakakis& ref) {
+  for (size_t limit : {size_t{1}, size_t{2}, size_t{7}, size_t{10000},
+                       size_t{SIZE_MAX}}) {
+    const size_t want = ref.Count(limit);
+    for (unsigned threads : kEquivalenceThreads) {
+      SCOPED_TRACE(testing::Message()
+                   << "count limit " << limit << ", " << threads
+                   << " threads");
+      YannakakisStats stats;
+      auto got = AcyclicCount(q, d, limit, &stats, nullptr, threads);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, want);
+      EXPECT_EQ(stats.semijoins, 0u);
+      EXPECT_EQ(stats.rows_pruned, 0u);
+      EXPECT_EQ(stats.atom_tables, q.atoms().size());
+      EXPECT_EQ(stats.rows_materialized, ref.rows_materialized());
+      EXPECT_EQ(stats.max_table_rows, ref.materialized_max());
+    }
+  }
+}
+
+/// AcyclicProject (rows in order, join_rows, max_table_rows) and
+/// AcyclicProjectCount against the reference at every thread count.
+void ExpectProjectMatchesReference(const ConjunctiveQuery& q,
+                                   const Structure& d,
+                                   const ReferenceYannakakis& ref,
+                                   const std::vector<VarId>& proj) {
+  const ReferenceYannakakis::Projection want = ref.Project(proj);
+  for (unsigned threads : kEquivalenceThreads) {
+    SCOPED_TRACE(testing::Message() << "project onto " << proj.size()
+                                    << " vars, " << threads << " threads");
+    YannakakisStats stats;
+    auto rows = AcyclicProject(q, d, proj, SIZE_MAX, &stats, nullptr, threads);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(*rows, want.rows);
+    EXPECT_EQ(stats.join_rows, want.join_rows);
+    EXPECT_EQ(stats.max_table_rows, want.max_table_rows);
+    EXPECT_EQ(stats.rows_materialized, ref.rows_materialized());
+    auto count = AcyclicProjectCount(q, d, proj, SIZE_MAX, nullptr, nullptr,
+                                     threads);
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    EXPECT_EQ(*count, want.rows.size());
+  }
+}
+
+VocabularyPtr MixedVocabulary() {
+  auto vocab = std::make_shared<Vocabulary>();
+  vocab->AddRelation("E", 2);
+  vocab->AddRelation("T", 3);
+  vocab->AddRelation("U", 1);
+  return vocab;
+}
+
+/// A random acyclic query over E/2, T/3, U/1. Each atom after the first
+/// shares at most two variables with one earlier atom, so it is an ear and
+/// GYO removes it; sometimes it shares none (a forest). One atom in five
+/// repeats a variable (E(X,X)), and some queries keep a variable in no
+/// atom.
+ConjunctiveQuery RandomAcyclicQuery(const VocabularyPtr& vocab, Rng& rng) {
+  ConjunctiveQuery q(vocab, "Q");
+  VarId next_var = 0;
+  auto fresh = [&] {
+    return q.GetOrCreateVar("V" + std::to_string(next_var++));
+  };
+  const size_t atoms = rng.Below(8);
+  for (size_t i = 0; i < atoms; ++i) {
+    const RelId rel = static_cast<RelId>(rng.Below(3));
+    const size_t arity = vocab->arity(rel);
+    std::vector<VarId> pool;  // variables the new atom may reuse
+    if (i > 0 && !rng.Chance(0.15)) {
+      const Atom& host = q.atoms()[rng.Below(i)];
+      pool.assign(host.args.begin(), host.args.end());
+      std::sort(pool.begin(), pool.end());
+      pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+      while (pool.size() > 2) pool.erase(pool.begin() + rng.Below(pool.size()));
+    }
+    std::vector<VarId> args;
+    for (size_t p = 0; p < arity; ++p) {
+      if (!args.empty() && rng.Chance(0.2)) {
+        args.push_back(args[rng.Below(args.size())]);  // repeated variable
+      } else if (!pool.empty() && rng.Chance(0.6)) {
+        const size_t k = rng.Below(pool.size());
+        args.push_back(pool[k]);
+        pool.erase(pool.begin() + k);
+      } else {
+        args.push_back(fresh());
+      }
+    }
+    q.AddAtom(rel, std::move(args));
+  }
+  if (atoms == 0 || rng.Chance(0.3)) fresh();  // a variable in no atom
+  return q;
+}
+
+/// A small database with duplicate tuples and many dangling rows: E and T
+/// are sparse random relations, U holds one or two elements, and one
+/// relation in six is empty.
+Structure RandomDanglingDatabase(const VocabularyPtr& vocab, Rng& rng) {
+  const size_t n = rng.Chance(0.05) ? 0 : 2 + rng.Below(5);
+  Structure d(vocab, n);
+  if (n == 0) return d;
+  for (RelId rel = 0; rel < 3; ++rel) {
+    if (rng.Chance(1.0 / 6)) continue;
+    const size_t arity = vocab->arity(rel);
+    const size_t tuples = arity == 1 ? 1 + rng.Below(2) : n + rng.Below(2 * n);
+    std::vector<Element> tuple(arity);
+    for (size_t t = 0; t < tuples; ++t) {
+      for (Element& e : tuple) e = static_cast<Element>(rng.Below(n));
+      d.AddTuple(rel, tuple);
+      if (rng.Chance(0.2)) d.AddTuple(rel, tuple);  // duplicate tuple
+    }
+  }
+  return d;
+}
+
+TEST(PolyOracleTest, OnePassCountMatchesTheFullReduction) {
+  Rng rng(1515);
+  auto vocab = MixedVocabulary();
+  int pruned = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const ConjunctiveQuery q = RandomAcyclicQuery(vocab, rng);
+    ASSERT_TRUE(IsAcyclicQuery(q));
+    const Structure d = RandomDanglingDatabase(vocab, rng);
+    const ReferenceYannakakis ref(q, d);
+    if (ref.rows_pruned() > 0) ++pruned;
+    ExpectCountMatchesReference(q, d, ref);
+  }
+  // At least a quarter of the instances must exercise what the semijoins
+  // prune and the one pass carries as zero counts.
+  EXPECT_GT(pruned, 250);
+}
+
+TEST(PolyOracleTest, PrunedProjectionMatchesTheFullJoin) {
+  Rng rng(1516);
+  auto vocab = MixedVocabulary();
+  for (int trial = 0; trial < 500; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const ConjunctiveQuery q = RandomAcyclicQuery(vocab, rng);
+    const Structure d = RandomDanglingDatabase(vocab, rng);
+    const ReferenceYannakakis ref(q, d);
+    std::vector<VarId> proj;
+    const size_t width = rng.Below(4);
+    for (size_t i = 0; i < width && q.var_count() > 0; ++i) {
+      proj.push_back(static_cast<VarId>(rng.Below(q.var_count())));
+    }
+    ExpectProjectMatchesReference(q, d, ref, proj);
+    // The variables of the join tree's first root and of a leaf.
+    if (q.atoms().empty()) continue;
+    const JoinTree tree = *BuildJoinTree(q);
+    std::vector<uint8_t> has_child(tree.parent.size(), 0);
+    for (uint32_t p : tree.parent) {
+      if (p != JoinTree::kNoParent) has_child[p] = 1;
+    }
+    for (size_t i = 0; i < tree.parent.size(); ++i) {
+      if (tree.parent[i] == JoinTree::kNoParent || !has_child[i]) {
+        ExpectProjectMatchesReference(q, d, ref, q.atoms()[i].args);
+        if (tree.parent[i] == JoinTree::kNoParent) break;
+      }
+    }
+  }
+}
+
+TEST(PolyOracleTest, ChainProjectionsMatchTheFullJoin) {
+  // Chains put a leaf and the root at the two ends: project at either end,
+  // both, in the middle, and with repeated variables.
+  Rng rng(1517);
+  auto vocab = MakeGraphVocabulary();
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const size_t length = 1 + rng.Below(6);
+    const ConjunctiveQuery q = ChainQuery(vocab, length);
+    const Structure d = RandomGraphStructure(vocab, 3 + rng.Below(4), 0.35,
+                                             rng, /*symmetric=*/false);
+    const ReferenceYannakakis ref(q, d);
+    const VarId first = 0;
+    const VarId last = static_cast<VarId>(length);
+    const VarId mid = static_cast<VarId>(length / 2);
+    for (const std::vector<VarId>& proj :
+         std::vector<std::vector<VarId>>{{first},
+                                         {last},
+                                         {first, last},
+                                         {last, first, first},
+                                         {mid, mid},
+                                         {}}) {
+      ExpectProjectMatchesReference(q, d, ref, proj);
+    }
+    ExpectCountMatchesReference(q, d, ref);
+  }
+}
+
+TEST(PolyOracleTest, EquivalenceDegenerateShapes) {
+  auto vocab = MixedVocabulary();
+  const RelId e = 0, t = 1, u = 2;
+  Structure d(vocab, 3);
+  d.AddTuple(e, {0, 0});
+  d.AddTuple(e, {0, 1});
+  d.AddTuple(e, {0, 1});
+  d.AddTuple(e, {1, 2});
+  d.AddTuple(t, {0, 1, 0});
+  d.AddTuple(t, {2, 2, 2});
+  d.AddTuple(u, {1});
+  const Structure empty_universe(vocab, 0);
+  const Structure no_tuples(vocab, 2);
+
+  const Structure* const dbs[] = {&d, &empty_universe, &no_tuples};
+
+  std::vector<ConjunctiveQuery> queries;
+  {  // E(X,X): the repeated variable keeps one tuple of E.
+    ConjunctiveQuery q(vocab, "Q");
+    VarId x = q.GetOrCreateVar("X");
+    q.AddAtom(e, {x, x});
+    queries.push_back(q);
+  }
+  {  // A ternary atom with a repeat, a unary leaf, and an isolated variable.
+    ConjunctiveQuery q(vocab, "Q");
+    VarId x = q.GetOrCreateVar("X"), y = q.GetOrCreateVar("Y");
+    q.GetOrCreateVar("Z");
+    q.AddAtom(t, {x, y, x});
+    q.AddAtom(u, {y});
+    q.AddAtom(e, {x, y});
+    queries.push_back(q);
+  }
+  {  // A forest: two components sharing nothing.
+    ConjunctiveQuery q(vocab, "Q");
+    VarId a = q.GetOrCreateVar("A"), b = q.GetOrCreateVar("B");
+    VarId c = q.GetOrCreateVar("C"), w = q.GetOrCreateVar("W");
+    q.AddAtom(e, {a, b});
+    q.AddAtom(u, {b});
+    q.AddAtom(e, {c, w});
+    q.AddAtom(e, {w, w});
+    queries.push_back(q);
+  }
+  {  // No atoms at all: every variable is isolated.
+    ConjunctiveQuery q(vocab, "Q");
+    q.GetOrCreateVar("X");
+    q.GetOrCreateVar("Y");
+    queries.push_back(q);
+  }
+  queries.push_back(ConjunctiveQuery(vocab, "Q"));  // no variables either
+
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const ConjunctiveQuery& q = queries[i];
+    for (const Structure* db : dbs) {
+      SCOPED_TRACE(testing::Message() << "query " << i << ", universe "
+                                      << db->universe_size());
+      const ReferenceYannakakis ref(q, *db);
+      ExpectCountMatchesReference(q, *db, ref);
+      std::vector<VarId> all;
+      for (VarId v = 0; v < q.var_count(); ++v) all.push_back(v);
+      ExpectProjectMatchesReference(q, *db, ref, all);
+      if (!all.empty()) {
+        ExpectProjectMatchesReference(q, *db, ref, {all.back(), all[0]});
+      }
+    }
+  }
 }
 
 }  // namespace
