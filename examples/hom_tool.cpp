@@ -172,7 +172,9 @@ bool ParseStrategyFlag(const char* arg, EngineOptions* engine_options,
     engine_options->memory_budget_bytes = mb << 20;
   } else if (flag.rfind("--threads=", 0) == 0) {
     // Digits only (strtoul would happily eat "-1" as ULONG_MAX), nonempty,
-    // and a sanity cap — a worker is a real OS thread.
+    // and a sanity cap as input validation: workers run on the shared
+    // pool, which caps its threads anyway, but each one still owns a
+    // search context.
     const std::string digits = flag.substr(10);
     if (digits.empty() ||
         digits.find_first_not_of("0123456789") != std::string::npos) {

@@ -5,10 +5,11 @@
 #                       warning set are enforced here), full tier-1 ctest
 #   2. lint             ctest -L lint in the same tree (rule unit tests +
 #                       the cqcs_lint sweep over src/ + tools/)
-#   3. sanitizers       the ROADMAP.md sanitizer map: -L serve, -L poly and
-#                       -L solver-parallel under TSan, -L durable under ASan
-#                       and UBSan, -L robust, -L poly and -L engine under
-#                       ASan (the treewidth DP is index arithmetic)
+#   3. sanitizers       the ROADMAP.md sanitizer map: -L serve, -L poly,
+#                       -L solver-parallel and -L robust under TSan,
+#                       -L durable under ASan and UBSan, -L robust, -L poly
+#                       and -L engine under ASan (the treewidth DP is index
+#                       arithmetic)
 #
 # `--quick` stops after step 2 — the sanitizer builds triple the wall time
 # and exist to gate merges, not edit-compile loops.
@@ -66,7 +67,8 @@ fi
 
 # ---- 3. sanitizer map (ROADMAP.md) ----------------------------------------
 # label-regex pairs per sanitizer; serve and solver-parallel are the
-# thread-heavy nets, durable parses arbitrarily corrupt bytes, and poly does
+# thread-heavy nets, robust trips governed searches whose workers run on the
+# shared pool, durable parses arbitrarily corrupt bytes, and poly does
 # saturating count arithmetic and hash-chain index arithmetic.
 sanitize_step() {
   local sanitizer="$1" labels="$2"
@@ -78,7 +80,7 @@ sanitize_step() {
   run ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L "$labels"
 }
 
-sanitize_step thread "serve|solver-parallel|poly"
+sanitize_step thread "serve|solver-parallel|poly|robust"
 sanitize_step address "durable|robust|poly|engine"
 sanitize_step undefined "durable|poly"
 

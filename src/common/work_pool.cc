@@ -95,10 +95,11 @@ MorselCounters MorselPool::Run(size_t total, unsigned workers,
   counters.workers = std::max(1u, workers);
   if (total == 0) return counters;
 
-  // Inline fast path: the sequential case (and any range that fits in one
+  // Inline path: the sequential case (and any range that fits in one
   // morsel) never touches the pool, so `num_threads = 1` has zero
-  // synchronization cost and byte-identical behavior to the pre-pool code.
-  if (workers <= 1 || total <= morsel_rows) {
+  // synchronization cost; a caller that finds the pool busy never waits.
+  if (workers <= 1 || total <= morsel_rows ||
+      dispatching_.exchange(true, std::memory_order_acquire)) {
     size_t begin = 0;
     while (begin < total) {
       const size_t end = std::min(total, begin + morsel_rows);
@@ -119,12 +120,10 @@ MorselCounters MorselPool::Run(size_t total, unsigned workers,
   // wakeups. The spare-core cap is floored at one pool thread so the
   // cross-thread path is genuinely exercised (and sanitizer-checked) even
   // on a single-core host.
-  const unsigned hw = std::thread::hardware_concurrency();
-  const unsigned spare_cores = hw == 0 ? kMaxThreads : std::max(1u, hw - 1);
+  const unsigned spare_cores = std::max(1u, ResolveThreadCount(0) - 1);
   const unsigned participants = static_cast<unsigned>(std::min<size_t>(
       std::min(std::min(workers, kMaxThreads) - 1, spare_cores),
       chunks - 1));
-  MutexLock dispatch(dispatch_mu_);
   {
     // Rewriting job_ is safe here: the previous Run returned only after
     // working_ hit zero, and a stale worker waking into this generation
@@ -154,6 +153,7 @@ MorselCounters MorselPool::Run(size_t total, unsigned workers,
   }
   counters.morsels = job_.morsels.load(std::memory_order_relaxed);
   counters.steals = job_.steals.load(std::memory_order_relaxed);
+  dispatching_.store(false, std::memory_order_release);
   return counters;
 }
 

@@ -2,7 +2,7 @@
 //
 // Three pieces, one module, so the solver's work-stealing subtree search,
 // the relational kernel's morsel-parallel operators, and the serving layer
-// all draw threads through the same code:
+// all draw threads through the same code (the library starts no others):
 //
 //   * ResolveThreadCount — the one mapping from a `num_threads` option to
 //     an actual worker count (0 = one per hardware thread, never < 1).
@@ -16,8 +16,9 @@
 //     worker threads running *morsels*: contiguous index ranges claimed
 //     dynamically from an atomic cursor. The polynomial backends
 //     (cq/acyclic.cc, rel/ops.cc, treewidth/hom_dp.cc) dispatch their row
-//     sweeps and independent bags here, and because the pool is shared, a
-//     single serving-layer request can soak every idle worker.
+//     sweeps and independent bags here, solver/parallel.cc its search
+//     loops, and because the pool is shared, a single serving-layer request
+//     can soak every idle worker.
 //
 // Morsel execution contract: the calling thread is always worker 0 and
 // participates; results must not depend on which worker runs which morsel
@@ -168,9 +169,8 @@ struct MorselCounters {
 /// A persistent pool of parked morsel workers. One instance is shared
 /// process-wide (Shared()); the backends never construct their own, so one
 /// serving request's parallel pass can reuse the threads another request
-/// just released. Dispatches are serialized: one Run() executes at a time,
-/// later callers queue on the dispatch mutex (bodies never nest Run, so
-/// this cannot deadlock).
+/// just released. One Run() at a time owns the pool threads; a Run() that
+/// finds another in flight (concurrent, or nested in a body) runs inline.
 class MorselPool {
  public:
   /// Rows per morsel when the caller does not override: small enough to
@@ -198,10 +198,11 @@ class MorselPool {
   /// Runs `body` over [0, total) in contiguous morsels of ~`morsel_rows`
   /// rows, claimed dynamically from a shared cursor. The calling thread is
   /// worker 0 and always participates; up to workers-1 pool threads (grown
-  /// on demand, capped at kMaxThreads) join it. Blocks until every claimed
-  /// morsel finished. With workers <= 1, total == 0, or a range smaller
-  /// than one morsel, runs inline on the caller with no pool interaction —
-  /// the sequential path stays pool-free.
+  /// on demand, capped at kMaxThreads and the spare cores) join it. Blocks
+  /// until every claimed morsel finished. With workers <= 1, total == 0, a
+  /// range smaller than one morsel, or another dispatch in flight, runs
+  /// every morsel inline on the caller with no pool interaction — the
+  /// sequential path stays pool-free. Bodies may call Run themselves.
   MorselCounters Run(size_t total, unsigned workers, size_t morsel_rows,
                      const Body& body);
 
@@ -242,7 +243,9 @@ class MorselPool {
   bool shutdown_ CQCS_GUARDED_BY(mu_) = false;
   Job job_;  // written under mu_ between generations, read lock-free within
   std::vector<std::thread> threads_ CQCS_GUARDED_BY(mu_);
-  Mutex dispatch_mu_;  // serializes Run() callers (acquired before mu_)
+  // Set while a Run() owns the pool threads. Not a try-locked mutex: a
+  // nested Run() on the owning thread would relock it.
+  std::atomic<bool> dispatching_{false};
 };
 
 }  // namespace cqcs

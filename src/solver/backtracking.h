@@ -85,7 +85,7 @@ struct SolveOptions {
   uint64_t node_limit = 0;
   /// Heuristics: variable/value order, backjumping, restarts.
   SearchStrategy strategy;
-  /// Worker threads for the search. 1 (the default) is exactly the
+  /// Worker loops for the search. 1 (the default) is exactly the
   /// sequential search — byte-for-byte the same behavior and stats as
   /// before this option existed. 0 means one worker per hardware thread.
   /// With more than one worker the search tree is explored by work-stealing
@@ -120,10 +120,10 @@ struct SolveStats {
   /// domain wipeout. Zero when backjumping is off.
   uint64_t max_conflict_set = 0;
   // -- Parallel search (num_threads > 1; all zero on the sequential path).
-  // Per-worker counters are merged deterministically after the join:
+  // Per-worker counters are merged deterministically after the run:
   // nodes/backtracks/backjumps/restarts are summed, longest_backjump and
   // max_conflict_set maxed, limit_hit ORed.
-  /// Worker threads spawned.
+  /// Resolved worker loops; at most the shared pool's cap run at once.
   uint64_t workers = 0;
   /// Split events: a busy worker donated the untried values of its
   /// shallowest open decision to the shared pool.

@@ -115,7 +115,7 @@ std::vector<DynamicBitset> CspInstance::FullDomains() const {
 
 std::span<const uint64_t> CspInstance::ValueSupportScores() const {
   // Lazy, and deliberately unsynchronized: the only multi-threaded consumer
-  // (solver/parallel.cc) materializes the cache on the spawning thread
+  // (solver/parallel.cc) materializes the cache on the calling thread
   // before any worker can get here, after which every access is a read.
   if (!value_support_scores_built_) {
     value_support_scores_built_ = true;

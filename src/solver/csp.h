@@ -18,9 +18,9 @@
 // to share across the parallel search's workers — every per-node read
 // (constraints, constraints_of, the relations' CSR support indexes, which
 // the constructor materializes eagerly) touches only memory written before
-// the workers were spawned. The one lazily built cache is
+// the workers started. The one lazily built cache is
 // ValueSupportScores(); the parallel driver (solver/parallel.cc) calls it
-// once on the spawning thread when the strategy needs it, so workers only
+// once on the calling thread when the strategy needs it, so workers only
 // ever read it. Callers sharing an instance across threads by other means
 // must do the same warm-up.
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -14,12 +13,6 @@ namespace cqcs {
 namespace solver_internal {
 
 namespace {
-
-// The pool itself — the idle/termination protocol, dynamic-split Donate,
-// cancel flag, and split/steal counters — lives in common/work_pool.h
-// (shared with the morsel-parallel relational kernel); this module
-// instantiates it over decision-prefix subproblems.
-using SubproblemPool = WorkPool<Subproblem>;
 
 void MergeStats(const SolveStats& in, SolveStats* out) {
   out->nodes += in.nodes;
@@ -48,7 +41,7 @@ size_t ParallelSearch(const CspInstance& csp, const SolveOptions& options,
     csp.LcvValuePermutation();  // builds ValueSupportScores too
   }
 
-  SubproblemPool pool(Subproblem{});
+  WorkPool<Subproblem> pool(Subproblem{});
 
   // All solution delivery is serialized here, so the caller's closure needs
   // no internal locking, Solve's first-solution race has exactly one winner,
@@ -83,35 +76,29 @@ size_t ParallelSearch(const CspInstance& csp, const SolveOptions& options,
     SolveStats stats;
   };
   std::vector<PaddedStats> worker_stats(workers);
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      SearchContext ctx(csp, options, projection, serialized,
-                        &worker_stats[w].stats, first_solution_only,
-                        &handles);
-      // Root propagation is subproblem-independent: if it refutes the
-      // instance for one worker it does so for all, and no subproblem can
-      // succeed — exit without touching the pool (nobody waits forever:
-      // every worker exits the same way). Each worker recomputing it is a
-      // deliberate tradeoff: the fixpoints run concurrently (wall-clock ≈
-      // one fixpoint, not N), and the redundant run seeds the worker's
-      // private AC-2001 residues, which a domain-snapshot handoff from the
-      // spawning thread would leave cold.
-      if (!ctx.PrepareRoot()) return;
+  // Morsel w of one shared-pool job is worker loop w, the caller worker 0.
+  // A loop that starts after the run ended returns at once.
+  auto worker_loop = [&](unsigned, size_t w, size_t) {
+    if (pool.cancel.load(std::memory_order_relaxed)) return true;
+    SearchContext ctx(csp, options, projection, serialized,
+                      &worker_stats[w].stats, first_solution_only, &handles);
+    // Root propagation is subproblem-independent: a refutation for one
+    // worker is one for all. Every worker runs it anyway: the fixpoints run
+    // concurrently, and each seeds its worker's private AC-2001 residues.
+    if (ctx.PrepareRoot()) {
       Subproblem sp;
       while (pool.Acquire(&sp)) {
         ctx.RunSubproblem(sp.decisions);
         pool.Release();
       }
-      // A worker that stopped on the node limit has set cancel; make sure
-      // waiters see it even if it never went through the pool again.
-      if (pool.cancel.load(std::memory_order_relaxed)) {
-        pool.NotifyCancelled();
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
+    }
+    // Whatever ended this loop (drained pool, cancel, refuted root) ended
+    // the run: cancel to wake any waiter and turn away later loops.
+    pool.cancel.store(true, std::memory_order_relaxed);
+    pool.NotifyCancelled();
+    return true;
+  };
+  MorselPool::Shared().Run(workers, workers, 1, worker_loop);
 
   SolveStats owned;
   SolveStats* merged = stats != nullptr ? stats : &owned;

@@ -7,9 +7,10 @@
 //
 //   * A shared pool of *subproblems* — decision prefixes into the
 //     sequential search tree (solver_internal::Subproblem).
-//   * N worker threads, each owning a private Propagator/SearchContext.
-//     A worker pops a subproblem, replays its prefix through the trail, and
-//     exhausts the subtree below it.
+//   * N worker loops, each owning a private Propagator/SearchContext and
+//     run as one morsel of a job on the shared MorselPool. A worker pops a
+//     subproblem, replays its prefix through the trail, and exhausts the
+//     subtree below it.
 //   * Dynamic splitting on demand: while any worker is idle and the pool is
 //     dry, busy workers donate the untried values of their shallowest open
 //     decision — the largest subtrees they can prove they have not started.

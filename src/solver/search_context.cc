@@ -97,8 +97,11 @@ bool SearchContext::PrepareRoot() {
 }
 
 size_t SearchContext::Run() {
-  if (!PrepareRoot()) return solutions_;
-  RunSubproblem({});
+  if (PrepareRoot()) {
+    RunSubproblem({});
+  } else if (options_.governor != nullptr && options_.governor->tripped()) {
+    stats_->limit_hit = true;  // a cancelled root fixpoint refutes nothing
+  }
   return solutions_;
 }
 

@@ -843,6 +843,27 @@ TEST(GovernorEngineTest, UniformTripKeepsVerifiedPrefix) {
   }
 }
 
+TEST(GovernorEngineTest, TripDuringRootPropagationIsUnknownNotNo) {
+  // A governed fixpoint polls the trip flag, so a governor tripped before
+  // the root fixpoint cancels it. That cancelled fixpoint refutes nothing:
+  // P6 -> K3 has homomorphisms, and the answer must be "unknown".
+  auto vocab = MakeGraphVocabulary();
+  Structure a = PathStructure(vocab, 6);
+  Structure b = CliqueStructure(vocab, 3);
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    ResourceGovernor gov;
+    gov.Cancel();
+    SolveOptions options;
+    options.num_threads = threads;
+    options.governor = &gov;
+    BacktrackingSolver solver(a, b, options);
+    SolveStats stats;
+    EXPECT_FALSE(solver.Solve(&stats).has_value());
+    EXPECT_TRUE(stats.limit_hit);
+  }
+}
+
 // ---- Input-reachable aborts converted to structured errors. ---------------
 
 TEST(RobustInputTest, UniverseOverflowIsAParseError) {

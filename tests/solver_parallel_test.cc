@@ -1,6 +1,7 @@
 // The work-stealing parallel search (src/solver/parallel.cc): stats
 // merging, cancellation on the first solution, node_limit as a global
-// budget across workers, and the num_threads == 1 sequential regression.
+// budget across workers, the num_threads == 1 sequential regression, and
+// concurrent and nested dispatch on the shared MorselPool it runs on.
 //
 // A structural property this suite leans on: a stolen subproblem replays
 // the donor's exact decision prefix through the same propagation, so the
@@ -11,16 +12,22 @@
 // are thread-count invariant, not just the solution sets.
 
 #include <algorithm>
+#include <atomic>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/work_pool.h"
 #include "core/homomorphism.h"
 #include "core/structure.h"
+#include "cq/acyclic.h"
+#include "cq/canonical.h"
 #include "gen/generators.h"
 #include "solver/backtracking.h"
+#include "solver/csp.h"
 
 namespace cqcs {
 namespace {
@@ -264,6 +271,136 @@ TEST(SolverParallelTest, DegenerateInstances) {
   SolveStats stats;
   EXPECT_FALSE(refuted.Solve(&stats).has_value());
   EXPECT_EQ(stats.nodes, 0u);
+}
+
+TEST(SolverParallelTest, ConcurrentCallersMatchTheSequentialRun) {
+  // Four callers share the pool at once: at most one of them owns its
+  // threads, the others run their dispatches inline. Whoever gets which,
+  // every answer and every thread-invariant stat is the 1-thread run's.
+  VocabularyPtr vocab = MakeGraphVocabulary();
+  Structure a = SparseGraph(13, 0.25, 4242);
+  Structure k3 = CliqueStructure(vocab, 3);
+  const CspInstance csp(a, k3);
+  SolveOptions seq_options;  // default MRV + lex: node totals are invariant
+  SolveStats seq_stats;
+  const size_t seq_count =
+      BacktrackingSolver(&csp, seq_options).CountSolutions(SIZE_MAX,
+                                                           &seq_stats);
+  ASSERT_GT(seq_count, 0u);
+
+  // A path query into a graph with a few morsels' worth of edges, so the
+  // acyclic count dispatches to the pool rather than inline.
+  const ConjunctiveQuery path = CanonicalQuery(PathStructure(vocab, 4));
+  const Structure d = SparseGraph(300, 0.1, 99);
+  YannakakisStats seq_yann;
+  auto seq_paths = AcyclicCount(path, d, SIZE_MAX, &seq_yann);
+  ASSERT_TRUE(seq_paths.ok()) << seq_paths.status().ToString();
+  ASSERT_GT(seq_yann.max_table_rows, MorselPool::kDefaultMorselRows);
+
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 3;
+  struct CallerResult {
+    std::vector<size_t> counts;
+    std::vector<SolveStats> stats;
+    std::vector<size_t> paths;
+    std::vector<YannakakisStats> yann;
+  };
+  std::vector<CallerResult> results(kCallers);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      SolveOptions options;
+      options.num_threads = 4;
+      for (int round = 0; round < kRounds; ++round) {
+        SolveStats stats;
+        results[c].counts.push_back(
+            BacktrackingSolver(&csp, options).CountSolutions(SIZE_MAX,
+                                                             &stats));
+        results[c].stats.push_back(stats);
+        YannakakisStats yann;
+        auto paths = AcyclicCount(path, d, SIZE_MAX, &yann, nullptr, 4);
+        results[c].paths.push_back(paths.ok() ? *paths : 0);
+        results[c].yann.push_back(yann);
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+
+  for (int c = 0; c < kCallers; ++c) {
+    for (int round = 0; round < kRounds; ++round) {
+      SCOPED_TRACE(testing::Message() << "caller " << c << " round " << round);
+      const SolveStats& stats = results[c].stats[round];
+      EXPECT_EQ(results[c].counts[round], seq_count);
+      EXPECT_EQ(stats.nodes, seq_stats.nodes);
+      EXPECT_EQ(stats.backtracks, seq_stats.backtracks);
+      EXPECT_EQ(stats.workers, 4u);
+      EXPECT_FALSE(stats.limit_hit);
+      const YannakakisStats& yann = results[c].yann[round];
+      EXPECT_EQ(results[c].paths[round], *seq_paths);
+      EXPECT_EQ(yann.atom_tables, seq_yann.atom_tables);
+      EXPECT_EQ(yann.rows_materialized, seq_yann.rows_materialized);
+      EXPECT_EQ(yann.max_table_rows, seq_yann.max_table_rows);
+      EXPECT_EQ(yann.semijoins, seq_yann.semijoins);
+      EXPECT_EQ(yann.rows_pruned, seq_yann.rows_pruned);
+      EXPECT_EQ(yann.join_rows, seq_yann.join_rows);
+      EXPECT_EQ(yann.morsels, seq_yann.morsels);
+      EXPECT_EQ(yann.workers, 4u);
+    }
+  }
+}
+
+TEST(SolverParallelTest, NestedDispatchRunsInline) {
+  // A body that dispatches again finds the pool busy and runs its morsels
+  // on its own thread: the nested Run completes with the counters of a
+  // sequential one, and so does a parallel search started from a body.
+  MorselPool& pool = MorselPool::Shared();
+  constexpr size_t kOuter = 8;
+  constexpr size_t kInner = 1000;
+  constexpr size_t kInnerRows = 100;
+  std::atomic<size_t> inner_rows{0};
+  auto inner_body = [&](unsigned, size_t begin, size_t end) {
+    inner_rows.fetch_add(end - begin, std::memory_order_relaxed);
+    return true;
+  };
+  const MorselCounters seq = pool.Run(kInner, 1, kInnerRows, inner_body);
+  ASSERT_EQ(seq.morsels, kInner / kInnerRows);
+  inner_rows.store(0);
+
+  VocabularyPtr vocab = MakeGraphVocabulary();
+  Structure a = SparseGraph(12, 0.25, 555);
+  Structure k3 = CliqueStructure(vocab, 3);
+  const CspInstance csp(a, k3);
+  SolveStats seq_stats;
+  const size_t seq_count =
+      BacktrackingSolver(&csp).CountSolutions(SIZE_MAX, &seq_stats);
+
+  std::vector<MorselCounters> inner(kOuter);
+  std::vector<size_t> counts(kOuter);
+  std::vector<SolveStats> stats(kOuter);
+  const MorselCounters outer =
+      pool.Run(kOuter, 4, 1, [&](unsigned, size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          inner[i] = pool.Run(kInner, 4, kInnerRows, inner_body);
+          SolveOptions options;
+          options.num_threads = 4;
+          counts[i] = BacktrackingSolver(&csp, options)
+                          .CountSolutions(SIZE_MAX, &stats[i]);
+        }
+        return true;
+      });
+  EXPECT_EQ(outer.morsels, kOuter);
+  EXPECT_EQ(inner_rows.load(), kOuter * kInner);
+  for (size_t i = 0; i < kOuter; ++i) {
+    SCOPED_TRACE(testing::Message() << "outer morsel " << i);
+    EXPECT_EQ(inner[i].morsels, seq.morsels);
+    EXPECT_EQ(inner[i].steals, 0u);
+    EXPECT_EQ(inner[i].workers, 4u);
+    EXPECT_EQ(counts[i], seq_count);
+    EXPECT_EQ(stats[i].nodes, seq_stats.nodes);
+    EXPECT_EQ(stats[i].workers, 4u);
+    // Inline, one loop runs the whole search: nobody asks for a split.
+    EXPECT_EQ(stats[i].splits, 0u);
+  }
 }
 
 }  // namespace
