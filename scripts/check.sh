@@ -7,9 +7,11 @@
 #                       the cqcs_lint sweep over src/ + tools/)
 #   3. sanitizers       the ROADMAP.md sanitizer map: -L serve, -L poly,
 #                       -L solver-parallel and -L robust under TSan,
-#                       -L durable under ASan and UBSan, -L robust, -L poly
-#                       and -L engine under ASan (the treewidth DP is index
-#                       arithmetic)
+#                       -L durable, -L poly and -L engine under UBSan (the
+#                       engine route reaches the treewidth count's
+#                       saturating arithmetic), -L durable, -L robust,
+#                       -L poly and -L engine under ASan (the bag joins are
+#                       index arithmetic)
 #
 # `--quick` stops after step 2 — the sanitizer builds triple the wall time
 # and exist to gate merges, not edit-compile loops.
@@ -82,7 +84,7 @@ sanitize_step() {
 
 sanitize_step thread "serve|solver-parallel|poly|robust"
 sanitize_step address "durable|robust|poly|engine"
-sanitize_step undefined "durable|poly"
+sanitize_step undefined "durable|poly|engine"
 
 echo
 if [ "$FAILED" -ne 0 ]; then

@@ -33,6 +33,18 @@ void AppendJsonString(std::ostringstream& out, std::string_view s) {
   out << '"';
 }
 
+/// The passes of the Yannakakis program a task reads.
+YannakakisProgram::Passes PassesFor(HomTask task) {
+  switch (task) {
+    case HomTask::kDecide: return YannakakisProgram::Passes::kDecide;
+    case HomTask::kCount: return YannakakisProgram::Passes::kCount;
+    case HomTask::kProject: return YannakakisProgram::Passes::kProject;
+    case HomTask::kWitness:
+    case HomTask::kEnumerate: return YannakakisProgram::Passes::kWalk;
+  }
+  return YannakakisProgram::Passes::kWalk;
+}
+
 }  // namespace
 
 const char* BackendName(Backend backend) {
@@ -115,34 +127,7 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
   Backend chosen = options_.backend;
   Status route_status = Status::OK();  // a budget trip while routing
   if (chosen == Backend::kAuto) {
-    if (!decide_like) {
-      // Counting/enumeration/projection: the full Yannakakis program
-      // serves these on α-acyclic sources (count DP, output-bounded
-      // enumeration, join-project over the reduced join forest);
-      // everything else needs the uniform search. The Schaefer and
-      // treewidth islands stay decide/witness-only.
-      InstanceProfile& prof = r.explain.profile;
-      FillSizeStats(a, b, &prof);
-      r.explain.profiled = true;
-      prof.acyclicity_known = true;
-      prof.source_acyclic = problem.SourceAcyclic();
-      if (prof.source_acyclic) {
-        chosen = Backend::kAcyclic;
-        r.explain.reason =
-            "source hypergraph is α-acyclic (GYO reduces it): full "
-            "Yannakakis program over the reduced join forest";
-      } else {
-        r.explain.fallbacks.push_back(
-            "acyclic: source hypergraph is cyclic (GYO leaves live edges)");
-        r.explain.fallbacks.push_back(
-            "schaefer/treewidth: decide/witness only — counting and "
-            "enumeration need the search");
-        chosen = Backend::kUniform;
-        r.explain.reason =
-            "cyclic source with a counting/enumeration task; uniform "
-            "search";
-      }
-    } else if (a.universe_size() == 0) {
+    if (decide_like && a.universe_size() == 0) {
       r.decided = true;
       if (task == HomTask::kWitness) r.witness = Homomorphism{};
       r.explain.chosen = Backend::kUniform;
@@ -150,7 +135,7 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
                          "homomorphism; no backend needed";
       snapshot_governor();
       return r;
-    } else if (b.universe_size() == 0) {
+    } else if (decide_like && b.universe_size() == 0) {
       r.decided = false;
       r.explain.chosen = Backend::kUniform;
       r.explain.reason = "nonempty source, empty target: no total map "
@@ -163,13 +148,16 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
       // GYO is near-linear in the source's atoms, and the min-fill estimate
       // (the costliest stage: incremental, about the local degree squared
       // per eliminated vertex, and governed) only runs when the earlier
-      // islands refused. The profile records exactly the evidence that was
-      // computed.
+      // islands refused. Counting, enumeration and projection skip the
+      // Schaefer stage: its algorithms decide. The profile records exactly
+      // the evidence that was computed.
       InstanceProfile& prof = r.explain.profile;
       FillSizeStats(a, b, &prof);
-      prof.target_boolean = problem.TargetBoolean();
-      prof.schaefer_classes = problem.TargetSchaeferClasses();
       r.explain.profiled = true;
+      if (decide_like) {
+        prof.target_boolean = problem.TargetBoolean();
+        prof.schaefer_classes = problem.TargetSchaeferClasses();
+      }
       std::ostringstream why;
       if (prof.schaefer_classes != 0) {
         chosen = Backend::kSchaefer;
@@ -177,20 +165,24 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
             << SchaeferClassSetToString(prof.schaefer_classes)
             << ": uniform polynomial algorithm (Theorems 3.3/3.4)";
       } else {
-        r.explain.fallbacks.push_back(
-            prof.target_boolean
-                ? "schaefer: target is Boolean but outside every Schaefer "
-                  "class (by the dichotomy, CSP(B) is NP-complete)"
-                : "schaefer: target is not Boolean");
+        if (decide_like) {
+          r.explain.fallbacks.push_back(
+              prof.target_boolean
+                  ? "schaefer: target is Boolean but outside every Schaefer "
+                    "class (by the dichotomy, CSP(B) is NP-complete)"
+                  : "schaefer: target is not Boolean");
+        }
         prof.acyclicity_known = true;
         prof.source_acyclic = problem.SourceAcyclic();
         if (prof.source_acyclic) {
           chosen = Backend::kAcyclic;
           why << "source hypergraph is α-acyclic (GYO reduces it): "
-              << (task == HomTask::kDecide
-                      ? "Yannakakis semijoin evaluation"
-                      : "Yannakakis semijoin reduction with witness "
-                        "extraction");
+              << (task == HomTask::kDecide ? "Yannakakis semijoin evaluation"
+                  : task == HomTask::kWitness
+                      ? "Yannakakis semijoin reduction with witness "
+                        "extraction"
+                      : "full Yannakakis program over the reduced join "
+                        "forest");
         } else {
           r.explain.fallbacks.push_back(
               "acyclic: source hypergraph is cyclic (GYO leaves live "
@@ -238,7 +230,8 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
               why << "min-fill width estimate " << prof.width_estimate
                   << " (bags=" << prof.decomposition_bags << ", est. DP cost "
                   << prof.treewidth_dp_cost
-                  << "): bag-by-bag dynamic program (Theorem 5.4)";
+                  << "): Yannakakis program over join-built bag tables "
+                     "(Theorem 5.4)";
             } else {
               refusal << "min-fill estimate " << prof.width_estimate
                       << " / est. DP cost " << prof.treewidth_dp_cost;
@@ -265,7 +258,7 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
   // If a polynomial route's size-bound estimate already exceeds the memory
   // budget, demote to the uniform search before any table is built: the
   // search streams over the CSP instance and charges almost nothing, so it
-  // can still decide within the budget where the DP provably cannot.
+  // can still decide within the budget where the tables provably cannot.
   if (route_status.ok() && governor != nullptr &&
       options_.memory_budget_bytes > 0 && options_.backend == Backend::kAuto &&
       (chosen == Backend::kAcyclic || chosen == Backend::kTreewidth)) {
@@ -302,7 +295,8 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
         if (task == HomTask::kWitness) r.witness = *std::move(h);
         return Status::OK();
       }
-      case Backend::kAcyclic: {
+      case Backend::kAcyclic:
+      case Backend::kTreewidth: {
         if (b.universe_size() == 0 && a.universe_size() > 0) {
           // Body satisfiability ignores isolated source elements, which
           // still need images; only an empty target makes that distinction.
@@ -310,75 +304,68 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
           r.count = 0;
           return Status::OK();
         }
-        // Canonical-query variable ids ARE source element ids, so the
-        // assignment rows the Yannakakis program returns are
-        // homomorphisms verbatim.
-        const ConjunctiveQuery& q = problem.SourceCanonicalQuery();
-        YannakakisStats* ys = &r.stats.yannakakis;
-        const unsigned threads = options_.solve.num_threads;
+        // One program, two front ends: the canonical query's atoms, or the
+        // bags of the source's tree decomposition. Either way a variable
+        // is a source element (canonical-query variable ids ARE element
+        // ids), so the assignment rows it returns are homomorphisms
+        // verbatim.
+        const YannakakisProgram::Passes passes = PassesFor(task);
+        const bool atoms = backend == Backend::kAcyclic;
+        YannakakisProgram program(atoms ? &r.stats.yannakakis : nullptr,
+                                  governor, options_.solve.num_threads);
+        if (atoms) {
+          CQCS_RETURN_IF_ERROR(
+              program.FromAtoms(problem.SourceCanonicalQuery(), b, passes));
+        } else {
+          CQCS_RETURN_IF_ERROR(problem.EnsureSourceDecomposition(governor));
+          CQCS_RETURN_IF_ERROR(program.FromBags(a, b,
+                                                problem.SourceDecomposition(),
+                                                passes, &r.stats.treewidth));
+        }
+        const bool sat = program.satisfiable();
         switch (task) {
-          case HomTask::kDecide: {
-            auto sat = EvaluateBooleanAcyclic(q, b, ys, governor, threads);
-            if (!sat.ok()) return sat.status();
-            r.decided = *sat;
+          case HomTask::kDecide:
+            r.decided = sat;
             break;
-          }
           case HomTask::kWitness: {
-            auto w = AcyclicWitness(q, b, ys, governor, threads);
-            if (!w.ok()) return w.status();
-            r.decided = w->has_value();
-            if (w->has_value()) r.witness = *std::move(*w);
+            std::vector<std::vector<Element>> first;
+            if (sat) CQCS_RETURN_IF_ERROR(program.Enumerate(1, &first));
+            r.decided = !first.empty();
+            if (r.decided) r.witness = std::move(first[0]);
             break;
           }
           case HomTask::kCount: {
-            auto c = AcyclicCount(q, b, options_.count_limit, ys, governor,
-                                  threads);
-            if (!c.ok()) return c.status();
-            r.count = *c;
+            if (!sat) break;
+            CQCS_ASSIGN_OR_RETURN(r.count,
+                                  program.Count(options_.count_limit));
             break;
           }
-          case HomTask::kEnumerate: {
-            auto rows = AcyclicEnumerate(q, b, options_.max_results, ys,
-                                         governor, threads);
-            if (!rows.ok()) return rows.status();
-            r.rows = *std::move(rows);
+          case HomTask::kEnumerate:
+            if (sat) {
+              CQCS_RETURN_IF_ERROR(
+                  program.Enumerate(options_.max_results, &r.rows));
+            }
             r.count = r.rows.size();
             break;
-          }
           case HomTask::kProject: {
+            if (!sat) break;
             std::span<const Element> proj = problem.projection();
-            std::vector<VarId> pvars(proj.begin(), proj.end());
             if (options_.project_count_only) {
-              auto c = AcyclicProjectCount(q, b, pvars, options_.count_limit,
-                                           ys, governor, threads);
-              if (!c.ok()) return c.status();
-              r.count = *c;
+              CQCS_ASSIGN_OR_RETURN(
+                  r.count, program.ProjectCount(proj, options_.count_limit));
               break;
             }
-            auto rows = AcyclicProject(q, b, pvars, options_.max_results, ys,
-                                       governor, threads);
-            if (!rows.ok()) return rows.status();
-            r.rows = *std::move(rows);
+            CQCS_ASSIGN_OR_RETURN(
+                r.rows, program.Project(proj, options_.max_results));
             r.count = r.rows.size();
             break;
           }
         }
-        r.stats.used_acyclic = true;
-        return Status::OK();
-      }
-      case Backend::kTreewidth: {
-        if (!decide_like) {
-          return Status::InvalidArgument(
-              "the treewidth backend supports decide/witness only");
+        if (atoms) {
+          r.stats.used_acyclic = true;
+        } else {
+          r.stats.used_treewidth = true;
         }
-        CQCS_RETURN_IF_ERROR(problem.EnsureSourceDecomposition(governor));
-        auto h = SolveViaTreeDecomposition(a, b, problem.SourceDecomposition(),
-                                           &r.stats.treewidth, governor,
-                                           options_.solve.num_threads);
-        if (!h.ok()) return h.status();
-        r.stats.used_treewidth = true;
-        r.decided = h->has_value();
-        if (task == HomTask::kWitness) r.witness = *std::move(h);
         return Status::OK();
       }
       case Backend::kUniform: {

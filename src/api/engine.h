@@ -8,7 +8,9 @@
 //                        decide, witness, count, enumerate, and project
 //                        all run over the semijoin-reduced join forest
 //                        (cq/acyclic.h, on the rel/ columnar kernel)
-//   Backend::kTreewidth  small-width source             (Theorem 5.4)
+//   Backend::kTreewidth  small-width source             (Theorem 5.4):
+//                        the same program over join-built tables, one per
+//                        bag of the source's tree decomposition
 //   Backend::kUniform    everything (NP-complete)       (backtracking), with
 //                        an optional existential-pebble-game preflight whose
 //                        Spoiler win certifies unsatisfiability (Thm 4.7/4.9)
@@ -52,8 +54,9 @@ namespace cqcs {
 enum class Backend {
   kAuto,       ///< Route from the profile; fall back toward kUniform.
   kUniform,    ///< Backtracking search (always applicable).
-  kTreewidth,  ///< DP over the source's tree decomposition (decide/witness).
-  kAcyclic,    ///< Full Yannakakis program (every HomTask).
+  kTreewidth,  ///< Yannakakis program over the source's tree
+               ///< decomposition's bag tables (every HomTask).
+  kAcyclic,    ///< Full Yannakakis program over atoms (every HomTask).
   kSchaefer,   ///< Uniform polynomial algorithm for Schaefer targets
                ///< (decide/witness).
 };

@@ -13,219 +13,90 @@
 #include "rel/hash_index.h"
 #include "rel/ops.h"
 #include "rel/table.h"
+#include "treewidth/hom_dp.h"
 
 namespace cqcs {
-
-namespace {
 
 using rel::HashIndex;
 using rel::Table;
 
-/// One Yannakakis run: GYO, per-atom table materialization into the
-/// columnar kernel, then only the passes the caller's task reads:
-///
-///   task              semijoin passes         match indexes
-///   decide            bottom-up               -
-///   count             none                    over the unreduced tables
-///   witness/enumerate bottom-up + top-down    over the reduced tables
-///   project(-count)   bottom-up + top-down    -
-///
-/// After the full reduction every surviving row of every table
-/// participates in at least one solution — the invariant the walk
-/// (witness/enumerate) and the join-project pass lean on. Count needs no
-/// reduction: it is one bottom-up sum-product pass in which a row whose
-/// subtree has no match simply sums to 0.
-///
-/// Parallelism (num_threads > 1): per-atom materialization runs distinct
-/// (relation, layout) groups concurrently, the semijoin sweeps and join
-/// phase morsel-parallelize inside rel::Semijoin / rel::HashJoinAppend,
-/// the count pass splits its per-parent-row loop (disjoint cnt writes),
-/// and the match indexes build one-per-node concurrently — all on the
-/// shared MorselPool. Every phase merges or checks results at
-/// deterministic structural boundaries (atom order, node order, morsel
-/// order), so the answer AND the stats (minus workers/steals) match the
-/// sequential run byte for byte. The enumeration walk, the count pass's
-/// per-key fold and ProjectDistinct stay sequential: their outputs are
-/// defined by row order.
-class Yannakakis {
- public:
-  Yannakakis(const ConjunctiveQuery& q, const Structure& d,
-             YannakakisStats* stats, ResourceGovernor* governor = nullptr,
-             unsigned num_threads = 1)
-      : q_(q),
-        d_(d),
-        stats_(stats),
-        gov_(governor),
-        threads_(ResolveThreadCount(num_threads)) {}
+YannakakisProgram::YannakakisProgram(YannakakisStats* stats,
+                                     ResourceGovernor* governor,
+                                     unsigned num_threads)
+    : stats_(stats),
+      gov_(governor),
+      threads_(ResolveThreadCount(num_threads)) {}
 
-  /// Worker/morsel/steal counters flush on destruction so every entry
-  /// point (including error unwinds) reports what actually ran.
-  ~Yannakakis() {
-    if (stats_ != nullptr) {
-      stats_->workers = threads_;
-      stats_->morsels += mc_.morsels;
-      stats_->steals += mc_.steals;
-    }
+YannakakisProgram::~YannakakisProgram() {
+  if (stats_ != nullptr) {
+    stats_->workers = threads_;
+    stats_->morsels += mc_.morsels;
+    stats_->steals += mc_.steals;
   }
-
-  /// What a task phase reads; Prepare runs exactly those passes (see the
-  /// table above).
-  enum class Passes {
-    kDecide,   ///< bottom-up semijoins; satisfiable() is the answer
-    kCount,    ///< no semijoins; match indexes over the unreduced tables
-    kWalk,     ///< full reduction + match indexes (witness, enumerate)
-    kProject,  ///< full reduction, no match indexes (project, its count)
-  };
-
-  /// Validates, runs GYO, materializes, then runs `passes`.
-  /// InvalidArgument for cyclic queries / vocabulary mismatch.
-  Status Prepare(Passes passes);
-
-  /// False when some table emptied: no assignment satisfies the body.
-  /// After Prepare(kCount) only a materialized table can have emptied, so
-  /// true does not imply a solution exists.
-  bool satisfiable() const { return satisfiable_; }
-
-  // The task phases below require satisfiable() and the Prepare named on
-  // each. Each errors with kResourceExhausted on a governor trip; *out /
-  // the return value must then be discarded (the Unknown contract — no
-  // torn results).
-
-  /// Appends up to max_results assignments (indexed by VarId) to *out.
-  /// Prepare(kWalk).
-  Status Enumerate(size_t max_results, std::vector<std::vector<Element>>* out);
-
-  /// min(#assignments, limit). Prepare(kCount).
-  Result<size_t> Count(size_t limit);
-
-  /// Distinct projections onto `proj`, up to max_results.
-  /// Prepare(kProject).
-  Result<std::vector<std::vector<Element>>> Project(
-      std::span<const VarId> proj, size_t max_results);
-
-  /// min(#distinct projections onto `proj`, limit) via the same bottom-up
-  /// reduction as Project, without assembling the cross product.
-  /// Prepare(kProject).
-  Result<size_t> ProjectCount(std::span<const VarId> proj, size_t limit);
-
- private:
-  /// The semijoin passes: bottom-up, then top-down unless `passes` is
-  /// kDecide. Clears satisfiable_ when a table empties.
-  Status Reduce(Passes passes);
-  Status MaterializeAll();
-  /// Materializes atom `i`'s table (a group representative: no memo hit).
-  /// Thread-safe against other groups — writes only tables_[i] and the
-  /// governor's atomic accounting.
-  Status MaterializeGroup(size_t i, const std::vector<uint32_t>& col_of_arg);
-  /// The bottom-up join-project pass shared by Project and ProjectCount:
-  /// fills r_table/r_cols per node (see Project for the invariants).
-  /// r_table stays empty for a non-root node that keeps only its
-  /// connector: its parent's join with it is an identity, so no one
-  /// reads it.
-  Status ProjectReduce(std::span<const VarId> proj,
-                       std::vector<Table>* r_table,
-                       std::vector<std::vector<VarId>>* r_cols);
-  /// Threading knobs handed to the rel/ operators: shared counter sink,
-  /// default morsel size.
-  rel::OpParallel Par() { return {threads_, 0, &mc_}; }
-  /// Stride poll for the row loops: consults the governor every 1024th
-  /// call. Ungoverned runs pay one branch.
-  Status PollTick() {
-    if (gov_ != nullptr && (++tick_ & 1023) == 0) return gov_->Poll();
-    return Status::OK();
+  if (tw_stats_ != nullptr) {
+    tw_stats_->workers = threads_;
+    tw_stats_->morsels += mc_.morsels;
+    tw_stats_->steals += mc_.steals;
   }
-  void BumpTable(size_t rows) {
-    if (stats_ != nullptr && rows > stats_->max_table_rows) {
-      stats_->max_table_rows = rows;
-    }
+}
+
+Status YannakakisProgram::PollTick() {
+  if (gov_ != nullptr && (++tick_ & 1023) == 0) return gov_->Poll();
+  return Status::OK();
+}
+
+Status YannakakisProgram::TripStatus() const {
+  return gov_ != nullptr ? gov_->TripStatus() : Status::OK();
+}
+
+void YannakakisProgram::BumpTable(size_t rows) {
+  if (stats_ != nullptr && rows > stats_->max_table_rows) {
+    stats_->max_table_rows = rows;
   }
-  // Helpers for Enumerate's explicit-stack pre-order walk (one recursion
-  // frame per atom would overflow the stack on ~100k-atom sources).
-  /// First row of seq_[depth]'s table matching the ancestors in assign_
-  /// (all rows for roots), or HashIndex::kNone.
-  uint32_t FirstRow(size_t depth);
-  /// Next row of seq_[depth]'s table with the same key, or kNone.
-  uint32_t NextRow(size_t depth, uint32_t r) const;
-  /// Copies row r of seq_[depth]'s table into assign_.
-  void WriteRow(size_t depth, uint32_t r);
-  /// Appends the isolated-variable expansions of the current assign_;
-  /// false once *out reached max_results (aborts the walk).
-  bool EmitAssignment(size_t max_results,
-                      std::vector<std::vector<Element>>* out);
+}
 
-  const ConjunctiveQuery& q_;
-  const Structure& d_;
-  YannakakisStats* stats_;
-  ResourceGovernor* gov_;
-  unsigned threads_ = 1;   // resolved worker count
-  MorselCounters mc_;      // merged from every dispatch; flushed in dtor
-  uint64_t tick_ = 0;  // PollTick stride counter (single-threaded phases
-                       // only — parallel bodies keep a local stride)
-
-  size_t m_ = 0;
-  JoinTree tree_;
-  std::vector<std::vector<VarId>> vars_;      // per atom, sorted distinct
-  std::vector<Table> tables_;                 // columns follow vars_[i]
-  std::vector<std::vector<uint32_t>> children_;
-  std::vector<uint32_t> roots_;
-  std::vector<uint32_t> order_;               // children before parents
-  // Shared variables with the parent, ascending; and their column
-  // positions on each side (aligned lists).
-  std::vector<std::vector<VarId>> shared_vars_;
-  std::vector<std::vector<uint32_t>> shared_child_cols_;
-  std::vector<std::vector<uint32_t>> shared_parent_cols_;
-  // Match index per non-root node, keyed on shared_child_cols_ (kCount and
-  // kWalk only).
-  std::vector<HashIndex> match_index_;
-  std::vector<VarId> isolated_;               // variables in no atom
-  std::vector<Element> assign_;               // Enumerate's scratch
-  std::vector<Element> key_scratch_;          // probe-key scratch (the key
-                                              // is consumed by FindFirst
-                                              // before any recursion, so
-                                              // one buffer serves every
-                                              // depth)
-  std::vector<uint32_t> seq_;                 // forest pre-order
-  // Two atoms with the same relation and the same position→column map
-  // start from identical tables (canonical queries repeat one pattern per
-  // relation across thousands of atoms); materialize once, copy after.
-  std::map<std::pair<RelId, std::vector<uint32_t>>, size_t> materialize_memo_;
-  bool satisfiable_ = false;
-};
-
-Status Yannakakis::Prepare(Passes passes) {
+Status YannakakisProgram::FromAtoms(const ConjunctiveQuery& q,
+                                    const Structure& d, Passes passes) {
   if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->Poll());
-  CQCS_RETURN_IF_ERROR(q_.Validate());
-  if (!q_.vocabulary()->Equals(*d_.vocabulary())) {
+  CQCS_RETURN_IF_ERROR(q.Validate());
+  if (!q.vocabulary()->Equals(*d.vocabulary())) {
     return Status::InvalidArgument("query/database vocabulary mismatch");
   }
-  auto forest = GyoJoinForest(q_.var_count(), QueryHyperedges(q_));
+  auto forest = GyoJoinForest(q.var_count(), QueryHyperedges(q));
   if (!forest.has_value()) {
     return Status::InvalidArgument("the query's hypergraph is cyclic");
   }
-  tree_ = *std::move(forest);
-  m_ = q_.atoms().size();
-  satisfiable_ = true;
-
-  // Variables outside every atom range freely; find them once.
-  std::vector<uint8_t> in_atom(q_.var_count(), 0);
-  // cqcs-lint: allow(unpolled-loop): bounded by query shape (atoms * arity), not data
-  for (const Atom& atom : q_.atoms()) {
-    for (VarId v : atom.args) in_atom[v] = 1;
-  }
-  for (VarId v = 0; v < q_.var_count(); ++v) {
-    if (!in_atom[v]) isolated_.push_back(v);
-  }
-
+  var_count_ = q.var_count();
+  universe_ = d.universe_size();
+  m_ = q.atoms().size();
   vars_.resize(m_);
   tables_.resize(m_);
-  CQCS_RETURN_IF_ERROR(MaterializeAll());
-  // Emptiness is decided after every atom materialized, in atom order:
-  // the same tables (and the same stats) exist at every thread count, and
-  // satisfiable_ flips on the same first-empty atom.
+  CQCS_RETURN_IF_ERROR(MaterializeAll(q, d));
+  return Run(std::move(forest->parent), passes);
+}
+
+Status YannakakisProgram::Run(std::vector<uint32_t> parent, Passes passes) {
+  parent_ = std::move(parent);
+  m_ = tables_.size();
+  satisfiable_ = true;
+
+  // Variables outside every node range freely; find them once.
+  std::vector<uint8_t> in_node(var_count_, 0);
+  // cqcs-lint: allow(unpolled-loop): bounded by forest shape (nodes * vars-per-node), not data
+  for (const std::vector<VarId>& vars : vars_) {
+    for (VarId v : vars) in_node[v] = 1;
+  }
+  for (VarId v = 0; v < var_count_; ++v) {
+    if (!in_node[v]) isolated_.push_back(v);
+  }
+
+  // Emptiness is decided after every table is loaded, in node order: the
+  // same tables (and the same stats) exist at every thread count, and
+  // satisfiable_ flips on the same first-empty node.
   for (size_t i = 0; i < m_; ++i) {
     if (tables_[i].empty()) {
       satisfiable_ = false;
-      return Status::OK();
+      return TripStatus();
     }
   }
 
@@ -234,11 +105,11 @@ Status Yannakakis::Prepare(Passes passes) {
   children_.resize(m_);
   std::vector<uint32_t> pending_children(m_, 0);
   for (uint32_t i = 0; i < m_; ++i) {
-    if (tree_.parent[i] == JoinTree::kNoParent) {
+    if (parent_[i] == JoinTree::kNoParent) {
       roots_.push_back(i);
     } else {
-      children_[tree_.parent[i]].push_back(i);
-      ++pending_children[tree_.parent[i]];
+      children_[parent_[i]].push_back(i);
+      ++pending_children[parent_[i]];
     }
   }
   order_.reserve(m_);
@@ -250,7 +121,7 @@ Status Yannakakis::Prepare(Passes passes) {
     uint32_t node = stack.back();
     stack.pop_back();
     order_.push_back(node);
-    uint32_t p = tree_.parent[node];
+    uint32_t p = parent_[node];
     if (p != JoinTree::kNoParent && --pending_children[p] == 0) {
       stack.push_back(p);
     }
@@ -261,9 +132,9 @@ Status Yannakakis::Prepare(Passes passes) {
   shared_vars_.resize(m_);
   shared_child_cols_.resize(m_);
   shared_parent_cols_.resize(m_);
-  // cqcs-lint: allow(unpolled-loop): bounded by query shape (atoms * vars-per-atom), not data
+  // cqcs-lint: allow(unpolled-loop): bounded by forest shape (nodes * vars-per-node), not data
   for (uint32_t node = 0; node < m_; ++node) {
-    uint32_t p = tree_.parent[node];
+    uint32_t p = parent_[node];
     if (p == JoinTree::kNoParent) continue;
     const auto& cv = vars_[node];
     const auto& pv = vars_[p];
@@ -279,7 +150,7 @@ Status Yannakakis::Prepare(Passes passes) {
   }
 
   if (passes != Passes::kCount) CQCS_RETURN_IF_ERROR(Reduce(passes));
-  if (!satisfiable_ || passes == Passes::kDecide) return Status::OK();
+  if (!satisfiable_ || passes == Passes::kDecide) return TripStatus();
 
   // Match indexes for the count pass and the walk. Builds are independent
   // per node (disjoint match_index_ slots), so they run as node-range
@@ -288,7 +159,7 @@ Status Yannakakis::Prepare(Passes passes) {
     match_index_.resize(m_);
     auto body = [&](unsigned, size_t begin, size_t end) {
       for (size_t node = begin; node < end; ++node) {
-        if (tree_.parent[node] == JoinTree::kNoParent) continue;
+        if (parent_[node] == JoinTree::kNoParent) continue;
         if (gov_ != nullptr && !gov_->Poll().ok()) return false;
         match_index_[node].AttachGovernor(gov_);
         match_index_[node].Build(
@@ -299,7 +170,7 @@ Status Yannakakis::Prepare(Passes passes) {
       return true;
     };
     mc_.MergeFrom(MorselPool::Shared().Run(m_, threads_, 64, body));
-    if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->TripStatus());
+    CQCS_RETURN_IF_ERROR(TripStatus());
   }
 
   // Forest pre-order for the enumeration walk (parents before children).
@@ -307,18 +178,17 @@ Status Yannakakis::Prepare(Passes passes) {
     seq_.reserve(m_);
     for (size_t i = order_.size(); i-- > 0;) seq_.push_back(order_[i]);
   }
-  if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->TripStatus());
-  return Status::OK();
+  return TripStatus();
 }
 
-Status Yannakakis::Reduce(Passes passes) {
+Status YannakakisProgram::Reduce(Passes passes) {
   // Bottom-up pass: parent := parent ⋉ child, children first, so every
   // table is final for its own parent's filtering. Governed runs poll
   // once per semijoin — each is one bounded table sweep.
   HashIndex index;
   index.AttachGovernor(gov_);
   for (uint32_t node : order_) {
-    uint32_t p = tree_.parent[node];
+    uint32_t p = parent_[node];
     if (p == JoinTree::kNoParent) continue;
     if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->Poll());
     index.Build(tables_[node].data(), tables_[node].width(),
@@ -339,8 +209,8 @@ Status Yannakakis::Reduce(Passes passes) {
   // A trip inside the last semijoin leaves its table untouched rather than
   // reduced — catch it here so satisfiable() is never read off a
   // half-reduced program.
-  if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->TripStatus());
-  if (passes == Passes::kDecide) return Status::OK();
+  CQCS_RETURN_IF_ERROR(TripStatus());
+  if (passes != Passes::kProject) return Status::OK();
 
   // Top-down pass: child := child ⋉ parent, parents first. A parent row
   // always keeps at least one match in each child (the match that let it
@@ -359,14 +229,15 @@ Status Yannakakis::Reduce(Passes passes) {
         ++stats_->semijoins;
         stats_->rows_pruned += removed;
       }
-      if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->TripStatus());
+      CQCS_RETURN_IF_ERROR(TripStatus());
       CQCS_CHECK(!tables_[child].empty());
     }
   }
   return Status::OK();
 }
 
-Status Yannakakis::MaterializeAll() {
+Status YannakakisProgram::MaterializeAll(const ConjunctiveQuery& q,
+                                         const Structure& d) {
   // Pass 1 (sequential, query-shaped): column layouts and memo grouping.
   // col_of_arg determines the initial table completely (it encodes both
   // the column layout and the repeated-variable equalities), so atoms
@@ -376,9 +247,12 @@ Status Yannakakis::MaterializeAll() {
   std::vector<std::vector<uint32_t>> col_of_arg(m_);
   std::vector<size_t> rep(m_);      // group representative per atom
   std::vector<size_t> group_reps;   // distinct representatives
+  // Two atoms with the same relation and the same position→column map
+  // start from identical tables; materialize once, copy after.
+  std::map<std::pair<RelId, std::vector<uint32_t>>, size_t> memo;
   // cqcs-lint: allow(unpolled-loop): bounded by query shape (atoms * arity), not data
   for (size_t i = 0; i < m_; ++i) {
-    const Atom& atom = q_.atoms()[i];
+    const Atom& atom = q.atoms()[i];
     std::vector<VarId>& vars = vars_[i];
     vars.assign(atom.args.begin(), atom.args.end());
     std::sort(vars.begin(), vars.end());
@@ -389,7 +263,7 @@ Status Yannakakis::MaterializeAll() {
           std::lower_bound(vars.begin(), vars.end(), atom.args[p]) -
           vars.begin());
     }
-    auto [it, inserted] = materialize_memo_.emplace(
+    auto [it, inserted] = memo.emplace(
         std::make_pair(atom.rel, col_of_arg[i]), i);
     rep[i] = it->second;
     if (inserted) group_reps.push_back(i);
@@ -403,7 +277,8 @@ Status Yannakakis::MaterializeAll() {
   auto body = [&](unsigned, size_t begin, size_t end) {
     bool ok = true;
     for (size_t g = begin; g < end; ++g) {
-      Status s = MaterializeGroup(group_reps[g], col_of_arg[group_reps[g]]);
+      Status s =
+          MaterializeGroup(q, d, group_reps[g], col_of_arg[group_reps[g]]);
       if (!s.ok()) {
         group_status[g] = std::move(s);
         ok = false;
@@ -429,14 +304,15 @@ Status Yannakakis::MaterializeAll() {
   return Status::OK();
 }
 
-Status Yannakakis::MaterializeGroup(size_t i,
-                                    const std::vector<uint32_t>& col_of_arg) {
-  const Atom& atom = q_.atoms()[i];
+Status YannakakisProgram::MaterializeGroup(
+    const ConjunctiveQuery& q, const Structure& d, size_t i,
+    const std::vector<uint32_t>& col_of_arg) {
+  const Atom& atom = q.atoms()[i];
   const uint32_t width = static_cast<uint32_t>(vars_[i].size());
   tables_[i] = Table(width);
   Table& table = tables_[i];
   table.AttachGovernor(gov_);
-  const Relation& rel = d_.relation(atom.rel);
+  const Relation& rel = d.relation(atom.rel);
   // Without repeated variables every tuple lands: size the buffer once.
   if (width == atom.args.size()) table.Reserve(rel.tuple_count());
 
@@ -458,30 +334,16 @@ Status Yannakakis::MaterializeGroup(size_t i,
     for (size_t p = 0; p < tup.size(); ++p) row[col_of_arg[p]] = tup[p];
   }
 
-  // Bulk dedup: one build keyed on every column. Insert prepends, so each
-  // key's chain ends at its first occurrence (Next == kNone); keeping
-  // exactly those rows, ascending, is first-occurrence dedup in order.
-  const uint32_t rows = static_cast<uint32_t>(table.row_count());
+  // Bulk dedup: keep each row's first occurrence, in order.
   std::vector<uint32_t> all_cols(width);
   for (uint32_t c = 0; c < width; ++c) all_cols[c] = c;
-  HashIndex dedup;
-  dedup.AttachGovernor(gov_);
-  dedup.Build(table.data(), width, rows, std::move(all_cols));
-  std::vector<uint32_t> keep;
-  keep.reserve(rows);
-  for (uint32_t r = 0; r < rows; ++r) {
-    if (gov_ != nullptr && (++tick & 1023) == 0) {
-      CQCS_RETURN_IF_ERROR(gov_->Poll());
-    }
-    if (dedup.Next(r) == HashIndex::kNone) keep.push_back(r);
-  }
-  if (keep.size() < rows) table.KeepRows(keep);
-  return Status::OK();
+  table.KeepRows(rel::FirstOccurrences(table, all_cols, gov_));
+  return TripStatus();
 }
 
-uint32_t Yannakakis::FirstRow(size_t depth) {
+uint32_t YannakakisProgram::FirstRow(size_t depth) {
   const uint32_t node = seq_[depth];
-  if (tree_.parent[node] == JoinTree::kNoParent) {
+  if (parent_[node] == JoinTree::kNoParent) {
     return tables_[node].empty() ? HashIndex::kNone : 0;
   }
   // The parent's values are already in assign_ (parents precede children
@@ -491,26 +353,26 @@ uint32_t Yannakakis::FirstRow(size_t depth) {
   return match_index_[node].FindFirst(tables_[node].data(), key_scratch_);
 }
 
-uint32_t Yannakakis::NextRow(size_t depth, uint32_t r) const {
+uint32_t YannakakisProgram::NextRow(size_t depth, uint32_t r) const {
   const uint32_t node = seq_[depth];
-  if (tree_.parent[node] == JoinTree::kNoParent) {
+  if (parent_[node] == JoinTree::kNoParent) {
     return r + 1 < tables_[node].row_count() ? r + 1 : HashIndex::kNone;
   }
   return match_index_[node].Next(r);
 }
 
-void Yannakakis::WriteRow(size_t depth, uint32_t r) {
+void YannakakisProgram::WriteRow(size_t depth, uint32_t r) {
   const uint32_t node = seq_[depth];
   std::span<const Element> row = tables_[node].row(r);
   const auto& vars = vars_[node];
   for (size_t i = 0; i < vars.size(); ++i) assign_[vars[i]] = row[i];
 }
 
-bool Yannakakis::EmitAssignment(size_t max_results,
-                                std::vector<std::vector<Element>>* out) {
+bool YannakakisProgram::EmitAssignment(
+    size_t max_results, std::vector<std::vector<Element>>* out) {
   // All tree variables fixed; expand the isolated ones (every value
   // works) with an odometer over the universe.
-  const size_t n = d_.universe_size();
+  const size_t n = universe_;
   for (VarId v : isolated_) assign_[v] = 0;
   while (true) {
     // A governor trip aborts the walk; the caller turns it into a
@@ -528,21 +390,18 @@ bool Yannakakis::EmitAssignment(size_t max_results,
   }
 }
 
-Status Yannakakis::Enumerate(size_t max_results,
-                             std::vector<std::vector<Element>>* out) {
+Status YannakakisProgram::Enumerate(size_t max_results,
+                                    std::vector<std::vector<Element>>* out) {
   CQCS_CHECK(satisfiable_);
   // Every return path reports a governor trip, including the ones where
   // EmitAssignment aborted the walk from inside.
-  auto trip_status = [this]() {
-    return gov_ != nullptr ? gov_->TripStatus() : Status::OK();
-  };
-  if (max_results == 0) return trip_status();
-  if (d_.universe_size() == 0 && q_.var_count() > 0) return trip_status();
-  assign_.assign(q_.var_count(), 0);
+  if (max_results == 0) return TripStatus();
+  if (universe_ == 0 && var_count_ > 0) return TripStatus();
+  assign_.assign(var_count_, 0);
   const size_t depth_total = seq_.size();
   if (depth_total == 0) {
     EmitAssignment(max_results, out);
-    return trip_status();
+    return TripStatus();
   }
   // Explicit-stack pre-order walk over seq_: cur[d] is the current row of
   // seq_[d]'s table; the match chain makes that one uint32 the entire
@@ -556,14 +415,14 @@ Status Yannakakis::Enumerate(size_t max_results,
     CQCS_RETURN_IF_ERROR(PollTick());
     cur[d] = descending ? FirstRow(d) : NextRow(d, cur[d]);
     if (cur[d] == HashIndex::kNone) {
-      if (d == 0) return trip_status();
+      if (d == 0) return TripStatus();
       --d;
       descending = false;
       continue;
     }
     WriteRow(d, cur[d]);
     if (d + 1 == depth_total) {
-      if (!EmitAssignment(max_results, out)) return trip_status();
+      if (!EmitAssignment(max_results, out)) return TripStatus();
       descending = false;  // advance this depth's chain
     } else {
       ++d;
@@ -572,8 +431,9 @@ Status Yannakakis::Enumerate(size_t max_results,
   }
 }
 
-Result<size_t> Yannakakis::Count(size_t limit) {
+Result<size_t> YannakakisProgram::Count(size_t limit) {
   CQCS_CHECK(satisfiable_);
+  if (limit == 0) return size_t{0};
   // One bottom-up sum-product pass over the unreduced tables: cnt[node][r]
   // = min(#assignments of node's subtree variables extending row r, limit).
   // A row whose subtree has no match sums to 0 — exactly what the semijoin
@@ -621,7 +481,7 @@ Result<size_t> Yannakakis::Count(size_t limit) {
       };
       mc_.MergeFrom(
           MorselPool::Shared().Run(table.row_count(), threads_, 0, body));
-      if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->TripStatus());
+      CQCS_RETURN_IF_ERROR(TripStatus());
       agg = std::vector<size_t>();  // read by this parent only
     }
   }
@@ -633,15 +493,16 @@ Result<size_t> Yannakakis::Count(size_t limit) {
     total = SatMul(total, tree_total, limit);
   }
   for (size_t k = 0; k < isolated_.size(); ++k) {
-    total = SatMul(total, d_.universe_size(), limit);
+    total = SatMul(total, universe_, limit);
   }
+  CQCS_RETURN_IF_ERROR(TripStatus());
   return total;
 }
 
-Status Yannakakis::ProjectReduce(std::span<const VarId> proj,
-                                 std::vector<Table>* r_table,
-                                 std::vector<std::vector<VarId>>* r_cols) {
-  std::vector<uint8_t> in_proj(q_.var_count(), 0);
+Status YannakakisProgram::ProjectReduce(
+    std::span<const VarId> proj, std::vector<Table>* r_table,
+    std::vector<std::vector<VarId>>* r_cols) {
+  std::vector<uint8_t> in_proj(var_count_, 0);
   for (VarId v : proj) in_proj[v] = 1;
 
   // Bottom-up join-project: R[node] holds the distinct projections of
@@ -651,9 +512,8 @@ Status Yannakakis::ProjectReduce(std::span<const VarId> proj,
   // them output-bounded. The joins morsel-parallelize inside
   // HashJoinAppend; the per-node dedup stays sequential (first-occurrence
   // order defines it).
-  HashIndex index, scratch;
+  HashIndex index;
   index.AttachGovernor(gov_);
-  scratch.AttachGovernor(gov_);
   for (uint32_t node : order_) {
     // `cur` reads the node's own table until the first join replaces it.
     Table joined;
@@ -712,7 +572,7 @@ Status Yannakakis::ProjectReduce(std::span<const VarId> proj,
     for (size_t i = 0; i < cur_cols.size(); ++i) {
       VarId v = cur_cols[i];
       bool keep = in_proj[v];
-      if (!keep && tree_.parent[node] != JoinTree::kNoParent) {
+      if (!keep && parent_[node] != JoinTree::kNoParent) {
         const std::vector<VarId>& shared = shared_vars_[node];
         keep = std::find(shared.begin(), shared.end(), v) != shared.end();
       }
@@ -726,28 +586,27 @@ Status Yannakakis::ProjectReduce(std::span<const VarId> proj,
     // projection is dead. Skipping it leaves max_table_rows as it was:
     // R[node] never has more rows than `cur`, and `cur` never more than a
     // table already counted (its join, or its atom table as materialized).
-    const bool connector_only = tree_.parent[node] != JoinTree::kNoParent &&
+    const bool connector_only = parent_[node] != JoinTree::kNoParent &&
                                 keep_vars.size() == shared_vars_[node].size();
     (*r_cols)[node] = std::move(keep_vars);
     if (connector_only) continue;
     (*r_table)[node] = Table(static_cast<uint32_t>(keep_cols.size()));
     (*r_table)[node].AttachGovernor(gov_);
-    rel::ProjectDistinct(*cur, keep_cols, &(*r_table)[node], &scratch,
-                         SIZE_MAX, gov_);
+    rel::ProjectDistinct(*cur, keep_cols, &(*r_table)[node], gov_);
     BumpTable((*r_table)[node].row_count());
     if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->TripStatus());
   }
   return Status::OK();
 }
 
-Result<std::vector<std::vector<Element>>> Yannakakis::Project(
+Result<std::vector<std::vector<Element>>> YannakakisProgram::Project(
     std::span<const VarId> proj, size_t max_results) {
   CQCS_CHECK(satisfiable_);
   std::vector<std::vector<Element>> results;
   if (max_results == 0) return results;
-  if (d_.universe_size() == 0 && q_.var_count() > 0) return results;
+  if (universe_ == 0 && var_count_ > 0) return results;
 
-  std::vector<uint8_t> in_proj(q_.var_count(), 0);
+  std::vector<uint8_t> in_proj(var_count_, 0);
   for (VarId v : proj) in_proj[v] = 1;
 
   std::vector<Table> r_table(m_);
@@ -761,7 +620,7 @@ Result<std::vector<std::vector<Element>>> Yannakakis::Project(
   for (VarId v : isolated_) {
     if (in_proj[v]) iso_proj.push_back(v);
   }
-  std::vector<Element> value_of(q_.var_count(), 0);
+  std::vector<Element> value_of(var_count_, 0);
   std::vector<size_t> root_row(roots_.size(), 0);
   std::vector<Element> iso_val(iso_proj.size(), 0);
   std::vector<Element> out_row(proj.size());
@@ -782,7 +641,7 @@ Result<std::vector<std::vector<Element>>> Yannakakis::Project(
     // Odometer: isolated values first, then per-tree rows.
     size_t k = 0;
     while (k < iso_val.size() &&
-           ++iso_val[k] == static_cast<Element>(d_.universe_size())) {
+           ++iso_val[k] == static_cast<Element>(universe_)) {
       iso_val[k] = 0;
       ++k;
     }
@@ -795,14 +654,15 @@ Result<std::vector<std::vector<Element>>> Yannakakis::Project(
     }
     if (t == roots_.size()) break;
   }
+  CQCS_RETURN_IF_ERROR(TripStatus());
   return results;
 }
 
-Result<size_t> Yannakakis::ProjectCount(std::span<const VarId> proj,
-                                        size_t limit) {
+Result<size_t> YannakakisProgram::ProjectCount(std::span<const VarId> proj,
+                                               size_t limit) {
   CQCS_CHECK(satisfiable_);
   if (limit == 0) return size_t{0};
-  if (d_.universe_size() == 0 && q_.var_count() > 0) return size_t{0};
+  if (universe_ == 0 && var_count_ > 0) return size_t{0};
 
   std::vector<Table> r_table(m_);
   std::vector<std::vector<VarId>> r_cols(m_);
@@ -812,19 +672,18 @@ Result<size_t> Yannakakis::ProjectCount(std::span<const VarId> proj,
   // distinct projections of its tree's variables (its connector set is
   // empty), trees share no projection variables, and isolated projection
   // variables range freely — so the count is a plain saturated product.
-  std::vector<uint8_t> in_proj(q_.var_count(), 0);
+  std::vector<uint8_t> in_proj(var_count_, 0);
   for (VarId v : proj) in_proj[v] = 1;
   size_t total = 1;
   for (uint32_t root : roots_) {
     total = SatMul(total, r_table[root].row_count(), limit);
   }
   for (VarId v : isolated_) {
-    if (in_proj[v]) total = SatMul(total, d_.universe_size(), limit);
+    if (in_proj[v]) total = SatMul(total, universe_, limit);
   }
+  CQCS_RETURN_IF_ERROR(TripStatus());
   return total;
 }
-
-}  // namespace
 
 bool IsAcyclicQuery(const ConjunctiveQuery& q) {
   return GyoJoinForest(q.var_count(), QueryHyperedges(q)).has_value();
@@ -841,11 +700,15 @@ Result<JoinTree> BuildJoinTree(const ConjunctiveQuery& q) {
 
 namespace {
 
-/// Final trip check for the entry points: a charge-only trip in the last
-/// poll stride must still surface as kResourceExhausted, never as a
-/// normal-looking answer computed under a blown budget.
-Status FinalTrip(ResourceGovernor* governor) {
-  return governor != nullptr ? governor->TripStatus() : Status::OK();
+/// A projection variable outside the query is the caller's error.
+Status CheckProjection(const ConjunctiveQuery& q,
+                       std::span<const VarId> projection) {
+  for (VarId v : projection) {
+    if (v >= q.var_count()) {
+      return Status::InvalidArgument("projection variable out of range");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -855,24 +718,19 @@ Result<bool> EvaluateBooleanAcyclic(const ConjunctiveQuery& q,
                                     YannakakisStats* stats,
                                     ResourceGovernor* governor,
                                     unsigned num_threads) {
-  Yannakakis run(q, d, stats, governor, num_threads);
-  CQCS_RETURN_IF_ERROR(run.Prepare(Yannakakis::Passes::kDecide));
-  CQCS_RETURN_IF_ERROR(FinalTrip(governor));
+  YannakakisProgram run(stats, governor, num_threads);
+  CQCS_RETURN_IF_ERROR(
+      run.FromAtoms(q, d, YannakakisProgram::Passes::kDecide));
   return run.satisfiable();
 }
 
 Result<std::optional<std::vector<Element>>> AcyclicWitness(
     const ConjunctiveQuery& q, const Structure& d, YannakakisStats* stats,
     ResourceGovernor* governor, unsigned num_threads) {
-  Yannakakis run(q, d, stats, governor, num_threads);
-  CQCS_RETURN_IF_ERROR(run.Prepare(Yannakakis::Passes::kWalk));
-  if (!run.satisfiable()) {
-    CQCS_RETURN_IF_ERROR(FinalTrip(governor));
-    return std::optional<std::vector<Element>>();
-  }
+  YannakakisProgram run(stats, governor, num_threads);
+  CQCS_RETURN_IF_ERROR(run.FromAtoms(q, d, YannakakisProgram::Passes::kWalk));
   std::vector<std::vector<Element>> first;
-  CQCS_RETURN_IF_ERROR(run.Enumerate(1, &first));
-  CQCS_RETURN_IF_ERROR(FinalTrip(governor));
+  if (run.satisfiable()) CQCS_RETURN_IF_ERROR(run.Enumerate(1, &first));
   if (first.empty()) return std::optional<std::vector<Element>>();
   return std::optional<std::vector<Element>>(std::move(first[0]));
 }
@@ -881,31 +739,20 @@ Result<size_t> AcyclicCount(const ConjunctiveQuery& q, const Structure& d,
                             size_t limit, YannakakisStats* stats,
                             ResourceGovernor* governor,
                             unsigned num_threads) {
-  Yannakakis run(q, d, stats, governor, num_threads);
-  CQCS_RETURN_IF_ERROR(run.Prepare(Yannakakis::Passes::kCount));
-  if (!run.satisfiable()) {
-    CQCS_RETURN_IF_ERROR(FinalTrip(governor));
-    return size_t{0};
-  }
-  Result<size_t> count = run.Count(limit);
-  if (!count.ok()) return count;
-  CQCS_RETURN_IF_ERROR(FinalTrip(governor));
-  return count;
+  YannakakisProgram run(stats, governor, num_threads);
+  CQCS_RETURN_IF_ERROR(run.FromAtoms(q, d, YannakakisProgram::Passes::kCount));
+  if (!run.satisfiable()) return size_t{0};
+  return run.Count(limit);
 }
 
 Result<std::vector<std::vector<Element>>> AcyclicEnumerate(
     const ConjunctiveQuery& q, const Structure& d, size_t max_results,
     YannakakisStats* stats, ResourceGovernor* governor,
     unsigned num_threads) {
-  Yannakakis run(q, d, stats, governor, num_threads);
-  CQCS_RETURN_IF_ERROR(run.Prepare(Yannakakis::Passes::kWalk));
+  YannakakisProgram run(stats, governor, num_threads);
+  CQCS_RETURN_IF_ERROR(run.FromAtoms(q, d, YannakakisProgram::Passes::kWalk));
   std::vector<std::vector<Element>> out;
-  if (!run.satisfiable()) {
-    CQCS_RETURN_IF_ERROR(FinalTrip(governor));
-    return out;
-  }
-  CQCS_RETURN_IF_ERROR(run.Enumerate(max_results, &out));
-  CQCS_RETURN_IF_ERROR(FinalTrip(governor));
+  if (run.satisfiable()) CQCS_RETURN_IF_ERROR(run.Enumerate(max_results, &out));
   return out;
 }
 
@@ -914,22 +761,12 @@ Result<std::vector<std::vector<Element>>> AcyclicProject(
     std::span<const VarId> projection, size_t max_results,
     YannakakisStats* stats, ResourceGovernor* governor,
     unsigned num_threads) {
-  for (VarId v : projection) {
-    if (v >= q.var_count()) {
-      return Status::InvalidArgument("projection variable out of range");
-    }
-  }
-  Yannakakis run(q, d, stats, governor, num_threads);
-  CQCS_RETURN_IF_ERROR(run.Prepare(Yannakakis::Passes::kProject));
-  if (!run.satisfiable()) {
-    CQCS_RETURN_IF_ERROR(FinalTrip(governor));
-    return std::vector<std::vector<Element>>();
-  }
-  Result<std::vector<std::vector<Element>>> rows =
-      run.Project(projection, max_results);
-  if (!rows.ok()) return rows;
-  CQCS_RETURN_IF_ERROR(FinalTrip(governor));
-  return rows;
+  CQCS_RETURN_IF_ERROR(CheckProjection(q, projection));
+  YannakakisProgram run(stats, governor, num_threads);
+  CQCS_RETURN_IF_ERROR(
+      run.FromAtoms(q, d, YannakakisProgram::Passes::kProject));
+  if (!run.satisfiable()) return std::vector<std::vector<Element>>();
+  return run.Project(projection, max_results);
 }
 
 Result<size_t> AcyclicProjectCount(const ConjunctiveQuery& q,
@@ -938,21 +775,12 @@ Result<size_t> AcyclicProjectCount(const ConjunctiveQuery& q,
                                    size_t limit, YannakakisStats* stats,
                                    ResourceGovernor* governor,
                                    unsigned num_threads) {
-  for (VarId v : projection) {
-    if (v >= q.var_count()) {
-      return Status::InvalidArgument("projection variable out of range");
-    }
-  }
-  Yannakakis run(q, d, stats, governor, num_threads);
-  CQCS_RETURN_IF_ERROR(run.Prepare(Yannakakis::Passes::kProject));
-  if (!run.satisfiable()) {
-    CQCS_RETURN_IF_ERROR(FinalTrip(governor));
-    return size_t{0};
-  }
-  Result<size_t> count = run.ProjectCount(projection, limit);
-  if (!count.ok()) return count;
-  CQCS_RETURN_IF_ERROR(FinalTrip(governor));
-  return count;
+  CQCS_RETURN_IF_ERROR(CheckProjection(q, projection));
+  YannakakisProgram run(stats, governor, num_threads);
+  CQCS_RETURN_IF_ERROR(
+      run.FromAtoms(q, d, YannakakisProgram::Passes::kProject));
+  if (!run.satisfiable()) return size_t{0};
+  return run.ProjectCount(projection, limit);
 }
 
 Result<bool> AcyclicContainment(const ConjunctiveQuery& q1,

@@ -1,18 +1,18 @@
 // Acyclic conjunctive queries — querywidth 1 in the Chekuri–Rajaraman
 // terminology the paper discusses ([Yan81], [CR97]). Acyclicity is decided
 // by GYO ear removal on the query's hypergraph (cq/gyo.h); a join tree
-// witnesses it, and Yannakakis's semijoin program evaluates acyclic
-// queries in polynomial time — not just Boolean decide: after the
-// bottom-up + top-down semijoin reduction every surviving table row
-// participates in at least one solution, which makes witness extraction a
-// single top-down walk, enumeration output-bounded (poly delay per
-// solution), and projection a bottom-up join-project pass whose
-// intermediates stay bounded by input x output (the size-bound frame of
-// Valiant & Valiant, arXiv:0909.2030). Counting needs no reduction: it is
-// one bottom-up sum-product pass in which a row with no match below sums
-// to 0. Each task runs only the passes it reads. Tables live in the
-// columnar rel/ kernel: flat rel::Table rows, open-addressing
-// rel::HashIndex probes, no per-row allocation.
+// witnesses it, and Yannakakis's semijoin program (YannakakisProgram below)
+// evaluates acyclic queries in polynomial time: decide, witness, count,
+// output-bounded enumeration, and projection whose intermediates stay
+// bounded by input x output (the size-bound frame of Valiant & Valiant,
+// arXiv:0909.2030). Tables live in the columnar rel/ kernel: flat
+// rel::Table rows, open-addressing rel::HashIndex probes, no per-row
+// allocation.
+//
+// The program is not tied to atoms: it runs over any join forest of
+// duplicate-free tables (YannakakisProgram below). The treewidth route
+// (treewidth/hom_dp.h) feeds it one table per bag of a tree decomposition,
+// which is Theorem 5.4's ∃FO^{k+1} evaluation.
 //
 // Containment Q1 ⊆ Q2 with acyclic Q2 is then polynomial: attach the head
 // markers to Q2 (unary atoms keep it acyclic) and evaluate over D_{Q1}.
@@ -26,12 +26,18 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/work_pool.h"
 #include "core/structure.h"
 #include "cq/query.h"
+#include "rel/hash_index.h"
+#include "rel/ops.h"
+#include "rel/table.h"
 
 namespace cqcs {
 
-class ResourceGovernor;  // common/governor.h
+class ResourceGovernor;      // common/governor.h
+class TreeDecomposition;     // treewidth/decomposition.h
+struct TreewidthSolveStats;  // treewidth/hom_dp.h
 
 /// A join tree over the atoms of a query: node i corresponds to atom i;
 /// parents are always removed after their children in GYO elimination.
@@ -62,6 +68,182 @@ struct YannakakisStats {
   unsigned workers = 0;           ///< resolved worker count of the run
   uint64_t morsels = 0;           ///< morsel dispatches across all passes
   uint64_t steals = 0;            ///< morsels run by pool (non-calling) threads
+};
+
+/// Yannakakis's program over a join forest of tables. Node i holds a
+/// duplicate-free table whose columns are the sorted distinct variables
+/// vars[i]; every variable's nodes form a connected subforest (running
+/// intersection), and a variable in no node ranges freely over the target
+/// universe. Two front ends load it, then run only the passes the task
+/// reads:
+///
+///   task              semijoin passes         match indexes
+///   decide            bottom-up               -
+///   count             none                    over the unreduced tables
+///   witness/enumerate bottom-up               over the reduced tables
+///   project(-count)   bottom-up + top-down    -
+///
+/// After the bottom-up pass every surviving row extends into its subtree,
+/// so a walk from the roots never dead-ends: a match-index probe reaches
+/// exactly the child rows the top-down pass would keep, in the same chain
+/// order. Projection needs the full reduction, since its join-project pass
+/// skips a child's identity join only when every parent row has a match.
+/// Count is one bottom-up sum-product pass in which a row whose subtree has
+/// no match sums to 0.
+///
+/// Parallelism (num_threads > 1, SolveOptions convention): materialization
+/// (per atom group or per bag), the semijoin sweeps, the count pass and
+/// the match-index builds run as morsels on the shared MorselPool, merging
+/// at deterministic boundaries (node order, morsel order), so answers and
+/// all stats except workers/steals are identical at every thread count.
+/// The walk, the count's per-key fold and ProjectDistinct stay sequential:
+/// their outputs are defined by row order.
+///
+/// A governor trip in any phase unwinds with kResourceExhausted; the
+/// caller must then discard every output (no torn results). Each program
+/// is loaded once, by one of the two entry points.
+class YannakakisProgram {
+ public:
+  /// What a task reads; the entry points run exactly those passes.
+  enum class Passes {
+    kDecide,   ///< bottom-up semijoins; satisfiable() is the answer
+    kCount,    ///< no semijoins; match indexes over the unreduced tables
+    kWalk,     ///< bottom-up semijoins + match indexes (witness, enumerate)
+    kProject,  ///< full reduction, no match indexes (project, its count)
+  };
+
+  /// `stats` (may be null) receives the program's counters; the
+  /// worker/morsel/steal counters flush on destruction, so error unwinds
+  /// report what ran too.
+  explicit YannakakisProgram(YannakakisStats* stats = nullptr,
+                             ResourceGovernor* governor = nullptr,
+                             unsigned num_threads = 1);
+  ~YannakakisProgram();
+  YannakakisProgram(const YannakakisProgram&) = delete;
+  YannakakisProgram& operator=(const YannakakisProgram&) = delete;
+
+  /// Entry point from atoms: validates q against d, runs GYO
+  /// (InvalidArgument for cyclic queries or a vocabulary mismatch),
+  /// materializes one table per atom of q over d, then runs `passes`.
+  /// Variables are q's VarIds.
+  Status FromAtoms(const ConjunctiveQuery& q, const Structure& d,
+                   Passes passes);
+
+  /// Entry point from bags (defined in treewidth/hom_dp.cc): validates
+  /// `decomposition` against a (InvalidArgument as
+  /// TreeDecomposition::ValidateFor, or on a vocabulary mismatch), builds
+  /// one table per bag holding every assignment of the bag's elements that
+  /// maps each tuple of a the bag covers into b, then runs `passes` over
+  /// the decomposition's forest. Variables are a's elements, so assignment
+  /// rows are homomorphisms a -> b. `stats` (may be null) receives the
+  /// width, the join extensions tried (table_entries), the bag-table rows
+  /// (table_rows) and the worker/morsel/steal counters; `node_tables` (may
+  /// be null) receives each bag table, row-major, before any semijoin.
+  Status FromBags(const Structure& a, const Structure& b,
+                  const TreeDecomposition& decomposition, Passes passes,
+                  TreewidthSolveStats* stats = nullptr,
+                  std::vector<std::vector<Element>>* node_tables = nullptr);
+
+  /// False when some table emptied: no assignment satisfies the forest.
+  /// After kCount only a loaded table can have emptied, so true does not
+  /// imply a solution exists.
+  bool satisfiable() const { return satisfiable_; }
+
+  // The tasks below require satisfiable() and the Passes named on each.
+
+  /// Appends up to max_results assignments (indexed by variable) to *out.
+  /// kWalk.
+  Status Enumerate(size_t max_results, std::vector<std::vector<Element>>* out);
+
+  /// min(#assignments, limit); 0 at limit 0. kCount.
+  Result<size_t> Count(size_t limit);
+
+  /// Distinct projections onto `proj` (variables, repeats allowed), up to
+  /// max_results. kProject.
+  Result<std::vector<std::vector<Element>>> Project(
+      std::span<const VarId> proj, size_t max_results);
+
+  /// min(#distinct projections onto `proj`, limit) via the same bottom-up
+  /// reduction as Project, without assembling the cross product. kProject.
+  Result<size_t> ProjectCount(std::span<const VarId> proj, size_t limit);
+
+ private:
+  /// The program proper over the loaded vars_/tables_ and the forest
+  /// `parent` (kNoParent for roots): shape, then `passes`.
+  Status Run(std::vector<uint32_t> parent, Passes passes);
+  /// The semijoin passes: bottom-up, then top-down for kProject. Clears
+  /// satisfiable_ when a table empties.
+  Status Reduce(Passes passes);
+  Status MaterializeAll(const ConjunctiveQuery& q, const Structure& d);
+  /// Materializes atom `i`'s table (a group representative: no memo hit).
+  /// Thread-safe against other groups — writes only tables_[i] and the
+  /// governor's atomic accounting.
+  Status MaterializeGroup(const ConjunctiveQuery& q, const Structure& d,
+                          size_t i, const std::vector<uint32_t>& col_of_arg);
+  /// The bottom-up join-project pass shared by Project and ProjectCount:
+  /// fills r_table/r_cols per node (see Project for the invariants).
+  /// r_table stays empty for a non-root node that keeps only its
+  /// connector: its parent's join with it is an identity, so no one
+  /// reads it.
+  Status ProjectReduce(std::span<const VarId> proj,
+                       std::vector<rel::Table>* r_table,
+                       std::vector<std::vector<VarId>>* r_cols);
+  /// Threading knobs handed to the rel/ operators: shared counter sink,
+  /// default morsel size.
+  rel::OpParallel Par() { return {threads_, 0, &mc_}; }
+  /// Stride poll for the row loops: consults the governor every 1024th
+  /// call. Ungoverned runs pay one branch.
+  Status PollTick();
+  /// The governor's sticky trip, or OK.
+  Status TripStatus() const;
+  void BumpTable(size_t rows);
+  // Helpers for Enumerate's explicit-stack pre-order walk (one recursion
+  // frame per node would overflow the stack on ~100k-node forests).
+  /// First row of seq_[depth]'s table matching the ancestors in assign_
+  /// (all rows for roots), or HashIndex::kNone.
+  uint32_t FirstRow(size_t depth);
+  /// Next row of seq_[depth]'s table with the same key, or kNone.
+  uint32_t NextRow(size_t depth, uint32_t r) const;
+  /// Copies row r of seq_[depth]'s table into assign_.
+  void WriteRow(size_t depth, uint32_t r);
+  /// Appends the isolated-variable expansions of the current assign_;
+  /// false once *out reached max_results (aborts the walk).
+  bool EmitAssignment(size_t max_results,
+                      std::vector<std::vector<Element>>* out);
+
+  YannakakisStats* stats_;
+  TreewidthSolveStats* tw_stats_ = nullptr;  // FromBags' counter sink
+  ResourceGovernor* gov_;
+  unsigned threads_ = 1;   // resolved worker count
+  MorselCounters mc_;      // merged from every dispatch; flushed in dtor
+  uint64_t tick_ = 0;  // PollTick stride counter (single-threaded phases
+                       // only — parallel bodies keep a local stride)
+
+  size_t var_count_ = 0;  // variables are [0, var_count_)
+  size_t universe_ = 0;   // the range of every variable
+  size_t m_ = 0;          // nodes
+  std::vector<uint32_t> parent_;
+  std::vector<std::vector<VarId>> vars_;  // per node, sorted distinct
+  std::vector<rel::Table> tables_;        // columns follow vars_[i]
+  std::vector<std::vector<uint32_t>> children_;
+  std::vector<uint32_t> roots_;
+  std::vector<uint32_t> order_;  // children before parents
+  // Shared variables with the parent, ascending; and their column
+  // positions on each side (aligned lists).
+  std::vector<std::vector<VarId>> shared_vars_;
+  std::vector<std::vector<uint32_t>> shared_child_cols_;
+  std::vector<std::vector<uint32_t>> shared_parent_cols_;
+  // Match index per non-root node, keyed on shared_child_cols_ (kCount and
+  // kWalk only).
+  std::vector<rel::HashIndex> match_index_;
+  std::vector<VarId> isolated_;  // variables in no node
+  std::vector<Element> assign_;  // Enumerate's scratch
+  std::vector<Element> key_scratch_;  // probe-key scratch (the key is
+                                      // consumed by FindFirst before any
+                                      // recursion, so one buffer serves
+                                      // every depth)
+  std::vector<uint32_t> seq_;  // forest pre-order
+  bool satisfiable_ = false;
 };
 
 /// True iff the query's hypergraph is α-acyclic (GYO reduces it away).
@@ -99,9 +281,9 @@ Result<bool> EvaluateBooleanAcyclic(const ConjunctiveQuery& q,
 // The following answer about total assignments of ALL q.var_count()
 // variables into d's universe: a variable in no atom ranges freely over
 // the universe (for the canonical query of a structure, those are the
-// isolated source elements). Witness, enumerate and the projections run
-// the full reduction (bottom-up + top-down); count runs none. Errors
-// mirror EvaluateBooleanAcyclic.
+// isolated source elements). Each is a thin wrapper over
+// YannakakisProgram::FromAtoms and one task. Errors mirror
+// EvaluateBooleanAcyclic.
 
 /// One satisfying assignment (indexed by VarId), or nullopt.
 Result<std::optional<std::vector<Element>>> AcyclicWitness(
@@ -121,8 +303,8 @@ Result<size_t> AcyclicCount(const ConjunctiveQuery& q, const Structure& d,
                             unsigned num_threads = 1);
 
 /// Up to max_results satisfying assignments, each indexed by VarId.
-/// Output-bounded: the reduced tables contain no dead rows, so the walk
-/// never backtracks past a row that fails to extend.
+/// Output-bounded: after the bottom-up pass every row the walk reaches
+/// extends into its subtree, so it never backtracks past a dead row.
 Result<std::vector<std::vector<Element>>> AcyclicEnumerate(
     const ConjunctiveQuery& q, const Structure& d,
     size_t max_results = SIZE_MAX, YannakakisStats* stats = nullptr,

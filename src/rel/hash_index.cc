@@ -74,7 +74,10 @@ void HashIndex::AttachGovernor(ResourceGovernor* governor) {
   if (governor_ != nullptr) SyncCharge();
 }
 
-void HashIndex::SyncChargeSlow(size_t cap) {
+void HashIndex::SyncCharge() {
+  const size_t cap =
+      (slots_.capacity() + next_.capacity()) * sizeof(uint32_t);
+  if (cap == charged_bytes_) return;
   if (cap > charged_bytes_) {
     governor_->ChargeBytes(cap - charged_bytes_);
   } else {
@@ -90,33 +93,19 @@ void HashIndex::ReleaseCharge() {
   charged_bytes_ = 0;
 }
 
-void HashIndex::Reset(uint32_t width, std::vector<uint32_t> key_cols) {
+void HashIndex::Build(const Element* base, uint32_t width, uint32_t row_count,
+                      std::vector<uint32_t> key_cols) {
   for (uint32_t c : key_cols) CQCS_CHECK(c < width);
   width_ = width;
   key_cols_ = std::move(key_cols);
-  slots_.assign(SlotCountFor(0), kNone);
-  next_.clear();
-  if (governor_ != nullptr) SyncCharge();
-}
-
-void HashIndex::Build(const Element* base, uint32_t width, uint32_t row_count,
-                      std::vector<uint32_t> key_cols) {
-  Reset(width, std::move(key_cols));
   slots_.assign(SlotCountFor(row_count), kNone);
+  next_.clear();
   next_.reserve(row_count);
   if (governor_ != nullptr) SyncCharge();
   for (uint32_t r = 0; r < row_count; ++r) {
     next_.push_back(kNone);
     Insert(base, r);
   }
-  if (governor_ != nullptr) SyncCharge();
-}
-
-void HashIndex::Add(const Element* base, uint32_t row) {
-  CQCS_CHECK(row == size());
-  if (2 * (next_.size() + 1) > slots_.size()) Grow(base);
-  next_.push_back(kNone);
-  Insert(base, row);
   if (governor_ != nullptr) SyncCharge();
 }
 
@@ -166,12 +155,6 @@ void HashIndex::Insert(const Element* base, uint32_t row) {
     slot = (slot + 1) & mask;
   }
   slots_[slot] = row;
-}
-
-void HashIndex::Grow(const Element* base) {
-  slots_.assign(SlotCountFor(next_.size() + 1), kNone);
-  std::fill(next_.begin(), next_.end(), kNone);
-  for (uint32_t r = 0; r < next_.size(); ++r) Insert(base, r);
 }
 
 uint32_t HashIndex::FindFirst(const Element* base,

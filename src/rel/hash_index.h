@@ -12,12 +12,7 @@
 // One probe finds the first row with a key (O(1) expected); walking the
 // chain enumerates every duplicate. No allocation per probe, no stored
 // keys — equality reads the row buffer, so the index costs two uint32
-// arrays regardless of key width.
-//
-// Two build modes share the structure: Build() bulk-loads rows [0, n), and
-// Add() appends row ids one at a time (the treewidth DP inserts a row only
-// after probing for its key, so tables stay deduplicated by key). Rows
-// must be added densely: Add(base, r) requires r == size().
+// arrays regardless of key width. Build() bulk-loads rows [0, n).
 
 #ifndef CQCS_REL_HASH_INDEX_H_
 #define CQCS_REL_HASH_INDEX_H_
@@ -107,17 +102,11 @@ class HashIndex {
   /// (nullptr detaches); same contract as Table::AttachGovernor.
   void AttachGovernor(ResourceGovernor* governor);
 
-  /// Prepares an empty index over rows of `width` cells keyed on
-  /// `key_cols` (column positions, each < width).
-  void Reset(uint32_t width, std::vector<uint32_t> key_cols);
-
-  /// Reset + bulk-load rows [0, row_count) of `base`.
+  /// Indexes rows [0, row_count) of `base`, rows of `width` cells, keyed
+  /// on `key_cols` (column positions, each < width), replacing any earlier
+  /// contents.
   void Build(const Element* base, uint32_t width, uint32_t row_count,
              std::vector<uint32_t> key_cols);
-
-  /// Adds the next row. `row` must equal size() (dense ids); `base` is the
-  /// current buffer start (it may move between calls as the table grows).
-  void Add(const Element* base, uint32_t row);
 
   /// First row whose key columns equal `key` (values in key_cols order),
   /// or kNone. Follow with Next() to walk all rows sharing the key.
@@ -136,9 +125,6 @@ class HashIndex {
   /// Yannakakis' count fold and bulk dedup rely on (cq/acyclic.cc).
   uint32_t Next(uint32_t row) const { return next_[row]; }
 
-  /// Rows indexed so far.
-  uint32_t size() const { return static_cast<uint32_t>(next_.size()); }
-
   std::span<const uint32_t> key_cols() const { return key_cols_; }
 
  private:
@@ -147,18 +133,11 @@ class HashIndex {
   bool RowMatchesKey(const Element* base, uint32_t row,
                      std::span<const Element> key) const;
   bool RowsMatch(const Element* base, uint32_t a, uint32_t b) const;
-  void Grow(const Element* base);
   /// Probes for `row`'s key: chains onto the head if present, else claims
   /// an empty slot.
   void Insert(const Element* base, uint32_t row);
   /// Brings the governor's view in line with slots_/next_ capacity.
-  /// Inline fast path, same rationale as Table::SyncCharge: per-Add calls
-  /// dominate and capacity only moves on growth steps.
-  void SyncCharge() {
-    size_t cap = (slots_.capacity() + next_.capacity()) * sizeof(uint32_t);
-    if (cap != charged_bytes_) SyncChargeSlow(cap);
-  }
-  void SyncChargeSlow(size_t cap);
+  void SyncCharge();
   void ReleaseCharge();
 
   uint32_t width_ = 0;

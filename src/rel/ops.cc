@@ -173,26 +173,35 @@ void HashJoinAppend(const Table& left, std::span<const uint32_t> left_key_cols,
   }
 }
 
-void ProjectDistinct(const Table& src, std::span<const uint32_t> cols,
-                     Table* out, HashIndex* scratch, size_t max_rows,
-                     ResourceGovernor* governor) {
-  CQCS_CHECK(out->width() == cols.size());
-  CQCS_CHECK(out->row_count() == 0);
-  std::vector<uint32_t> identity(cols.size());
-  for (uint32_t i = 0; i < cols.size(); ++i) identity[i] = i;
-  scratch->Reset(out->width(), identity);
-  std::vector<Element> key(cols.size());
-  for (uint32_t r = 0; r < src.row_count() && out->row_count() < max_rows;
-       ++r) {
+std::vector<uint32_t> FirstOccurrences(const Table& table,
+                                       std::span<const uint32_t> cols,
+                                       ResourceGovernor* governor) {
+  const auto rows = static_cast<uint32_t>(table.row_count());
+  HashIndex index;
+  index.AttachGovernor(governor);
+  index.Build(table.data(), table.width(), rows, {cols.begin(), cols.end()});
+  std::vector<uint32_t> first;
+  for (uint32_t r = 0; r < rows; ++r) {
     if (governor != nullptr && (r & 1023) == 1023 &&
         !governor->Poll().ok()) {
-      return;
+      break;
     }
+    if (index.Next(r) == HashIndex::kNone) first.push_back(r);
+  }
+  return first;
+}
+
+void ProjectDistinct(const Table& src, std::span<const uint32_t> cols,
+                     Table* out, ResourceGovernor* governor) {
+  CQCS_CHECK(out->width() == cols.size());
+  CQCS_CHECK(out->row_count() == 0);
+  const std::vector<uint32_t> first = FirstOccurrences(src, cols, governor);
+  out->Reserve(first.size());
+  // cqcs-lint: allow(unpolled-loop): one copy per row FirstOccurrences polled over
+  for (uint32_t r : first) {
     std::span<const Element> row = src.row(r);
-    for (size_t i = 0; i < cols.size(); ++i) key[i] = row[cols[i]];
-    if (scratch->FindFirst(out->data(), key) != HashIndex::kNone) continue;
-    out->AppendRow(key);
-    scratch->Add(out->data(), static_cast<uint32_t>(out->row_count() - 1));
+    Element* cell = out->AppendRowSlot();
+    for (size_t i = 0; i < cols.size(); ++i) cell[i] = row[cols[i]];
   }
 }
 

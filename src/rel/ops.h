@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/governor.h"
 #include "common/work_pool.h"
@@ -67,18 +68,19 @@ void HashJoinAppend(const Table& left, std::span<const uint32_t> left_key_cols,
                     ResourceGovernor* governor = nullptr,
                     const OpParallel& parallel = {});
 
+/// The ascending ids of the rows of `table` whose values in `cols` no
+/// earlier row has: one index build keyed on `cols`, after which a key's
+/// first row is the one that ends its chain. Partial after a governor
+/// trip.
+std::vector<uint32_t> FirstOccurrences(const Table& table,
+                                       std::span<const uint32_t> cols,
+                                       ResourceGovernor* governor = nullptr);
+
 /// Appends the distinct projections of `src` onto `cols` to the empty
-/// table `*out` (width must equal cols.size()), stopping after max_rows
-/// distinct rows. `scratch` is the dedup index and is Reset by the call;
-/// on return it indexes *out's rows (keyed on all columns). Deliberately
-/// sequential: output order is global first-occurrence order and the
-/// dedup index mutates per accepted row, so there is no deterministic
-/// morsel decomposition — callers parallelize the join feeding this
-/// instead.
+/// table `*out` (width must equal cols.size()), in first-occurrence order.
+/// Sequential: callers parallelize the join feeding it instead.
 void ProjectDistinct(const Table& src, std::span<const uint32_t> cols,
-                     Table* out, HashIndex* scratch,
-                     size_t max_rows = SIZE_MAX,
-                     ResourceGovernor* governor = nullptr);
+                     Table* out, ResourceGovernor* governor = nullptr);
 
 }  // namespace cqcs::rel
 

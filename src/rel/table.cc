@@ -91,12 +91,6 @@ Element* Table::AppendRowSlot() {
   return data_.data() + (rows_ - 1) * width_;
 }
 
-void Table::PopRow() {
-  CQCS_CHECK(rows_ > 0);
-  data_.resize(data_.size() - width_);
-  --rows_;
-}
-
 void Table::KeepRows(std::span<const uint32_t> keep) {
   size_t out = 0;
   for (uint32_t r : keep) {

@@ -2,9 +2,9 @@
 //
 // A Table is a bag of fixed-width rows of Elements in one contiguous
 // buffer: row r occupies cells [r*width, (r+1)*width). What the columns
-// *mean* (query variables, bag positions) is the caller's bookkeeping —
-// the kernel only moves flat rows, so the Yannakakis tables and the
-// treewidth DP tables share the same storage, operators, and hash index
+// *mean* (query variables, bag elements) is the caller's bookkeeping —
+// the kernel only moves flat rows, so atom tables and bag tables share
+// the same storage, operators, and hash index
 // (rel/hash_index.h, rel/ops.h) with no per-row allocation anywhere:
 // appending writes into the buffer, filtering compacts it in place, and
 // keys are spans into it.
@@ -59,10 +59,6 @@ class Table {
   /// zero-copy append used by operators that compose rows from several
   /// sources. The pointer is valid until the next append.
   Element* AppendRowSlot();
-
-  /// Drops the last row (pairs with AppendRowSlot when a probe decides
-  /// the freshly composed row was a duplicate).
-  void PopRow();
 
   /// Keeps exactly the rows whose ids are listed (ascending), compacting
   /// in place. Used by the semijoin operator.

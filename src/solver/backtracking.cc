@@ -92,6 +92,7 @@ std::vector<std::vector<Element>> BacktrackingSolver::EnumerateProjections(
 }
 
 size_t BacktrackingSolver::CountSolutions(size_t limit, SolveStats* stats) {
+  if (limit == 0) return 0;  // the callback counts a solution before the cap
   size_t count = 0;
   RunSearch(
       *csp_, options_, {},

@@ -98,26 +98,20 @@ Status IndexAndCheckElements(const TreeDecomposition& td, size_t n,
   return Status::OK();
 }
 
-/// First node (ascending) whose bag covers `elems`, probing the node list
-/// of the first element with the fewest nodes; kNoParent when none does.
-uint32_t CoveringNode(const TreeDecomposition& td, const NodeLists& lists,
-                      std::span<const Element> elems) {
+/// The node list of the first element of `elems` with the fewest nodes:
+/// every bag covering `elems` is on it.
+std::span<const uint32_t> RarestNodes(const NodeLists& lists,
+                                      std::span<const Element> elems) {
   Element rare = elems[0];
   for (Element e : elems) {
     if (lists.count(e) < lists.count(rare)) rare = e;
   }
-  for (uint32_t node : lists.of(rare)) {
-    const std::vector<Element>& bag = td.bag(node);
-    bool covered = true;
-    for (Element e : elems) {
-      if (!BagContains(bag, e)) {
-        covered = false;
-        break;
-      }
-    }
-    if (covered) return node;
-  }
-  return TreeDecomposition::kNoParent;
+  return lists.of(rare);
+}
+
+bool Covers(const std::vector<Element>& bag, std::span<const Element> elems) {
+  return std::all_of(elems.begin(), elems.end(),
+                     [&](Element e) { return BagContains(bag, e); });
 }
 
 }  // namespace
@@ -129,7 +123,10 @@ Status TreeDecomposition::ValidateFor(const Graph& g) const {
     for (uint32_t v : g.neighbors(u)) {
       if (v < u) continue;
       const Element edge[2] = {u, v};
-      if (CoveringNode(*this, lists, edge) == kNoParent) {
+      const std::span<const uint32_t> nodes = RarestNodes(lists, edge);
+      if (std::none_of(nodes.begin(), nodes.end(), [&](uint32_t node) {
+            return Covers(bag(node), edge);
+          })) {
         return Status::InvalidArgument("edge {" + std::to_string(u) + "," +
                                        std::to_string(v) + "} is in no bag");
       }
@@ -150,12 +147,18 @@ Status TreeDecomposition::ValidateFor(const Structure& a,
   for (RelId id = 0; id < vocab.size(); ++id) {
     const Relation& r = a.relation(id);
     for (uint32_t t = 0; t < r.tuple_count(); ++t) {
-      const uint32_t node = CoveringNode(*this, lists, r.tuple(t));
-      if (node == kNoParent) {
+      // Without an assignment to fill, the first covering node settles it.
+      bool covered = false;
+      for (uint32_t node : RarestNodes(lists, r.tuple(t))) {
+        if (!Covers(bag(node), r.tuple(t))) continue;
+        covered = true;
+        if (assignment == nullptr) break;
+        (*assignment)[node].emplace_back(id, t);
+      }
+      if (!covered) {
         return Status::InvalidArgument("a tuple of " + vocab.name(id) +
                                        " is covered by no bag");
       }
-      if (assignment != nullptr) (*assignment)[node].emplace_back(id, t);
     }
   }
   return Status::OK();

@@ -46,8 +46,9 @@ class TreeDecomposition {
   /// Width = max bag size - 1 (-1 if there are no nodes).
   int Width() const;
 
-  /// For each node, the tuples (relation, tuple index) of a structure
-  /// assigned to it: every tuple lands on one node whose bag covers it.
+  /// For each node, the tuples (relation, tuple index) of a structure its
+  /// bag covers: a tuple is listed at every node whose bag holds all of its
+  /// elements.
   using TupleAssignment = std::vector<std::vector<std::pair<RelId, uint32_t>>>;
 
   /// Checks the three decomposition conditions against a graph: vertex and
@@ -61,8 +62,8 @@ class TreeDecomposition {
   /// Checks the structure version: every tuple's elements lie in one bag
   /// (Lemma 5.1: equivalent to validating against the Gaifman graph, which
   /// is never built). When `assignment` is non-null it receives, per node,
-  /// the tuples covered there — the first node (ascending) holding the
-  /// tuple among those of its rarest element.
+  /// every tuple its bag covers, found by scanning the node list of the
+  /// tuple's rarest element.
   Status ValidateFor(const Structure& a,
                      TupleAssignment* assignment = nullptr) const;
 

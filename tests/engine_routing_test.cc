@@ -297,24 +297,70 @@ TEST(EngineRoutingTest, AcyclicServesCountEnumerateProjectWithoutSearch) {
 }
 
 TEST(EngineRoutingTest, CyclicSourceCountFallsBackToSearch) {
-  // Counting has no polynomial island for cyclic sources: the router
-  // must land on the search and say why the acyclic route refused.
+  // A cyclic source inside the stage-3 gate counts on the treewidth route;
+  // one above the gate falls back to the search, and Explain says why both
+  // the acyclic and the treewidth route refused.
   auto vocab = MakeGraphVocabulary();
   Structure k3 = CliqueStructure(vocab, 3);
   Structure k4 = CliqueStructure(vocab, 4);
   HomProblem p = MustProblem(HomProblem::FromStructures(k3, k4));
   HomEngine engine;
   EngineResult r = MustRun(engine, p, HomTask::kCount);
-  EXPECT_EQ(r.explain.chosen, Backend::kUniform) << r.explain.ToString();
-  EXPECT_TRUE(r.stats.used_search);
+  EXPECT_EQ(r.explain.chosen, Backend::kTreewidth) << r.explain.ToString();
+  EXPECT_TRUE(r.stats.used_treewidth);
+  EXPECT_FALSE(r.stats.used_search);
   EXPECT_TRUE(r.explain.profiled);
   EXPECT_FALSE(r.explain.profile.source_acyclic);
   EXPECT_EQ(r.count, BacktrackingSolver(k3, k4).CountSolutions());
-  bool noted_acyclic = false;
-  for (const std::string& f : r.explain.fallbacks) {
-    if (f.find("cyclic") != std::string::npos) noted_acyclic = true;
+  EXPECT_EQ(r.count, 24u);
+
+  Structure k5 = CliqueStructure(vocab, 5);
+  Structure k6 = CliqueStructure(vocab, 6);
+  HomProblem wide = MustProblem(HomProblem::FromStructures(k5, k6));
+  EngineResult s = MustRun(engine, wide, HomTask::kCount);
+  EXPECT_EQ(s.explain.chosen, Backend::kUniform) << s.explain.ToString();
+  EXPECT_TRUE(s.stats.used_search);
+  EXPECT_FALSE(s.stats.used_treewidth);
+  EXPECT_EQ(s.count, BacktrackingSolver(k5, k6).CountSolutions());
+  EXPECT_EQ(s.count, 720u);
+  bool noted_acyclic = false, noted_gate = false;
+  for (const std::string& f : s.explain.fallbacks) {
+    if (f.rfind("acyclic: ", 0) == 0 && f.find("cyclic") != std::string::npos) {
+      noted_acyclic = true;
+    }
+    if (f.rfind("treewidth: ", 0) == 0 &&
+        f.find("exceeds the gate") != std::string::npos) {
+      noted_gate = true;
+    }
   }
-  EXPECT_TRUE(noted_acyclic) << r.explain.ToString();
+  EXPECT_TRUE(noted_acyclic) << s.explain.ToString();
+  EXPECT_TRUE(noted_gate) << s.explain.ToString();
+}
+
+TEST(EngineRoutingTest, CountLimitZeroCountsNothingOnEveryBackend) {
+  // min(count, 0) is 0 whichever backend counts, even where the one
+  // homomorphism is the empty map.
+  auto vocab = MakeGraphVocabulary();
+  const Structure empty(vocab, 0);
+  const Structure p3 = PathStructure(vocab, 3);
+  const Structure k3 = CliqueStructure(vocab, 3);
+  const Structure k4 = CliqueStructure(vocab, 4);
+  const std::pair<const Structure*, const Structure*> instances[] = {
+      {&empty, &k3}, {&p3, &k3}, {&k3, &k4}};
+  for (auto [a, b] : instances) {
+    HomProblem p = MustProblem(HomProblem::FromStructures(*a, *b));
+    for (Backend backend : {Backend::kAuto, Backend::kUniform,
+                            Backend::kAcyclic, Backend::kTreewidth}) {
+      SCOPED_TRACE(testing::Message() << BackendName(backend) << " on |A|="
+                                      << a->universe_size());
+      if (backend == Backend::kAcyclic && !p.SourceAcyclic()) continue;
+      EngineOptions options;
+      options.backend = backend;
+      options.count_limit = 0;
+      EngineResult r = MustRun(HomEngine(options), p, HomTask::kCount);
+      EXPECT_EQ(r.count, 0u) << r.explain.ToString();
+    }
+  }
 }
 
 TEST(EngineRoutingTest, CompiledProblemReusesArtifactsAcrossRuns) {

@@ -377,7 +377,9 @@ TEST(GovernorEngineTest, EveryBackendTripsCleanlyAndStaysReusable) {
       {Backend::kAcyclic,
        {HomTask::kDecide, HomTask::kWitness, HomTask::kCount,
         HomTask::kEnumerate, HomTask::kProject}},
-      {Backend::kTreewidth, {HomTask::kDecide, HomTask::kWitness}},
+      {Backend::kTreewidth,
+       {HomTask::kDecide, HomTask::kWitness, HomTask::kCount,
+        HomTask::kEnumerate, HomTask::kProject}},
       {Backend::kSchaefer, {HomTask::kDecide, HomTask::kWitness}},
       {Backend::kUniform,
        {HomTask::kDecide, HomTask::kWitness, HomTask::kCount,
@@ -803,6 +805,69 @@ TEST(GovernorEngineTest, AcyclicCountAndProjectTripAtEveryCheckAndCharge) {
       std::vector<std::vector<Element>> again;
       EXPECT_TRUE(run(project, nullptr, &again).ok());
       EXPECT_EQ(again, want);
+      return true;
+    };
+    for (uint64_t k = 1; k <= checks; ++k) {
+      SCOPED_TRACE(testing::Message() << "trip_after_checks=" << k);
+      GovernorFailpoints fp;
+      fp.trip_after_checks = k;
+      EXPECT_TRUE(run_tripping(fp));
+    }
+    // Charges have no counter to read: sweep until a run gets through.
+    uint64_t k = 1;
+    for (;; ++k) {
+      SCOPED_TRACE(testing::Message() << "trip_after_charges=" << k);
+      ASSERT_LT(k, 10'000u);
+      GovernorFailpoints fp;
+      fp.trip_after_charges = k;
+      if (!run_tripping(fp)) break;
+    }
+    EXPECT_GT(k, 1u);
+  }
+}
+
+TEST(GovernorEngineTest, TreewidthTasksTripAtEveryCheckAndCharge) {
+  // The bag joins and the program over them poll and charge: a failpoint at
+  // any check or any charge unwinds every task on the treewidth route to a
+  // clean "unknown" — no decision, no witness, count 0, no rows.
+  Rng rng(7021);
+  auto vocab = MakeGraphVocabulary();
+  Structure a = StructureFromGraph(vocab, RandomPartialKTree(9, 2, 0.9, rng));
+  Structure b = RandomGraphStructure(vocab, 12, 0.5, rng, /*symmetric=*/true);
+  HomProblem p = MustProblem(HomProblem::FromStructures(a, b));
+  ASSERT_TRUE(p.SetProjection({0, 8}).ok());
+  // Cached up front, so every run below starts at the bag joins.
+  ASSERT_GT(p.SourceDecomposition().node_count(), 0u);
+  EngineOptions base;
+  base.backend = Backend::kTreewidth;
+  base.max_results = 300;
+
+  for (HomTask task : {HomTask::kDecide, HomTask::kWitness, HomTask::kCount,
+                       HomTask::kEnumerate, HomTask::kProject}) {
+    SCOPED_TRACE(HomTaskName(task));
+    const EngineResult want = MustRun(HomEngine(base), p, task);
+    ASSERT_TRUE(want.stats.used_treewidth);
+    EngineOptions fits = base;
+    fits.deadline_ms = 60'000;
+    const uint64_t checks =
+        MustRun(HomEngine(fits), p, task).stats.governor.checks;
+    ASSERT_GT(checks, 0u);
+
+    // Runs under `fp`; true when the run tripped (and did so cleanly).
+    auto run_tripping = [&](const GovernorFailpoints& fp) {
+      EngineOptions options = base;
+      options.failpoints = fp;
+      const EngineResult r = MustRun(HomEngine(options), p, task);
+      if (!r.stats.governor.tripped) {
+        EXPECT_EQ(r.decided, want.decided);
+        EXPECT_EQ(r.witness, want.witness);
+        EXPECT_EQ(r.count, want.count);
+        EXPECT_EQ(r.rows, want.rows);
+        return false;
+      }
+      ExpectCleanTrip(r, task);
+      EXPECT_EQ(r.count, 0u);
+      EXPECT_TRUE(r.rows.empty());
       return true;
     };
     for (uint64_t k = 1; k <= checks; ++k) {

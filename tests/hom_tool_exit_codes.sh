@@ -70,7 +70,6 @@ expect() {
 # documented refusals:
 #   - acyclic refuses cyclic sources (2);
 #   - schaefer refuses non-Boolean targets (2) and only decides/witnesses;
-#   - treewidth only decides/witnesses;
 #   - otherwise: decide/witness answer yes->0 / no->1; count/enumerate
 #     always produce an answer (possibly 0 rows) -> 0.
 expected_code() {
@@ -86,7 +85,7 @@ expected_code() {
   if [[ "$backend" == schaefer && "$boolean_target" == 0 ]]; then echo 2; return; fi
   case "$task" in
     count|enumerate)
-      if [[ "$backend" == schaefer || "$backend" == treewidth ]]; then
+      if [[ "$backend" == schaefer ]]; then
         echo 2
       else
         echo 0

@@ -1,10 +1,11 @@
 // Randomized oracle suite for the polynomial backends (`ctest -L poly`):
 // the full Yannakakis program (decide / witness / count / enumerate /
-// project, cq/acyclic.h) and the hash-indexed treewidth DP
-// (treewidth/hom_dp.h) are cross-checked against the uniform backtracking
-// solver on ~100 generated acyclic and partial-k-tree instances, plus the
-// degenerate shapes that historically break join machinery: empty
-// relations, disconnected hypergraphs, and duplicate atoms.
+// project, cq/acyclic.h) over both its front ends — atoms, and the
+// join-built bag tables of the treewidth route (treewidth/hom_dp.h) — is
+// cross-checked against the uniform backtracking solver on ~100 generated
+// acyclic and partial-k-tree instances, plus the degenerate shapes that
+// historically break join machinery: empty relations, disconnected
+// hypergraphs, and duplicate atoms.
 
 #include <gtest/gtest.h>
 
@@ -121,29 +122,55 @@ void CheckAcyclicBattery(const Structure& a, const Structure& b,
   }
 }
 
-// Decide + witness on the explicit kTreewidth backend against the oracle.
+// Every HomTask on the explicit kTreewidth backend against the oracle:
+// decide, witness, count, enumerate (as a multiset: no homomorphism twice)
+// and project.
 void CheckTreewidthBattery(const Structure& a, const Structure& b,
                            const char* label, int trial) {
   SCOPED_TRACE(testing::Message() << label << " trial " << trial);
-  BacktrackingSolver solver(a, b);
-  const bool oracle = solver.Solve().has_value();
+  const RowSet oracle = OracleSolutions(a, b);
 
   HomProblem p = MustProblem(HomProblem::FromStructures(a, b));
+  std::vector<Element> proj;
+  if (a.universe_size() > 0) {
+    proj = {static_cast<Element>(a.universe_size() - 1), 0};
+    ASSERT_TRUE(p.SetProjection(proj).ok());
+  }
   EngineOptions options;
   options.backend = Backend::kTreewidth;
   HomEngine engine(options);
   EngineResult r = MustRun(engine, p, HomTask::kWitness);
-  EXPECT_EQ(r.decided, oracle);
+  EXPECT_EQ(r.decided, !oracle.empty());
   EXPECT_TRUE(r.stats.used_treewidth);
   EXPECT_FALSE(r.stats.used_search);
   if (r.decided) {
     ASSERT_TRUE(r.witness.has_value());
     EXPECT_TRUE(IsHomomorphism(a, b, *r.witness));
   }
-  // The hash-indexed DP populates its table counters whenever it runs on a
+  // The bag tables populate their counters whenever the route runs on a
   // nonempty instance.
   if (a.universe_size() > 0 && b.universe_size() > 0) {
     EXPECT_GE(r.stats.treewidth.width, 0);
+  }
+  EXPECT_EQ(MustRun(engine, p, HomTask::kDecide).decided, !oracle.empty());
+
+  EngineResult count = MustRun(engine, p, HomTask::kCount);
+  EXPECT_TRUE(count.stats.used_treewidth);
+  EXPECT_EQ(count.count, oracle.size());
+
+  EngineResult all = MustRun(engine, p, HomTask::kEnumerate);
+  std::vector<std::vector<Element>> rows = all.rows;
+  std::sort(rows.begin(), rows.end());
+  EXPECT_EQ(rows, std::vector<std::vector<Element>>(oracle.begin(),
+                                                    oracle.end()));
+
+  if (!proj.empty()) {
+    EngineResult projected = MustRun(engine, p, HomTask::kProject);
+    RowSet want;
+    for (const auto& h : oracle) want.insert({h[proj[0]], h[proj[1]]});
+    const RowSet got(projected.rows.begin(), projected.rows.end());
+    EXPECT_EQ(got.size(), projected.rows.size()) << "duplicate projections";
+    EXPECT_EQ(got, want);
   }
 }
 
@@ -300,11 +327,11 @@ TEST(PolyOracleTest, DeepSourceDoesNotOverflowTheStack) {
 }
 
 TEST(PolyOracleTest, ThreadCountInvariance) {
-  // Parallelism changes wall-clock, never the answer: every acyclic task
-  // and the treewidth DP must return byte-identical results and stats at
-  // 1, 2, and 8 workers. Only `workers` (the request echo) and `steals`
-  // (a scheduling record) may differ; morsel decomposition depends only
-  // on table sizes, so even `morsels` must match.
+  // Parallelism changes wall-clock, never the answer: every task on the
+  // acyclic and the treewidth route must return identical results and
+  // stats at 1, 2, and 8 workers. Only `workers` (the request echo) and
+  // `steals` (a scheduling record) may differ; morsel decomposition
+  // depends only on table sizes, so even `morsels` must match.
   Rng rng(20260808);
   auto vocab = MakeGraphVocabulary();
   const unsigned kThreadCounts[] = {1, 2, 8};
@@ -319,7 +346,8 @@ TEST(PolyOracleTest, ThreadCountInvariance) {
     ASSERT_TRUE(p.SetProjection(proj).ok());
 
     struct Answers {
-      EngineResult decide, count, enumerate, project, tw;
+      EngineResult decide, count, enumerate, project, tw, tw_count,
+          tw_enumerate, tw_project;
     };
     auto run_all = [&](unsigned threads) {
       EngineOptions options;
@@ -333,7 +361,11 @@ TEST(PolyOracleTest, ThreadCountInvariance) {
       ans.project = MustRun(engine, p, HomTask::kProject);
       EngineOptions tw_options = options;
       tw_options.backend = Backend::kTreewidth;
-      ans.tw = MustRun(HomEngine(tw_options), p, HomTask::kWitness);
+      const HomEngine tw_engine(tw_options);
+      ans.tw = MustRun(tw_engine, p, HomTask::kWitness);
+      ans.tw_count = MustRun(tw_engine, p, HomTask::kCount);
+      ans.tw_enumerate = MustRun(tw_engine, p, HomTask::kEnumerate);
+      ans.tw_project = MustRun(tw_engine, p, HomTask::kProject);
       return ans;
     };
     auto expect_ys_equal = [&](const YannakakisStats& got,
@@ -376,7 +408,26 @@ TEST(PolyOracleTest, ThreadCountInvariance) {
       EXPECT_EQ(got.tw.stats.treewidth.table_rows,
                 base.tw.stats.treewidth.table_rows);
       EXPECT_EQ(got.tw.stats.treewidth.workers, threads);
+      EXPECT_EQ(got.tw_count.count, base.tw_count.count);
+      EXPECT_EQ(got.tw_enumerate.rows, base.tw_enumerate.rows);
+      EXPECT_EQ(got.tw_project.rows, base.tw_project.rows);
+      for (const EngineResult* r :
+           {&got.tw_count, &got.tw_enumerate, &got.tw_project}) {
+        EXPECT_EQ(r->stats.treewidth.table_entries,
+                  base.tw.stats.treewidth.table_entries);
+        EXPECT_EQ(r->stats.treewidth.table_rows,
+                  base.tw.stats.treewidth.table_rows);
+      }
     }
+    // A tree is its own decomposition's join tree: both front ends must
+    // give the same answers.
+    EXPECT_EQ(base.tw_count.count, base.count.count);
+    EXPECT_EQ(RowSet(base.tw_enumerate.rows.begin(),
+                     base.tw_enumerate.rows.end()),
+              RowSet(base.enumerate.rows.begin(), base.enumerate.rows.end()));
+    EXPECT_EQ(
+        RowSet(base.tw_project.rows.begin(), base.tw_project.rows.end()),
+        RowSet(base.project.rows.begin(), base.project.rows.end()));
   }
 }
 
@@ -471,122 +522,81 @@ TEST(PolyOracleTest, DirectAcyclicApiAgreesWithEngine) {
   }
 }
 
-// ---- The pruned bag walk against the full odometer. -----------------------
+// ---- The join-built bag tables against the full odometer. ----------------
 //
-// SolveViaTreeDecomposition walks each bag's assignments depth-first and
-// prunes at the first failing filter. The reference below is the DP it
-// replaced, kept here only as the oracle: every one of the |B|^(w+1)
-// assignments per bag in odometer order (position 0 fastest), each filtered
-// afterwards, with std::set / std::map standing in for the hash indexes.
-// Both keep the first row per parent key, so their tables must agree row
-// for row.
+// SolveViaTreeDecomposition builds each bag's table by join, then runs the
+// Yannakakis program over the bag tables. The reference below is the
+// odometer the bag walk started from, kept here only as the oracle: every
+// one of the |B|^(w+1) assignments per bag, kept when it maps every tuple
+// of A the bag covers into B. The tables must agree as sets; the decision
+// comes from the uniform search.
 
-struct ReferenceDp {
+struct ReferenceBags {
   Status status;
-  std::optional<Homomorphism> witness;
-  std::vector<std::vector<Element>> tables;
+  std::vector<RowSet> tables;  // per node: assignments in bag order
   size_t table_rows = 0;
 };
 
-ReferenceDp ReferenceOdometerDp(const Structure& a, const Structure& b,
-                                const TreeDecomposition& td) {
-  ReferenceDp out;
-  TreeDecomposition::TupleAssignment tuples_of_node;
-  out.status = td.ValidateFor(a, &tuples_of_node);
+ReferenceBags ReferenceOdometerBags(const Structure& a, const Structure& b,
+                                    const TreeDecomposition& td) {
+  ReferenceBags out;
+  out.status = td.ValidateFor(a);
   if (!out.status.ok()) return out;
-  if (a.universe_size() == 0) {
-    out.witness = Homomorphism{};
-    return out;
-  }
-  const size_t nodes = td.node_count();
   const size_t m = b.universe_size();
-  auto in = [](const std::vector<Element>& bag, Element e) {
-    return std::binary_search(bag.begin(), bag.end(), e);
-  };
-  // `node`'s key — its elements shared with its parent — read off an
-  // assignment of `bag`, which is the node's own bag or its parent's.
-  auto key_of = [&](uint32_t node, const std::vector<Element>& bag,
-                    std::span<const Element> assign) {
-    std::vector<Element> key;
-    if (td.parent(node) == TreeDecomposition::kNoParent) return key;
-    for (size_t i = 0; i < bag.size(); ++i) {
-      if (in(td.bag(node), bag[i]) && in(td.bag(td.parent(node)), bag[i])) {
-        key.push_back(assign[i]);
-      }
-    }
-    return key;
-  };
-  std::vector<std::map<std::vector<Element>, size_t>> row_of_key(nodes);
-  out.tables.assign(nodes, {});
-  std::vector<uint32_t> depth(nodes, 0);
-  for (uint32_t node = 0; node < nodes; ++node) {
-    if (td.parent(node) != TreeDecomposition::kNoParent) {
-      depth[node] = depth[td.parent(node)] + 1;
-    }
-  }
-  for (uint32_t d = *std::max_element(depth.begin(), depth.end()) + 1;
-       d-- > 0;) {
-    for (uint32_t node = 0; node < nodes; ++node) {
-      if (depth[node] != d) continue;
-      const std::vector<Element>& bag = td.bag(node);
-      std::vector<Element> assign(bag.size(), 0);
-      for (bool more = m > 0; more;) {
-        bool ok = true;
-        for (auto [rel, t] : tuples_of_node[node]) {
-          std::vector<Element> image;
-          for (Element e : a.relation(rel).tuple(t)) {
-            image.push_back(assign[std::lower_bound(bag.begin(), bag.end(), e) -
-                                   bag.begin()]);
-          }
-          ok = ok && b.relation(rel).Contains(image);
-        }
-        for (uint32_t child : td.children(node)) {
-          ok = ok && row_of_key[child].count(key_of(child, bag, assign)) > 0;
-        }
-        std::vector<Element>& table = out.tables[node];
-        if (ok && row_of_key[node]
-                      .emplace(key_of(node, bag, assign), table.size() / bag.size())
-                      .second) {
-          table.insert(table.end(), assign.begin(), assign.end());
-        }
-        size_t pos = 0;  // the odometer: position 0 turns fastest
-        while (pos < assign.size() && ++assign[pos] == m) assign[pos++] = 0;
-        more = pos < assign.size();
-      }
-    }
-    // Emptiness is checked in node order once the level is done.
-    for (uint32_t node = 0; node < nodes; ++node) {
-      if (depth[node] != d) continue;
-      out.table_rows += out.tables[node].size() / td.bag(node).size();
-      if (out.tables[node].empty()) return out;
-    }
-  }
-  Homomorphism h(a.universe_size(), kUnassigned);
-  std::vector<std::pair<uint32_t, size_t>> stack;  // (node, row)
-  for (uint32_t node = 0; node < nodes; ++node) {
-    if (td.parent(node) == TreeDecomposition::kNoParent) stack.push_back({node, 0});
-  }
-  while (!stack.empty()) {
-    auto [node, row] = stack.back();
-    stack.pop_back();
+  for (uint32_t node = 0; node < td.node_count(); ++node) {
     const std::vector<Element>& bag = td.bag(node);
-    std::span<const Element> assign(out.tables[node].data() + row * bag.size(),
-                                    bag.size());
-    for (size_t i = 0; i < bag.size(); ++i) h[bag[i]] = assign[i];
-    for (uint32_t child : td.children(node)) {
-      stack.push_back({child, row_of_key[child].at(key_of(child, bag, assign))});
+    auto at = [&](Element e) {
+      return std::lower_bound(bag.begin(), bag.end(), e) - bag.begin();
+    };
+    // The tuples the bag covers, as (relation, bag positions).
+    std::vector<std::pair<RelId, std::vector<size_t>>> covered;
+    for (RelId rel = 0; rel < a.vocabulary()->size(); ++rel) {
+      for (uint32_t t = 0; t < a.relation(rel).tuple_count(); ++t) {
+        std::vector<size_t> positions;
+        for (Element e : a.relation(rel).tuple(t)) {
+          if (std::binary_search(bag.begin(), bag.end(), e)) {
+            positions.push_back(at(e));
+          }
+        }
+        if (positions.size() == a.relation(rel).arity()) {
+          covered.emplace_back(rel, std::move(positions));
+        }
+      }
     }
+    RowSet rows;
+    std::vector<Element> assign(bag.size(), 0);
+    for (bool more = m > 0; more;) {
+      bool ok = true;
+      for (const auto& [rel, positions] : covered) {
+        std::vector<Element> image;
+        for (size_t i : positions) image.push_back(assign[i]);
+        ok = ok && b.relation(rel).Contains(image);
+      }
+      if (ok) rows.insert(assign);
+      size_t pos = 0;  // the odometer: position 0 turns fastest
+      while (pos < assign.size() && ++assign[pos] == m) assign[pos++] = 0;
+      more = pos < assign.size();
+    }
+    out.table_rows += rows.size();
+    out.tables.push_back(std::move(rows));
   }
-  out.witness = std::move(h);
   return out;
 }
 
-/// Runs the DP at 1, 2 and 8 threads and checks each run against the
-/// reference: status, decision, witness bytes, every node's table and
-/// table_rows; table_entries must not depend on the thread count.
+/// Runs the treewidth route at 1, 2 and 8 threads and checks each run:
+/// status, the decision against the search, a witness that is a
+/// homomorphism, every node's table (as a duplicate-free set) and
+/// table_rows against the reference; table_entries must not depend on the
+/// thread count.
 void ExpectMatchesOdometer(const Structure& a, const Structure& b,
                            const TreeDecomposition& td) {
-  const ReferenceDp want = ReferenceOdometerDp(a, b, td);
+  const ReferenceBags want = ReferenceOdometerBags(a, b, td);
+  const bool oracle =
+      want.status.ok() && BacktrackingSolver(a, b).Solve().has_value();
+  constexpr size_t kCountLimit = 5000;
+  const size_t oracle_count =
+      want.status.ok() ? BacktrackingSolver(a, b).CountSolutions(kCountLimit)
+                       : 0;
   size_t entries = 0;
   for (unsigned threads : {1u, 2u, 8u}) {
     SCOPED_TRACE(testing::Message() << threads << " threads");
@@ -599,15 +609,32 @@ void ExpectMatchesOdometer(const Structure& a, const Structure& b,
       EXPECT_EQ(got.status().ToString(), want.status.ToString());
       continue;
     }
-    ASSERT_EQ(got->has_value(), want.witness.has_value());
-    if (want.witness.has_value()) {
-      EXPECT_EQ(**got, *want.witness);
+    ASSERT_EQ(got->has_value(), oracle);
+    if (oracle) {
       EXPECT_TRUE(IsHomomorphism(a, b, **got));
     }
-    ASSERT_EQ(tables, want.tables);
+    ASSERT_EQ(tables.size(), want.tables.size());
+    for (uint32_t node = 0; node < td.node_count(); ++node) {
+      const size_t width = td.bag(node).size();
+      RowSet rows;
+      for (size_t i = 0; i < tables[node].size(); i += width) {
+        rows.emplace(tables[node].begin() + i,
+                     tables[node].begin() + i + width);
+      }
+      EXPECT_EQ(rows.size() * width, tables[node].size())
+          << "duplicate rows at node " << node;
+      EXPECT_EQ(rows, want.tables[node]) << "node " << node;
+    }
     EXPECT_EQ(stats.table_rows, want.table_rows);
     if (threads == 1) entries = stats.table_entries;
     EXPECT_EQ(stats.table_entries, entries);
+    // The count over the same bag tables, saturated.
+    YannakakisProgram program(nullptr, nullptr, threads);
+    ASSERT_TRUE(
+        program.FromBags(a, b, td, YannakakisProgram::Passes::kCount).ok());
+    size_t count = 0;
+    if (program.satisfiable()) count = *program.Count(kCountLimit);
+    EXPECT_EQ(count, oracle_count);
   }
 }
 
@@ -981,7 +1008,7 @@ class ReferenceYannakakis {
 TEST(PolyOracleTest, HashIndexChainsRunInDescendingRowOrder) {
   // The count fold and the bulk dedup read this off the chains: Next(r) < r,
   // FindFirst yields a key's last row, and only its first row ends a chain.
-  // Checked for a bulk Build and for Add with its regrowth.
+  // Checked for a fresh Build and for a Build that replaces an earlier one.
   Rng rng(1518);
   std::vector<Element> rows;
   for (int r = 0; r < 500; ++r) {
@@ -989,11 +1016,11 @@ TEST(PolyOracleTest, HashIndexChainsRunInDescendingRowOrder) {
     rows.push_back(static_cast<Element>(rng.Below(3)));
   }
   const uint32_t n = static_cast<uint32_t>(rows.size() / 2);
-  rel::HashIndex built, added;
+  rel::HashIndex built, rebuilt;
   built.Build(rows.data(), 2, n, {0, 1});
-  added.Reset(2, {0, 1});
-  for (uint32_t r = 0; r < n; ++r) added.Add(rows.data(), r);
-  for (const rel::HashIndex* index : {&built, &added}) {
+  rebuilt.Build(rows.data(), 2, n / 5, {1});
+  rebuilt.Build(rows.data(), 2, n, {0, 1});
+  for (const rel::HashIndex* index : {&built, &rebuilt}) {
     std::map<std::vector<Element>, uint32_t> first, last;
     for (uint32_t r = 0; r < n; ++r) {
       const std::vector<Element> key = {rows[2 * r], rows[2 * r + 1]};
