@@ -97,14 +97,24 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
   const bool decide_like = task == HomTask::kDecide || task == HomTask::kWitness;
 
   // ---- Resource governance. ----------------------------------------------
-  // One governor per run; the backends poll it cooperatively and charge
-  // their table growth against it. Ungoverned runs pass nullptr everywhere.
+  // One governor per run: the caller's (options.solve.governor), or one
+  // built from the budget fields. Every backend polls it cooperatively and
+  // charges its table growth against it. Ungoverned runs pass nullptr
+  // everywhere.
+  const bool budgeted = options_.deadline_ms > 0 ||
+                        options_.memory_budget_bytes > 0 ||
+                        options_.cancel != nullptr ||
+                        options_.failpoints.trip_after_checks > 0 ||
+                        options_.failpoints.trip_after_charges > 0;
+  ResourceGovernor* governor = options_.solve.governor;
+  if (governor != nullptr && budgeted) {
+    return Status::InvalidArgument(
+        "solve.governor and the budget fields (deadline_ms, "
+        "memory_budget_bytes, cancel, failpoints) are two governors for one "
+        "run; set one or the other");
+  }
   std::optional<ResourceGovernor> governor_storage;
-  ResourceGovernor* governor = nullptr;
-  if (options_.deadline_ms > 0 || options_.memory_budget_bytes > 0 ||
-      options_.cancel != nullptr ||
-      options_.failpoints.trip_after_checks > 0 ||
-      options_.failpoints.trip_after_charges > 0) {
+  if (budgeted) {
     governor_storage.emplace(options_.deadline_ms,
                              options_.memory_budget_bytes);
     governor_storage->set_failpoints(options_.failpoints);
@@ -260,7 +270,8 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
   // search streams over the CSP instance and charges almost nothing, so it
   // can still decide within the budget where the tables provably cannot.
   if (route_status.ok() && governor != nullptr &&
-      options_.memory_budget_bytes > 0 && options_.backend == Backend::kAuto &&
+      governor->memory_budget_bytes() > 0 &&
+      options_.backend == Backend::kAuto &&
       (chosen == Backend::kAcyclic || chosen == Backend::kTreewidth)) {
     size_t estimate =
         chosen == Backend::kAcyclic
@@ -272,7 +283,7 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
       std::ostringstream note;
       note << BackendName(chosen) << ": admission refused — size-bound "
            << "estimate " << estimate << " bytes exceeds the memory budget ("
-           << options_.memory_budget_bytes
+           << governor->memory_budget_bytes()
            << " bytes); demoting to the uniform search";
       r.explain.fallbacks.push_back(note.str());
       chosen = Backend::kUniform;
@@ -371,8 +382,11 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
       case Backend::kUniform: {
         if (decide_like && options_.pebble_preflight_k > 0) {
           auto game = ExistentialPebbleGame::Create(
-              a, b, options_.pebble_preflight_k);
+              a, b, options_.pebble_preflight_k, governor);
           if (!game.ok()) {
+            if (game.status().code() == StatusCode::kResourceExhausted) {
+              return game.status();  // a trip: no search after it
+            }
             r.explain.fallbacks.push_back(
                 std::string("pebble preflight skipped: ") +
                 game.status().message());

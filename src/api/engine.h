@@ -26,8 +26,10 @@
 //
 // The public conveniences — HasHomomorphism / FindHomomorphism
 // (solver/backtracking.h) and cq::Contains / Evaluate / Minimize
-// (cq/containment.h) — all route through this engine, so there is exactly
-// one battle-tested path from any input shape to an answer.
+// (cq/containment.h) — all go through this engine's one-call API
+// (Decide / FindWitness / Project), so there is exactly one battle-tested
+// path from any input shape to an answer, and their SolveOptions::governor
+// governs it.
 
 #ifndef CQCS_API_ENGINE_H_
 #define CQCS_API_ENGINE_H_
@@ -77,7 +79,11 @@ std::optional<HomTask> ParseHomTaskName(std::string_view name);
 /// itself Θ(n^{2k})) stays off unless asked for.
 struct EngineOptions {
   Backend backend = Backend::kAuto;
-  /// Uniform-backend knobs: propagation, node_limit, strategy, threads.
+  /// Uniform-backend knobs: propagation, node_limit, strategy, threads
+  /// (the thread count applies to the Yannakakis program too). A non-null
+  /// solve.governor is the run's governor on every backend and is
+  /// snapshotted into stats.governor; setting it together with any budget
+  /// field below is InvalidArgument (one governor per run).
   SolveOptions solve;
   /// kAuto takes the treewidth route only when the min-fill width estimate
   /// is at most this...
@@ -101,17 +107,19 @@ struct EngineOptions {
   bool project_count_only = false;
 
   // -- Resource governance (common/governor.h). When any of the four knobs
-  // below is set, Run() builds a per-request ResourceGovernor and threads
-  // it through whichever backend executes: every backend polls it on a
+  // below is set, Run() builds a per-request ResourceGovernor (or, without
+  // them, takes solve.governor) and threads it through whichever backend
+  // executes, the pebble preflight included: every backend polls it on a
   // stride and charges its table growth, so a trip unwinds cleanly to an
   // "unknown" EngineResult (decided=false, stats.governor.tripped) — never
-  // an abort, never a torn answer. All zero/null = ungoverned (one null
-  // check per poll site, no other overhead).
+  // an abort, never a torn answer. All zero/null with no solve.governor =
+  // ungoverned (one null check per poll site, no other overhead).
   /// Wall-clock deadline for the whole run; 0 = none.
   uint64_t deadline_ms = 0;
   /// Ceiling on bytes the backends' tables may hold at once; 0 = none.
-  /// Also drives kAuto's pre-flight admission: a route whose size-bound
-  /// estimate exceeds the budget is demoted before any work starts.
+  /// Also drives kAuto's pre-flight admission (as does a solve.governor's
+  /// budget): a route whose size-bound estimate exceeds the budget is
+  /// demoted before any work starts.
   size_t memory_budget_bytes = 0;
   /// Optional external cancellation flag, polled alongside the deadline.
   const std::atomic<bool>* cancel = nullptr;

@@ -27,11 +27,10 @@ struct HomProblem::SourceCache {
   std::optional<WidthCap> width_refusal CQCS_GUARDED_BY(mu);
 };
 
-// Pair products: the profile (needs the target half) and the constraint
-// network. Fresh per (source, target) binding.
+// Pair products: the target's Schaefer classes and the constraint network.
+// Fresh per (source, target) binding.
 struct HomProblem::PairCache {
   Mutex mu;
-  std::optional<InstanceProfile> profile CQCS_GUARDED_BY(mu);
   std::optional<CspInstance> csp CQCS_GUARDED_BY(mu);
   bool schaefer_known CQCS_GUARDED_BY(mu) = false;
   SchaeferClassSet schaefer_classes CQCS_GUARDED_BY(mu) = 0;
@@ -179,19 +178,6 @@ Status HomProblem::EnsureSourceDecomposition(ResourceGovernor* governor,
     cache.decomposition = std::move(built);
   }
   return Status::OK();
-}
-
-const InstanceProfile& HomProblem::Profile() const {
-  // Build the source-side artifacts before taking the pair lock (lock order:
-  // source cache, then pair cache — never the reverse).
-  bool acyclic = SourceAcyclic();
-  const TreeDecomposition& decomposition = SourceDecomposition();
-  PairCache& cache = *pair_cache_;
-  MutexLock lock(cache.mu);
-  if (!cache.profile.has_value()) {
-    cache.profile = BuildProfile(*source_, *target_, acyclic, decomposition);
-  }
-  return *cache.profile;
 }
 
 bool HomProblem::TargetBoolean() const { return IsBooleanStructure(*target_); }

@@ -12,11 +12,11 @@
 //   FromContainment(Q1, Q2)   containment: A = D_{Q2}, B = D_{Q1}, both
 //                             with head markers (Theorem 2.1).
 //
-// A HomProblem is a *compiled* instance: the routing artifacts (profile,
-// canonical query + GYO join-tree verdict, min-fill tree decomposition) and
-// the solver's constraint network (CspInstance, with the CSR support
-// indexes on B's relations) are built lazily on first use and cached, so
-// repeated solves — batch evaluation of one query over many databases,
+// A HomProblem is a *compiled* instance: the routing artifacts (canonical
+// query + GYO verdict, the target's Schaefer classes, min-fill tree
+// decomposition) and the solver's constraint network (CspInstance, with
+// the CSR support indexes on B's relations) are built lazily on first use
+// and cached, so repeated solves — batch evaluation of one query over many databases,
 // Minimize's repeated containment tests — pay for compilation once.
 // WithTarget() rebinds the target while sharing every source-side cache.
 //
@@ -31,11 +31,11 @@
 #include <span>
 #include <vector>
 
-#include "api/profile.h"
 #include "common/status.h"
 #include "core/structure.h"
 #include "cq/acyclic.h"
 #include "cq/query.h"
+#include "schaefer/boolean_relation.h"
 #include "solver/csp.h"
 #include "treewidth/decomposition.h"
 
@@ -101,13 +101,6 @@ class HomProblem {
   Status SetProjection(std::vector<Element> projection);
 
   // -- Compiled artifacts, built lazily and cached. ------------------------
-
-  /// The FULL instance profile: evaluates every island predicate, including
-  /// the min-fill width estimate, whose cost grows with the source. The
-  /// engine's router prefers the staged accessors below (cheapest predicate
-  /// first, stop at the first island that fires); call this when you want
-  /// the whole picture.
-  const InstanceProfile& Profile() const;
 
   /// Is the target's universe {0, 1}?
   bool TargetBoolean() const;

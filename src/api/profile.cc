@@ -65,23 +65,6 @@ size_t EstimateAcyclicBytes(const Structure& a, const Structure& b) {
   return total;
 }
 
-InstanceProfile BuildProfile(const Structure& a, const Structure& b,
-                             bool source_acyclic,
-                             const TreeDecomposition& source_decomposition) {
-  InstanceProfile p;
-  FillSizeStats(a, b, &p);
-  p.target_boolean = IsBooleanStructure(b);
-  p.schaefer_classes = p.target_boolean ? ClassifyBooleanStructure(b) : 0;
-  p.acyclicity_known = true;
-  p.source_acyclic = source_acyclic;
-  p.width_known = true;
-  p.width_estimate = source_decomposition.Width();
-  p.decomposition_bags = source_decomposition.node_count();
-  p.treewidth_dp_cost = EstimateTreewidthDpCost(
-      p.decomposition_bags, p.width_estimate, b.universe_size());
-  return p;
-}
-
 std::string InstanceProfile::ToString() const {
   std::ostringstream out;
   out << "source ‖A‖=" << source_size << " (n=" << source_universe

@@ -17,13 +17,12 @@
 
 #include "core/structure.h"
 #include "schaefer/boolean_relation.h"
-#include "treewidth/decomposition.h"
 
 namespace cqcs {
 
-/// Everything the router needs to know about a hom(A -> B) instance.
-/// Cached inside a HomProblem (Profile()), or built stage by stage by the
-/// engine's router.
+/// Everything the router needs to know about a hom(A -> B) instance, built
+/// stage by stage by the engine's router and recorded in
+/// EngineExplain::profile: only the stages it reached are filled in.
 struct InstanceProfile {
   // -- Size statistics (‖·‖ is the paper's size measure).
   size_t source_universe = 0;
@@ -69,24 +68,18 @@ struct InstanceProfile {
   std::string ToJson() const;
 };
 
-/// Assembles a profile from precomputed routing artifacts (the caching path:
-/// HomProblem holds the join tree and decomposition and must not recompute
-/// them just to fill in numbers).
-InstanceProfile BuildProfile(const Structure& a, const Structure& b,
-                             bool source_acyclic,
-                             const TreeDecomposition& source_decomposition);
-
-/// Fills the size-statistic fields (the paper's ‖·‖ measures) of `profile`.
-/// Shared by BuildProfile and the engine's staged router, which assembles a
-/// partial profile one decision stage at a time.
+/// Fills the size-statistic fields (the paper's ‖·‖ measures) of `profile`:
+/// the first stage of the engine's staged router, which assembles the
+/// profile one decision stage at a time.
 void FillSizeStats(const Structure& a, const Structure& b,
                    InstanceProfile* profile);
 
 /// The treewidth cost gate: bags * |target_universe|^(width+1), 0 when the
-/// decomposition is empty (width -1). One definition so the router and
-/// Profile() can never disagree about the cost model. Computed in saturating
-/// integer arithmetic (common/saturating.h) and widened to double; overflow
-/// saturates far above any router budget instead of wrapping.
+/// decomposition is empty (width -1). One definition so the router's gate
+/// and TreewidthWidthCap can never disagree about the cost model. Computed
+/// in saturating integer arithmetic (common/saturating.h) and widened to
+/// double; overflow saturates far above any router budget instead of
+/// wrapping.
 double EstimateTreewidthDpCost(size_t bags, int width, size_t target_universe);
 
 /// The widest min-fill decomposition the router's treewidth gate admits:

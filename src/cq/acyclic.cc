@@ -8,7 +8,6 @@
 #include "common/governor.h"
 #include "common/saturating.h"
 #include "common/work_pool.h"
-#include "cq/canonical.h"
 #include "cq/gyo.h"
 #include "rel/hash_index.h"
 #include "rel/ops.h"
@@ -149,14 +148,17 @@ Status YannakakisProgram::Run(std::vector<uint32_t> parent, Passes passes) {
     }
   }
 
+  // The walk's match indexes are the ones the bottom-up pass builds.
+  if (passes == Passes::kCount || passes == Passes::kWalk) {
+    match_index_.resize(m_);
+  }
   if (passes != Passes::kCount) CQCS_RETURN_IF_ERROR(Reduce(passes));
   if (!satisfiable_ || passes == Passes::kDecide) return TripStatus();
 
-  // Match indexes for the count pass and the walk. Builds are independent
-  // per node (disjoint match_index_ slots), so they run as node-range
-  // morsels on the shared pool.
-  if (passes == Passes::kCount || passes == Passes::kWalk) {
-    match_index_.resize(m_);
+  // Match indexes for the count pass over the unreduced tables. Builds are
+  // independent per node (disjoint match_index_ slots), so they run as
+  // node-range morsels on the shared pool.
+  if (passes == Passes::kCount) {
     auto body = [&](unsigned, size_t begin, size_t end) {
       for (size_t node = begin; node < end; ++node) {
         if (parent_[node] == JoinTree::kNoParent) continue;
@@ -184,13 +186,18 @@ Status YannakakisProgram::Run(std::vector<uint32_t> parent, Passes passes) {
 Status YannakakisProgram::Reduce(Passes passes) {
   // Bottom-up pass: parent := parent ⋉ child, children first, so every
   // table is final for its own parent's filtering. Governed runs poll
-  // once per semijoin — each is one bounded table sweep.
-  HashIndex index;
-  index.AttachGovernor(gov_);
+  // once per semijoin — each is one bounded table sweep. The walk has no
+  // top-down pass, so a child's index here is its final match index: kWalk
+  // keeps it in match_index_; the other passes reuse one scratch index.
+  HashIndex scratch;
+  scratch.AttachGovernor(gov_);
   for (uint32_t node : order_) {
     uint32_t p = parent_[node];
     if (p == JoinTree::kNoParent) continue;
     if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->Poll());
+    HashIndex& index =
+        passes == Passes::kWalk ? match_index_[node] : scratch;
+    index.AttachGovernor(gov_);
     index.Build(tables_[node].data(), tables_[node].width(),
                 static_cast<uint32_t>(tables_[node].row_count()),
                 shared_child_cols_[node]);
@@ -219,12 +226,12 @@ Status YannakakisProgram::Reduce(Passes passes) {
     uint32_t node = order_[i];
     for (uint32_t child : children_[node]) {
       if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->Poll());
-      index.Build(tables_[node].data(), tables_[node].width(),
+      scratch.Build(tables_[node].data(), tables_[node].width(),
                   static_cast<uint32_t>(tables_[node].row_count()),
                   shared_parent_cols_[child]);
       size_t removed = rel::Semijoin(tables_[child],
                                      shared_child_cols_[child],
-                                     tables_[node], index, gov_, Par());
+                                     tables_[node], scratch, gov_, Par());
       if (stats_ != nullptr) {
         ++stats_->semijoins;
         stats_->rows_pruned += removed;
@@ -685,19 +692,6 @@ Result<size_t> YannakakisProgram::ProjectCount(std::span<const VarId> proj,
   return total;
 }
 
-bool IsAcyclicQuery(const ConjunctiveQuery& q) {
-  return GyoJoinForest(q.var_count(), QueryHyperedges(q)).has_value();
-}
-
-Result<JoinTree> BuildJoinTree(const ConjunctiveQuery& q) {
-  CQCS_RETURN_IF_ERROR(q.Validate());
-  auto tree = GyoJoinForest(q.var_count(), QueryHyperedges(q));
-  if (!tree.has_value()) {
-    return Status::InvalidArgument("the query's hypergraph is cyclic");
-  }
-  return *std::move(tree);
-}
-
 namespace {
 
 /// A projection variable outside the query is the caller's error.
@@ -781,38 +775,6 @@ Result<size_t> AcyclicProjectCount(const ConjunctiveQuery& q,
       run.FromAtoms(q, d, YannakakisProgram::Passes::kProject));
   if (!run.satisfiable()) return size_t{0};
   return run.ProjectCount(projection, limit);
-}
-
-Result<bool> AcyclicContainment(const ConjunctiveQuery& q1,
-                                const ConjunctiveQuery& q2) {
-  CQCS_RETURN_IF_ERROR(q1.Validate());
-  CQCS_RETURN_IF_ERROR(q2.Validate());
-  if (!q1.vocabulary()->Equals(*q2.vocabulary())) {
-    return Status::InvalidArgument("queries have different vocabularies");
-  }
-  if (q1.arity() != q2.arity()) {
-    return Status::InvalidArgument("queries have different head arities");
-  }
-  // Attach head markers to Q2's body (unary atoms are ears, so acyclicity
-  // is preserved iff Q2 was acyclic), then evaluate over D_{Q1}.
-  CanonicalDb d1 = MakeCanonicalDbWithHeadMarkers(q1);
-  ConjunctiveQuery q2_marked(d1.vocabulary, q2.head_name());
-  for (VarId v = 0; v < q2.var_count(); ++v) {
-    q2_marked.GetOrCreateVar(q2.var_name(v));
-  }
-  for (const Atom& atom : q2.atoms()) {
-    q2_marked.AddAtom(atom.rel, atom.args);
-  }
-  for (size_t i = 0; i < q2.head().size(); ++i) {
-    auto marker = d1.vocabulary->FindRelation("__head_" + std::to_string(i));
-    CQCS_CHECK(marker.has_value());
-    q2_marked.AddAtom(*marker, {q2.head()[i]});
-  }
-  q2_marked.SetHead({});
-  if (!IsAcyclicQuery(q2_marked)) {
-    return Status::InvalidArgument("Q2 is not acyclic");
-  }
-  return EvaluateBooleanAcyclic(q2_marked, d1.structure);
 }
 
 }  // namespace cqcs

@@ -14,8 +14,10 @@
 // (treewidth/hom_dp.h) feeds it one table per bag of a tree decomposition,
 // which is Theorem 5.4's ∃FO^{k+1} evaluation.
 //
-// Containment Q1 ⊆ Q2 with acyclic Q2 is then polynomial: attach the head
-// markers to Q2 (unary atoms keep it acyclic) and evaluate over D_{Q1}.
+// Containment Q1 ⊆ Q2 with acyclic Q2 is then polynomial, and needs no
+// entry point of its own: Contains/IsContained (cq/containment.h) build
+// D_{Q2} with unary head markers, which keep it acyclic, so the engine's
+// router sends it to this program over D_{Q1}.
 
 #ifndef CQCS_CQ_ACYCLIC_H_
 #define CQCS_CQ_ACYCLIC_H_
@@ -80,7 +82,7 @@ struct YannakakisStats {
 ///   task              semijoin passes         match indexes
 ///   decide            bottom-up               -
 ///   count             none                    over the unreduced tables
-///   witness/enumerate bottom-up               over the reduced tables
+///   witness/enumerate bottom-up               the bottom-up pass's own
 ///   project(-count)   bottom-up + top-down    -
 ///
 /// After the bottom-up pass every surviving row extends into its subtree,
@@ -93,9 +95,10 @@ struct YannakakisStats {
 ///
 /// Parallelism (num_threads > 1, SolveOptions convention): materialization
 /// (per atom group or per bag), the semijoin sweeps, the count pass and
-/// the match-index builds run as morsels on the shared MorselPool, merging
-/// at deterministic boundaries (node order, morsel order), so answers and
-/// all stats except workers/steals are identical at every thread count.
+/// count's match-index builds run as morsels on the shared MorselPool,
+/// merging at deterministic boundaries (node order, morsel order), so
+/// answers and all stats except workers/steals are identical at every
+/// thread count.
 /// The walk, the count's per-key fold and ProjectDistinct stay sequential:
 /// their outputs are defined by row order.
 ///
@@ -108,7 +111,8 @@ class YannakakisProgram {
   enum class Passes {
     kDecide,   ///< bottom-up semijoins; satisfiable() is the answer
     kCount,    ///< no semijoins; match indexes over the unreduced tables
-    kWalk,     ///< bottom-up semijoins + match indexes (witness, enumerate)
+    kWalk,     ///< bottom-up semijoins, keeping their indexes as the match
+               ///< indexes (witness, enumerate)
     kProject,  ///< full reduction, no match indexes (project, its count)
   };
 
@@ -234,7 +238,7 @@ class YannakakisProgram {
   std::vector<std::vector<uint32_t>> shared_child_cols_;
   std::vector<std::vector<uint32_t>> shared_parent_cols_;
   // Match index per non-root node, keyed on shared_child_cols_ (kCount and
-  // kWalk only).
+  // kWalk only; kWalk's are the bottom-up pass's semijoin indexes).
   std::vector<rel::HashIndex> match_index_;
   std::vector<VarId> isolated_;  // variables in no node
   std::vector<Element> assign_;  // Enumerate's scratch
@@ -245,12 +249,6 @@ class YannakakisProgram {
   std::vector<uint32_t> seq_;  // forest pre-order
   bool satisfiable_ = false;
 };
-
-/// True iff the query's hypergraph is α-acyclic (GYO reduces it away).
-bool IsAcyclicQuery(const ConjunctiveQuery& q);
-
-/// Builds a join tree; InvalidArgument when the query is cyclic.
-Result<JoinTree> BuildJoinTree(const ConjunctiveQuery& q);
 
 /// Yannakakis evaluation of a Boolean acyclic query: one bottom-up
 /// semijoin sweep over the join tree. Works for any query head (the head
@@ -338,12 +336,6 @@ Result<size_t> AcyclicProjectCount(const ConjunctiveQuery& q,
                                    YannakakisStats* stats = nullptr,
                                    ResourceGovernor* governor = nullptr,
                                    unsigned num_threads = 1);
-
-/// Containment Q1 ⊆ Q2 for acyclic Q2, in polynomial time. Q1 is
-/// arbitrary. Errors mirror Contains(), plus InvalidArgument when Q2
-/// (with head markers attached) is not acyclic.
-Result<bool> AcyclicContainment(const ConjunctiveQuery& q1,
-                                const ConjunctiveQuery& q2);
 
 }  // namespace cqcs
 

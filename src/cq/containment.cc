@@ -6,15 +6,17 @@ namespace cqcs {
 
 namespace {
 
-// The historical message (shared verbatim by every search-backed wrapper,
-// evaluation included) — kept identical so error contracts don't shift.
+// IsContainedViaEvaluation's node-limit error. The engine-routed wrappers
+// get theirs (and kResourceExhausted for a governor trip) from HomEngine's
+// one-call API.
 Status NodeLimitError() {
   return Status::Unsupported(
       "node limit reached before the containment test was decided");
 }
 
-/// Engine with the caller's uniform-search options and kAuto routing — the
-/// one battle-tested path every public convenience goes through.
+/// Engine with the caller's search options (governor included) and kAuto
+/// routing — the one battle-tested path every public convenience goes
+/// through.
 HomEngine MakeEngine(const SolveOptions& options) {
   EngineOptions engine_options;
   engine_options.solve = options;
@@ -47,12 +49,11 @@ Result<ContainmentResult> Contains(const ConjunctiveQuery& q1,
   // the marked canonical databases (and validates comparability).
   CQCS_ASSIGN_OR_RETURN(HomProblem problem,
                         HomProblem::FromContainment(q1, q2));
-  CQCS_ASSIGN_OR_RETURN(EngineResult r,
-                        MakeEngine(options).Run(problem, HomTask::kWitness));
-  if (!r.decided && r.stats.search.limit_hit) return NodeLimitError();
+  CQCS_ASSIGN_OR_RETURN(std::optional<Homomorphism> witness,
+                        MakeEngine(options).FindWitness(problem));
   ContainmentResult result;
-  result.contained = r.decided;
-  result.witness = std::move(r.witness);
+  result.contained = witness.has_value();
+  result.witness = std::move(witness);
   return result;
 }
 
@@ -60,10 +61,7 @@ Result<bool> IsContained(const ConjunctiveQuery& q1,
                          const ConjunctiveQuery& q2, SolveOptions options) {
   CQCS_ASSIGN_OR_RETURN(HomProblem problem,
                         HomProblem::FromContainment(q1, q2));
-  CQCS_ASSIGN_OR_RETURN(EngineResult r,
-                        MakeEngine(options).Run(problem, HomTask::kDecide));
-  if (!r.decided && r.stats.search.limit_hit) return NodeLimitError();
-  return r.decided;
+  return MakeEngine(options).Decide(problem);
 }
 
 Result<bool> AreEquivalent(const ConjunctiveQuery& q1,
@@ -103,19 +101,13 @@ Result<std::vector<std::vector<Element>>> Evaluate(const ConjunctiveQuery& q,
                                                    const Structure& d,
                                                    SolveOptions options) {
   CQCS_ASSIGN_OR_RETURN(HomProblem problem, HomProblem::FromQuery(q, d));
-  CQCS_ASSIGN_OR_RETURN(EngineResult r,
-                        MakeEngine(options).Run(problem, HomTask::kProject));
-  if (r.stats.search.limit_hit) return NodeLimitError();
-  return std::move(r.rows);
+  return MakeEngine(options).Project(problem);
 }
 
 Result<bool> EvaluateBoolean(const ConjunctiveQuery& q, const Structure& d,
                              SolveOptions options) {
   CQCS_ASSIGN_OR_RETURN(HomProblem problem, HomProblem::FromQuery(q, d));
-  CQCS_ASSIGN_OR_RETURN(EngineResult r,
-                        MakeEngine(options).Run(problem, HomTask::kDecide));
-  if (!r.decided && r.stats.search.limit_hit) return NodeLimitError();
-  return r.decided;
+  return MakeEngine(options).Decide(problem);
 }
 
 Result<ConjunctiveQuery> Minimize(const ConjunctiveQuery& q,
@@ -142,10 +134,8 @@ Result<ConjunctiveQuery> Minimize(const ConjunctiveQuery& q,
       CanonicalDb d_candidate = MakeCanonicalDbWithHeadMarkers(candidate);
       CQCS_ASSIGN_OR_RETURN(HomProblem problem,
                             base.WithTarget(std::move(d_candidate.structure)));
-      CQCS_ASSIGN_OR_RETURN(EngineResult r,
-                            engine.Run(problem, HomTask::kDecide));
-      if (!r.decided && r.stats.search.limit_hit) return NodeLimitError();
-      if (r.decided) {
+      CQCS_ASSIGN_OR_RETURN(bool equivalent, engine.Decide(problem));
+      if (equivalent) {
         current = std::move(candidate);
         changed = true;
         break;

@@ -28,7 +28,10 @@ Status CheckComparableQueries(const ConjunctiveQuery& q1,
 
 /// Decides Q1 ⊆ Q2. Errors: InvalidArgument when the queries have different
 /// body vocabularies or head arities (containment is then undefined);
-/// Unsupported when `options.node_limit` was hit before a decision.
+/// Unsupported when `options.node_limit` was hit before a decision;
+/// ResourceExhausted when `options.governor` tripped before one. The
+/// engine (api/engine.h) routes the instance, so an acyclic Q2 is decided
+/// by the Yannakakis program in polynomial time.
 Result<ContainmentResult> Contains(const ConjunctiveQuery& q1,
                                    const ConjunctiveQuery& q2,
                                    SolveOptions options = {});

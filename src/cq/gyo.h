@@ -17,9 +17,9 @@
 // the whole reduction is near-linear: O(‖H‖) plus the witness subset
 // checks, each bounded by the pivot vertex's live degree.
 //
-// Callers: cq/acyclic.cc (join trees for Yannakakis) and api/profile.cc /
-// api/problem.cc (the router's acyclicity verdict) — previously two
-// independent ear-removal implementations that had to agree by luck.
+// Callers: cq/acyclic.cc (join trees for Yannakakis) and api/problem.cc
+// (the router's acyclicity verdict) — previously two independent
+// ear-removal implementations that had to agree by luck.
 
 #ifndef CQCS_CQ_GYO_H_
 #define CQCS_CQ_GYO_H_

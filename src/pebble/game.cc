@@ -3,16 +3,26 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/governor.h"
 
 namespace cqcs {
 
 namespace {
+
+/// Bytes one position costs: the vector in maps_ and its key copy in
+/// index_ (each with its pairs), the hash node and bucket, and alive_.
+size_t PositionBytes(size_t size) {
+  return 2 * (sizeof(PebblePosition) +
+              size * sizeof(std::pair<Element, Element>)) +
+         4 * sizeof(void*) + 1;
+}
 
 /// Tuples of A lying entirely inside the element set `dom` (sorted).
 std::vector<std::pair<RelId, uint32_t>> TuplesInside(
     const Structure& a, const std::vector<Element>& dom) {
   std::vector<std::pair<RelId, uint32_t>> out;
   const Vocabulary& vocab = *a.vocabulary();
+  // cqcs-lint: allow(unpolled-loop): one pass over A's tuples per domain; the caller polls per domain
   for (RelId id = 0; id < vocab.size(); ++id) {
     const Relation& r = a.relation(id);
     for (uint32_t t = 0; t < r.tuple_count(); ++t) {
@@ -32,27 +42,44 @@ std::vector<std::pair<RelId, uint32_t>> TuplesInside(
 }  // namespace
 
 Result<ExistentialPebbleGame> ExistentialPebbleGame::Create(
-    const Structure& a, const Structure& b, uint32_t k) {
+    const Structure& a, const Structure& b, uint32_t k,
+    ResourceGovernor* governor) {
   if (k < 1) {
     return Status::InvalidArgument("the pebble game needs at least one pebble");
   }
   if (!a.vocabulary()->Equals(*b.vocabulary())) {
     return Status::InvalidArgument("pebble game requires a common vocabulary");
   }
-  return ExistentialPebbleGame(a, b, k);
+  ExistentialPebbleGame game(k, governor);
+  CQCS_RETURN_IF_ERROR(game.Build(a, b));
+  return game;
 }
 
-ExistentialPebbleGame::ExistentialPebbleGame(const Structure& a,
-                                             const Structure& b, uint32_t k)
-    : k_(k), a_size_(a.universe_size()), b_size_(b.universe_size()) {
-  Build(a, b);
+ExistentialPebbleGame::Charge::~Charge() {
+  if (governor != nullptr && bytes > 0) governor->ReleaseBytes(bytes);
 }
 
-void ExistentialPebbleGame::Build(const Structure& a, const Structure& b) {
+Status ExistentialPebbleGame::Build(const Structure& a, const Structure& b) {
   const size_t n = a.universe_size();
   const size_t m = b.universe_size();
   const uint32_t max_size = static_cast<uint32_t>(
       std::min<size_t>(k_, n));
+
+  // Governed runs poll every kStride-th step: a domain, an assignment, or
+  // a position of the fixpoint (each O(n·m) hash probes at most). The
+  // first step polls, so a governor that already tripped stops the game
+  // before any work. `stop` unwinds the recursive enumeration.
+  ResourceGovernor* const governor = charge_.governor;
+  constexpr uint64_t kStride = 256;
+  uint64_t tick = 0;
+  bool stop = false;
+  auto poll = [&] {
+    if (governor != nullptr && tick++ % kStride == 0 &&
+        !governor->Poll().ok()) {
+      stop = true;
+    }
+    return !stop;
+  };
 
   // --- Enumerate all partial homomorphisms of size <= k. ---
   // For each domain (combination of A-elements) collect the A-tuples fully
@@ -64,6 +91,7 @@ void ExistentialPebbleGame::Build(const Structure& a, const Structure& b) {
   auto check_and_insert =
       [&](const std::vector<std::pair<RelId, uint32_t>>& tuples) {
         // Check every covered tuple maps into B.
+        // cqcs-lint: allow(unpolled-loop): covered tuples x arity for one assignment; the caller polls per assignment
         for (auto [rel, t] : tuples) {
           std::span<const Element> tup = a.relation(rel).tuple(t);
           image.resize(tup.size());
@@ -80,6 +108,11 @@ void ExistentialPebbleGame::Build(const Structure& a, const Structure& b) {
         for (size_t i = 0; i < dom.size(); ++i) {
           pos.emplace_back(dom[i], assign[i]);
         }
+        if (governor != nullptr) {
+          const size_t bytes = PositionBytes(pos.size());
+          governor->ChargeBytes(bytes);
+          charge_.bytes += bytes;
+        }
         uint32_t id = static_cast<uint32_t>(maps_.size());
         index_.emplace(pos, id);
         maps_.push_back(std::move(pos));
@@ -90,10 +123,10 @@ void ExistentialPebbleGame::Build(const Structure& a, const Structure& b) {
     assign.assign(dom.size(), 0);
     auto recurse = [&](auto&& self, size_t depth) -> void {
       if (depth == dom.size()) {
-        check_and_insert(tuples);
+        if (poll()) check_and_insert(tuples);
         return;
       }
-      for (Element bv = 0; bv < m; ++bv) {
+      for (Element bv = 0; bv < m && !stop; ++bv) {
         assign[depth] = bv;
         self(self, depth + 1);
       }
@@ -108,18 +141,19 @@ void ExistentialPebbleGame::Build(const Structure& a, const Structure& b) {
     if (remaining == 0) {
       dom = combo;
       if (m == 0 && !dom.empty()) return;  // no assignments possible
-      emit_assignments(TuplesInside(a, dom));
+      if (poll()) emit_assignments(TuplesInside(a, dom));
       return;
     }
-    for (Element e = start; e + remaining <= n; ++e) {
+    for (Element e = start; e + remaining <= n && !stop; ++e) {
       combo.push_back(e);
       self(self, e + 1, remaining - 1);
       combo.pop_back();
     }
   };
-  for (uint32_t size = 0; size <= max_size; ++size) {
+  for (uint32_t size = 0; size <= max_size && !stop; ++size) {
     enumerate_domains(enumerate_domains, 0, size);
   }
+  if (stop) return governor->TripStatus();
   stats_.total_positions = maps_.size();
   alive_.assign(maps_.size(), 1);
 
@@ -151,6 +185,7 @@ void ExistentialPebbleGame::Build(const Structure& a, const Structure& b) {
 
   // Initial sweep: forth failures.
   for (uint32_t id = 0; id < maps_.size(); ++id) {
+    if (!poll()) return governor->TripStatus();
     if (maps_[id].size() >= max_size) continue;
     for (Element a_elem = 0; a_elem < n; ++a_elem) {
       bool in_dom = false;
@@ -165,6 +200,7 @@ void ExistentialPebbleGame::Build(const Structure& a, const Structure& b) {
 
   // Cascade.
   while (!to_delete.empty()) {
+    if (!poll()) return governor->TripStatus();
     uint32_t id = to_delete.back();
     to_delete.pop_back();
     const PebblePosition f = maps_[id];
@@ -204,6 +240,7 @@ void ExistentialPebbleGame::Build(const Structure& a, const Structure& b) {
   auto found = index_.find(empty);
   CQCS_CHECK(found != index_.end());
   duplicator_wins_ = alive_[found->second] != 0;
+  return Status::OK();
 }
 
 bool ExistentialPebbleGame::DuplicatorWinsFrom(

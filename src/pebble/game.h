@@ -17,12 +17,15 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "core/structure.h"
 
 namespace cqcs {
+
+class ResourceGovernor;  // common/governor.h
 
 /// Statistics from the fixpoint computation.
 struct PebbleGameStats {
@@ -40,8 +43,12 @@ class ExistentialPebbleGame {
   /// work — and runs the deletion fixpoint. Errors (InvalidArgument) on
   /// vocabulary mismatch or k = 0, matching the Result<> contract of the
   /// other backends so the engine can fall back instead of aborting.
-  static Result<ExistentialPebbleGame> Create(const Structure& a,
-                                              const Structure& b, uint32_t k);
+  /// A non-null `governor` is polled on a stride through the enumeration
+  /// and the fixpoint and charged for the position tables (released with
+  /// the game); a trip returns its kResourceExhausted and no game.
+  static Result<ExistentialPebbleGame> Create(
+      const Structure& a, const Structure& b, uint32_t k,
+      ResourceGovernor* governor = nullptr);
 
   /// True iff the Duplicator has a winning strategy.
   bool DuplicatorWins() const { return duplicator_wins_; }
@@ -56,7 +63,8 @@ class ExistentialPebbleGame {
   bool DuplicatorWinsFrom(const PebblePosition& position) const;
 
  private:
-  ExistentialPebbleGame(const Structure& a, const Structure& b, uint32_t k);
+  ExistentialPebbleGame(uint32_t k, ResourceGovernor* governor)
+      : k_(k), charge_{governor} {}
 
   struct PositionHash {
     size_t operator()(const PebblePosition& p) const {
@@ -69,11 +77,23 @@ class ExistentialPebbleGame {
     }
   };
 
-  void Build(const Structure& a, const Structure& b);
+  Status Build(const Structure& a, const Structure& b);
+
+  /// Bytes charged to the governor for the position tables; released when
+  /// the game that holds them dies. Move-only, so a charge moves with the
+  /// game and is released once.
+  struct Charge {
+    ResourceGovernor* governor = nullptr;
+    size_t bytes = 0;
+    explicit Charge(ResourceGovernor* g) : governor(g) {}
+    Charge(Charge&& other) noexcept
+        : governor(other.governor), bytes(std::exchange(other.bytes, 0)) {}
+    Charge& operator=(Charge&&) = delete;
+    ~Charge();
+  };
 
   uint32_t k_;
-  size_t a_size_ = 0;
-  size_t b_size_ = 0;
+  Charge charge_;
   bool duplicator_wins_ = false;
   PebbleGameStats stats_;
   std::vector<PebblePosition> maps_;

@@ -495,14 +495,21 @@ Result<EngineResult> ServingEngine::Serve(const ServeRequest& request) {
       }
       query.emplace(*std::move(parsed));
     }
-    auto compiled = HomProblem::FromQuery(*query, *db.structure);
-    if (!compiled.ok()) {
+    // Compile the source side against an empty database over the same
+    // vocabulary, then bind the registered structure zero-copy — the path
+    // a source-level hit takes — so no plan owns a copy of the data.
+    auto compiled = HomProblem::FromQuery(
+        *query, Structure(db.structure->vocabulary(), 0));
+    Result<HomProblem> bound =
+        compiled.ok() ? compiled->WithTarget(db.structure) : compiled.status();
+    if (!bound.ok()) {
       CountOutcome(counters_.errors);
-      return compiled.status();
+      return bound.status();
     }
-    auto shared = std::make_shared<const HomProblem>(*std::move(compiled));
+    auto shared = std::make_shared<const HomProblem>(*std::move(bound));
     if (options_.plan_cache_entries > 0) {
-      plan_cache_.Put(src_key, shared);
+      plan_cache_.Put(src_key, std::make_shared<const HomProblem>(
+                                   *std::move(compiled)));
       plan_cache_.Put(pair_key, shared);
     }
     problem = std::move(shared);

@@ -101,6 +101,9 @@ struct SolveOptions {
   /// search with stats->limit_hit set ("unknown", exactly like node_limit),
   /// with overshoot bounded by the poll stride per worker. nullptr (the
   /// default) costs one branch per node, like an unlimited node budget.
+  /// Through HomEngine (EngineOptions::solve, and so every cq::
+  /// convenience) it governs the whole run on every backend, not just the
+  /// search; a trip there surfaces as kResourceExhausted.
   ResourceGovernor* governor = nullptr;
 };
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "common/governor.h"
 #include "common/rng.h"
 #include "core/homomorphism.h"
+#include "cq/canonical.h"
 #include "cq/containment.h"
 #include "cq/parser.h"
 #include "gen/generators.h"
@@ -173,10 +175,10 @@ TEST(EngineRoutingTest, FallbackOnNonSchaeferBooleanTarget) {
   Rng rng(505);
   Structure a = RandomStructure(vocab, 12, 40, rng);
   HomProblem p = MustProblem(HomProblem::FromStructures(a, b));
-  ASSERT_TRUE(p.Profile().target_boolean);
-  ASSERT_EQ(p.Profile().schaefer_classes, 0);
-  ASSERT_FALSE(p.Profile().source_acyclic);
-  ASSERT_GT(p.Profile().width_estimate, 3);
+  ASSERT_TRUE(p.TargetBoolean());
+  ASSERT_EQ(p.TargetSchaeferClasses(), 0);
+  ASSERT_FALSE(p.SourceAcyclic());
+  ASSERT_GT(p.SourceDecomposition().Width(), 3);
   HomEngine engine;
   EngineResult r = MustRun(engine, p, HomTask::kDecide);
   EXPECT_EQ(r.explain.chosen, Backend::kUniform) << r.explain.ToString();
@@ -203,7 +205,6 @@ TEST(EngineRoutingTest, CrossBackendOracleAgreement) {
                                        false);
     bool oracle = OracleDecide(a, b);
     HomProblem p = MustProblem(HomProblem::FromStructures(a, b));
-    const InstanceProfile& prof = p.Profile();
 
     // kAuto, whatever it picks.
     HomEngine auto_engine;
@@ -226,14 +227,14 @@ TEST(EngineRoutingTest, CrossBackendOracleAgreement) {
       EXPECT_EQ(MustRun(HomEngine(o), p, HomTask::kDecide).decided, oracle)
           << "treewidth disagrees on trial " << trial;
     }
-    if (prof.source_acyclic && b.universe_size() > 0) {
+    if (p.SourceAcyclic() && b.universe_size() > 0) {
       EngineOptions o;
       o.backend = Backend::kAcyclic;
       ++applicable;
       EXPECT_EQ(MustRun(HomEngine(o), p, HomTask::kDecide).decided, oracle)
           << "acyclic disagrees on trial " << trial;
     }
-    if (prof.schaefer_classes != 0) {
+    if (p.TargetSchaeferClasses() != 0) {
       EngineOptions o;
       o.backend = Backend::kSchaefer;
       ++applicable;
@@ -374,8 +375,6 @@ TEST(EngineRoutingTest, CompiledProblemReusesArtifactsAcrossRuns) {
   EXPECT_EQ(csp, &p.Csp());
   const TreeDecomposition* dec = &p.SourceDecomposition();
   EXPECT_EQ(dec, &p.SourceDecomposition());
-  const InstanceProfile* prof = &p.Profile();
-  EXPECT_EQ(prof, &p.Profile());
   // Copies share them.
   HomProblem copy = p;
   EXPECT_EQ(&copy.Csp(), csp);
@@ -385,11 +384,11 @@ TEST(EngineRoutingTest, CompiledProblemReusesArtifactsAcrossRuns) {
   EXPECT_EQ(&rebound.SourceDecomposition(), dec);
   // ...but recompiles the pair state against the new target.
   EXPECT_NE(&rebound.Csp(), csp);
-  EXPECT_EQ(rebound.Profile().target_universe, 5u);
   // And the rebound problem still answers correctly.
   HomEngine engine;
-  EXPECT_EQ(MustRun(engine, rebound, HomTask::kDecide).decided,
-            OracleDecide(a, b2));
+  EngineResult rebound_run = MustRun(engine, rebound, HomTask::kDecide);
+  EXPECT_EQ(rebound_run.explain.profile.target_universe, 5u);
+  EXPECT_EQ(rebound_run.decided, OracleDecide(a, b2));
   EXPECT_EQ(MustRun(engine, p, HomTask::kDecide).decided, OracleDecide(a, b));
 }
 
@@ -412,6 +411,145 @@ TEST(EngineRoutingTest, ContainmentProblemsRouteThroughPolyBackends) {
   auto via_wrapper = IsContained(chain6, chain4);
   ASSERT_TRUE(via_wrapper.ok());
   EXPECT_EQ(r.decided, *via_wrapper);
+}
+
+// ---- Theorem 2.1: containment, homomorphism and evaluation agree. --------
+
+/// A tree-shaped query (acyclic): each atom hangs a fresh variable off an
+/// existing one. The head is one random variable.
+ConjunctiveQuery RandomTreeQuery(const VocabularyPtr& vocab, Rng& rng) {
+  ConjunctiveQuery q(vocab, "Q");
+  std::vector<VarId> vars = {q.GetOrCreateVar("V0")};
+  const size_t atoms = 1 + rng.Below(5);
+  for (size_t i = 0; i < atoms; ++i) {
+    const VarId old = vars[rng.Below(vars.size())];
+    const VarId fresh = q.GetOrCreateVar("V" + std::to_string(vars.size()));
+    vars.push_back(fresh);
+    if (rng.Chance(0.5)) {
+      q.AddAtom(0, {old, fresh});
+    } else {
+      q.AddAtom(0, {fresh, old});
+    }
+  }
+  q.SetHead({vars[rng.Below(vars.size())]});
+  return q;
+}
+
+/// A cycle of length 3..5 with random orientations, plus up to two chords
+/// or pendant edges. Binary atoms are α-acyclic only on a forest, so the
+/// query is cyclic. The head is one random variable.
+ConjunctiveQuery RandomCyclicQuery(const VocabularyPtr& vocab, Rng& rng) {
+  ConjunctiveQuery q(vocab, "Q");
+  const size_t length = 3 + rng.Below(3);
+  std::vector<VarId> vars;
+  for (size_t i = 0; i < length; ++i) {
+    vars.push_back(q.GetOrCreateVar("C" + std::to_string(i)));
+  }
+  for (size_t i = 0; i < length; ++i) {
+    VarId u = vars[i];
+    VarId v = vars[(i + 1) % length];
+    if (rng.Chance(0.5)) std::swap(u, v);
+    q.AddAtom(0, {u, v});
+  }
+  const size_t extras = rng.Below(3);
+  for (size_t i = 0; i < extras; ++i) {
+    const VarId u = vars[rng.Below(vars.size())];
+    const VarId v = rng.Chance(0.5)
+                        ? vars[rng.Below(vars.size())]
+                        : q.GetOrCreateVar("P" + std::to_string(i));
+    if (v >= vars.size()) vars.push_back(v);
+    q.AddAtom(0, {u, v});
+  }
+  q.SetHead({vars[rng.Below(vars.size())]});
+  return q;
+}
+
+/// A homomorphic image of q (variables merged at random) plus up to two
+/// extra atoms: q maps onto it, so it is contained in q.
+ConjunctiveQuery RandomImage(const ConjunctiveQuery& q, Rng& rng) {
+  ConjunctiveQuery image(q.vocabulary(), "Q");
+  const size_t range = 1 + rng.Below(q.var_count());
+  std::vector<VarId> to(q.var_count());
+  for (VarId v = 0; v < q.var_count(); ++v) {
+    to[v] = image.GetOrCreateVar("W" + std::to_string(rng.Below(range)));
+  }
+  for (const Atom& atom : q.atoms()) {
+    std::vector<VarId> args;
+    for (VarId v : atom.args) args.push_back(to[v]);
+    image.AddAtom(atom.rel, std::move(args));
+  }
+  const size_t extras = rng.Below(3);
+  for (size_t i = 0; i < extras; ++i) {
+    image.AddAtom(0, {static_cast<VarId>(rng.Below(image.var_count())),
+                      static_cast<VarId>(rng.Below(image.var_count()))});
+  }
+  image.SetHead({to[q.head()[0]]});
+  return image;
+}
+
+TEST(EngineRoutingTest, TheoremTwoOneAgreementSweep) {
+  // Q1 ⊆ Q2 asked every way the repo can ask it: the kAuto convenience,
+  // the engine forced onto each backend that accepts a containment problem,
+  // the evaluation characterization on the raw solver, and "Q1's head is an
+  // answer of Q2 on D_{Q1}". All must agree, on acyclic and cyclic Q2.
+  Rng rng(2101);
+  auto vocab = MakeGraphVocabulary();
+  int acyclic_q2 = 0, cyclic_q2 = 0, contained = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const ConjunctiveQuery q2 = trial % 2 == 0 ? RandomTreeQuery(vocab, rng)
+                                               : RandomCyclicQuery(vocab, rng);
+    const ConjunctiveQuery q1 =
+        rng.Chance(0.5)
+            ? RandomImage(q2, rng)
+            : RandomQuery(vocab, 3 + rng.Below(5), 1 + rng.Below(4), rng);
+    SCOPED_TRACE(ToString(q1) + " vs " + ToString(q2));
+
+    auto decided = IsContained(q1, q2);
+    ASSERT_TRUE(decided.ok()) << decided.status().ToString();
+    const bool expected = *decided;
+    contained += expected;
+
+    HomProblem p = MustProblem(HomProblem::FromContainment(q1, q2));
+    (p.SourceAcyclic() ? acyclic_q2 : cyclic_q2) += 1;
+    for (Backend backend :
+         {Backend::kUniform, Backend::kTreewidth, Backend::kAcyclic}) {
+      EngineOptions options;
+      options.backend = backend;
+      auto r = HomEngine(options).Decide(p);
+      if (backend == Backend::kAcyclic && !p.SourceAcyclic()) {
+        EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+        continue;
+      }
+      ASSERT_TRUE(r.ok()) << BackendName(backend) << ": "
+                          << r.status().ToString();
+      EXPECT_EQ(*r, expected) << BackendName(backend);
+    }
+
+    auto witness = Contains(q1, q2);
+    ASSERT_TRUE(witness.ok());
+    EXPECT_EQ(witness->contained, expected);
+    if (witness->contained) {
+      ASSERT_TRUE(witness->witness.has_value());
+      EXPECT_TRUE(IsHomomorphism(p.source(), p.target(), *witness->witness));
+    }
+
+    auto via_evaluation = IsContainedViaEvaluation(q1, q2);
+    ASSERT_TRUE(via_evaluation.ok());
+    EXPECT_EQ(*via_evaluation, expected);
+
+    const CanonicalDb d1 = MakeCanonicalDb(q1);
+    auto answers = Evaluate(q2, d1.structure);
+    ASSERT_TRUE(answers.ok());
+    const bool head_is_answer =
+        std::find(answers->begin(), answers->end(), d1.head) !=
+        answers->end();
+    EXPECT_EQ(head_is_answer, expected);
+  }
+  EXPECT_GT(acyclic_q2, 100);
+  EXPECT_GT(cyclic_q2, 100);
+  EXPECT_GT(contained, 60);
+  EXPECT_LT(contained, 240);
 }
 
 TEST(EngineRoutingTest, PebblePreflightCertifiesUnsat) {

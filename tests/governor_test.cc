@@ -16,6 +16,7 @@
 #include "core/homomorphism.h"
 #include "core/io.h"
 #include "cq/acyclic.h"
+#include "cq/containment.h"
 #include "cq/parser.h"
 #include "datalog/parser.h"
 #include "gen/generators.h"
@@ -926,6 +927,190 @@ TEST(GovernorEngineTest, TripDuringRootPropagationIsUnknownNotNo) {
     SolveStats stats;
     EXPECT_FALSE(solver.Solve(&stats).has_value());
     EXPECT_TRUE(stats.limit_hit);
+  }
+}
+
+// ---- The caller's governor: SolveOptions::governor governs the run. -------
+
+ConjunctiveQuery MustParseQuery(std::string_view text,
+                                const VocabularyPtr& vocab) {
+  auto q = ParseQuery(text, vocab);
+  CQCS_CHECK_MSG(q.ok(), q.status().ToString());
+  return *std::move(q);
+}
+
+/// The backend kAuto picks for Q1 ⊆ Q2 when nothing governs the run.
+Backend UngovernedContainmentRoute(const ConjunctiveQuery& q1,
+                                   const ConjunctiveQuery& q2) {
+  HomProblem p = MustProblem(HomProblem::FromContainment(q1, q2));
+  return MustRun(HomEngine(), p, HomTask::kDecide).explain.chosen;
+}
+
+void ExpectExhausted(const Status& status) {
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted)
+      << status.ToString();
+}
+
+TEST(GovernorEngineTest, ConveniencesHonorTheCallersGovernor) {
+  auto vocab = MakeGraphVocabulary();
+  ResourceGovernor cancelled;
+  cancelled.Cancel();
+  SolveOptions options;
+  options.governor = &cancelled;
+
+  // An acyclic Q2: the Yannakakis route.
+  const ConjunctiveQuery cycle4 = MustParseQuery(
+      "Q(X) :- E(X, Y), E(Y, Z), E(Z, W), E(W, X).", vocab);
+  const ConjunctiveQuery path = MustParseQuery("Q(X) :- E(X, Y), E(Y, Z).",
+                                               vocab);
+  ASSERT_EQ(UngovernedContainmentRoute(cycle4, path), Backend::kAcyclic);
+  ASSERT_TRUE(*IsContained(cycle4, path));
+  ExpectExhausted(Contains(cycle4, path, options).status());
+  ExpectExhausted(IsContained(cycle4, path, options).status());
+  ExpectExhausted(AreEquivalent(cycle4, path, options).status());
+  Rng rng(7030);
+  const Structure db = RandomGraphStructure(vocab, 12, 0.3, rng, true);
+  ExpectExhausted(Evaluate(path, db, options).status());
+  const ConjunctiveQuery boolean_path =
+      MustParseQuery("Q() :- E(X, Y), E(Y, Z).", vocab);
+  ExpectExhausted(EvaluateBoolean(boolean_path, db, options).status());
+  ExpectExhausted(
+      Minimize(MustParseQuery("Q(X) :- E(X, Y), E(X, Z).", vocab), options)
+          .status());
+
+  // A cyclic Q2 of width 4: the uniform search (the router's capped
+  // min-fill is governed too, so a pre-cancelled governor stops it there).
+  const ConjunctiveQuery k5 = MustParseQuery(
+      "Q() :- E(A, B), E(A, C), E(A, D), E(A, F), E(B, C), E(B, D), "
+      "E(B, F), E(C, D), E(C, F), E(D, F).",
+      vocab);
+  ASSERT_EQ(UngovernedContainmentRoute(k5, k5), Backend::kUniform);
+  ASSERT_TRUE(*IsContained(k5, k5));
+  ExpectExhausted(Contains(k5, k5, options).status());
+  ExpectExhausted(IsContained(k5, k5, options).status());
+  ExpectExhausted(EvaluateBoolean(k5, CliqueStructure(vocab, 5), options)
+                      .status());
+}
+
+TEST(GovernorEngineTest, CallersGovernorGovernsTheSearch) {
+  auto vocab = MakeGraphVocabulary();
+  HomProblem p = MustProblem(HomProblem::FromStructures(
+      CliqueStructure(vocab, 5), CliqueStructure(vocab, 5)));
+  ResourceGovernor cancelled;
+  cancelled.Cancel();
+  EngineOptions options;
+  options.backend = Backend::kUniform;
+  options.solve.governor = &cancelled;
+  EngineResult r = MustRun(HomEngine(options), p, HomTask::kDecide);
+  EXPECT_TRUE(r.stats.used_search);
+  EXPECT_TRUE(r.stats.search.limit_hit);
+  EXPECT_FALSE(r.decided);
+  EXPECT_TRUE(r.stats.governor.enabled);
+  EXPECT_TRUE(r.stats.governor.tripped);
+  EXPECT_EQ(r.stats.governor.cause, TripCause::kCancelled);
+
+  // A governor with room: the run answers, and the snapshot is the
+  // caller's governor's own record.
+  ResourceGovernor roomy(/*deadline_ms=*/60'000, /*memory=*/64u << 20);
+  options.solve.governor = &roomy;
+  r = MustRun(HomEngine(options), p, HomTask::kDecide);
+  EXPECT_TRUE(r.decided);
+  EXPECT_TRUE(r.stats.governor.enabled);
+  EXPECT_FALSE(r.stats.governor.tripped);
+  EXPECT_EQ(r.stats.governor.checks, roomy.checks());
+}
+
+TEST(GovernorEngineTest, CallersGovernorWithABudgetFieldIsInvalid) {
+  auto vocab = MakeGraphVocabulary();
+  HomProblem p = MustProblem(HomProblem::FromStructures(
+      PathStructure(vocab, 4), CliqueStructure(vocab, 3)));
+  ResourceGovernor gov;
+  std::atomic<bool> cancel{false};
+  std::vector<EngineOptions> budgets(5);
+  budgets[0].deadline_ms = 1000;
+  budgets[1].memory_budget_bytes = 1u << 20;
+  budgets[2].cancel = &cancel;
+  budgets[3].failpoints.trip_after_checks = 5;
+  budgets[4].failpoints.trip_after_charges = 5;
+  for (EngineOptions& options : budgets) {
+    options.solve.governor = &gov;
+    auto r = HomEngine(options).Run(p, HomTask::kDecide);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(gov.checks(), 0u);
+}
+
+// ---- The pebble preflight is governed. ------------------------------------
+
+TEST(GovernorEngineTest, PebblePreflightStopsBeforeTheGameCompletes) {
+  // The 2-pebble game on G(60, 0.3) -> G(8, 0.6) enumerates ~10^5
+  // positions. A cancelled run must stop at the game's first poll: no
+  // game, no search after it, an "unknown" answer.
+  Rng rng(7040);
+  auto vocab = MakeGraphVocabulary();
+  Structure a = RandomGraphStructure(vocab, 60, 0.3, rng, true);
+  Structure b = RandomGraphStructure(vocab, 8, 0.6, rng, true);
+  HomProblem p = MustProblem(HomProblem::FromStructures(a, b));
+  std::atomic<bool> cancel{true};
+  EngineOptions options;
+  options.backend = Backend::kUniform;
+  options.pebble_preflight_k = 2;
+  options.cancel = &cancel;
+  EngineResult r = MustRun(HomEngine(options), p, HomTask::kDecide);
+  EXPECT_TRUE(r.stats.governor.tripped);
+  EXPECT_EQ(r.stats.governor.cause, TripCause::kCancelled);
+  EXPECT_FALSE(r.stats.used_pebble);
+  EXPECT_EQ(r.stats.pebble.total_positions, 0u);
+  EXPECT_FALSE(r.stats.used_search);
+  EXPECT_FALSE(r.decided);
+}
+
+TEST(GovernorEngineTest, PebblePreflightTripsCleanlyAndReleasesItsCharge) {
+  // G(12, 0.5) -> K3 with 2 pebbles: a trip at every poll in turn, then at
+  // a spread of charges. Each trip is "unknown" and leaves no byte charged;
+  // the run that fits answers like the ungoverned one.
+  Rng rng(7041);
+  auto vocab = MakeGraphVocabulary();
+  Structure a = RandomGraphStructure(vocab, 12, 0.5, rng, true);
+  Structure b = CliqueStructure(vocab, 3);
+  HomProblem p = MustProblem(HomProblem::FromStructures(a, b));
+  EngineOptions options;
+  options.backend = Backend::kUniform;
+  options.pebble_preflight_k = 2;
+  const bool expected = MustRun(HomEngine(options), p, HomTask::kDecide).decided;
+
+  // Runs once under `fp`; true when the run tripped.
+  auto run_tripping = [&](const GovernorFailpoints& fp) {
+    ResourceGovernor gov;
+    gov.set_failpoints(fp);
+    options.solve.governor = &gov;
+    EngineResult r = MustRun(HomEngine(options), p, HomTask::kDecide);
+    EXPECT_EQ(gov.bytes_in_use(), 0u);
+    if (!r.stats.governor.tripped) {
+      EXPECT_EQ(r.decided, expected);
+      EXPECT_TRUE(r.stats.used_pebble);
+      EXPECT_GT(gov.peak_bytes(), 0u);
+      return false;
+    }
+    EXPECT_FALSE(r.decided);
+    if (!r.stats.used_pebble) EXPECT_FALSE(r.stats.used_search);
+    return true;
+  };
+  uint64_t k = 1;
+  for (;; ++k) {
+    SCOPED_TRACE(testing::Message() << "trip_after_checks=" << k);
+    ASSERT_LT(k, 10'000u);
+    GovernorFailpoints fp;
+    fp.trip_after_checks = k;
+    if (!run_tripping(fp)) break;
+  }
+  EXPECT_GT(k, 2u);  // the game polls more than once
+  for (uint64_t charges : {1, 2, 10, 100, 400}) {
+    SCOPED_TRACE(testing::Message() << "trip_after_charges=" << charges);
+    GovernorFailpoints fp;
+    fp.trip_after_charges = charges;
+    EXPECT_TRUE(run_tripping(fp));
   }
 }
 

@@ -103,6 +103,14 @@ TEST(UnpolledLoop, CoversMorselWorkerBodies) {
   EXPECT_EQ(findings[0].rule, "unpolled-loop");
 }
 
+TEST(UnpolledLoop, CoversThePebbleGame) {
+  // The pebble preflight runs inside governed engine runs and costs
+  // Θ(n^{2k}), so its loops are in the governed set.
+  auto findings = LintFixture("unpolled_loop_bad.cc", "src/pebble/game.cc");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "unpolled-loop");
+}
+
 // ------------------------------------------------------------ banned-abort
 
 TEST(BannedAbort, FiresOnCheckAndAbortInInputReachableCode) {

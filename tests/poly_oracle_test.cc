@@ -22,6 +22,7 @@
 #include "common/saturating.h"
 #include "core/homomorphism.h"
 #include "cq/acyclic.h"
+#include "cq/gyo.h"
 #include "gen/generators.h"
 #include "rel/hash_index.h"
 #include "solver/backtracking.h"
@@ -733,7 +734,7 @@ class ReferenceYannakakis {
  public:
   ReferenceYannakakis(const ConjunctiveQuery& q, const Structure& d)
       : q_(q), d_(d), m_(q.atoms().size()) {
-    tree_ = *BuildJoinTree(q);
+    tree_ = *GyoJoinForest(q.var_count(), QueryHyperedges(q));
     Materialize();
     Shape();
     for (const Rows& t : tables_) {
@@ -1164,7 +1165,8 @@ TEST(PolyOracleTest, OnePassCountMatchesTheFullReduction) {
   for (int trial = 0; trial < 1000; ++trial) {
     SCOPED_TRACE(testing::Message() << "trial " << trial);
     const ConjunctiveQuery q = RandomAcyclicQuery(vocab, rng);
-    ASSERT_TRUE(IsAcyclicQuery(q));
+    ASSERT_TRUE(
+        GyoJoinForest(q.var_count(), QueryHyperedges(q)).has_value());
     const Structure d = RandomDanglingDatabase(vocab, rng);
     const ReferenceYannakakis ref(q, d);
     if (ref.rows_pruned() > 0) ++pruned;
@@ -1191,7 +1193,7 @@ TEST(PolyOracleTest, PrunedProjectionMatchesTheFullJoin) {
     ExpectProjectMatchesReference(q, d, ref, proj);
     // The variables of the join tree's first root and of a leaf.
     if (q.atoms().empty()) continue;
-    const JoinTree tree = *BuildJoinTree(q);
+    const JoinTree tree = *GyoJoinForest(q.var_count(), QueryHyperedges(q));
     std::vector<uint8_t> has_child(tree.parent.size(), 0);
     for (uint32_t p : tree.parent) {
       if (p != JoinTree::kNoParent) has_child[p] = 1;

@@ -387,6 +387,30 @@ TEST(ServingEngineTest, RebindAfterUpdateSharesPlanAndAnswersFresh) {
   EXPECT_EQ(warm->count, expected.count);
 }
 
+TEST(ServingEngineTest, ColdCompiledPlanSharesTheRegisteredStructure) {
+  // A cold compile binds the registered structure zero-copy, as a
+  // source-level hit does: the pair plan holds a reference to the
+  // registration rather than a private copy of the data.
+  auto vocab = MakeGraphVocabulary();
+  serve::ServingEngine serving;
+  const Structure db = MakeTestDb(vocab, 0, 0);
+  ASSERT_TRUE(serving.UpsertDatabase("g", db).ok());
+  auto registered = serving.GetDatabase("g");
+  ASSERT_TRUE(registered.ok());
+  const long before = registered->use_count();
+  serve::ServeRequest request;
+  request.query = ToString(ChainQuery(vocab, 3));
+  request.database = "g";
+  request.task = HomTask::kCount;
+  auto cold = serving.Serve(request);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_FALSE(cold->stats.serve.plan_cache_hit);
+  EXPECT_EQ(serving.stats().plan_misses, 1u);
+  EXPECT_EQ(registered->use_count(), before + 1);
+  EXPECT_EQ(cold->count,
+            Oracle(request.query, db, HomTask::kCount, EngineOptions{}).count);
+}
+
 TEST(ServingEngineTest, UpdateHeavyMixServesZeroStaleAnswers) {
   // The acceptance property: run an update-heavy skewed mix and oracle-
   // re-check EVERY read against the database content registered at that

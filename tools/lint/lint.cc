@@ -105,7 +105,8 @@ void Report(std::vector<Finding>* findings, const FileInput& input,
 /// Files whose loops must stay governed (cooperative Poll/trip machinery).
 bool IsGovernedHotPath(const std::string& path) {
   return path == "src/rel/ops.cc" || path == "src/treewidth/hom_dp.cc" ||
-         path == "src/cq/acyclic.cc" || path == "src/common/work_pool.cc";
+         path == "src/cq/acyclic.cc" || path == "src/common/work_pool.cc" ||
+         path == "src/pebble/game.cc";
 }
 
 /// Input-reachable modules: arbitrarily corrupt bytes get here, so aborts
