@@ -26,6 +26,7 @@
 # context attached.
 #
 # Usage: bench/run_bench.sh [--quick] [build-dir] [solver-output.json]
+#                           [serving-output.json]
 #   --quick   reduced series + minimal min_time, for CI smoke use: checks
 #             that every bench binary still runs and emits valid JSON
 #             without burning minutes on statistics.
@@ -50,7 +51,7 @@ done
 
 BUILD_DIR="${ARGS[0]:-build}"
 SOLVER_OUT="${ARGS[1]:-BENCH_solver.json}"
-SERVING_OUT="BENCH_serving.json"
+SERVING_OUT="${ARGS[2]:-BENCH_serving.json}"
 
 SOLVER_BINS=(bench_hardness bench_uniform_boolean bench_acyclic bench_treewidth bench_rel)
 SOLVER_FILTER='BM_CliqueIntoRandomGraph|BM_PlantedCliqueRecovery|BM_SparseRefutationFc|BM_Backtracking_NodeThroughput|BM_Horn_Backtracking|BM_CliqueRefutationParallel|BM_PlantedCliqueParallel|BM_EngineAutoVsUniform|BM_YannakakisTask|BM_TreewidthDpIndexed|BM_TreewidthAutoRoute|BM_Decomposition_MinFill|BM_ProbeBatch'

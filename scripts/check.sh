@@ -5,6 +5,10 @@
 #                       warning set are enforced here), full tier-1 ctest
 #   2. lint             ctest -L lint in the same tree (rule unit tests +
 #                       the cqcs_lint sweep over src/ + tools/)
+#      bench smoke      bench/run_bench.sh --quick over the same tree, into
+#                       a temp dir (the committed BENCH files stay as
+#                       they are); skipped when the bench binaries were not
+#                       built (no google-benchmark package)
 #   3. sanitizers       the ROADMAP.md sanitizer map: -L serve, -L poly,
 #                       -L solver-parallel and -L robust under TSan,
 #                       -L durable, -L poly and -L engine under UBSan (the
@@ -60,6 +64,18 @@ run ctest --test-dir build-check --output-on-failure -j "$JOBS" || exit 1
 # ---- 2. lint ---------------------------------------------------------------
 step "lint (ctest -L lint)"
 run ctest --test-dir build-check --output-on-failure -L lint || exit 1
+
+step "bench smoke (run_bench.sh --quick)"
+if [ -x build-check/bench/bench_serving ]; then
+  bench_tmp="$(mktemp -d)"
+  run bench/run_bench.sh --quick build-check "$bench_tmp/solver.json" \
+      "$bench_tmp/serving.json"
+  bench_rc=$?
+  rm -rf "$bench_tmp"
+  [ $bench_rc -eq 0 ] || exit 1
+else
+  echo "skipped: build-check/bench not built (needs google-benchmark)"
+fi
 
 if [ "$QUICK" -eq 1 ]; then
   echo

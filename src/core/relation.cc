@@ -31,6 +31,11 @@ void Relation::EnsureIndex() const {
   for (uint32_t i = 0; i < index_.size(); ++i) index_[i] = i;
   std::sort(index_.begin(), index_.end(),
             [this](uint32_t a, uint32_t b) { return TupleLess(a, b); });
+  // Sorted, equal tuples are adjacent.
+  duplicate_free_ = true;
+  for (size_t pos = 1; pos < index_.size() && duplicate_free_; ++pos) {
+    duplicate_free_ = TupleLess(index_[pos - 1], index_[pos]);
+  }
   index_valid_ = true;
 }
 

@@ -3,12 +3,14 @@
 // Tuples are stored flattened in insertion order. Membership queries use a
 // lazily built sorted index (invalidated by mutation); this keeps bulk
 // loading O(1) amortized per tuple while making Contains O(log m) without a
-// second copy of the data.
+// second copy of the data. Sorting also shows whether any tuple repeats
+// (duplicate_free), which lets readers skip a dedup pass.
 
 #ifndef CQCS_CORE_RELATION_H_
 #define CQCS_CORE_RELATION_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -47,6 +49,15 @@ class Relation {
   /// must have both built before it is shared.
   void EnsureIndex() const;
 
+  /// Whether the relation holds no duplicate tuple: known (true or false)
+  /// once EnsureIndex has sorted the tuples, nullopt before it and again
+  /// after any mutation. Never builds the index itself, so it is safe to
+  /// read concurrently under EnsureIndex's sharing rule.
+  std::optional<bool> duplicate_free() const {
+    if (!index_valid_) return std::nullopt;
+    return duplicate_free_;
+  }
+
   /// Builds (or reuses) the (position, value) support index: for every
   /// position p < arity and value v < num_values, the list of tuple ids t
   /// with tuple(t)[p] == v, in increasing t. One O(m·arity) CSR pass; the
@@ -84,6 +95,8 @@ class Relation {
   // Sorted tuple indices for binary search; rebuilt on demand.
   mutable std::vector<uint32_t> index_;
   mutable bool index_valid_ = false;
+  // No two tuples equal; meaningful only while index_valid_.
+  mutable bool duplicate_free_ = false;
   // (position, value) -> tuple-id CSR index; see EnsurePositionIndex.
   // Slot (p, v) spans pos_offsets_[p * num_values + v] ..
   // pos_offsets_[p * num_values + v + 1] of pos_ids_.

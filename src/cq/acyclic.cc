@@ -341,10 +341,14 @@ Status YannakakisProgram::MaterializeGroup(
     for (size_t p = 0; p < tup.size(); ++p) row[col_of_arg[p]] = tup[p];
   }
 
-  // Bulk dedup: keep each row's first occurrence, in order.
-  std::vector<uint32_t> all_cols(width);
-  for (uint32_t c = 0; c < width; ++c) all_cols[c] = c;
-  table.KeepRows(rel::FirstOccurrences(table, all_cols, gov_));
+  // Bulk dedup: keep each row's first occurrence, in order. A relation
+  // known to be duplicate-free needs none: the equality filter keeps a
+  // subset of a set, and each dropped column equals a kept one.
+  if (!rel.duplicate_free().value_or(false)) {
+    std::vector<uint32_t> all_cols(width);
+    for (uint32_t c = 0; c < width; ++c) all_cols[c] = c;
+    table.KeepRows(rel::FirstOccurrences(table, all_cols, gov_));
+  }
   return TripStatus();
 }
 

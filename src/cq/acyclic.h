@@ -6,8 +6,10 @@
 // output-bounded enumeration, and projection whose intermediates stay
 // bounded by input x output (the size-bound frame of Valiant & Valiant,
 // arXiv:0909.2030). Tables live in the columnar rel/ kernel: flat
-// rel::Table rows, open-addressing rel::HashIndex probes, no per-row
-// allocation.
+// rel::Table rows, rel::HashIndex probes (direct-addressed for a
+// one-column key over a small range, hashed otherwise), no per-row
+// allocation. An atom over a relation that EnsureIndex has found
+// duplicate-free is materialized without a dedup pass.
 //
 // The program is not tied to atoms: it runs over any join forest of
 // duplicate-free tables (YannakakisProgram below). The treewidth route
@@ -179,7 +181,8 @@ class YannakakisProgram {
   /// satisfiable_ when a table empties.
   Status Reduce(Passes passes);
   Status MaterializeAll(const ConjunctiveQuery& q, const Structure& d);
-  /// Materializes atom `i`'s table (a group representative: no memo hit).
+  /// Materializes atom `i`'s table (a group representative: no memo hit),
+  /// deduplicating it unless the relation is known duplicate-free.
   /// Thread-safe against other groups — writes only tables_[i] and the
   /// governor's atomic accounting.
   Status MaterializeGroup(const ConjunctiveQuery& q, const Structure& d,

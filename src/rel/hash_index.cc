@@ -1,5 +1,7 @@
 #include "rel/hash_index.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "common/hash.h"
 
@@ -21,6 +23,7 @@ HashIndex::HashIndex(const HashIndex& other)
       key_cols_(other.key_cols_),
       slots_(other.slots_),
       next_(other.next_),
+      direct_(other.direct_),
       governor_(other.governor_) {
   if (governor_ != nullptr) SyncCharge();
 }
@@ -32,6 +35,7 @@ HashIndex& HashIndex::operator=(const HashIndex& other) {
   key_cols_ = other.key_cols_;
   slots_ = other.slots_;
   next_ = other.next_;
+  direct_ = other.direct_;
   governor_ = other.governor_;
   if (governor_ != nullptr) SyncCharge();
   return *this;
@@ -42,6 +46,7 @@ HashIndex::HashIndex(HashIndex&& other) noexcept
       key_cols_(std::move(other.key_cols_)),
       slots_(std::move(other.slots_)),
       next_(std::move(other.next_)),
+      direct_(other.direct_),
       governor_(other.governor_),
       charged_bytes_(other.charged_bytes_) {
   other.slots_.clear();
@@ -56,6 +61,7 @@ HashIndex& HashIndex::operator=(HashIndex&& other) noexcept {
   key_cols_ = std::move(other.key_cols_);
   slots_ = std::move(other.slots_);
   next_ = std::move(other.next_);
+  direct_ = other.direct_;
   governor_ = other.governor_;
   charged_bytes_ = other.charged_bytes_;
   other.slots_.clear();
@@ -98,13 +104,33 @@ void HashIndex::Build(const Element* base, uint32_t width, uint32_t row_count,
   for (uint32_t c : key_cols) CQCS_CHECK(c < width);
   width_ = width;
   key_cols_ = std::move(key_cols);
-  slots_.assign(SlotCountFor(row_count), kNone);
+  const size_t hashed_slots = SlotCountFor(row_count);
+  // A one-column key whose values all fit the slots the hashed layout
+  // would allocate is its own slot number: slots_[v] heads v's chain.
+  size_t key_bound = 0;  // largest key value + 1
+  direct_ = key_cols_.size() == 1;
+  for (uint32_t r = 0; direct_ && r < row_count; ++r) {
+    const Element v = base[static_cast<size_t>(r) * width_ + key_cols_[0]];
+    key_bound = std::max(key_bound, static_cast<size_t>(v) + 1);
+    direct_ = key_bound <= hashed_slots;
+  }
+  slots_.assign(direct_ ? key_bound : hashed_slots, kNone);
   next_.clear();
   next_.reserve(row_count);
   if (governor_ != nullptr) SyncCharge();
-  for (uint32_t r = 0; r < row_count; ++r) {
-    next_.push_back(kNone);
-    Insert(base, r);
+  if (direct_) {
+    for (uint32_t r = 0; r < row_count; ++r) {
+      // Prepend, as Insert does: chains run in descending row order.
+      uint32_t& head =
+          slots_[base[static_cast<size_t>(r) * width_ + key_cols_[0]]];
+      next_.push_back(head);
+      head = r;
+    }
+  } else {
+    for (uint32_t r = 0; r < row_count; ++r) {
+      next_.push_back(kNone);
+      Insert(base, r);
+    }
   }
   if (governor_ != nullptr) SyncCharge();
 }
@@ -160,6 +186,7 @@ void HashIndex::Insert(const Element* base, uint32_t row) {
 uint32_t HashIndex::FindFirst(const Element* base,
                               std::span<const Element> key) const {
   CQCS_CHECK(key.size() == key_cols_.size());
+  if (direct_) return key[0] < slots_.size() ? slots_[key[0]] : kNone;
   const uint64_t mask = slots_.size() - 1;
   size_t slot = HashKey(key) & mask;
   while (slots_[slot] != kNone) {
@@ -171,8 +198,16 @@ uint32_t HashIndex::FindFirst(const Element* base,
 
 void HashIndex::FindFirstBatch(const Element* base, ProbeBatch* batch) const {
   CQCS_CHECK(batch->key_width_ == key_cols_.size());
-  const uint64_t mask = slots_.size() - 1;
   const size_t n = batch->size();
+  if (direct_) {
+    // One independent load per key: nothing to hash, nothing to overlap.
+    for (size_t i = 0; i < n; ++i) {
+      const Element key = *batch->key(i);
+      batch->results_[i] = key < slots_.size() ? slots_[key] : kNone;
+    }
+    return;
+  }
+  const uint64_t mask = slots_.size() - 1;
   const size_t kw = key_cols_.size();
   // Pass 1: hash every key, kick off its bucket-line load. The prefetches
   // are independent, so they all go to memory in parallel while pass 2 is

@@ -1,18 +1,23 @@
-// rel::HashIndex — open-addressing hash index over flat row-major data,
-// keyed on a subset of columns.
+// rel::HashIndex — an index over flat row-major data, keyed on a subset
+// of columns.
 //
 // The index is a view: it stores row ids only and compares keys against a
 // caller-supplied base pointer (a rel::Table's buffer, or a core Relation's
 // flattened tuple data — both are row-major Element arrays). Layout:
 //
-//   slots_  open-addressing array (power of two, linear probing); each
-//           occupied slot holds the head row id of one distinct key
+//   slots_  one head row id per distinct key, in one of two layouts:
+//           hashed  open addressing (power of two, linear probing);
+//           direct  slots_[v] is the head for key value v — chosen by
+//                   Build when the key is one column and every value is
+//                   below the slot count the hashed layout would allocate,
+//                   so the direct array is never the larger one
 //   next_   per-row chain links: all rows sharing a key hang off the head
 //
-// One probe finds the first row with a key (O(1) expected); walking the
-// chain enumerates every duplicate. No allocation per probe, no stored
-// keys — equality reads the row buffer, so the index costs two uint32
-// arrays regardless of key width. Build() bulk-loads rows [0, n).
+// One probe finds the first row with a key (O(1) expected; one load when
+// direct); walking the chain enumerates every duplicate. No allocation per
+// probe, no stored keys — equality reads the row buffer, so the index costs
+// two uint32 arrays regardless of key width. Build() bulk-loads rows
+// [0, n), and callers never see which layout it picked.
 
 #ifndef CQCS_REL_HASH_INDEX_H_
 #define CQCS_REL_HASH_INDEX_H_
@@ -104,7 +109,8 @@ class HashIndex {
 
   /// Indexes rows [0, row_count) of `base`, rows of `width` cells, keyed
   /// on `key_cols` (column positions, each < width), replacing any earlier
-  /// contents.
+  /// contents. Picks the direct layout for a one-column key whose values
+  /// fit the hashed slot count, the hashed layout otherwise.
   void Build(const Element* base, uint32_t width, uint32_t row_count,
              std::vector<uint32_t> key_cols);
 
@@ -114,7 +120,7 @@ class HashIndex {
 
   /// Resolves every key in `batch` (results land in batch->result(i)):
   /// pass 1 hashes all keys and prefetches their bucket lines, pass 2
-  /// linear-probes. Equivalent to FindFirst per key, but the bucket-line
+  /// linear-probes (a direct index reads each key's slot in one pass). Equivalent to FindFirst per key, but the bucket-line
   /// misses overlap across the strip. The batch's key width must equal
   /// key_cols().size().
   void FindFirstBatch(const Element* base, ProbeBatch* batch) const;
@@ -144,6 +150,7 @@ class HashIndex {
   std::vector<uint32_t> key_cols_;
   std::vector<uint32_t> slots_;  // heads; kNone = empty
   std::vector<uint32_t> next_;   // per-row same-key chain
+  bool direct_ = false;          // slots_ indexed by key value, not hash
   ResourceGovernor* governor_ = nullptr;
   size_t charged_bytes_ = 0;
 };

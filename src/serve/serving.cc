@@ -66,8 +66,9 @@ bool ValidDatabaseName(const std::string& name) {
 }
 
 /// Builds every relation's lazily built indexes — the sorted index behind
-/// Contains and the position index the CSP propagator walks (sized by the
-/// universe, as solver/csp.cc asks for it). Relation builds them on first
+/// Contains (it also records which relations are duplicate-free, so the
+/// acyclic route skips their dedup) and the position index the CSP
+/// propagator walks (sized by the universe, as solver/csp.cc asks for it). Relation builds them on first
 /// use without synchronization, and one registered structure feeds
 /// concurrent WithTarget / CSP builds, so they must exist before the
 /// structure is published.

@@ -82,6 +82,32 @@ TEST(RelationTest, Dedup) {
   EXPECT_TRUE(r.Contains(t));
 }
 
+TEST(RelationTest, DuplicateFreeIsKnownOnlyWhileIndexed) {
+  Relation set(2), bag(2);
+  for (Relation* r : {&set, &bag}) {
+    r->Add({1, 1});
+    r->Add({0, 1});
+    r->Add({1, 0});
+  }
+  bag.Add({0, 1});  // equal to a tuple that is not its neighbour
+  EXPECT_EQ(set.duplicate_free(), std::nullopt);
+  EXPECT_EQ(bag.duplicate_free(), std::nullopt);
+  set.EnsureIndex();
+  bag.EnsureIndex();
+  EXPECT_EQ(set.duplicate_free(), true);
+  EXPECT_EQ(bag.duplicate_free(), false);
+  set.Add({2, 2});  // a mutation forgets it, as it forgets the index
+  bag.Add({2, 2});
+  EXPECT_EQ(set.duplicate_free(), std::nullopt);
+  EXPECT_EQ(bag.duplicate_free(), std::nullopt);
+  bag.Dedup();
+  EXPECT_EQ(bag.duplicate_free(), std::nullopt);
+  bag.EnsureIndex();
+  EXPECT_EQ(bag.duplicate_free(), true);
+  bag.Clear();
+  EXPECT_EQ(bag.duplicate_free(), std::nullopt);
+}
+
 TEST(RelationTest, EqualityIgnoresOrder) {
   Relation a(2), b(2);
   a.Add({0, 1});

@@ -214,6 +214,15 @@ TEST(GovernorChargeTest, HashIndexMovesAndCopiesConserveCharge) {
     EXPECT_GT(g.bytes_in_use(), charged);
     copy = std::move(moved);  // release copy's charge, adopt moved's
     EXPECT_EQ(g.bytes_in_use(), charged);
+    // Key {1} takes seven values, so its slots are addressed directly: a
+    // smaller charge than the hashed layout the two-column key needs.
+    // Rebuilding switches layout both ways on the charge of one object.
+    rel::HashIndex hashed;
+    hashed.AttachGovernor(&g);
+    hashed.Build(t.data(), 2, static_cast<uint32_t>(t.row_count()), {0, 1});
+    EXPECT_LT(charged, g.bytes_in_use() - charged);
+    copy.Build(t.data(), 2, static_cast<uint32_t>(t.row_count()), {0, 1});
+    hashed.Build(t.data(), 2, static_cast<uint32_t>(t.row_count()), {1});
   }
   EXPECT_EQ(g.bytes_in_use(), 0u);
 }

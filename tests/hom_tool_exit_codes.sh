@@ -40,16 +40,16 @@ printf 'universe 2\nE/2: 0 0, 0 1, 1 0, 1 1\n' > "$tmp/bfull.struct"
 # boolno: a loop needs (x, x) in the target, which only has (0, 1).
 printf 'universe 1\nE/2: 0 0\n' > "$tmp/bloop.struct"
 printf 'universe 2\nE/2: 0 1\n' > "$tmp/bedge.struct"
-# Budget-trip instance: a 6-edge path query against a 2000-node graph with
-# 20k edges — the acyclic backend's governed tables blow a 1 MiB budget
-# deterministically (the estimate is ~3 MiB).
+# Budget-trip instance: a 6-edge path query against a 4000-node graph with
+# 40k edges — the acyclic backend's governed tables blow a 1 MiB budget
+# deterministically (six 40k-row atom tables alone hold ~1.9 MiB).
 printf 'universe 7\nE/2: 0 1, 1 2, 2 3, 3 4, 4 5, 5 6\n' > "$tmp/p6.struct"
 awk 'BEGIN {
-  printf "universe 2000\nE/2:"; sep = "";
+  printf "universe 4000\nE/2:"; sep = "";
   split("1 3 7 11 13 17 19 23 29 31", d, " ");
-  for (i = 0; i < 2000; i++)
+  for (i = 0; i < 4000; i++)
     for (k = 1; k <= 10; k++) {
-      printf "%s %d %d", sep, i, (i + d[k]) % 2000; sep = ",";
+      printf "%s %d %d", sep, i, (i + d[k]) % 4000; sep = ",";
     }
   printf "\n"
 }' > "$tmp/big.struct"

@@ -1009,30 +1009,81 @@ class ReferenceYannakakis {
 TEST(PolyOracleTest, HashIndexChainsRunInDescendingRowOrder) {
   // The count fold and the bulk dedup read this off the chains: Next(r) < r,
   // FindFirst yields a key's last row, and only its first row ends a chain.
-  // Checked for a fresh Build and for a Build that replaces an earlier one.
+  // Checked for both layouts (a one-column key whose values fit the slot
+  // count is addressed directly; any other key is hashed), for a fresh Build
+  // and for a Build that replaces one of the other layout, and for
+  // FindFirstBatch against FindFirst on present keys, absent keys and keys
+  // past the largest value. Column 0 is dense with gaps (even values below
+  // 14), column 1 dense, column 2 sparse: its values pass any slot count
+  // 500 rows can have.
+  constexpr uint32_t kWidth = 3;
   Rng rng(1518);
   std::vector<Element> rows;
   for (int r = 0; r < 500; ++r) {
-    rows.push_back(static_cast<Element>(rng.Below(7)));
+    rows.push_back(static_cast<Element>(2 * rng.Below(7)));
     rows.push_back(static_cast<Element>(rng.Below(3)));
+    rows.push_back(static_cast<Element>(100000 * rng.Below(5)));
   }
-  const uint32_t n = static_cast<uint32_t>(rows.size() / 2);
-  rel::HashIndex built, rebuilt;
-  built.Build(rows.data(), 2, n, {0, 1});
-  rebuilt.Build(rows.data(), 2, n / 5, {1});
-  rebuilt.Build(rows.data(), 2, n, {0, 1});
-  for (const rel::HashIndex* index : {&built, &rebuilt}) {
-    std::map<std::vector<Element>, uint32_t> first, last;
-    for (uint32_t r = 0; r < n; ++r) {
-      const std::vector<Element> key = {rows[2 * r], rows[2 * r + 1]};
-      first.emplace(key, r);
-      last[key] = r;
-      const uint32_t next = index->Next(r);
-      if (next != rel::HashIndex::kNone) EXPECT_LT(next, r);
-      EXPECT_EQ(next == rel::HashIndex::kNone, first.at(key) == r);
-    }
-    for (const auto& [key, r] : last) {
-      EXPECT_EQ(index->FindFirst(rows.data(), key), r);
+  const uint32_t n = static_cast<uint32_t>(rows.size() / kWidth);
+  const std::vector<std::vector<uint32_t>> key_sets = {
+      {0}, {1}, {2}, {0, 1}, {1, 2}};
+  for (const std::vector<uint32_t>& key_cols : key_sets) {
+    SCOPED_TRACE(testing::Message() << "key on " << key_cols.size()
+                                    << " columns, first " << key_cols[0]);
+    auto key_of = [&](uint32_t r) {
+      std::vector<Element> key;
+      for (uint32_t c : key_cols) key.push_back(rows[kWidth * r + c]);
+      return key;
+    };
+    // The replaced Build uses the other layout: hashed for a key on a
+    // dense column, direct otherwise.
+    const bool dense = key_cols.size() == 1 && key_cols[0] != 2;
+    rel::HashIndex built, rebuilt;
+    built.Build(rows.data(), kWidth, n, key_cols);
+    rebuilt.Build(rows.data(), kWidth, n / 5,
+                  dense ? std::vector<uint32_t>{2} : std::vector<uint32_t>{1});
+    rebuilt.Build(rows.data(), kWidth, n, key_cols);
+    for (const rel::HashIndex* index : {&built, &rebuilt}) {
+      std::map<std::vector<Element>, uint32_t> first, last;
+      for (uint32_t r = 0; r < n; ++r) {
+        const std::vector<Element> key = key_of(r);
+        first.emplace(key, r);
+        last[key] = r;
+        const uint32_t next = index->Next(r);
+        if (next != rel::HashIndex::kNone) EXPECT_LT(next, r);
+        EXPECT_EQ(next == rel::HashIndex::kNone, first.at(key) == r);
+      }
+      // Every present key, each with one cell bumped (absent for column
+      // 0's odd values; one past the largest value for the maxima), and
+      // one key far past every value.
+      std::vector<std::vector<Element>> probes;
+      for (const auto& [key, r] : last) {
+        probes.push_back(key);
+        for (size_t i = 0; i < key.size(); ++i) {
+          probes.push_back(key);
+          ++probes.back()[i];
+        }
+      }
+      probes.emplace_back(key_cols.size(), Element{1} << 30);
+      rel::ProbeBatch batch;
+      batch.Reset(static_cast<uint32_t>(key_cols.size()));
+      auto resolve = [&] {
+        index->FindFirstBatch(rows.data(), &batch);
+        for (size_t i = 0; i < batch.size(); ++i) {
+          const std::vector<Element>& key = probes[batch.tag(i)];
+          const auto hit = last.find(key);
+          const uint32_t want =
+              hit == last.end() ? rel::HashIndex::kNone : hit->second;
+          EXPECT_EQ(index->FindFirst(rows.data(), key), want);
+          EXPECT_EQ(batch.result(i), want);
+        }
+        batch.Clear();
+      };
+      for (uint32_t p = 0; p < probes.size(); ++p) {
+        std::copy(probes[p].begin(), probes[p].end(), batch.Append(p));
+        if (batch.full()) resolve();
+      }
+      resolve();
     }
   }
 }
@@ -1158,32 +1209,51 @@ Structure RandomDanglingDatabase(const VocabularyPtr& vocab, Rng& rng) {
   return d;
 }
 
+/// Builds every relation's sorted index, as a serving database has it, so
+/// the program knows which relations are duplicate-free: their atoms skip
+/// the dedup pass, and the ones holding duplicates still take it. Counts
+/// the nonempty relations of each kind.
+void IndexEveryRelation(const Structure& d, int* sets, int* bags) {
+  for (RelId rel = 0; rel < d.vocabulary()->size(); ++rel) {
+    const Relation& relation = d.relation(rel);
+    relation.EnsureIndex();
+    if (relation.empty()) continue;
+    ++*(*relation.duplicate_free() ? sets : bags);
+  }
+}
+
 TEST(PolyOracleTest, OnePassCountMatchesTheFullReduction) {
   Rng rng(1515);
   auto vocab = MixedVocabulary();
-  int pruned = 0;
+  int pruned = 0, sets = 0, bags = 0;
   for (int trial = 0; trial < 1000; ++trial) {
     SCOPED_TRACE(testing::Message() << "trial " << trial);
     const ConjunctiveQuery q = RandomAcyclicQuery(vocab, rng);
     ASSERT_TRUE(
         GyoJoinForest(q.var_count(), QueryHyperedges(q)).has_value());
     const Structure d = RandomDanglingDatabase(vocab, rng);
+    if (trial % 2 == 1) IndexEveryRelation(d, &sets, &bags);
     const ReferenceYannakakis ref(q, d);
     if (ref.rows_pruned() > 0) ++pruned;
     ExpectCountMatchesReference(q, d, ref);
   }
   // At least a quarter of the instances must exercise what the semijoins
-  // prune and the one pass carries as zero counts.
+  // prune and the one pass carries as zero counts, and the indexed trials
+  // must reach both sides of the dedup skip.
   EXPECT_GT(pruned, 250);
+  EXPECT_GT(sets, 100);
+  EXPECT_GT(bags, 100);
 }
 
 TEST(PolyOracleTest, PrunedProjectionMatchesTheFullJoin) {
   Rng rng(1516);
   auto vocab = MixedVocabulary();
+  int sets = 0, bags = 0;
   for (int trial = 0; trial < 500; ++trial) {
     SCOPED_TRACE(testing::Message() << "trial " << trial);
     const ConjunctiveQuery q = RandomAcyclicQuery(vocab, rng);
     const Structure d = RandomDanglingDatabase(vocab, rng);
+    if (trial % 2 == 1) IndexEveryRelation(d, &sets, &bags);
     const ReferenceYannakakis ref(q, d);
     std::vector<VarId> proj;
     const size_t width = rng.Below(4);
@@ -1205,6 +1275,8 @@ TEST(PolyOracleTest, PrunedProjectionMatchesTheFullJoin) {
       }
     }
   }
+  EXPECT_GT(sets, 50);
+  EXPECT_GT(bags, 50);
 }
 
 TEST(PolyOracleTest, ChainProjectionsMatchTheFullJoin) {
