@@ -54,7 +54,7 @@ SOLVER_OUT="${ARGS[1]:-BENCH_solver.json}"
 SERVING_OUT="${ARGS[2]:-BENCH_serving.json}"
 
 SOLVER_BINS=(bench_hardness bench_uniform_boolean bench_acyclic bench_treewidth bench_rel)
-SOLVER_FILTER='BM_CliqueIntoRandomGraph|BM_PlantedCliqueRecovery|BM_SparseRefutationFc|BM_Backtracking_NodeThroughput|BM_Horn_Backtracking|BM_CliqueRefutationParallel|BM_PlantedCliqueParallel|BM_EngineAutoVsUniform|BM_YannakakisTask|BM_TreewidthDpIndexed|BM_TreewidthAutoRoute|BM_Decomposition_MinFill|BM_ProbeBatch'
+SOLVER_FILTER='BM_CliqueIntoRandomGraph|BM_PlantedCliqueRecovery|BM_SparseRefutationFc|BM_CyclicQueryIntoSparseGraph|BM_Backtracking_NodeThroughput|BM_Horn_Backtracking|BM_CliqueRefutationParallel|BM_PlantedCliqueParallel|BM_EngineAutoVsUniform|BM_YannakakisTask|BM_TreewidthDpIndexed|BM_TreewidthAutoRoute|BM_Decomposition_MinFill|BM_ProbeBatch'
 SERVING_BINS=(bench_serving)
 SERVING_FILTER='BM_ServingReadHeavy|BM_ServingUpdateHeavy|BM_ServingDurableUpdateHeavy|BM_ServingHitPathClients'
 MIN_TIME="${BENCH_MIN_TIME:-0.2}"

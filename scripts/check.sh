@@ -11,11 +11,12 @@
 #                       built (no google-benchmark package)
 #   3. sanitizers       the ROADMAP.md sanitizer map: -L serve, -L poly,
 #                       -L solver-parallel and -L robust under TSan,
-#                       -L durable, -L poly and -L engine under UBSan (the
-#                       engine route reaches the treewidth count's
-#                       saturating arithmetic), -L durable, -L robust,
-#                       -L poly and -L engine under ASan (the bag joins are
-#                       index arithmetic)
+#                       -L durable, -L poly, -L engine and -L solver under
+#                       UBSan (the engine route reaches the treewidth
+#                       count's saturating arithmetic), -L durable,
+#                       -L robust, -L poly, -L engine and -L solver under
+#                       ASan (the bag joins and the solver's support walk
+#                       are index arithmetic)
 #
 # `--quick` stops after step 2 — the sanitizer builds triple the wall time
 # and exist to gate merges, not edit-compile loops.
@@ -86,8 +87,9 @@ fi
 # ---- 3. sanitizer map (ROADMAP.md) ----------------------------------------
 # label-regex pairs per sanitizer; serve and solver-parallel are the
 # thread-heavy nets, robust trips governed searches whose workers run on the
-# shared pool, durable parses arbitrarily corrupt bytes, and poly does
-# saturating count arithmetic and hash-chain index arithmetic.
+# shared pool, durable parses arbitrarily corrupt bytes, poly does
+# saturating count arithmetic and hash-chain index arithmetic, and solver's
+# support walk indexes residue and scratch words by computed offsets.
 sanitize_step() {
   local sanitizer="$1" labels="$2"
   local dir="build-check-$sanitizer"
@@ -99,8 +101,8 @@ sanitize_step() {
 }
 
 sanitize_step thread "serve|solver-parallel|poly|robust"
-sanitize_step address "durable|robust|poly|engine"
-sanitize_step undefined "durable|poly|engine"
+sanitize_step address "durable|robust|poly|engine|solver"
+sanitize_step undefined "durable|poly|engine|solver"
 
 echo
 if [ "$FAILED" -ne 0 ]; then

@@ -555,6 +555,8 @@ std::string EngineStats::ToJson() const {
         << ",\"backtracks\":" << search.backtracks
         << ",\"backjumps\":" << search.backjumps
         << ",\"restarts\":" << search.restarts
+        << ",\"revisions\":" << search.revisions
+        << ",\"support_walks\":" << search.support_walks
         << ",\"workers\":" << search.workers
         << ",\"limit_hit\":" << (search.limit_hit ? "true" : "false") << "}";
   } else {

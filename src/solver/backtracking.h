@@ -122,10 +122,15 @@ struct SolveStats {
   /// Largest wipeout explanation seen: decisions in the conflict set at a
   /// domain wipeout. Zero when backjumping is off.
   uint64_t max_conflict_set = 0;
+  /// Constraint revisions run by propagation, and how many of them walked
+  /// the supports of a small domain instead of re-checking every value's
+  /// residue (docs/solver.md, Propagator: "Revision").
+  uint64_t revisions = 0;
+  uint64_t support_walks = 0;
   // -- Parallel search (num_threads > 1; all zero on the sequential path).
   // Per-worker counters are merged deterministically after the run:
-  // nodes/backtracks/backjumps/restarts are summed, longest_backjump and
-  // max_conflict_set maxed, limit_hit ORed.
+  // nodes/backtracks/backjumps/restarts/revisions/support_walks are summed,
+  // longest_backjump and max_conflict_set maxed, limit_hit ORed.
   /// Resolved worker loops; at most the shared pool's cap run at once.
   uint64_t workers = 0;
   /// Split events: a busy worker donated the untried values of its

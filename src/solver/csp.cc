@@ -55,8 +55,14 @@ CspInstance::CspInstance(const Structure& a, const Structure& b)
     const Relation& ra = a.relation(id);
     // Support index over R^B, built once and shared by every constraint on
     // this relation (see Propagator::Revise).
-    b.relation(id).EnsurePositionIndex(
-        static_cast<Element>(b.universe_size()));
+    const Relation& rb = b.relation(id);
+    rb.EnsurePositionIndex(static_cast<Element>(b.universe_size()));
+    size_t max_degree = 0;
+    for (uint32_t p = 0; p < rb.arity(); ++p) {
+      for (Element v = 0; v < b.universe_size(); ++v) {
+        max_degree = std::max(max_degree, rb.TuplesWith(p, v).size());
+      }
+    }
     // Identical A-tuples yield identical constraints; revising each copy
     // would repeat the exact same work, so keep only the first.
     MarkDuplicateTuples(ra, &dup);
@@ -99,6 +105,9 @@ CspInstance::CspInstance(const Structure& a, const Structure& b)
         }
       }
       c.residue_offset = residue_slots_;
+      const size_t k = c.vars.size();
+      c.may_walk =
+          k >= 2 && (k + 1) * max_degree < (k - 1) * b.universe_size();
       residue_slots_ += c.vars.size() * b.universe_size();
       uint32_t ci = static_cast<uint32_t>(constraints_.size());
       for (Element v : c.vars) constraints_of_var_[v].push_back(ci);

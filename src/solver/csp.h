@@ -42,6 +42,13 @@ namespace cqcs {
 /// order); positions with equal elements force equal images.
 struct Constraint {
   RelId rel = 0;
+  /// Whether R^B is sparse enough for the propagator's support walk to pay
+  /// (see Propagator::Revise): with k = vars.size() >= 2, (k + 1) x the
+  /// largest |TuplesWith(p, v)| is below (k - 1) x |B|, i.e. walking one
+  /// value's supports costs less than checking the other slots' full
+  /// domains. Dense targets (K3, G(n, 0.5)) never walk and never pay for
+  /// the rule.
+  bool may_walk = false;
   std::vector<Element> scope_tuple;
   std::vector<Element> vars;
   /// var_pos[i] = first position of vars[i] in scope_tuple. A support for

@@ -20,6 +20,8 @@ void MergeStats(const SolveStats& in, SolveStats* out) {
   out->backjumps += in.backjumps;
   out->longest_backjump = std::max(out->longest_backjump, in.longest_backjump);
   out->restarts += in.restarts;
+  out->revisions += in.revisions;
+  out->support_walks += in.support_walks;
   out->max_conflict_set = std::max(out->max_conflict_set, in.max_conflict_set);
   out->limit_hit = out->limit_hit || in.limit_hit;
 }

@@ -1,5 +1,6 @@
 #include "solver/propagator.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/check.h"
@@ -19,6 +20,11 @@ Propagator::Propagator(const CspInstance& csp)
   queue_.reserve(csp.constraints().size());
   decision_bits_.assign(cw_, 0);
   weights_.assign(csp.var_count(), 0);
+  size_t widest = 0;
+  for (const Constraint& c : csp.constraints()) {
+    widest = std::max(widest, c.vars.size());
+  }
+  support_scratch_.assign(widest * wpd_, 0);
   ResetToFull();
 }
 
@@ -165,8 +171,90 @@ void Propagator::RecordPruneReason(const Constraint& c, size_t i) {
   }
 }
 
+bool Propagator::NoteShrink(const Constraint& c, size_t i,
+                            std::vector<Element>* changed) {
+  const Element var = c.vars[i];
+  if (track_conflicts_) RecordPruneReason(c, i);
+  if (changed != nullptr) changed->push_back(var);
+  if (counts_[var] != 0) return true;
+  conflict_var_ = var;
+  // dom/wdeg: this constraint just failed; its scope variables get heavier
+  // so the search branches on them earlier next time.
+  for (Element u : c.vars) ++weights_[u];
+  return false;
+}
+
+size_t Propagator::SupportWalkSlot(const Constraint& c) const {
+  const size_t k = c.vars.size();
+  size_t j = 0;
+  size_t total = 0;
+  for (size_t i = 0; i < k; ++i) {
+    total += counts_[c.vars[i]];
+    if (counts_[c.vars[i]] < counts_[c.vars[j]]) j = i;
+  }
+  const size_t small = counts_[c.vars[j]];
+  const size_t others = total - small;
+  if (k * small >= others) return SIZE_MAX;
+  const Relation& rb = csp_->b().relation(c.rel);
+  const uint32_t pos = c.pos_of_var(j);
+  size_t candidates = 0;
+  ForEachValue(c.vars[j], [&](size_t a) {
+    candidates += rb.TuplesWith(pos, static_cast<Element>(a)).size();
+  });
+  return (k + 1) * candidates < others ? j : SIZE_MAX;
+}
+
+bool Propagator::ReviseBySupportWalk(const Constraint& c, size_t j,
+                                     std::vector<Element>* changed) {
+  const Relation& rb = csp_->b().relation(c.rel);
+  const size_t domain_size = csp_->domain_size();
+  const size_t k = c.vars.size();
+  uint64_t* support = support_scratch_.data();
+  std::fill(support, support + k * wpd_, 0);
+  uint32_t* residues = residues_.data() + c.residue_offset;
+  const uint32_t pos_j = c.pos_of_var(j);
+  ForEachValue(c.vars[j], [&](size_t a) {
+    for (uint32_t t : rb.TuplesWith(pos_j, static_cast<Element>(a))) {
+      if (!TupleAlive(rb, t, c)) continue;
+      const Element* u =
+          rb.data().data() + static_cast<size_t>(t) * rb.arity();
+      for (size_t i = 0; i < k; ++i) {
+        const Element v = u[c.pos_of_var(i)];
+        bitwords::SetBit(support + i * wpd_, v);
+        residues[i * domain_size + v] = t;
+      }
+    }
+  });
+  for (size_t i = 0; i < k; ++i) {
+    const Element var = c.vars[i];
+    const size_t base = var * wpd_;
+    const uint64_t* keep = support + i * wpd_;
+    size_t removed = 0;
+    for (size_t wi = 0; wi < wpd_; ++wi) {
+      const uint64_t old = words_[base + wi];
+      const uint64_t kept = old & keep[wi];
+      if (kept == old) continue;
+      SaveWord(base + wi);
+      words_[base + wi] = kept;
+      removed += static_cast<size_t>(std::popcount(old ^ kept));
+    }
+    if (removed == 0) continue;
+    counts_[var] -= removed;
+    if (!NoteShrink(c, i, changed)) return false;
+  }
+  return true;
+}
+
 bool Propagator::Revise(uint32_t ci, std::vector<Element>* changed) {
   const Constraint& c = csp_->constraints()[ci];
+  ++revisions_;
+  if (c.may_walk) {
+    const size_t walk_from = SupportWalkSlot(c);
+    if (walk_from != SIZE_MAX) {
+      ++support_walks_;
+      return ReviseBySupportWalk(c, walk_from, changed);
+    }
+  }
   const Relation& rb = csp_->b().relation(c.rel);
   const size_t domain_size = csp_->domain_size();
   for (size_t i = 0; i < c.vars.size(); ++i) {
@@ -187,17 +275,7 @@ bool Propagator::Revise(uint32_t ci, std::vector<Element>* changed) {
       ClearValue(var, v);
       shrank = true;
     });
-    if (shrank) {
-      if (track_conflicts_) RecordPruneReason(c, i);
-      if (changed != nullptr) changed->push_back(var);
-      if (counts_[var] == 0) {
-        conflict_var_ = var;
-        // dom/wdeg: this constraint just failed; its scope variables get
-        // heavier so the search branches on them earlier next time.
-        for (Element u : c.vars) ++weights_[u];
-        return false;
-      }
-    }
+    if (shrank && !NoteShrink(c, i, changed)) return false;
   }
   return true;
 }

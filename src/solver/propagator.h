@@ -10,11 +10,27 @@
 //    within a level, the old word is recorded; PopLevel rewinds the trail.
 //    Backtracking costs O(words actually changed), not O(total domain bits)
 //    as the previous save-everything snapshot did.
-//  * Revision is AC-2001/3rm style: for each (constraint, var slot, value)
-//    a residue caches the last B-tuple found to support the value. A revise
-//    first rechecks the residue (usually still alive); only on failure does
-//    it walk the relation's (position, value) tuple list — never the whole
-//    relation. Residues are hints, so they survive backtracking unmanaged.
+//  * Revision has two strategies, chosen per call; both compute the same
+//    domains. A one-constraint GAC revise has a unique result (the values
+//    that still have a live B-tuple), and removing a value that has no live
+//    tuple kills no live tuple, so neither the slot order nor the strategy
+//    can change it.
+//    - Residues (AC-2001/3rm style): for each (constraint, var slot, value)
+//      a residue caches the last B-tuple found to support the value. Each
+//      value first rechecks its residue; only on failure does it walk the
+//      relation's (position, value) tuple list — never the whole relation.
+//      Residues are hints, so they survive backtracking unmanaged.
+//    - Support walk: when one slot j's domain is small, walk its values'
+//      candidate tuples once, OR each live tuple's values into one scratch
+//      bitset per slot (refreshing that (slot, value) residue), then AND
+//      every domain with its bitset word by word. It runs when
+//      k * |dom_j| < S and (k + 1) * W < S, with k the scope width, S the
+//      other slots' summed domain sizes and W the candidate tuple count;
+//      the first test is O(k) and guards computing W. Constraints over a
+//      dense relation (Constraint::may_walk false) skip the rule. On a
+//      sparse target right after an assignment nearly every residue of a
+//      neighbour is dead, so the residue path would rescan a full domain's
+//      tuple lists while the walk touches about |dom_j| x (degree) tuples.
 //  * Optional conflict tracking (EnableConflictTracking) maintains, per
 //    variable, the set of decision variables responsible for its domain
 //    prunings. Conflict sets live in the same flat word array as the
@@ -105,6 +121,11 @@ class Propagator {
   /// non-null). Returns false iff a domain wiped out.
   bool Revise(uint32_t ci, std::vector<Element>* changed);
 
+  /// Revise calls so far, and how many of them took the support walk (see
+  /// the header comment). Never reset; the search copies them out.
+  uint64_t revisions() const { return revisions_; }
+  uint64_t support_walks() const { return support_walks_; }
+
   // -- Conflict tracking (for conflict-directed backjumping) ---------------
 
   /// Turns on conflict-set maintenance. Must be called at the root (no open
@@ -178,6 +199,20 @@ class Propagator {
   /// of u's decision bit (if assigned) and u's own conflict set.
   void RecordPruneReason(const Constraint& c, size_t i);
 
+  /// Bookkeeping after slot i of c lost values: the prune reason, the
+  /// changed list and, on a wipeout, conflict_var_ and the dom/wdeg weights.
+  /// Returns false iff the slot's domain is now empty.
+  bool NoteShrink(const Constraint& c, size_t i, std::vector<Element>* changed);
+
+  /// The support-walk rule: returns the smallest slot of c if walking its
+  /// candidate tuples is cheaper than checking the other slots' values,
+  /// else SIZE_MAX. Revise asks only when c.may_walk.
+  size_t SupportWalkSlot(const Constraint& c) const;
+
+  /// The support-walk revise of c, starting from slot j.
+  bool ReviseBySupportWalk(const Constraint& c, size_t j,
+                           std::vector<Element>* changed);
+
   /// Drains the revision queue to a fixpoint. Clears in-queue flags on both
   /// exits. Returns false iff a domain wiped out.
   bool RunQueue();
@@ -222,6 +257,11 @@ class Propagator {
   size_t head_ = 0;
   std::vector<uint8_t> in_queue_;
   std::vector<Element> changed_scratch_;
+  /// Support-walk bitsets: one wpd_-word set per slot of the widest scope.
+  std::vector<uint64_t> support_scratch_;
+
+  uint64_t revisions_ = 0;
+  uint64_t support_walks_ = 0;
 };
 
 }  // namespace cqcs

@@ -87,7 +87,9 @@ SearchContext::SearchContext(const CspInstance& csp,
 
 bool SearchContext::PrepareRoot() {
   if (options_.propagation == Propagation::kMac) {
-    return prop_.EstablishGac();
+    const bool ok = prop_.EstablishGac();
+    SyncRevisionStats();
+    return ok;
   }
   // Even under forward checking, empty initial domains mean failure.
   for (Element v = 0; v < csp_.var_count(); ++v) {
@@ -165,12 +167,20 @@ void SearchContext::RunSubproblem(
   prop_.PopLevel();
   replay_.clear();
   replay_len_ = 0;
+  SyncRevisionStats();
   // A governor trip makes any non-solution outcome unreliable (cancelled
   // fixpoints prune spuriously), so report it through the same channel as
   // an exhausted node budget.
   if (options_.governor != nullptr && options_.governor->tripped()) {
     stats_->limit_hit = true;
   }
+}
+
+void SearchContext::SyncRevisionStats() {
+  stats_->revisions += prop_.revisions() - synced_revisions_;
+  stats_->support_walks += prop_.support_walks() - synced_support_walks_;
+  synced_revisions_ = prop_.revisions();
+  synced_support_walks_ = prop_.support_walks();
 }
 
 bool SearchContext::CountNode() {

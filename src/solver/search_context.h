@@ -120,6 +120,10 @@ class SearchContext {
   /// conflict union would otherwise cover values it no longer tried.
   void TrySplit(size_t cur_depth);
 
+  /// Adds the propagator's revision counters accrued since the last call to
+  /// the stats.
+  void SyncRevisionStats();
+
   const CspInstance& csp_;
   SolveOptions options_;
   std::function<bool(const Homomorphism&)> on_solution_;
@@ -154,6 +158,10 @@ class SearchContext {
   // Restart bookkeeping for the current run.
   uint64_t restart_cutoff_ = 0;
   uint64_t run_start_nodes_ = 0;
+
+  // Propagator counters already added to stats_ (see SyncRevisionStats).
+  uint64_t synced_revisions_ = 0;
+  uint64_t synced_support_walks_ = 0;
 
   // Subproblem replay + splitting state. replay_len_ is the depth offset of
   // Search(0) in the donor's (absolute) tree: frame k here sits at absolute

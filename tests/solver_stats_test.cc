@@ -64,6 +64,7 @@ std::vector<SolveOptions> RepresentativeConfigs() {
 void CheckInvariants(const SolveOptions& options, const SolveStats& stats,
                      size_t var_count) {
   EXPECT_LE(stats.backtracks, stats.nodes);
+  EXPECT_LE(stats.support_walks, stats.revisions);
   EXPECT_LE(stats.longest_backjump, stats.backjumps);
   EXPECT_LE(stats.max_conflict_set, var_count);
   if (!options.strategy.backjumping) {
@@ -189,6 +190,36 @@ TEST(SolverStatsTest, RestartedSearchTerminatesAndAgrees) {
   BacktrackingSolver sat(even, k2, options);
   EXPECT_TRUE(sat.Solve(&sat_stats).has_value());
   EXPECT_FALSE(sat_stats.limit_hit);
+}
+
+// Which revise ran: a cycle into a sparse 512-element graph walks the
+// supports of the assigned variable's small domain, while K3 coloring keeps
+// the residue checks (its domains never get small enough relative to the
+// tuples that support them). The parallel search sums its workers' counts.
+TEST(SolverStatsTest, SupportWalksRunOnSparseTargetsOnly) {
+  VocabularyPtr vocab = MakeGraphVocabulary();
+  Rng rng(0x5a1c);
+  Structure cycle = UndirectedCycleStructure(vocab, 5);
+  Structure sparse =
+      RandomGraphStructure(vocab, 512, 6.0 / 511, rng, /*symmetric=*/true);
+  for (unsigned threads : {1u, 2u}) {
+    SolveOptions options;
+    options.num_threads = threads;
+    BacktrackingSolver solver(cycle, sparse, options);
+    SolveStats stats;
+    solver.CountSolutions(1000, &stats);
+    EXPECT_GT(stats.support_walks, 0u) << threads << " threads";
+    EXPECT_LE(stats.support_walks, stats.revisions);
+  }
+
+  Structure graph =
+      RandomGraphStructure(vocab, 120, 4.8 / 119, rng, /*symmetric=*/true);
+  Structure k3 = CliqueStructure(vocab, 3);
+  BacktrackingSolver coloring(graph, k3);
+  SolveStats stats;
+  coloring.Solve(&stats);
+  EXPECT_GT(stats.revisions, 0u);
+  EXPECT_EQ(stats.support_walks, 0u);
 }
 
 }  // namespace
