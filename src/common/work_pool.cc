@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/check.h"
+
 namespace cqcs {
 
 unsigned ResolveThreadCount(unsigned num_threads) {
@@ -90,7 +92,7 @@ void MorselPool::DrainJob(Job* job, unsigned worker) {
 
 MorselCounters MorselPool::Run(size_t total, unsigned workers,
                                size_t morsel_rows, const Body& body) {
-  if (morsel_rows == 0) morsel_rows = kDefaultMorselRows;
+  CQCS_CHECK(morsel_rows > 0);
   MorselCounters counters;
   counters.workers = std::max(1u, workers);
   if (total == 0) return counters;

@@ -1,8 +1,8 @@
 // The shared worker-pool machinery under every parallel path in the repo.
 //
 // Three pieces, one module, so the solver's work-stealing subtree search,
-// the relational kernel's morsel-parallel operators, and the serving layer
-// all draw threads through the same code (the library starts no others):
+// the treewidth route's bag joins, and the serving layer all draw threads
+// through the same code (the library starts no others):
 //
 //   * ResolveThreadCount — the one mapping from a `num_threads` option to
 //     an actual worker count (0 = one per hardware thread, never < 1).
@@ -14,18 +14,21 @@
 //     annotations unchanged.
 //   * MorselPool        — a lazily started, process-wide pool of parked
 //     worker threads running *morsels*: contiguous index ranges claimed
-//     dynamically from an atomic cursor. The polynomial backends
-//     (cq/acyclic.cc, rel/ops.cc, treewidth/hom_dp.cc) dispatch their row
-//     sweeps and independent bags here, solver/parallel.cc its search
-//     loops, and because the pool is shared, a single serving-layer request
-//     can soak every idle worker.
+//     dynamically from an atomic cursor. It has two dispatchers: the
+//     treewidth route's independent bag joins (YannakakisProgram::FromBags
+//     in treewidth/hom_dp.cc, 8 bags a morsel) and the parallel search's
+//     worker loops (solver/parallel.cc, one loop a morsel). The Yannakakis
+//     passes and the rel/ operators run on the calling thread: their
+//     per-node sweeps are mostly far below one morsel, and dispatching them
+//     made the count slower at each added thread. Because the pool is
+//     shared, a single serving-layer request can soak every idle worker.
 //
 // Morsel execution contract: the calling thread is always worker 0 and
 // participates; results must not depend on which worker runs which morsel
-// (writers use per-morsel shards or disjoint ranges and merge in morsel
-// order, so every thread count produces byte-identical output). Bodies
-// poll their ResourceGovernor per morsel and return false to cancel the
-// remaining morsels — the clean-trip contract of common/governor.h.
+// (writers own disjoint slots and merge in morsel order, so every thread
+// count produces byte-identical output). Bodies poll their
+// ResourceGovernor per morsel and return false to cancel the remaining
+// morsels — the clean-trip contract of common/governor.h.
 
 #ifndef CQCS_COMMON_WORK_POOL_H_
 #define CQCS_COMMON_WORK_POOL_H_
@@ -148,9 +151,8 @@ class WorkPool {
   uint64_t splits_ CQCS_GUARDED_BY(mu_) = 0;
 };
 
-/// What one MorselPool::Run dispatch did, merged by callers into their
-/// stats structs (YannakakisStats, TreewidthSolveStats). Deterministic
-/// fields only where the schedule is: `workers` and `morsels` are
+/// What one MorselPool::Run dispatch did; the bag-join dispatch copies it
+/// into TreewidthSolveStats. `workers` and `morsels` are
 /// schedule-independent; `steals` (morsels a pool thread ran instead of
 /// the caller) depends on timing and is excluded from thread-count
 /// invariance checks.
@@ -158,12 +160,6 @@ struct MorselCounters {
   unsigned workers = 0;   ///< worker slots the dispatch ran with
   uint64_t morsels = 0;   ///< contiguous ranges claimed and executed
   uint64_t steals = 0;    ///< morsels executed by pool threads (worker > 0)
-
-  void MergeFrom(const MorselCounters& other) {
-    if (other.workers > workers) workers = other.workers;
-    morsels += other.morsels;
-    steals += other.steals;
-  }
 };
 
 /// A persistent pool of parked morsel workers. One instance is shared
@@ -173,10 +169,6 @@ struct MorselCounters {
 /// finds another in flight (concurrent, or nested in a body) runs inline.
 class MorselPool {
  public:
-  /// Rows per morsel when the caller does not override: small enough to
-  /// load-balance skewed probe costs, large enough that the claim (one
-  /// fetch_add) and the per-morsel governor poll are noise.
-  static constexpr size_t kDefaultMorselRows = 4096;
   /// Hard cap on pool threads; requests beyond it still run, the extra
   /// worker slots just share the capped threads.
   static constexpr unsigned kMaxThreads = 16;
@@ -195,14 +187,15 @@ class MorselPool {
   /// morsels (already claimed ones still finish).
   using Body = std::function<bool(unsigned worker, size_t begin, size_t end)>;
 
-  /// Runs `body` over [0, total) in contiguous morsels of ~`morsel_rows`
-  /// rows, claimed dynamically from a shared cursor. The calling thread is
-  /// worker 0 and always participates; up to workers-1 pool threads (grown
-  /// on demand, capped at kMaxThreads and the spare cores) join it. Blocks
-  /// until every claimed morsel finished. With workers <= 1, total == 0, a
-  /// range smaller than one morsel, or another dispatch in flight, runs
-  /// every morsel inline on the caller with no pool interaction — the
-  /// sequential path stays pool-free. Bodies may call Run themselves.
+  /// Runs `body` over [0, total) in contiguous morsels of `morsel_rows`
+  /// (> 0) indexes, claimed dynamically from a shared cursor. The calling
+  /// thread is worker 0 and always participates; up to workers-1 pool
+  /// threads (grown on demand, capped at kMaxThreads and the spare cores)
+  /// join it. Blocks until every claimed morsel finished. With workers <= 1,
+  /// total == 0, a range smaller than one morsel, or another dispatch in
+  /// flight, runs every morsel inline on the caller with no pool
+  /// interaction — the sequential path stays pool-free. Bodies may call Run
+  /// themselves.
   MorselCounters Run(size_t total, unsigned workers, size_t morsel_rows,
                      const Body& body);
 

@@ -24,19 +24,8 @@ YannakakisProgram::YannakakisProgram(YannakakisStats* stats,
                                      unsigned num_threads)
     : stats_(stats),
       gov_(governor),
-      threads_(ResolveThreadCount(num_threads)) {}
-
-YannakakisProgram::~YannakakisProgram() {
-  if (stats_ != nullptr) {
-    stats_->workers = threads_;
-    stats_->morsels += mc_.morsels;
-    stats_->steals += mc_.steals;
-  }
-  if (tw_stats_ != nullptr) {
-    tw_stats_->workers = threads_;
-    tw_stats_->morsels += mc_.morsels;
-    tw_stats_->steals += mc_.steals;
-  }
+      threads_(ResolveThreadCount(num_threads)) {
+  if (stats_ != nullptr) stats_->workers = threads_;
 }
 
 Status YannakakisProgram::PollTick() {
@@ -89,9 +78,7 @@ Status YannakakisProgram::Run(std::vector<uint32_t> parent, Passes passes) {
     if (!in_node[v]) isolated_.push_back(v);
   }
 
-  // Emptiness is decided after every table is loaded, in node order: the
-  // same tables (and the same stats) exist at every thread count, and
-  // satisfiable_ flips on the same first-empty node.
+  // Emptiness is decided after every table is loaded, in node order.
   for (size_t i = 0; i < m_; ++i) {
     if (tables_[i].empty()) {
       satisfiable_ = false;
@@ -155,24 +142,16 @@ Status YannakakisProgram::Run(std::vector<uint32_t> parent, Passes passes) {
   if (passes != Passes::kCount) CQCS_RETURN_IF_ERROR(Reduce(passes));
   if (!satisfiable_ || passes == Passes::kDecide) return TripStatus();
 
-  // Match indexes for the count pass over the unreduced tables. Builds are
-  // independent per node (disjoint match_index_ slots), so they run as
-  // node-range morsels on the shared pool.
+  // Match indexes for the count pass over the unreduced tables.
   if (passes == Passes::kCount) {
-    auto body = [&](unsigned, size_t begin, size_t end) {
-      for (size_t node = begin; node < end; ++node) {
-        if (parent_[node] == JoinTree::kNoParent) continue;
-        if (gov_ != nullptr && !gov_->Poll().ok()) return false;
-        match_index_[node].AttachGovernor(gov_);
-        match_index_[node].Build(
-            tables_[node].data(), tables_[node].width(),
-            static_cast<uint32_t>(tables_[node].row_count()),
-            shared_child_cols_[node]);
-      }
-      return true;
-    };
-    mc_.MergeFrom(MorselPool::Shared().Run(m_, threads_, 64, body));
-    CQCS_RETURN_IF_ERROR(TripStatus());
+    for (uint32_t node = 0; node < m_; ++node) {
+      if (parent_[node] == JoinTree::kNoParent) continue;
+      if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->Poll());
+      match_index_[node].AttachGovernor(gov_);
+      match_index_[node].Build(tables_[node].data(), tables_[node].width(),
+                               static_cast<uint32_t>(tables_[node].row_count()),
+                               shared_child_cols_[node]);
+    }
   }
 
   // Forest pre-order for the enumeration walk (parents before children).
@@ -203,7 +182,7 @@ Status YannakakisProgram::Reduce(Passes passes) {
                 shared_child_cols_[node]);
     size_t removed =
         rel::Semijoin(tables_[p], shared_parent_cols_[node], tables_[node],
-                      index, gov_, Par());
+                      index, gov_);
     if (stats_ != nullptr) {
       ++stats_->semijoins;
       stats_->rows_pruned += removed;
@@ -231,7 +210,7 @@ Status YannakakisProgram::Reduce(Passes passes) {
                   shared_parent_cols_[child]);
       size_t removed = rel::Semijoin(tables_[child],
                                      shared_child_cols_[child],
-                                     tables_[node], scratch, gov_, Par());
+                                     tables_[node], scratch, gov_);
       if (stats_ != nullptr) {
         ++stats_->semijoins;
         stats_->rows_pruned += removed;
@@ -276,30 +255,12 @@ Status YannakakisProgram::MaterializeAll(const ConjunctiveQuery& q,
     if (inserted) group_reps.push_back(i);
   }
 
-  // Pass 2: materialize the distinct groups. Groups are independent
-  // (disjoint tables_ slots, atomic governor accounting), so each runs as
-  // a one-group morsel on the shared pool; a governor trip in one cancels
-  // the unclaimed rest.
-  std::vector<Status> group_status(group_reps.size(), Status::OK());
-  auto body = [&](unsigned, size_t begin, size_t end) {
-    bool ok = true;
-    for (size_t g = begin; g < end; ++g) {
-      Status s =
-          MaterializeGroup(q, d, group_reps[g], col_of_arg[group_reps[g]]);
-      if (!s.ok()) {
-        group_status[g] = std::move(s);
-        ok = false;
-      }
-    }
-    return ok;
-  };
-  mc_.MergeFrom(
-      MorselPool::Shared().Run(group_reps.size(), threads_, 1, body));
-  for (const Status& s : group_status) {
-    if (!s.ok()) return s;
+  // Pass 2: materialize the distinct groups.
+  for (size_t i : group_reps) {
+    CQCS_RETURN_IF_ERROR(MaterializeGroup(q, d, i, col_of_arg[i]));
   }
 
-  // Pass 3 (sequential, atom order): copy memo hits, accumulate stats.
+  // Pass 3 (atom order): copy memo hits, accumulate stats.
   for (size_t i = 0; i < m_; ++i) {
     if (rep[i] != i) tables_[i] = tables_[rep[i]];  // re-charges via copy
     if (stats_ != nullptr) {
@@ -323,7 +284,7 @@ Status YannakakisProgram::MaterializeGroup(
   // Without repeated variables every tuple lands: size the buffer once.
   if (width == atom.args.size()) table.Reserve(rel.tuple_count());
 
-  uint64_t tick = 0;  // local stride: groups poll concurrently
+  uint64_t tick = 0;  // per-group stride
   for (uint32_t t = 0; t < rel.tuple_count(); ++t) {
     if (gov_ != nullptr && (++tick & 1023) == 0) {
       CQCS_RETURN_IF_ERROR(gov_->Poll());
@@ -454,10 +415,7 @@ Result<size_t> YannakakisProgram::Count(size_t limit) {
   // Per child, an ascending fold turns cnt[child] into per-key suffix sums
   // along the match chains: Insert prepends, so Next(s) < s, and each
   // chain head ends up holding its whole key's sum. A parent row then
-  // costs one FindFirst. The (node, child) order and the fold are data
-  // dependencies; the per-parent-row loop is not — each row r writes only
-  // cnt[node][r] — so it splits into row morsels and the parallel result
-  // is bitwise the sequential one.
+  // costs one FindFirst.
   std::vector<std::vector<size_t>> cnt(m_);
   for (uint32_t node : order_) {
     const Table& table = tables_[node];
@@ -473,26 +431,20 @@ Result<size_t> YannakakisProgram::Count(size_t limit) {
           agg[s] = SatAdd(agg[s], agg[next], limit);
         }
       }
-      auto body = [&](unsigned, size_t begin, size_t end) {
-        std::vector<Element> key;
-        for (size_t r = begin; r < end; ++r) {
-          if (gov_ != nullptr && ((r - begin) & 1023) == 0 &&
-              !gov_->Poll().ok()) {
-            return false;
-          }
-          std::span<const Element> row = table.row(r);
-          key.clear();
-          for (uint32_t c : shared_parent_cols_[child]) key.push_back(row[c]);
-          const uint32_t head = index.FindFirst(ct.data(), key);
-          cnt[node][r] = head == HashIndex::kNone
-                             ? 0
-                             : SatMul(cnt[node][r], agg[head], limit);
+      for (size_t r = 0; r < table.row_count(); ++r) {
+        if (gov_ != nullptr && (r & 1023) == 0) {
+          CQCS_RETURN_IF_ERROR(gov_->Poll());
         }
-        return true;
-      };
-      mc_.MergeFrom(
-          MorselPool::Shared().Run(table.row_count(), threads_, 0, body));
-      CQCS_RETURN_IF_ERROR(TripStatus());
+        std::span<const Element> row = table.row(r);
+        key_scratch_.clear();
+        for (uint32_t c : shared_parent_cols_[child]) {
+          key_scratch_.push_back(row[c]);
+        }
+        const uint32_t head = index.FindFirst(ct.data(), key_scratch_);
+        cnt[node][r] = head == HashIndex::kNone
+                           ? 0
+                           : SatMul(cnt[node][r], agg[head], limit);
+      }
       agg = std::vector<size_t>();  // read by this parent only
     }
   }
@@ -520,9 +472,7 @@ Status YannakakisProgram::ProjectReduce(
   // node's subtree joins onto (projection vars of the subtree) ∪
   // (connector vars to the parent). Intermediates never hold a column
   // that neither the output nor a later join needs, which is what keeps
-  // them output-bounded. The joins morsel-parallelize inside
-  // HashJoinAppend; the per-node dedup stays sequential (first-occurrence
-  // order defines it).
+  // them output-bounded.
   HashIndex index;
   index.AttachGovernor(gov_);
   for (uint32_t node : order_) {
@@ -569,7 +519,7 @@ Status YannakakisProgram::ProjectReduce(
         Table next(static_cast<uint32_t>(cur->width() + extras.size()));
         next.AttachGovernor(gov_);
         rel::HashJoinAppend(*cur, left_key, (*r_table)[child], index, extras,
-                            &next, gov_, Par());
+                            &next, gov_);
         joined = std::move(next);
         cur = &joined;
         cur_cols.insert(cur_cols.end(), extra_vars.begin(), extra_vars.end());

@@ -30,11 +30,9 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/work_pool.h"
 #include "core/structure.h"
 #include "cq/query.h"
 #include "rel/hash_index.h"
-#include "rel/ops.h"
 #include "rel/table.h"
 
 namespace cqcs {
@@ -55,11 +53,10 @@ struct JoinTree {
 
 /// Counters from one Yannakakis run, surfaced through EngineStats and
 /// `hom_tool --explain`. `max_table_rows` is the output-boundedness
-/// witness: the largest table the run ever held. The worker/morsel/steal
-/// trio describes the morsel-parallel dispatches (common/work_pool.h):
-/// `workers` and `morsels` are deterministic for a given input and thread
-/// count (morsel decomposition depends only on table sizes); `steals` is
-/// scheduling-dependent and excluded from thread-invariance oracles.
+/// witness: the largest table the run ever held. The program runs on the
+/// calling thread, so `workers` only echoes the resolved thread count and
+/// `morsels`/`steals` stay 0; they remain for the stats consumers that
+/// read every route's pool counters.
 struct YannakakisStats {
   uint64_t atom_tables = 0;       ///< tables materialized (one per atom)
   uint64_t rows_materialized = 0; ///< distinct rows loaded into atom tables
@@ -70,8 +67,8 @@ struct YannakakisStats {
                                   ///< (0 on count)
   uint64_t join_rows = 0;         ///< rows produced by the projection phase
   unsigned workers = 0;           ///< resolved worker count of the run
-  uint64_t morsels = 0;           ///< morsel dispatches across all passes
-  uint64_t steals = 0;            ///< morsels run by pool (non-calling) threads
+  uint64_t morsels = 0;           ///< always 0: no pool dispatch
+  uint64_t steals = 0;            ///< always 0: no pool dispatch
 };
 
 /// Yannakakis's program over a join forest of tables. Node i holds a
@@ -95,14 +92,13 @@ struct YannakakisStats {
 /// Count is one bottom-up sum-product pass in which a row whose subtree has
 /// no match sums to 0.
 ///
-/// Parallelism (num_threads > 1, SolveOptions convention): materialization
-/// (per atom group or per bag), the semijoin sweeps, the count pass and
-/// count's match-index builds run as morsels on the shared MorselPool,
-/// merging at deterministic boundaries (node order, morsel order), so
-/// answers and all stats except workers/steals are identical at every
-/// thread count.
-/// The walk, the count's per-key fold and ProjectDistinct stay sequential:
-/// their outputs are defined by row order.
+/// Parallelism: every pass runs on the calling thread. Per-node morsel
+/// dispatch made the count slower at each added thread, since most join
+/// forest nodes hold far fewer rows than a morsel
+/// (docs/relational_kernel.md). The one parallel phase is FromBags' bag
+/// construction, which fans the independent bag joins out over the shared
+/// MorselPool (`num_threads`, SolveOptions convention); answers and all
+/// stats except workers/steals are identical at every thread count.
 ///
 /// A governor trip in any phase unwinds with kResourceExhausted; the
 /// caller must then discard every output (no torn results). Each program
@@ -118,13 +114,11 @@ class YannakakisProgram {
     kProject,  ///< full reduction, no match indexes (project, its count)
   };
 
-  /// `stats` (may be null) receives the program's counters; the
-  /// worker/morsel/steal counters flush on destruction, so error unwinds
-  /// report what ran too.
+  /// `stats` (may be null) receives the program's counters. `num_threads`
+  /// sizes FromBags' bag dispatch.
   explicit YannakakisProgram(YannakakisStats* stats = nullptr,
                              ResourceGovernor* governor = nullptr,
                              unsigned num_threads = 1);
-  ~YannakakisProgram();
   YannakakisProgram(const YannakakisProgram&) = delete;
   YannakakisProgram& operator=(const YannakakisProgram&) = delete;
 
@@ -143,8 +137,9 @@ class YannakakisProgram {
   /// the decomposition's forest. Variables are a's elements, so assignment
   /// rows are homomorphisms a -> b. `stats` (may be null) receives the
   /// width, the join extensions tried (table_entries), the bag-table rows
-  /// (table_rows) and the worker/morsel/steal counters; `node_tables` (may
-  /// be null) receives each bag table, row-major, before any semijoin.
+  /// (table_rows) and the bag dispatch's worker/morsel/steal counters;
+  /// `node_tables` (may be null) receives each bag table, row-major, before
+  /// any semijoin.
   Status FromBags(const Structure& a, const Structure& b,
                   const TreeDecomposition& decomposition, Passes passes,
                   TreewidthSolveStats* stats = nullptr,
@@ -183,8 +178,6 @@ class YannakakisProgram {
   Status MaterializeAll(const ConjunctiveQuery& q, const Structure& d);
   /// Materializes atom `i`'s table (a group representative: no memo hit),
   /// deduplicating it unless the relation is known duplicate-free.
-  /// Thread-safe against other groups — writes only tables_[i] and the
-  /// governor's atomic accounting.
   Status MaterializeGroup(const ConjunctiveQuery& q, const Structure& d,
                           size_t i, const std::vector<uint32_t>& col_of_arg);
   /// The bottom-up join-project pass shared by Project and ProjectCount:
@@ -195,9 +188,6 @@ class YannakakisProgram {
   Status ProjectReduce(std::span<const VarId> proj,
                        std::vector<rel::Table>* r_table,
                        std::vector<std::vector<VarId>>* r_cols);
-  /// Threading knobs handed to the rel/ operators: shared counter sink,
-  /// default morsel size.
-  rel::OpParallel Par() { return {threads_, 0, &mc_}; }
   /// Stride poll for the row loops: consults the governor every 1024th
   /// call. Ungoverned runs pay one branch.
   Status PollTick();
@@ -219,12 +209,9 @@ class YannakakisProgram {
                       std::vector<std::vector<Element>>* out);
 
   YannakakisStats* stats_;
-  TreewidthSolveStats* tw_stats_ = nullptr;  // FromBags' counter sink
   ResourceGovernor* gov_;
-  unsigned threads_ = 1;   // resolved worker count
-  MorselCounters mc_;      // merged from every dispatch; flushed in dtor
-  uint64_t tick_ = 0;  // PollTick stride counter (single-threaded phases
-                       // only — parallel bodies keep a local stride)
+  unsigned threads_ = 1;  // resolved worker count (FromBags' dispatch)
+  uint64_t tick_ = 0;     // PollTick stride counter
 
   size_t var_count_ = 0;  // variables are [0, var_count_)
   size_t universe_ = 0;   // the range of every variable
@@ -266,11 +253,8 @@ class YannakakisProgram {
 /// no partial output.
 ///
 /// They also take `num_threads` (same convention as
-/// SolveOptions::num_threads: 1 = sequential, 0 = one per hardware
-/// thread, N = N workers): the materialization, semijoin, count, and
-/// join phases then run as morsels on the shared MorselPool. Results and
-/// all stats except workers/steals are byte-identical at every thread
-/// count — parallelism changes wall-clock, never the answer.
+/// SolveOptions::num_threads), which only sets YannakakisStats::workers:
+/// the atom route runs on the calling thread at every thread count.
 Result<bool> EvaluateBooleanAcyclic(const ConjunctiveQuery& q,
                                     const Structure& d,
                                     YannakakisStats* stats = nullptr,

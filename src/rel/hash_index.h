@@ -39,8 +39,7 @@ class HashIndex;
 /// hash, then wait for the bucket line. A batch splits that into two
 /// passes — FindFirstBatch hashes every key and issues __builtin_prefetch
 /// on its bucket line, then walks the buckets — so the strip's misses
-/// overlap instead of serializing. That wins even single-threaded; the
-/// morsel-parallel operators additionally keep one batch per worker.
+/// overlap instead of serializing.
 ///
 /// Usage: Reset(key_width) once per (index, operator) pairing, then
 /// gather keys into Append() slots until full(), FindFirstBatch, consume

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/governor.h"
-#include "common/work_pool.h"
 #include "rel/hash_index.h"
 #include "rel/table.h"
 
@@ -26,27 +25,8 @@ namespace cqcs::rel {
 // appending). Callers observe the sticky trip at their own next poll and
 // discard the partial state — the operators themselves never fail.
 //
-// Semijoin and HashJoinAppend additionally take an OpParallel: with
-// num_threads > 1 they split the left table into morsels on the shared
-// MorselPool, each worker probing its row range through a private
-// ProbeBatch, and merge per-morsel results in morsel order — so the output
-// is byte-identical to the sequential run at every thread count. Governor
-// polls happen at each morsel boundary and on the usual ~1024-row stride
-// inside one, keeping trips clean mid-pass (no torn tables: Semijoin's
-// keep-flags and the join's shards are discarded on a trip).
-
-/// Threading knobs for the morsel-parallel operators. Defaults mean
-/// "sequential, shared pool untouched".
-struct OpParallel {
-  /// Resolved worker count (callers apply ResolveThreadCount first);
-  /// 0 or 1 = run inline on the caller.
-  unsigned num_threads = 1;
-  /// Rows per morsel; 0 = MorselPool::kDefaultMorselRows.
-  size_t morsel_rows = 0;
-  /// When non-null, the dispatch's worker/morsel/steal counters are
-  /// merged in (MorselCounters::MergeFrom).
-  MorselCounters* counters = nullptr;
-};
+// Semijoin and HashJoinAppend sweep the left table once on the calling
+// thread, probing through a ProbeBatch.
 
 /// left := left ⋉ right, in place: keeps the left rows whose key columns
 /// (left_key_cols, values in the same order as the index's key_cols) have
@@ -54,8 +34,7 @@ struct OpParallel {
 /// rows removed. `right_index` must be built over `right`'s buffer.
 size_t Semijoin(Table& left, std::span<const uint32_t> left_key_cols,
                 const Table& right, const HashIndex& right_index,
-                ResourceGovernor* governor = nullptr,
-                const OpParallel& parallel = {});
+                ResourceGovernor* governor = nullptr);
 
 /// Appends to `out` one row per join match: the left row's cells followed
 /// by the matching right row's `right_extra_cols`. out->width() must equal
@@ -65,8 +44,7 @@ size_t Semijoin(Table& left, std::span<const uint32_t> left_key_cols,
 void HashJoinAppend(const Table& left, std::span<const uint32_t> left_key_cols,
                     const Table& right, const HashIndex& right_index,
                     std::span<const uint32_t> right_extra_cols, Table* out,
-                    ResourceGovernor* governor = nullptr,
-                    const OpParallel& parallel = {});
+                    ResourceGovernor* governor = nullptr);
 
 /// The ascending ids of the rows of `table` whose values in `cols` no
 /// earlier row has: one index build keyed on `cols`, after which a key's
@@ -78,7 +56,6 @@ std::vector<uint32_t> FirstOccurrences(const Table& table,
 
 /// Appends the distinct projections of `src` onto `cols` to the empty
 /// table `*out` (width must equal cols.size()), in first-occurrence order.
-/// Sequential: callers parallelize the join feeding it instead.
 void ProjectDistinct(const Table& src, std::span<const uint32_t> cols,
                      Table* out, ResourceGovernor* governor = nullptr);
 

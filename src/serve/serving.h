@@ -50,9 +50,10 @@
 //
 // Thread safety: Serve(), UpsertDatabase(), and stats() may be called from
 // concurrent threads. Per-request parallelism (SolveOptions::num_threads)
-// rides the solver's work-stealing pool on the uniform route and the shared
-// MorselPool (common/work_pool.h) on the acyclic/treewidth routes; both
-// produce answers identical to a 1-thread run, so cached results are
+// rides the shared MorselPool (common/work_pool.h) in two places: the
+// solver's work-stealing search on the uniform route and the bag joins on
+// the treewidth route. The acyclic route runs on the request's thread.
+// Every route answers exactly as a 1-thread run does, so cached results are
 // thread-count-agnostic and num_threads stays out of the cache keys.
 //
 // Every served EngineResult carries stats.serve (plan/result hit flags plus

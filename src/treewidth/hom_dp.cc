@@ -252,11 +252,11 @@ Status YannakakisProgram::FromBags(
   // (linear: it walks the rarest element's node list).
   TreeDecomposition::TupleAssignment covered;
   CQCS_RETURN_IF_ERROR(decomposition.ValidateFor(a, &covered));
-  tw_stats_ = stats;
   if (stats != nullptr) {
     stats->width = decomposition.Width();
     stats->table_entries = 0;
     stats->table_rows = 0;
+    stats->workers = threads_;
     stats->morsels = 0;
     stats->steals = 0;
   }
@@ -286,7 +286,8 @@ Status YannakakisProgram::FromBags(
   }
 
   // The bags are independent: all of them are built in one flat dispatch,
-  // each worker reusing its own BagJoin. Counters merge in node order.
+  // each worker reusing its own BagJoin. Counters merge in node order. This
+  // is the program's only parallel phase.
   const size_t nodes = decomposition.node_count();
   vars_.resize(nodes);
   tables_.resize(nodes);
@@ -303,7 +304,11 @@ Status YannakakisProgram::FromBags(
     }
     return true;
   };
-  mc_.MergeFrom(MorselPool::Shared().Run(nodes, threads_, 8, body));
+  const MorselCounters run = MorselPool::Shared().Run(nodes, threads_, 8, body);
+  if (stats != nullptr) {
+    stats->morsels = run.morsels;
+    stats->steals = run.steals;
+  }
   CQCS_RETURN_IF_ERROR(TripStatus());
 
   std::vector<uint32_t> parent(nodes);

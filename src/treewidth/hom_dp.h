@@ -24,9 +24,9 @@ namespace cqcs {
 
 class ResourceGovernor;  // common/governor.h
 
-/// Statistics from the treewidth route, for the benchmarks. As with
-/// YannakakisStats, workers/morsels are deterministic per (input, thread
-/// count) while steals depends on scheduling.
+/// Statistics from the treewidth route, for the benchmarks. workers/morsels
+/// are deterministic per (input, thread count) while steals depends on
+/// scheduling.
 struct TreewidthSolveStats {
   int width = -1;              ///< width of the decomposition used
   /// Join extensions the bag joins tried: one per candidate value tried
@@ -35,7 +35,8 @@ struct TreewidthSolveStats {
   size_t table_entries = 0;
   size_t table_rows = 0;       ///< bag-table rows before the semijoin passes
   unsigned workers = 0;        ///< resolved worker count of the run
-  uint64_t morsels = 0;        ///< morsels of the bag joins and the program
+  uint64_t morsels = 0;        ///< morsels of the bag-join dispatch (8 bags
+                               ///< each); the program itself dispatches none
   uint64_t steals = 0;         ///< morsels run by pool (non-calling) threads
 };
 
@@ -52,8 +53,9 @@ struct TreewidthSolveStats {
 ///
 /// `num_threads` (SolveOptions convention: 1 = sequential, 0 = hardware)
 /// builds the bags, which are independent, in one flat dispatch on the
-/// shared MorselPool, and runs the program's parallel phases. Answer and
-/// stats (minus workers/steals) are identical at every thread count.
+/// shared MorselPool; the program's passes then run on the calling thread.
+/// Answer and stats (minus workers/steals) are identical at every thread
+/// count.
 ///
 /// A non-null `node_tables` receives, per node, its bag table before the
 /// semijoin passes (row-major, columns in bag order).

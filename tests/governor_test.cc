@@ -446,12 +446,15 @@ TEST(GovernorEngineTest, ParallelMorselTripBehavesLikeSequential) {
   // A failpoint firing while several morsel workers are in flight must
   // honor the same clean-trip contract as the sequential path: the cancel
   // flag propagates through the MorselPool, in-flight morsels finish,
-  // partial shards are discarded (no torn tables surface in the result),
-  // and the identical problem immediately answers correctly afterwards.
+  // partially built bag tables are discarded (no torn tables surface in
+  // the result), and the identical problem immediately answers correctly
+  // afterwards. The treewidth cases dispatch: a 48-cycle decomposes into
+  // dozens of bags, several 8-bag morsels. The acyclic cases run on the
+  // calling thread at any thread count and check that path at 4 threads.
   Rng rng(7010);
   auto vocab = MakeGraphVocabulary();
   Structure acyclic_a = PathStructure(vocab, 10);
-  Structure cyclic_a = UndirectedCycleStructure(vocab, 7);
+  Structure cyclic_a = UndirectedCycleStructure(vocab, 48);
   Structure b = RandomGraphStructure(vocab, 5, 0.6, rng, true);
 
   struct Case {
@@ -464,6 +467,8 @@ TEST(GovernorEngineTest, ParallelMorselTripBehavesLikeSequential) {
       {Backend::kAcyclic, HomTask::kEnumerate, &acyclic_a},
       {Backend::kAcyclic, HomTask::kProject, &acyclic_a},
       {Backend::kTreewidth, HomTask::kDecide, &cyclic_a},
+      {Backend::kTreewidth, HomTask::kCount, &cyclic_a},
+      {Backend::kTreewidth, HomTask::kProject, &cyclic_a},
   };
   for (const Case& c : cases) {
     HomProblem p = MustProblem(HomProblem::FromStructures(*c.a, b));
@@ -475,6 +480,10 @@ TEST(GovernorEngineTest, ParallelMorselTripBehavesLikeSequential) {
     clean.backend = c.backend;
     clean.solve.num_threads = 4;
     EngineResult baseline = MustRun(HomEngine(clean), p, c.task);
+    if (c.backend == Backend::kTreewidth) {
+      // Bags per morsel are fixed, so this holds on any schedule.
+      ASSERT_GE(baseline.stats.treewidth.morsels, 2u);
+    }
 
     // Sweep the failpoint through the run so it lands in different
     // phases — including mid-morsel of the parallel passes.

@@ -331,8 +331,10 @@ TEST(PolyOracleTest, ThreadCountInvariance) {
   // Parallelism changes wall-clock, never the answer: every task on the
   // acyclic and the treewidth route must return identical results and
   // stats at 1, 2, and 8 workers. Only `workers` (the request echo) and
-  // `steals` (a scheduling record) may differ; morsel decomposition
-  // depends only on table sizes, so even `morsels` must match.
+  // `steals` (a scheduling record) may differ. The acyclic route runs on
+  // the calling thread, so its `morsels` is 0 at every count; the
+  // treewidth route's bag dispatch cuts 8 bags a morsel, so its `morsels`
+  // must match too.
   Rng rng(20260808);
   auto vocab = MakeGraphVocabulary();
   const unsigned kThreadCounts[] = {1, 2, 8};
@@ -383,6 +385,7 @@ TEST(PolyOracleTest, ThreadCountInvariance) {
     const Answers base = run_all(1);
     EXPECT_EQ(base.decide.stats.yannakakis.workers, 1u);
     EXPECT_EQ(base.decide.stats.yannakakis.steals, 0u);
+    EXPECT_EQ(base.count.stats.yannakakis.morsels, 0u);
     for (unsigned threads : kThreadCounts) {
       SCOPED_TRACE(testing::Message()
                    << "trial " << trial << " threads " << threads);
@@ -394,8 +397,8 @@ TEST(PolyOracleTest, ThreadCountInvariance) {
       EXPECT_EQ(got.count.count, base.count.count);
       expect_ys_equal(got.count.stats.yannakakis,
                       base.count.stats.yannakakis);
-      // Rows must match in ORDER, not just as sets: deterministic
-      // morsel-order shard merging is the contract.
+      // Rows must match in ORDER, not just as sets: the walk's row order
+      // is the contract.
       EXPECT_EQ(got.enumerate.rows, base.enumerate.rows);
       expect_ys_equal(got.enumerate.stats.yannakakis,
                       base.enumerate.stats.yannakakis);
@@ -409,6 +412,8 @@ TEST(PolyOracleTest, ThreadCountInvariance) {
       EXPECT_EQ(got.tw.stats.treewidth.table_rows,
                 base.tw.stats.treewidth.table_rows);
       EXPECT_EQ(got.tw.stats.treewidth.workers, threads);
+      EXPECT_EQ(got.tw.stats.treewidth.morsels,
+                base.tw.stats.treewidth.morsels);
       EXPECT_EQ(got.tw_count.count, base.tw_count.count);
       EXPECT_EQ(got.tw_enumerate.rows, base.tw_enumerate.rows);
       EXPECT_EQ(got.tw_project.rows, base.tw_project.rows);

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -23,11 +24,10 @@
 #include "common/work_pool.h"
 #include "core/homomorphism.h"
 #include "core/structure.h"
-#include "cq/acyclic.h"
-#include "cq/canonical.h"
 #include "gen/generators.h"
 #include "solver/backtracking.h"
 #include "solver/csp.h"
+#include "treewidth/hom_dp.h"
 
 namespace cqcs {
 namespace {
@@ -288,22 +288,25 @@ TEST(SolverParallelTest, ConcurrentCallersMatchTheSequentialRun) {
                                                            &seq_stats);
   ASSERT_GT(seq_count, 0u);
 
-  // A path query into a graph with a few morsels' worth of edges, so the
-  // acyclic count dispatches to the pool rather than inline.
-  const ConjunctiveQuery path = CanonicalQuery(PathStructure(vocab, 4));
-  const Structure d = SparseGraph(300, 0.1, 99);
-  YannakakisStats seq_yann;
-  auto seq_paths = AcyclicCount(path, d, SIZE_MAX, &seq_yann);
-  ASSERT_TRUE(seq_paths.ok()) << seq_paths.status().ToString();
-  ASSERT_GT(seq_yann.max_table_rows, MorselPool::kDefaultMorselRows);
+  // A partial 2-tree into K3: its decomposition has dozens of bags, so the
+  // treewidth route's bag joins span several 8-bag morsels and dispatch to
+  // the pool rather than inline.
+  Rng tw_rng(99);
+  const Structure tw_a =
+      StructureFromGraph(vocab, RandomPartialKTree(64, 2, 0.8, tw_rng));
+  TreewidthSolveStats seq_tw;
+  auto seq_witness = SolveBoundedTreewidth(tw_a, k3, &seq_tw);
+  ASSERT_TRUE(seq_witness.ok()) << seq_witness.status().ToString();
+  ASSERT_TRUE(seq_witness->has_value());
+  ASSERT_GE(seq_tw.morsels, 2u);
 
   constexpr int kCallers = 4;
   constexpr int kRounds = 3;
   struct CallerResult {
     std::vector<size_t> counts;
     std::vector<SolveStats> stats;
-    std::vector<size_t> paths;
-    std::vector<YannakakisStats> yann;
+    std::vector<std::optional<Homomorphism>> witnesses;
+    std::vector<TreewidthSolveStats> tw;
   };
   std::vector<CallerResult> results(kCallers);
   std::vector<std::thread> callers;
@@ -317,10 +320,11 @@ TEST(SolverParallelTest, ConcurrentCallersMatchTheSequentialRun) {
             BacktrackingSolver(&csp, options).CountSolutions(SIZE_MAX,
                                                              &stats));
         results[c].stats.push_back(stats);
-        YannakakisStats yann;
-        auto paths = AcyclicCount(path, d, SIZE_MAX, &yann, nullptr, 4);
-        results[c].paths.push_back(paths.ok() ? *paths : 0);
-        results[c].yann.push_back(yann);
+        TreewidthSolveStats tw;
+        auto witness = SolveBoundedTreewidth(tw_a, k3, &tw, nullptr, 4);
+        results[c].witnesses.push_back(
+            witness.ok() ? *witness : std::optional<Homomorphism>());
+        results[c].tw.push_back(tw);
       }
     });
   }
@@ -335,16 +339,12 @@ TEST(SolverParallelTest, ConcurrentCallersMatchTheSequentialRun) {
       EXPECT_EQ(stats.backtracks, seq_stats.backtracks);
       EXPECT_EQ(stats.workers, 4u);
       EXPECT_FALSE(stats.limit_hit);
-      const YannakakisStats& yann = results[c].yann[round];
-      EXPECT_EQ(results[c].paths[round], *seq_paths);
-      EXPECT_EQ(yann.atom_tables, seq_yann.atom_tables);
-      EXPECT_EQ(yann.rows_materialized, seq_yann.rows_materialized);
-      EXPECT_EQ(yann.max_table_rows, seq_yann.max_table_rows);
-      EXPECT_EQ(yann.semijoins, seq_yann.semijoins);
-      EXPECT_EQ(yann.rows_pruned, seq_yann.rows_pruned);
-      EXPECT_EQ(yann.join_rows, seq_yann.join_rows);
-      EXPECT_EQ(yann.morsels, seq_yann.morsels);
-      EXPECT_EQ(yann.workers, 4u);
+      const TreewidthSolveStats& tw = results[c].tw[round];
+      EXPECT_EQ(results[c].witnesses[round], *seq_witness);
+      EXPECT_EQ(tw.table_entries, seq_tw.table_entries);
+      EXPECT_EQ(tw.table_rows, seq_tw.table_rows);
+      EXPECT_EQ(tw.morsels, seq_tw.morsels);
+      EXPECT_EQ(tw.workers, 4u);
     }
   }
 }
