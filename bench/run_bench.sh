@@ -21,7 +21,8 @@
 #                       the result-hit path at zipfian 0.5 and 0.99.
 #
 # Each merged file's .context.host records the hardware and build the
-# numbers came from — nproc, compiler, build type, git sha — because the
+# numbers came from — nproc, compiler, build type, git sha, and git_dirty
+# (tracked files differed from that sha) — because the
 # parallel and serving series are only comparable across machines with that
 # context attached.
 #
@@ -80,6 +81,12 @@ COMPILER_VERSION="$("${COMPILER:-c++}" --version 2>/dev/null | head -1 || echo u
 BUILD_TYPE="$(grep -m1 '^CMAKE_BUILD_TYPE:' "$BUILD_DIR/CMakeCache.txt" 2>/dev/null |
               cut -d= -f2 || echo unknown)"
 GIT_SHA="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+# git_sha stays a plain revision; git_dirty says whether tracked files
+# differed from it when the numbers were taken (untracked files ignored).
+GIT_DIRTY=false
+if [[ -n "$(git status --porcelain --untracked-files=no 2>/dev/null)" ]]; then
+  GIT_DIRTY=true
+fi
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
@@ -121,12 +128,14 @@ run_group() {
         --arg compiler "${COMPILER_VERSION:-unknown}" \
         --arg build_type "${BUILD_TYPE:-unknown}" \
         --arg git_sha "$GIT_SHA" \
+        --argjson git_dirty "$GIT_DIRTY" \
         --argjson quick "$QUICK" \
     '{context: (.[0].context + {host: {
           nproc: ($nproc | tonumber),
           compiler: $compiler,
           build_type: $build_type,
           git_sha: $git_sha,
+          git_dirty: $git_dirty,
           quick: ($quick == 1)}}),
       benchmarks: (map(.benchmarks) | add)}' \
     "${jsons[@]}" > "$out"

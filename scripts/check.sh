@@ -14,9 +14,11 @@
 #                       -L durable, -L poly, -L engine and -L solver under
 #                       UBSan (the engine route reaches the treewidth
 #                       count's saturating arithmetic), -L durable,
-#                       -L robust, -L poly, -L engine and -L solver under
-#                       ASan (the bag joins and the solver's support walk
-#                       are index arithmetic)
+#                       -L robust, -L poly, -L engine, -L solver and
+#                       -L serve under ASan (the bag joins and the solver's
+#                       support walk are index arithmetic, and atom tables
+#                       borrow the storage of databases the serving layer
+#                       shares and replaces)
 #
 # `--quick` stops after step 2 — the sanitizer builds triple the wall time
 # and exist to gate merges, not edit-compile loops.
@@ -88,8 +90,11 @@ fi
 # label-regex pairs per sanitizer; serve and solver-parallel are the
 # thread-heavy nets, robust trips governed searches whose workers run on the
 # shared pool, durable parses arbitrarily corrupt bytes, poly does
-# saturating count arithmetic and hash-chain index arithmetic, and solver's
-# support walk indexes residue and scratch words by computed offsets.
+# saturating count arithmetic and hash-chain index arithmetic, solver's
+# support walk indexes residue and scratch words by computed offsets, and
+# serve under ASan catches an atom-table view that outlives the database
+# version it borrows from (ServingEngine shares a database across clients
+# and replaces it on update).
 sanitize_step() {
   local sanitizer="$1" labels="$2"
   local dir="build-check-$sanitizer"
@@ -101,7 +106,7 @@ sanitize_step() {
 }
 
 sanitize_step thread "serve|solver-parallel|poly|robust"
-sanitize_step address "durable|robust|poly|engine|solver"
+sanitize_step address "durable|robust|poly|engine|solver|serve"
 sanitize_step undefined "durable|poly|engine|solver"
 
 echo

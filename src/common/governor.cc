@@ -126,4 +126,47 @@ bool ResourceGovernor::AdmitBytes(size_t estimated_bytes) const {
   return estimated_bytes <= memory_budget_bytes_ - used;
 }
 
+ChargedBytes& ChargedBytes::operator=(const ChargedBytes& other) {
+  if (this == &other) return *this;
+  Release();
+  governor_ = other.governor_;
+  return *this;
+}
+
+ChargedBytes::ChargedBytes(ChargedBytes&& other) noexcept
+    : governor_(other.governor_), bytes_(other.bytes_) {
+  other.bytes_ = 0;
+}
+
+ChargedBytes& ChargedBytes::operator=(ChargedBytes&& other) noexcept {
+  if (this == &other) return *this;
+  Release();
+  governor_ = other.governor_;
+  bytes_ = other.bytes_;
+  other.bytes_ = 0;
+  return *this;
+}
+
+void ChargedBytes::Attach(ResourceGovernor* governor, size_t bytes) {
+  if (governor != governor_) {
+    Release();
+    governor_ = governor;
+  }
+  Sync(bytes);
+}
+
+void ChargedBytes::Release() {
+  if (governor_ != nullptr && bytes_ > 0) governor_->ReleaseBytes(bytes_);
+  bytes_ = 0;
+}
+
+void ChargedBytes::SyncSlow(size_t bytes) {
+  if (bytes > bytes_) {
+    governor_->ChargeBytes(bytes - bytes_);
+  } else {
+    governor_->ReleaseBytes(bytes_ - bytes);
+  }
+  bytes_ = bytes;
+}
+
 }  // namespace cqcs

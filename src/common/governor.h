@@ -11,7 +11,8 @@
 //    kResourceExhausted status; nothing is ever killed mid-write, so a
 //    trip never leaves a torn result.
 //  - Memory is accounted, not intercepted. rel::Table / rel::HashIndex
-//    report capacity deltas via ChargeBytes/ReleaseBytes; crossing the
+//    report capacity deltas via ChargeBytes/ReleaseBytes (each holds a
+//    ChargedBytes, below, for its standing charge); crossing the
 //    ceiling marks the trip, and the next Poll() observes it. Overshoot
 //    is bounded by one allocation step plus one poll stride.
 //  - The trip is sticky and first-cause-wins: concurrent workers race to
@@ -132,6 +133,39 @@ class ResourceGovernor {
   std::atomic<uint64_t> charges_{0};
   std::atomic<size_t> bytes_in_use_{0};
   std::atomic<size_t> peak_bytes_{0};
+};
+
+/// One buffer's standing charge against a governor. Sync(bytes) charges
+/// or releases the difference from what is charged now; destruction
+/// releases it all. A move transfers the charge; a copy takes the
+/// governor with nothing charged, for its owner to Sync its own buffer.
+/// A detached charge (no governor) costs one null check per Sync.
+class ChargedBytes {
+ public:
+  ChargedBytes() = default;
+  ~ChargedBytes() { Release(); }
+  ChargedBytes(const ChargedBytes& other) : governor_(other.governor_) {}
+  ChargedBytes& operator=(const ChargedBytes& other);
+  ChargedBytes(ChargedBytes&& other) noexcept;
+  ChargedBytes& operator=(ChargedBytes&& other) noexcept;
+
+  /// Moves the charge to `governor` (nullptr detaches) and brings it to
+  /// `bytes` there.
+  void Attach(ResourceGovernor* governor, size_t bytes);
+
+  /// Brings the charge to `bytes`.
+  void Sync(size_t bytes) {
+    if (governor_ != nullptr && bytes != bytes_) SyncSlow(bytes);
+  }
+
+  /// Releases the whole charge; the governor stays attached.
+  void Release();
+
+ private:
+  void SyncSlow(size_t bytes);
+
+  ResourceGovernor* governor_ = nullptr;
+  size_t bytes_ = 0;
 };
 
 }  // namespace cqcs

@@ -21,10 +21,11 @@ inline size_t SatAdd(size_t a, size_t b, size_t limit) {
 }
 
 /// a * b, saturated at `limit`. SatMul(x, 0, limit) == 0 for every x.
+/// No division: the count fold calls this once per row.
 inline size_t SatMul(size_t a, size_t b, size_t limit) {
-  if (a == 0 || b == 0) return 0;
-  if (a > limit / b) return limit;
-  return a * b;
+  size_t product;
+  if (__builtin_mul_overflow(a, b, &product) || product > limit) return limit;
+  return product;
 }
 
 /// base^exp, saturated at `limit` (SatPow(x, 0, limit) == 1 for every x,

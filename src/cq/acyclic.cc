@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -114,45 +115,36 @@ Status YannakakisProgram::Run(std::vector<uint32_t> parent, Passes passes) {
   }
   CQCS_CHECK(order_.size() == m_);
 
-  // Shared-with-parent variables and their column positions.
+  // Shared-with-parent variables, in the child's column order, and their
+  // column positions on both sides. col_in_parent is indexed by variable
+  // and reset after each node.
   shared_vars_.resize(m_);
   shared_child_cols_.resize(m_);
   shared_parent_cols_.resize(m_);
+  constexpr uint32_t kAbsent = UINT32_MAX;
+  std::vector<uint32_t> col_in_parent(var_count_, kAbsent);
   // cqcs-lint: allow(unpolled-loop): bounded by forest shape (nodes * vars-per-node), not data
   for (uint32_t node = 0; node < m_; ++node) {
     uint32_t p = parent_[node];
     if (p == JoinTree::kNoParent) continue;
     const auto& cv = vars_[node];
     const auto& pv = vars_[p];
-    for (size_t i = 0; i < cv.size(); ++i) {
-      auto it = std::lower_bound(pv.begin(), pv.end(), cv[i]);
-      if (it != pv.end() && *it == cv[i]) {
-        shared_vars_[node].push_back(cv[i]);
-        shared_child_cols_[node].push_back(static_cast<uint32_t>(i));
-        shared_parent_cols_[node].push_back(
-            static_cast<uint32_t>(it - pv.begin()));
-      }
+    for (size_t j = 0; j < pv.size(); ++j) {
+      col_in_parent[pv[j]] = static_cast<uint32_t>(j);
     }
+    for (size_t i = 0; i < cv.size(); ++i) {
+      if (col_in_parent[cv[i]] == kAbsent) continue;
+      shared_vars_[node].push_back(cv[i]);
+      shared_child_cols_[node].push_back(static_cast<uint32_t>(i));
+      shared_parent_cols_[node].push_back(col_in_parent[cv[i]]);
+    }
+    for (VarId v : pv) col_in_parent[v] = kAbsent;
   }
 
   // The walk's match indexes are the ones the bottom-up pass builds.
-  if (passes == Passes::kCount || passes == Passes::kWalk) {
-    match_index_.resize(m_);
-  }
+  if (passes == Passes::kWalk) match_index_.resize(m_);
   if (passes != Passes::kCount) CQCS_RETURN_IF_ERROR(Reduce(passes));
   if (!satisfiable_ || passes == Passes::kDecide) return TripStatus();
-
-  // Match indexes for the count pass over the unreduced tables.
-  if (passes == Passes::kCount) {
-    for (uint32_t node = 0; node < m_; ++node) {
-      if (parent_[node] == JoinTree::kNoParent) continue;
-      if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->Poll());
-      match_index_[node].AttachGovernor(gov_);
-      match_index_[node].Build(tables_[node].data(), tables_[node].width(),
-                               static_cast<uint32_t>(tables_[node].row_count()),
-                               shared_child_cols_[node]);
-    }
-  }
 
   // Forest pre-order for the enumeration walk (parents before children).
   if (passes == Passes::kWalk) {
@@ -167,22 +159,26 @@ Status YannakakisProgram::Reduce(Passes passes) {
   // table is final for its own parent's filtering. Governed runs poll
   // once per semijoin — each is one bounded table sweep. The walk has no
   // top-down pass, so a child's index here is its final match index: kWalk
-  // keeps it in match_index_; the other passes reuse one scratch index.
-  HashIndex scratch;
-  scratch.AttachGovernor(gov_);
+  // builds it into match_index_; the other passes key each child through
+  // one reused scratch, which needs no index for a one-column key.
+  rel::SemijoinScratch scratch(gov_);
   for (uint32_t node : order_) {
     uint32_t p = parent_[node];
     if (p == JoinTree::kNoParent) continue;
     if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->Poll());
-    HashIndex& index =
-        passes == Passes::kWalk ? match_index_[node] : scratch;
-    index.AttachGovernor(gov_);
-    index.Build(tables_[node].data(), tables_[node].width(),
-                static_cast<uint32_t>(tables_[node].row_count()),
-                shared_child_cols_[node]);
-    size_t removed =
-        rel::Semijoin(tables_[p], shared_parent_cols_[node], tables_[node],
-                      index, gov_);
+    size_t removed;
+    if (passes == Passes::kWalk) {
+      HashIndex& index = match_index_[node];
+      index.AttachGovernor(gov_);
+      index.Build(tables_[node].data(), tables_[node].width(),
+                  static_cast<uint32_t>(tables_[node].row_count()),
+                  shared_child_cols_[node]);
+      removed = rel::Semijoin(tables_[p], shared_parent_cols_[node],
+                              tables_[node], index, gov_);
+    } else {
+      removed = scratch.Run(tables_[p], shared_parent_cols_[node],
+                            tables_[node], shared_child_cols_[node]);
+    }
     if (stats_ != nullptr) {
       ++stats_->semijoins;
       stats_->rows_pruned += removed;
@@ -205,12 +201,9 @@ Status YannakakisProgram::Reduce(Passes passes) {
     uint32_t node = order_[i];
     for (uint32_t child : children_[node]) {
       if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->Poll());
-      scratch.Build(tables_[node].data(), tables_[node].width(),
-                  static_cast<uint32_t>(tables_[node].row_count()),
-                  shared_parent_cols_[child]);
-      size_t removed = rel::Semijoin(tables_[child],
-                                     shared_child_cols_[child],
-                                     tables_[node], scratch, gov_);
+      size_t removed =
+          scratch.Run(tables_[child], shared_child_cols_[child],
+                      tables_[node], shared_parent_cols_[child]);
       if (stats_ != nullptr) {
         ++stats_->semijoins;
         stats_->rows_pruned += removed;
@@ -224,30 +217,42 @@ Status YannakakisProgram::Reduce(Passes passes) {
 
 Status YannakakisProgram::MaterializeAll(const ConjunctiveQuery& q,
                                          const Structure& d) {
-  // Pass 1 (sequential, query-shaped): column layouts and memo grouping.
-  // col_of_arg determines the initial table completely (it encodes both
-  // the column layout and the repeated-variable equalities), so atoms
-  // sharing a (relation, map) key form one materialization group —
-  // canonical queries repeat one pattern per relation across thousands of
-  // atoms.
+  // Pass 1 (sequential, query-shaped): column layouts, views and memo
+  // grouping. A node's columns are its atom's distinct variables in
+  // first-occurrence order, so an atom with distinct variables has its
+  // relation's column order, and over a relation known to be
+  // duplicate-free its table is the relation itself: a view of the flat
+  // tuples, built in O(1). Any other atom is materialized. col_of_arg
+  // determines such a table completely (it encodes both the column layout
+  // and the repeated-variable equalities), so atoms sharing a (relation,
+  // map) key form one materialization group — canonical queries repeat one
+  // pattern per relation across thousands of atoms.
   std::vector<std::vector<uint32_t>> col_of_arg(m_);
   std::vector<size_t> rep(m_);      // group representative per atom
   std::vector<size_t> group_reps;   // distinct representatives
   // Two atoms with the same relation and the same position→column map
   // start from identical tables; materialize once, copy after.
   std::map<std::pair<RelId, std::vector<uint32_t>>, size_t> memo;
-  // cqcs-lint: allow(unpolled-loop): bounded by query shape (atoms * arity), not data
+  // cqcs-lint: allow(unpolled-loop): bounded by query shape (atoms * arity^2), not data
   for (size_t i = 0; i < m_; ++i) {
     const Atom& atom = q.atoms()[i];
     std::vector<VarId>& vars = vars_[i];
-    vars.assign(atom.args.begin(), atom.args.end());
-    std::sort(vars.begin(), vars.end());
-    vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+    vars.clear();
     col_of_arg[i].resize(atom.args.size());
     for (size_t p = 0; p < atom.args.size(); ++p) {
-      col_of_arg[i][p] = static_cast<uint32_t>(
-          std::lower_bound(vars.begin(), vars.end(), atom.args[p]) -
-          vars.begin());
+      const auto col = static_cast<uint32_t>(
+          std::find(vars.begin(), vars.end(), atom.args[p]) - vars.begin());
+      if (col == vars.size()) vars.push_back(atom.args[p]);
+      col_of_arg[i][p] = col;
+    }
+    rep[i] = i;
+    const Relation& rel = d.relation(atom.rel);
+    if (vars.size() == atom.args.size() &&
+        rel.duplicate_free().value_or(false)) {
+      tables_[i] = Table::View(rel.data().data(), rel.arity(),
+                               rel.tuple_count());
+      tables_[i].AttachGovernor(gov_);  // charges a copy-on-write only
+      continue;
     }
     auto [it, inserted] = memo.emplace(
         std::make_pair(atom.rel, col_of_arg[i]), i);
@@ -412,38 +417,75 @@ Result<size_t> YannakakisProgram::Count(size_t limit) {
   // passes would have pruned — and saturation is exact in any order, since
   // min(a·b, L) = min(min(a,L)·min(b,L), L) and likewise for sums.
   //
-  // Per child, an ascending fold turns cnt[child] into per-key suffix sums
-  // along the match chains: Insert prepends, so Next(s) < s, and each
-  // chain head ends up holding its whole key's sum. A parent row then
-  // costs one FindFirst.
+  // Per child, the counts are summed per connector key, and a parent row
+  // reads its key's sum. A one-column key whose values fit the direct
+  // bound sums into a value-indexed array. Any other key folds cnt[child]
+  // into per-key suffix sums along a match index's chains: Next(s) < s, so
+  // an ascending fold leaves each chain head holding its whole key's sum,
+  // and a parent row costs one FindFirst.
   std::vector<std::vector<size_t>> cnt(m_);
+  HashIndex index;
+  index.AttachGovernor(gov_);
+  rel::ValueArray<size_t> sums;
+  sums.AttachGovernor(gov_);
   for (uint32_t node : order_) {
     const Table& table = tables_[node];
     cnt[node].assign(table.row_count(), 1);
     for (uint32_t child : children_[node]) {
+      if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->Poll());
       const Table& ct = tables_[child];
-      const HashIndex& index = match_index_[child];
+      const auto child_rows = static_cast<uint32_t>(ct.row_count());
+      const std::vector<uint32_t>& child_cols = shared_child_cols_[child];
+      const std::vector<uint32_t>& parent_cols = shared_parent_cols_[child];
       std::vector<size_t>& agg = cnt[child];
-      for (uint32_t s = 0; s < agg.size(); ++s) {
-        CQCS_RETURN_IF_ERROR(PollTick());
-        const uint32_t next = index.Next(s);
-        if (next != HashIndex::kNone) {
-          agg[s] = SatAdd(agg[s], agg[next], limit);
+      const std::optional<size_t> slots =
+          child_cols.size() == 1
+              ? HashIndex::DirectSlots(ct.data(), ct.width(), child_rows,
+                                       child_cols[0])
+              : std::nullopt;
+      // Governed runs poll every 1024th row of each loop.
+      if (slots.has_value()) {
+        sums.Assign(*slots);
+        size_t* const sum = sums.data();
+        const Element* const keys = ct.data() + child_cols[0];
+        const size_t width = ct.width();
+        for (size_t s = 0; s < child_rows; ++s) {
+          if (gov_ != nullptr && (s & 1023) == 0) {
+            CQCS_RETURN_IF_ERROR(gov_->Poll());
+          }
+          const Element v = keys[s * width];
+          sum[v] = SatAdd(sum[v], agg[s], limit);
+        }
+      } else {
+        index.Build(ct.data(), ct.width(), child_rows, child_cols);
+        for (uint32_t s = 0; s < child_rows; ++s) {
+          if (gov_ != nullptr && (s & 1023) == 0) {
+            CQCS_RETURN_IF_ERROR(gov_->Poll());
+          }
+          const uint32_t next = index.Next(s);
+          if (next != HashIndex::kNone) {
+            agg[s] = SatAdd(agg[s], agg[next], limit);
+          }
         }
       }
-      for (size_t r = 0; r < table.row_count(); ++r) {
+      size_t* const out = cnt[node].data();
+      const size_t rows = table.row_count();
+      for (size_t r = 0; r < rows; ++r) {
         if (gov_ != nullptr && (r & 1023) == 0) {
           CQCS_RETURN_IF_ERROR(gov_->Poll());
         }
         std::span<const Element> row = table.row(r);
-        key_scratch_.clear();
-        for (uint32_t c : shared_parent_cols_[child]) {
-          key_scratch_.push_back(row[c]);
+        size_t key_sum;
+        if (slots.has_value()) {
+          const Element v = row[parent_cols[0]];
+          key_sum = v < *slots ? sums[v] : 0;
+        } else {
+          key_scratch_.clear();
+          for (uint32_t c : parent_cols) key_scratch_.push_back(row[c]);
+          const uint32_t head = index.FindFirst(ct.data(), key_scratch_);
+          key_sum = head == HashIndex::kNone ? 0 : agg[head];
         }
-        const uint32_t head = index.FindFirst(ct.data(), key_scratch_);
-        cnt[node][r] = head == HashIndex::kNone
-                           ? 0
-                           : SatMul(cnt[node][r], agg[head], limit);
+        out[r] = SatMul(out[r], key_sum, limit);
       }
       agg = std::vector<size_t>();  // read by this parent only
     }

@@ -8,8 +8,11 @@
 // arXiv:0909.2030). Tables live in the columnar rel/ kernel: flat
 // rel::Table rows, rel::HashIndex probes (direct-addressed for a
 // one-column key over a small range, hashed otherwise), no per-row
-// allocation. An atom over a relation that EnsureIndex has found
-// duplicate-free is materialized without a dedup pass.
+// allocation. An atom with distinct variables over a relation that
+// EnsureIndex has found duplicate-free is a read-only view of the
+// relation's tuples, copied only once a semijoin drops rows from it; a
+// one-column semijoin or count key over a small range reads a
+// value-indexed array instead of an index (rel/ops.h).
 //
 // The program is not tied to atoms: it runs over any join forest of
 // duplicate-free tables (YannakakisProgram below). The treewidth route
@@ -58,8 +61,9 @@ struct JoinTree {
 /// `morsels`/`steals` stay 0; they remain for the stats consumers that
 /// read every route's pool counters.
 struct YannakakisStats {
-  uint64_t atom_tables = 0;       ///< tables materialized (one per atom)
-  uint64_t rows_materialized = 0; ///< distinct rows loaded into atom tables
+  uint64_t atom_tables = 0;       ///< atom tables (one per atom)
+  uint64_t rows_materialized = 0; ///< rows the atom tables hold, as a view
+                                  ///< or a copy
   uint64_t max_table_rows = 0;    ///< peak rows in any one table
   uint64_t semijoins = 0;         ///< semijoin operator applications
                                   ///< (0 on count: it runs no semijoins)
@@ -72,17 +76,23 @@ struct YannakakisStats {
 };
 
 /// Yannakakis's program over a join forest of tables. Node i holds a
-/// duplicate-free table whose columns are the sorted distinct variables
-/// vars[i]; every variable's nodes form a connected subforest (running
-/// intersection), and a variable in no node ranges freely over the target
-/// universe. Two front ends load it, then run only the passes the task
-/// reads:
+/// duplicate-free table whose columns are the distinct variables vars[i],
+/// in an order its front end picks (an atom's argument order, a bag's
+/// element order); every variable's nodes form a connected subforest
+/// (running intersection), and a variable in no node ranges freely over
+/// the target universe. Two front ends load it, then run only the passes
+/// the task reads:
 ///
 ///   task              semijoin passes         match indexes
 ///   decide            bottom-up               -
-///   count             none                    over the unreduced tables
+///   count             none                    per child key, unreduced
 ///   witness/enumerate bottom-up               the bottom-up pass's own
 ///   project(-count)   bottom-up + top-down    -
+///
+/// A one-column semijoin or count key whose values fit the direct bound
+/// (rel::HashIndex::DirectSlots) reads a value-indexed array, reused
+/// across nodes, instead of building an index; only the walk keeps
+/// chained match indexes for every key.
 ///
 /// After the bottom-up pass every surviving row extends into its subtree,
 /// so a walk from the roots never dead-ends: a match-index probe reaches
@@ -108,7 +118,7 @@ class YannakakisProgram {
   /// What a task reads; the entry points run exactly those passes.
   enum class Passes {
     kDecide,   ///< bottom-up semijoins; satisfiable() is the answer
-    kCount,    ///< no semijoins; match indexes over the unreduced tables
+    kCount,    ///< no semijoins; Count keys each child's unreduced table
     kWalk,     ///< bottom-up semijoins, keeping their indexes as the match
                ///< indexes (witness, enumerate)
     kProject,  ///< full reduction, no match indexes (project, its count)
@@ -123,9 +133,13 @@ class YannakakisProgram {
   YannakakisProgram& operator=(const YannakakisProgram&) = delete;
 
   /// Entry point from atoms: validates q against d, runs GYO
-  /// (InvalidArgument for cyclic queries or a vocabulary mismatch),
-  /// materializes one table per atom of q over d, then runs `passes`.
-  /// Variables are q's VarIds.
+  /// (InvalidArgument for cyclic queries or a vocabulary mismatch), loads
+  /// one table per atom of q over d, then runs `passes`. Variables are q's
+  /// VarIds; an atom's columns are its distinct variables in
+  /// first-occurrence order. An atom with distinct variables over a
+  /// relation whose duplicate_free() is true borrows the relation's
+  /// storage (a rel::Table view), so d must outlive the program and stay
+  /// unmodified; any other atom is materialized.
   Status FromAtoms(const ConjunctiveQuery& q, const Structure& d,
                    Passes passes);
 
@@ -175,6 +189,8 @@ class YannakakisProgram {
   /// The semijoin passes: bottom-up, then top-down for kProject. Clears
   /// satisfiable_ when a table empties.
   Status Reduce(Passes passes);
+  /// Loads every atom's table: a view where one serves, else a
+  /// materialized copy memoized per (relation, column map).
   Status MaterializeAll(const ConjunctiveQuery& q, const Structure& d);
   /// Materializes atom `i`'s table (a group representative: no memo hit),
   /// deduplicating it unless the relation is known duplicate-free.
@@ -217,18 +233,19 @@ class YannakakisProgram {
   size_t universe_ = 0;   // the range of every variable
   size_t m_ = 0;          // nodes
   std::vector<uint32_t> parent_;
-  std::vector<std::vector<VarId>> vars_;  // per node, sorted distinct
-  std::vector<rel::Table> tables_;        // columns follow vars_[i]
+  std::vector<std::vector<VarId>> vars_;  // per node, distinct
+  std::vector<rel::Table> tables_;        // columns follow vars_[i]; an
+                                          // atom's may be a view
   std::vector<std::vector<uint32_t>> children_;
   std::vector<uint32_t> roots_;
   std::vector<uint32_t> order_;  // children before parents
-  // Shared variables with the parent, ascending; and their column
-  // positions on each side (aligned lists).
+  // Shared variables with the parent, in the child's column order; and
+  // their column positions on each side (aligned lists).
   std::vector<std::vector<VarId>> shared_vars_;
   std::vector<std::vector<uint32_t>> shared_child_cols_;
   std::vector<std::vector<uint32_t>> shared_parent_cols_;
-  // Match index per non-root node, keyed on shared_child_cols_ (kCount and
-  // kWalk only; kWalk's are the bottom-up pass's semijoin indexes).
+  // Match index per non-root node, keyed on shared_child_cols_ (kWalk
+  // only: the bottom-up pass's semijoin indexes).
   std::vector<rel::HashIndex> match_index_;
   std::vector<VarId> isolated_;  // variables in no node
   std::vector<Element> assign_;  // Enumerate's scratch

@@ -24,20 +24,19 @@ HashIndex::HashIndex(const HashIndex& other)
       slots_(other.slots_),
       next_(other.next_),
       direct_(other.direct_),
-      governor_(other.governor_) {
-  if (governor_ != nullptr) SyncCharge();
+      charge_(other.charge_) {
+  SyncCharge();
 }
 
 HashIndex& HashIndex::operator=(const HashIndex& other) {
   if (this == &other) return *this;
-  ReleaseCharge();
   width_ = other.width_;
   key_cols_ = other.key_cols_;
   slots_ = other.slots_;
   next_ = other.next_;
   direct_ = other.direct_;
-  governor_ = other.governor_;
-  if (governor_ != nullptr) SyncCharge();
+  charge_ = other.charge_;
+  SyncCharge();
   return *this;
 }
 
@@ -47,56 +46,45 @@ HashIndex::HashIndex(HashIndex&& other) noexcept
       slots_(std::move(other.slots_)),
       next_(std::move(other.next_)),
       direct_(other.direct_),
-      governor_(other.governor_),
-      charged_bytes_(other.charged_bytes_) {
+      charge_(std::move(other.charge_)) {
   other.slots_.clear();
   other.next_.clear();
-  other.charged_bytes_ = 0;
 }
 
 HashIndex& HashIndex::operator=(HashIndex&& other) noexcept {
   if (this == &other) return *this;
-  ReleaseCharge();
   width_ = other.width_;
   key_cols_ = std::move(other.key_cols_);
   slots_ = std::move(other.slots_);
   next_ = std::move(other.next_);
   direct_ = other.direct_;
-  governor_ = other.governor_;
-  charged_bytes_ = other.charged_bytes_;
+  charge_ = std::move(other.charge_);
   other.slots_.clear();
   other.next_.clear();
-  other.charged_bytes_ = 0;
   return *this;
 }
 
 void HashIndex::AttachGovernor(ResourceGovernor* governor) {
-  if (governor == governor_) {
-    if (governor_ != nullptr) SyncCharge();
-    return;
-  }
-  ReleaseCharge();
-  governor_ = governor;
-  if (governor_ != nullptr) SyncCharge();
+  charge_.Attach(governor,
+                 (slots_.capacity() + next_.capacity()) * sizeof(uint32_t));
 }
 
-void HashIndex::SyncCharge() {
-  const size_t cap =
-      (slots_.capacity() + next_.capacity()) * sizeof(uint32_t);
-  if (cap == charged_bytes_) return;
-  if (cap > charged_bytes_) {
-    governor_->ChargeBytes(cap - charged_bytes_);
-  } else {
-    governor_->ReleaseBytes(charged_bytes_ - cap);
-  }
-  charged_bytes_ = cap;
+size_t HashIndex::DirectLimit(uint32_t row_count) {
+  return SlotCountFor(row_count);
 }
 
-void HashIndex::ReleaseCharge() {
-  if (charged_bytes_ > 0 && governor_ != nullptr) {
-    governor_->ReleaseBytes(charged_bytes_);
+std::optional<size_t> HashIndex::DirectSlots(const Element* base,
+                                             uint32_t width,
+                                             uint32_t row_count,
+                                             uint32_t col) {
+  const size_t limit = DirectLimit(row_count);
+  size_t slots = 0;
+  for (uint32_t r = 0; r < row_count; ++r) {
+    const Element v = base[static_cast<size_t>(r) * width + col];
+    if (v >= limit) return std::nullopt;
+    slots = std::max(slots, static_cast<size_t>(v) + 1);
   }
-  charged_bytes_ = 0;
+  return slots;
 }
 
 void HashIndex::Build(const Element* base, uint32_t width, uint32_t row_count,
@@ -104,20 +92,17 @@ void HashIndex::Build(const Element* base, uint32_t width, uint32_t row_count,
   for (uint32_t c : key_cols) CQCS_CHECK(c < width);
   width_ = width;
   key_cols_ = std::move(key_cols);
-  const size_t hashed_slots = SlotCountFor(row_count);
   // A one-column key whose values all fit the slots the hashed layout
   // would allocate is its own slot number: slots_[v] heads v's chain.
-  size_t key_bound = 0;  // largest key value + 1
-  direct_ = key_cols_.size() == 1;
-  for (uint32_t r = 0; direct_ && r < row_count; ++r) {
-    const Element v = base[static_cast<size_t>(r) * width_ + key_cols_[0]];
-    key_bound = std::max(key_bound, static_cast<size_t>(v) + 1);
-    direct_ = key_bound <= hashed_slots;
-  }
-  slots_.assign(direct_ ? key_bound : hashed_slots, kNone);
+  const std::optional<size_t> direct =
+      key_cols_.size() == 1
+          ? DirectSlots(base, width_, row_count, key_cols_[0])
+          : std::nullopt;
+  direct_ = direct.has_value();
+  slots_.assign(direct_ ? *direct : SlotCountFor(row_count), kNone);
   next_.clear();
   next_.reserve(row_count);
-  if (governor_ != nullptr) SyncCharge();
+  SyncCharge();
   if (direct_) {
     for (uint32_t r = 0; r < row_count; ++r) {
       // Prepend, as Insert does: chains run in descending row order.
@@ -132,7 +117,7 @@ void HashIndex::Build(const Element* base, uint32_t width, uint32_t row_count,
       Insert(base, r);
     }
   }
-  if (governor_ != nullptr) SyncCharge();
+  SyncCharge();
 }
 
 uint64_t HashIndex::HashKey(std::span<const Element> key) const {

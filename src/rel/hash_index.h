@@ -23,6 +23,7 @@
 #define CQCS_REL_HASH_INDEX_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -96,7 +97,6 @@ class HashIndex {
   static constexpr uint32_t kNone = UINT32_MAX;
 
   HashIndex() = default;
-  ~HashIndex() { ReleaseCharge(); }
   HashIndex(const HashIndex& other);
   HashIndex& operator=(const HashIndex& other);
   HashIndex(HashIndex&& other) noexcept;
@@ -112,6 +112,22 @@ class HashIndex {
   /// fit the hashed slot count, the hashed layout otherwise.
   void Build(const Element* base, uint32_t width, uint32_t row_count,
              std::vector<uint32_t> key_cols);
+
+  /// The bound of the direct layout for `row_count` rows: the slot count
+  /// the hashed layout would allocate (the smallest power of two >= 2n,
+  /// at least 8). A one-column key whose values all lie below it is
+  /// addressed directly; the value-indexed arrays of rel/ops.h use the
+  /// same rule, so no key array is ever sized by a universe far past its
+  /// rows.
+  static size_t DirectLimit(uint32_t row_count);
+
+  /// The direct layout's slot count for rows [0, row_count) keyed on the
+  /// one column `col`: the largest value + 1 (0 without rows), or nullopt
+  /// once a value reaches DirectLimit(row_count). Build picks the direct
+  /// layout exactly when this has a value.
+  static std::optional<size_t> DirectSlots(const Element* base,
+                                           uint32_t width, uint32_t row_count,
+                                           uint32_t col);
 
   /// First row whose key columns equal `key` (values in key_cols order),
   /// or kNone. Follow with Next() to walk all rows sharing the key.
@@ -142,16 +158,16 @@ class HashIndex {
   /// an empty slot.
   void Insert(const Element* base, uint32_t row);
   /// Brings the governor's view in line with slots_/next_ capacity.
-  void SyncCharge();
-  void ReleaseCharge();
+  void SyncCharge() {
+    charge_.Sync((slots_.capacity() + next_.capacity()) * sizeof(uint32_t));
+  }
 
   uint32_t width_ = 0;
   std::vector<uint32_t> key_cols_;
   std::vector<uint32_t> slots_;  // heads; kNone = empty
   std::vector<uint32_t> next_;   // per-row same-key chain
   bool direct_ = false;          // slots_ indexed by key value, not hash
-  ResourceGovernor* governor_ = nullptr;
-  size_t charged_bytes_ = 0;
+  ChargedBytes charge_;
 };
 
 }  // namespace cqcs::rel

@@ -1,10 +1,27 @@
 #include "rel/ops.h"
 
+#include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "common/check.h"
 
 namespace cqcs::rel {
+
+namespace {
+
+/// The semijoin's write, once every left row is probed: none after a
+/// governor trip (including one from outside the pass: a cancel, another
+/// charge) or when every row is kept, else a KeepRows.
+size_t KeepMatched(Table& left, std::span<const uint32_t> keep,
+                   ResourceGovernor* governor) {
+  if (governor != nullptr && governor->tripped()) return 0;
+  const size_t removed = left.row_count() - keep.size();
+  if (removed > 0) left.KeepRows(keep);
+  return removed;
+}
+
+}  // namespace
 
 size_t Semijoin(Table& left, std::span<const uint32_t> left_key_cols,
                 const Table& right, const HashIndex& right_index,
@@ -37,10 +54,62 @@ size_t Semijoin(Table& left, std::span<const uint32_t> left_key_cols,
     if (batch.full()) flush();
   }
   flush();
-  // A trip from outside the pass (a cancel, another charge) also counts.
-  if (governor != nullptr && governor->tripped()) return 0;
-  left.KeepRows(keep);
-  return before - left.row_count();
+  return KeepMatched(left, keep, governor);
+}
+
+SemijoinScratch::SemijoinScratch(ResourceGovernor* governor)
+    : governor_(governor) {
+  index_.AttachGovernor(governor);
+  present_.AttachGovernor(governor);
+}
+
+bool SemijoinScratch::MarkPresent(const Table& right, uint32_t col) {
+  const auto rows = static_cast<uint32_t>(right.row_count());
+  limit_ = HashIndex::DirectLimit(rows);
+  present_.Assign((limit_ + 63) / 64);
+  uint64_t* const bits = present_.data();
+  const size_t width = right.width();
+  for (size_t r = 0; r < rows; ++r) {
+    const Element v = right.data()[r * width + col];
+    if (v >= limit_) return false;
+    bits[v >> 6] |= uint64_t{1} << (v & 63);
+  }
+  return true;
+}
+
+size_t SemijoinScratch::Run(Table& left,
+                            std::span<const uint32_t> left_key_cols,
+                            const Table& right,
+                            std::span<const uint32_t> right_key_cols) {
+  CQCS_CHECK(left_key_cols.size() == right_key_cols.size());
+  const size_t before = left.row_count();
+  if (before == 0) return 0;
+  if (right_key_cols.size() != 1 || !MarkPresent(right, right_key_cols[0])) {
+    index_.Build(right.data(), right.width(),
+                 static_cast<uint32_t>(right.row_count()),
+                 {right_key_cols.begin(), right_key_cols.end()});
+    return Semijoin(left, left_key_cols, right, index_, governor_);
+  }
+  // Branch-free gather of the kept row ids, polled once per 1024 rows.
+  keep_.resize(before);
+  uint32_t* const keep = keep_.data();
+  const uint64_t* const bits = present_.data();
+  const Element* const cells = left.data() + left_key_cols[0];
+  const size_t left_width = left.width();
+  const size_t limit = limit_;
+  size_t kept = 0;
+  for (size_t begin = 0; begin < before; begin += 1024) {
+    if (governor_ != nullptr && !governor_->Poll().ok()) {
+      return 0;  // tripped: leave `left` untouched
+    }
+    const size_t end = std::min(before, begin + 1024);
+    for (size_t r = begin; r < end; ++r) {
+      const Element v = cells[r * left_width];
+      keep[kept] = static_cast<uint32_t>(r);
+      kept += v < limit && (bits[v >> 6] >> (v & 63) & 1) != 0;
+    }
+  }
+  return KeepMatched(left, {keep, kept}, governor_);
 }
 
 void HashJoinAppend(const Table& left, std::span<const uint32_t> left_key_cols,

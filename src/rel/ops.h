@@ -4,11 +4,15 @@
 // witness/count/enumerate phases walk index chains, and its projection
 // phase is join + project-distinct. None of them allocates per row: keys
 // are spans into the flat buffers, outputs are appended via AppendRowSlot,
-// and the semijoin compacts its input in place.
+// and the semijoin compacts its input in place (a view only once it drops
+// a row). A one-column key whose values fit HashIndex's direct bound needs
+// no chains at all: SemijoinScratch and the count fold read value-indexed
+// arrays (ValueArray) instead.
 
 #ifndef CQCS_REL_OPS_H_
 #define CQCS_REL_OPS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -31,10 +35,70 @@ namespace cqcs::rel {
 /// left := left ⋉ right, in place: keeps the left rows whose key columns
 /// (left_key_cols, values in the same order as the index's key_cols) have
 /// at least one match in the indexed right table. Returns the number of
-/// rows removed. `right_index` must be built over `right`'s buffer.
+/// rows removed; when that is 0, `left` is not written (a view stays a
+/// view). `right_index` must be built over `right`'s buffer.
 size_t Semijoin(Table& left, std::span<const uint32_t> left_key_cols,
                 const Table& right, const HashIndex& right_index,
                 ResourceGovernor* governor = nullptr);
+
+/// An array with one slot per key value, for a one-column key whose
+/// values fit HashIndex::DirectSlots. Assign zero-fills and keeps the
+/// capacity, so one array serves every node of a pass; the capacity is
+/// charged to the attached governor like a Table's buffer.
+template <typename T>
+class ValueArray {
+ public:
+  ValueArray() = default;
+  ValueArray(const ValueArray&) = delete;
+  ValueArray& operator=(const ValueArray&) = delete;
+
+  /// Same contract as Table::AttachGovernor.
+  void AttachGovernor(ResourceGovernor* governor) {
+    charge_.Attach(governor, slots_.capacity() * sizeof(T));
+  }
+
+  /// `n` slots of T{}.
+  void Assign(size_t n) {
+    slots_.assign(n, T{});
+    charge_.Sync(slots_.capacity() * sizeof(T));
+  }
+
+  T* data() { return slots_.data(); }
+  T& operator[](size_t v) { return slots_[v]; }
+
+ private:
+  std::vector<T> slots_;
+  ChargedBytes charge_;
+};
+
+/// The semijoin with its right-side key built per call, reusing its
+/// buffers across calls (one scratch serves a whole pass). A one-column
+/// key whose values lie below HashIndex::DirectLimit is marked in a
+/// presence bitset over the right rows' values, so a left row costs one
+/// load and nothing is chained; any other key builds a HashIndex over
+/// `right`. Both buffers are charged to the governor.
+class SemijoinScratch {
+ public:
+  explicit SemijoinScratch(ResourceGovernor* governor = nullptr);
+
+  /// left := left ⋉ right on the aligned key columns; the contract of
+  /// Semijoin above (rows removed, `left` unwritten when none are or on a
+  /// governor trip).
+  size_t Run(Table& left, std::span<const uint32_t> left_key_cols,
+             const Table& right, std::span<const uint32_t> right_key_cols);
+
+ private:
+  /// Marks column `col` of `right` in present_, one bit per value below
+  /// limit_ (the direct bound for right's rows); false as soon as a value
+  /// reaches it.
+  bool MarkPresent(const Table& right, uint32_t col);
+
+  ResourceGovernor* governor_;
+  HashIndex index_;
+  ValueArray<uint64_t> present_;  // bit v of word v/64: value v occurs
+  size_t limit_ = 0;              // present_'s bound, in values
+  std::vector<uint32_t> keep_;
+};
 
 /// Appends to `out` one row per join match: the left row's cells followed
 /// by the matching right row's `right_extra_cols`. out->width() must equal

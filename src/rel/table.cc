@@ -11,87 +11,89 @@ Table::Table(const Table& other)
     : width_(other.width_),
       rows_(other.rows_),
       data_(other.data_),
-      governor_(other.governor_) {
-  if (governor_ != nullptr) SyncCharge();
+      view_(other.view_),
+      charge_(other.charge_) {
+  SyncCharge();
 }
 
 Table& Table::operator=(const Table& other) {
   if (this == &other) return *this;
-  ReleaseCharge();
   width_ = other.width_;
   rows_ = other.rows_;
   data_ = other.data_;
-  governor_ = other.governor_;
-  if (governor_ != nullptr) SyncCharge();
+  view_ = other.view_;
+  charge_ = other.charge_;
+  SyncCharge();
   return *this;
 }
 
 Table::Table(Table&& other) noexcept
     : width_(other.width_),
-      rows_(other.rows_),
+      rows_(std::exchange(other.rows_, 0)),
       data_(std::move(other.data_)),
-      governor_(other.governor_),
-      charged_bytes_(other.charged_bytes_) {
-  other.rows_ = 0;
+      view_(std::exchange(other.view_, nullptr)),
+      charge_(std::move(other.charge_)) {
   other.data_.clear();
-  other.charged_bytes_ = 0;
 }
 
 Table& Table::operator=(Table&& other) noexcept {
   if (this == &other) return *this;
-  ReleaseCharge();
   width_ = other.width_;
-  rows_ = other.rows_;
+  rows_ = std::exchange(other.rows_, 0);
   data_ = std::move(other.data_);
-  governor_ = other.governor_;
-  charged_bytes_ = other.charged_bytes_;
-  other.rows_ = 0;
+  view_ = std::exchange(other.view_, nullptr);
+  charge_ = std::move(other.charge_);
   other.data_.clear();
-  other.charged_bytes_ = 0;
   return *this;
 }
 
+Table Table::View(const Element* data, uint32_t width, size_t rows) {
+  Table view(width);
+  if (rows == 0) return view;
+  CQCS_CHECK(data != nullptr);
+  view.rows_ = rows;
+  view.view_ = data;
+  return view;
+}
+
 void Table::AttachGovernor(ResourceGovernor* governor) {
-  if (governor == governor_) {
-    if (governor_ != nullptr) SyncCharge();
-    return;
-  }
-  ReleaseCharge();
-  governor_ = governor;
-  if (governor_ != nullptr) SyncCharge();
-}
-
-void Table::SyncChargeSlow(size_t cap) {
-  if (cap > charged_bytes_) {
-    governor_->ChargeBytes(cap - charged_bytes_);
-  } else {
-    governor_->ReleaseBytes(charged_bytes_ - cap);
-  }
-  charged_bytes_ = cap;
-}
-
-void Table::ReleaseCharge() {
-  if (charged_bytes_ > 0 && governor_ != nullptr) {
-    governor_->ReleaseBytes(charged_bytes_);
-  }
-  charged_bytes_ = 0;
+  charge_.Attach(governor, data_.capacity() * sizeof(Element));
 }
 
 void Table::AppendRow(std::span<const Element> row) {
-  CQCS_CHECK(row.size() == width_);
+  CQCS_CHECK(row.size() == width_ && view_ == nullptr);
   data_.insert(data_.end(), row.begin(), row.end());
   ++rows_;
-  if (governor_ != nullptr) SyncCharge();
+  SyncCharge();
 }
 
 Element* Table::AppendRowSlot() {
+  CQCS_CHECK(view_ == nullptr);
   data_.resize(data_.size() + width_);
   ++rows_;
-  if (governor_ != nullptr) SyncCharge();
+  SyncCharge();
   return data_.data() + (rows_ - 1) * width_;
 }
 
+void Table::Reserve(size_t rows) {
+  CQCS_CHECK(view_ == nullptr);
+  data_.reserve(rows * width_);
+  SyncCharge();
+}
+
 void Table::KeepRows(std::span<const uint32_t> keep) {
+  if (view_ != nullptr) {
+    // Copy-on-write: the borrowed rows are read, never written.
+    data_.reserve(keep.size() * width_);
+    for (uint32_t r : keep) {
+      const Element* row = view_ + static_cast<size_t>(r) * width_;
+      data_.insert(data_.end(), row, row + width_);
+    }
+    view_ = nullptr;
+    rows_ = keep.size();
+    SyncCharge();
+    return;
+  }
   size_t out = 0;
   for (uint32_t r : keep) {
     if (out != r) {
@@ -107,6 +109,7 @@ void Table::KeepRows(std::span<const uint32_t> keep) {
 void Table::Clear() {
   rows_ = 0;
   data_.clear();
+  view_ = nullptr;
 }
 
 }  // namespace cqcs::rel

@@ -9,10 +9,17 @@
 // appending writes into the buffer, filtering compacts it in place, and
 // keys are spans into it.
 //
+// A table either owns its buffer or borrows one: View() wraps existing
+// row-major storage (a relation's flat tuples) without copying it. A view
+// is read-only and never outlives the storage it borrows; the first
+// KeepRows on it copies the kept rows into an owned buffer
+// (copy-on-write), and appending to a view is an error.
+//
 // Resource accounting: AttachGovernor makes the table report its buffer
 // capacity (in bytes) to a ResourceGovernor — charged on growth, released
 // on shrink and destruction, transferred on move, re-charged on copy.
-// Detached tables (the default) pay one null check per append.
+// Detached tables (the default) pay one null check per append. A view
+// charges nothing: its buffer is the owner's.
 
 #ifndef CQCS_REL_TABLE_H_
 #define CQCS_REL_TABLE_H_
@@ -30,12 +37,20 @@ class Table {
  public:
   Table() = default;
   explicit Table(uint32_t width) : width_(width) {}
-  ~Table() { ReleaseCharge(); }
 
   Table(const Table& other);
   Table& operator=(const Table& other);
   Table(Table&& other) noexcept;
   Table& operator=(Table&& other) noexcept;
+
+  /// A read-only view of `rows` rows of `width` cells at `data`, which
+  /// must stay alive and unmodified for the view's lifetime. Copies of a
+  /// view are views of the same storage. Zero rows give an empty owned
+  /// table.
+  static Table View(const Element* data, uint32_t width, size_t rows);
+
+  /// True for a view: the buffer belongs to someone else.
+  bool borrowed() const { return view_ != nullptr; }
 
   /// Makes the table report buffer-capacity deltas to `governor` (nullptr
   /// detaches). The current capacity is charged/released immediately.
@@ -49,49 +64,47 @@ class Table {
   bool empty() const { return rows_ == 0; }
 
   std::span<const Element> row(size_t r) const {
-    return {data_.data() + r * width_, width_};
+    return {data() + r * width_, width_};
   }
 
-  /// Appends a row (length must equal width()).
+  /// Appends a row (length must equal width()). Not on a view.
   void AppendRow(std::span<const Element> row);
 
   /// Appends an uninitialized row and returns the cell to fill — the
   /// zero-copy append used by operators that compose rows from several
-  /// sources. The pointer is valid until the next append.
+  /// sources. The pointer is valid until the next append. Not on a view.
   Element* AppendRowSlot();
 
   /// Keeps exactly the rows whose ids are listed (ascending), compacting
-  /// in place. Used by the semijoin operator.
+  /// in place. Used by the semijoin operator. On a view, copies the kept
+  /// rows into an owned buffer instead, leaving the borrowed storage as
+  /// it was.
   void KeepRows(std::span<const uint32_t> keep);
 
+  /// Drops every row; a view becomes an empty owned table.
   void Clear();
 
-  /// Raw row-major buffer (row_count() * width() cells). The hash index
-  /// probes this directly.
-  const Element* data() const { return data_.data(); }
-
-  void Reserve(size_t rows) {
-    data_.reserve(rows * width_);
-    if (governor_ != nullptr) SyncCharge();
+  /// Raw row-major buffer (row_count() * width() cells): the borrowed
+  /// storage for a view. The hash index probes this directly.
+  const Element* data() const {
+    return view_ != nullptr ? view_ : data_.data();
   }
+
+  /// Not on a view.
+  void Reserve(size_t rows);
 
  private:
   /// Brings the governor's view in line with data_.capacity(). Inline
   /// fast path: appends dominate the polynomial backends, and capacity
   /// only changes on the vector's geometric growth steps — the common
   /// call is one multiply + compare, no out-of-line jump.
-  void SyncCharge() {
-    size_t cap = data_.capacity() * sizeof(Element);
-    if (cap != charged_bytes_) SyncChargeSlow(cap);
-  }
-  void SyncChargeSlow(size_t cap);
-  void ReleaseCharge();
+  void SyncCharge() { charge_.Sync(data_.capacity() * sizeof(Element)); }
 
   uint32_t width_ = 0;
   size_t rows_ = 0;
-  std::vector<Element> data_;
-  ResourceGovernor* governor_ = nullptr;
-  size_t charged_bytes_ = 0;
+  std::vector<Element> data_;      // empty for a view
+  const Element* view_ = nullptr;  // borrowed rows, or nullptr if owned
+  ChargedBytes charge_;
 };
 
 }  // namespace cqcs::rel

@@ -21,6 +21,7 @@
 #include "datalog/parser.h"
 #include "gen/generators.h"
 #include "rel/hash_index.h"
+#include "rel/ops.h"
 #include "rel/table.h"
 #include "solver/backtracking.h"
 
@@ -225,6 +226,108 @@ TEST(GovernorChargeTest, HashIndexMovesAndCopiesConserveCharge) {
     hashed.Build(t.data(), 2, static_cast<uint32_t>(t.row_count()), {1});
   }
   EXPECT_EQ(g.bytes_in_use(), 0u);
+}
+
+TEST(GovernorChargeTest, ViewsChargeNothingAndCopyOnWriteChargesItsBuffer) {
+  ResourceGovernor g;
+  const std::vector<Element> storage = {0, 1, 1, 2, 2, 3, 3, 0};
+  const std::vector<Element> before = storage;
+  {
+    rel::Table view = rel::Table::View(storage.data(), 2, 4);
+    view.AttachGovernor(&g);
+    EXPECT_TRUE(view.borrowed());
+    EXPECT_EQ(view.data(), storage.data());
+    EXPECT_EQ(g.bytes_in_use(), 0u);
+    // Copies and moves of a view are views of the same storage.
+    rel::Table copy(view);
+    EXPECT_TRUE(copy.borrowed());
+    rel::Table moved(std::move(view));
+    EXPECT_TRUE(moved.borrowed());
+    EXPECT_EQ(g.bytes_in_use(), 0u);
+    // Copy-on-write: the kept rows move into a charged buffer of their
+    // own, and the borrowed storage is not written.
+    const uint32_t keep[] = {1, 3};
+    copy.KeepRows(keep);
+    EXPECT_FALSE(copy.borrowed());
+    ASSERT_EQ(copy.row_count(), 2u);
+    EXPECT_EQ(copy.row(0)[0], 1u);
+    EXPECT_EQ(copy.row(1)[1], 0u);
+    EXPECT_GE(g.bytes_in_use(), 2 * 2 * sizeof(Element));
+    EXPECT_EQ(storage, before);
+    EXPECT_TRUE(moved.borrowed());
+    moved.Clear();
+    EXPECT_FALSE(moved.borrowed());
+    EXPECT_TRUE(moved.empty());
+  }
+  EXPECT_EQ(g.bytes_in_use(), 0u);
+  // A view of no rows is an empty owned table.
+  EXPECT_FALSE(rel::Table::View(storage.data(), 2, 0).borrowed());
+}
+
+TEST(GovernorChargeTest, KeyArraysChargeTheirCapacity) {
+  // The count fold's per-value sums and the semijoin's presence bitset
+  // are charged like a table's buffer: by capacity, kept across Assign,
+  // moved by AttachGovernor, released on destruction.
+  ResourceGovernor g;
+  {
+    rel::ValueArray<size_t> sums;
+    sums.AttachGovernor(&g);
+    EXPECT_EQ(g.bytes_in_use(), 0u);
+    sums.Assign(100);
+    EXPECT_GE(g.bytes_in_use(), 100 * sizeof(size_t));
+    const size_t charged = g.bytes_in_use();
+    sums.Assign(10);  // the capacity stays
+    EXPECT_EQ(g.bytes_in_use(), charged);
+    sums.AttachGovernor(nullptr);
+    EXPECT_EQ(g.bytes_in_use(), 0u);
+    sums.AttachGovernor(&g);
+    EXPECT_EQ(g.bytes_in_use(), charged);
+  }
+  EXPECT_EQ(g.bytes_in_use(), 0u);
+
+  ResourceGovernor h;
+  {
+    rel::SemijoinScratch scratch(&h);
+    rel::Table right(1), left(1);
+    for (Element v = 0; v < 600; ++v) {
+      right.AppendRow({&v, 1});
+      left.AppendRow({&v, 1});
+    }
+    const uint32_t col[] = {0};
+    EXPECT_EQ(scratch.Run(left, col, right, col), 0u);
+    EXPECT_GT(h.bytes_in_use(), 0u);  // the bitset is held for reuse
+  }
+  EXPECT_EQ(h.bytes_in_use(), 0u);
+  EXPECT_GE(h.peak_bytes(), 600 / 8);
+}
+
+TEST(GovernorChargeTest, ProgramRunsOverViewsSettleAtZero) {
+  // Every task over an indexed database, whose atoms are views: a
+  // semijoin that drops rows charges its copy, and each run settles at 0.
+  Rng rng(0x71e3);
+  auto vocab = MakeGraphVocabulary();
+  Structure a = StructureFromGraph(vocab, RandomTree(6, rng));
+  Structure b = RandomGraphStructure(vocab, 40, 0.08, rng,
+                                     /*symmetric=*/false);
+  b.relation(0).EnsureIndex();
+  ASSERT_TRUE(b.relation(0).duplicate_free().value_or(false));
+  HomProblem p = MustProblem(HomProblem::FromStructures(a, b));
+  const ConjunctiveQuery& q = p.SourceCanonicalQuery();
+  const std::vector<VarId> proj = {0};
+  const std::vector<Element> before = b.relation(0).data();
+  ResourceGovernor g(/*deadline_ms=*/60'000, /*memory=*/256u << 20);
+  ASSERT_TRUE(EvaluateBooleanAcyclic(q, b, nullptr, &g).ok());
+  EXPECT_EQ(g.bytes_in_use(), 0u);
+  ASSERT_TRUE(AcyclicWitness(q, b, nullptr, &g).ok());
+  EXPECT_EQ(g.bytes_in_use(), 0u);
+  ASSERT_TRUE(AcyclicCount(q, b, SIZE_MAX, nullptr, &g).ok());
+  EXPECT_EQ(g.bytes_in_use(), 0u);
+  YannakakisStats stats;
+  ASSERT_TRUE(AcyclicProject(q, b, proj, SIZE_MAX, &stats, &g).ok());
+  EXPECT_EQ(g.bytes_in_use(), 0u);
+  EXPECT_GT(stats.rows_pruned, 0u);  // some view was copied on write
+  EXPECT_EQ(b.relation(0).data(), before);
+  EXPECT_FALSE(g.tripped());
 }
 
 TEST(GovernorChargeTest, RandomizedLifecycleConservesToZero) {

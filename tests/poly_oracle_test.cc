@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "api/engine.h"
+#include "common/governor.h"
 #include "common/rng.h"
 #include "common/saturating.h"
 #include "core/homomorphism.h"
@@ -25,6 +26,8 @@
 #include "cq/gyo.h"
 #include "gen/generators.h"
 #include "rel/hash_index.h"
+#include "rel/ops.h"
+#include "rel/table.h"
 #include "solver/backtracking.h"
 #include "treewidth/hom_dp.h"
 
@@ -748,9 +751,40 @@ class ReferenceYannakakis {
     satisfiable_ = Reduce();
   }
 
+  bool satisfiable() const { return satisfiable_; }
   uint64_t rows_materialized() const { return rows_materialized_; }
   uint64_t materialized_max() const { return materialized_max_; }
   uint64_t rows_pruned() const { return rows_pruned_; }
+  /// Rows the bottom-up pass alone removed: the walk's rows_pruned.
+  uint64_t bottom_up_pruned() const { return bottom_up_pruned_; }
+  /// Whether either pass removed rows from atom `i`'s table.
+  bool pruned(size_t i) const { return pruned_[i]; }
+
+  /// The walk's first assignment (AcyclicWitness), or nullopt: the first
+  /// row of each root, then per child the newest row matching its
+  /// parent's, which the top-down pass never removes; variables in no atom
+  /// take 0.
+  std::optional<std::vector<Element>> Witness() const {
+    if (!satisfiable_) return std::nullopt;
+    if (d_.universe_size() == 0 && q_.var_count() > 0) return std::nullopt;
+    std::vector<Element> assign(q_.var_count(), 0);
+    for (size_t i = order_.size(); i-- > 0;) {
+      const uint32_t node = order_[i];
+      const Rows& rows = tables_[node];
+      size_t pick = 0;
+      if (tree_.parent[node] != JoinTree::kNoParent) {
+        std::vector<Element> key;
+        for (VarId v : shared_[node]) key.push_back(assign[v]);
+        pick = rows.size();
+        while (Key(node, rows[--pick], shared_[node]) != key) {
+        }
+      }
+      for (size_t c = 0; c < vars_[node].size(); ++c) {
+        assign[vars_[node][c]] = rows[pick][c];
+      }
+    }
+    return assign;
+  }
 
   /// min(#assignments, limit): the saturated product/sum DP over the
   /// reduced tables, summing each parent row's matches one by one.
@@ -975,17 +1009,20 @@ class ReferenceYannakakis {
       }
     }
     rows_pruned_ += tables_[left].size() - kept.size();
+    if (kept.size() < tables_[left].size()) pruned_[left] = true;
     tables_[left] = std::move(kept);
   }
 
   /// The full reduction; false when the bottom-up pass empties a table.
   bool Reduce() {
+    pruned_.assign(m_, false);
     for (uint32_t node : order_) {
       const uint32_t p = tree_.parent[node];
       if (p == JoinTree::kNoParent) continue;
       Semijoin(p, node, node);
       if (tables_[p].empty()) return false;
     }
+    bottom_up_pruned_ = rows_pruned_;
     for (size_t i = order_.size(); i-- > 0;) {
       for (uint32_t child : children_[order_[i]]) {
         Semijoin(child, order_[i], child);
@@ -1009,6 +1046,8 @@ class ReferenceYannakakis {
   uint64_t rows_materialized_ = 0;
   uint64_t materialized_max_ = 0;
   uint64_t rows_pruned_ = 0;
+  uint64_t bottom_up_pruned_ = 0;
+  std::vector<bool> pruned_ = std::vector<bool>(m_, false);
 };
 
 TEST(PolyOracleTest, HashIndexChainsRunInDescendingRowOrder) {
@@ -1375,6 +1414,435 @@ TEST(PolyOracleTest, EquivalenceDegenerateShapes) {
       if (!all.empty()) {
         ExpectProjectMatchesReference(q, *db, ref, {all.back(), all[0]});
       }
+    }
+  }
+}
+
+// ---- Views and copy-on-write. ----------------------------------------------
+//
+// An atom with distinct variables over a relation known to be
+// duplicate-free borrows the relation's tuples instead of copying them; a
+// semijoin that drops rows from it writes an owned copy. The relation's
+// storage must come out of every task byte for byte as it went in.
+
+using Storage = std::vector<std::vector<Element>>;
+
+Storage StorageOf(const Structure& d) {
+  Storage out;
+  for (RelId rel = 0; rel < d.vocabulary()->size(); ++rel) {
+    out.push_back(d.relation(rel).data());
+  }
+  return out;
+}
+
+/// Whether some atom of q that can be a view over d — distinct variables
+/// over a relation whose duplicate_free() is true — loses rows to the
+/// semijoins.
+bool HasPrunedViewAtom(const ConjunctiveQuery& q, const Structure& d,
+                       const ReferenceYannakakis& ref) {
+  for (size_t i = 0; i < q.atoms().size(); ++i) {
+    const Atom& atom = q.atoms()[i];
+    std::set<VarId> distinct(atom.args.begin(), atom.args.end());
+    if (distinct.size() == atom.args.size() &&
+        d.relation(atom.rel).duplicate_free().value_or(false) &&
+        ref.pruned(i)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Every atom-front-end task once, under one governor that fits: each
+/// must succeed, leave d's storage byte-identical and settle the
+/// governor's balance at 0.
+void ExpectEveryTaskLeavesStorage(const ConjunctiveQuery& q,
+                                  const Structure& d,
+                                  const std::vector<VarId>& proj) {
+  const Storage before = StorageOf(d);
+  ResourceGovernor gov(/*deadline_ms=*/60'000, /*memory=*/256u << 20);
+  auto check = [&](const char* task, const Status& status) {
+    SCOPED_TRACE(task);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(StorageOf(d), before);
+    EXPECT_EQ(gov.bytes_in_use(), 0u);
+  };
+  check("decide", EvaluateBooleanAcyclic(q, d, nullptr, &gov).status());
+  check("witness", AcyclicWitness(q, d, nullptr, &gov).status());
+  check("count", AcyclicCount(q, d, SIZE_MAX, nullptr, &gov).status());
+  check("enumerate",
+        AcyclicEnumerate(q, d, 1000, nullptr, &gov).status());
+  check("project",
+        AcyclicProject(q, d, proj, SIZE_MAX, nullptr, &gov).status());
+  check("project count",
+        AcyclicProjectCount(q, d, proj, SIZE_MAX, nullptr, &gov).status());
+}
+
+/// AcyclicWitness and EvaluateBooleanAcyclic against the reference at
+/// every thread count: the same first assignment, and the walk's stats.
+void ExpectWalkMatchesReference(const ConjunctiveQuery& q, const Structure& d,
+                                const ReferenceYannakakis& ref) {
+  const std::optional<std::vector<Element>> want = ref.Witness();
+  for (unsigned threads : kEquivalenceThreads) {
+    SCOPED_TRACE(testing::Message() << "walk, " << threads << " threads");
+    auto decided = EvaluateBooleanAcyclic(q, d, nullptr, nullptr, threads);
+    ASSERT_TRUE(decided.ok()) << decided.status().ToString();
+    YannakakisStats stats;
+    auto got = AcyclicWitness(q, d, &stats, nullptr, threads);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, want);
+    EXPECT_EQ(*decided, ref.satisfiable());
+    EXPECT_EQ(stats.atom_tables, q.atoms().size());
+    EXPECT_EQ(stats.rows_materialized, ref.rows_materialized());
+    EXPECT_EQ(stats.max_table_rows, ref.materialized_max());
+    // Which semijoin empties a table first depends on the children-first
+    // order; a satisfiable run performs all of them.
+    if (ref.satisfiable()) {
+      size_t non_roots = 0;
+      const JoinTree tree = *GyoJoinForest(q.var_count(), QueryHyperedges(q));
+      for (uint32_t p : tree.parent) non_roots += p != JoinTree::kNoParent;
+      EXPECT_EQ(stats.semijoins, non_roots);
+      EXPECT_EQ(stats.rows_pruned, ref.bottom_up_pruned());
+    }
+  }
+}
+
+/// d without its repeated tuples, first occurrences in order.
+Structure WithoutDuplicates(const Structure& d) {
+  Structure out(d.vocabulary(), d.universe_size());
+  for (RelId rel = 0; rel < d.vocabulary()->size(); ++rel) {
+    std::set<std::vector<Element>> seen;
+    for (size_t t = 0; t < d.relation(rel).tuple_count(); ++t) {
+      const std::span<const Element> tuple = d.relation(rel).tuple(t);
+      if (seen.emplace(tuple.begin(), tuple.end()).second) {
+        out.AddTuple(rel, tuple);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(PolyOracleTest, ViewsLeaveTheRelationStorageUntouched) {
+  Rng rng(2201);
+  auto vocab = MixedVocabulary();
+  int sets = 0, bags = 0, pruned_views = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const ConjunctiveQuery q = RandomAcyclicQuery(vocab, rng);
+    const Structure dangling = RandomDanglingDatabase(vocab, rng);
+    // Three trials in four hold sets only, so most atoms are views.
+    const Structure d =
+        trial % 4 == 0 ? dangling : WithoutDuplicates(dangling);
+    IndexEveryRelation(d, &sets, &bags);
+    const ReferenceYannakakis ref(q, d);
+    if (HasPrunedViewAtom(q, d, ref)) ++pruned_views;
+    std::vector<VarId> proj;
+    for (VarId v = 0; v < q.var_count(); v += 2) proj.push_back(v);
+    ExpectEveryTaskLeavesStorage(q, d, proj);
+    ExpectWalkMatchesReference(q, d, ref);
+    ExpectProjectMatchesReference(q, d, ref, proj);
+  }
+  // Views must be pruned often: that is the copy-on-write path.
+  EXPECT_GT(pruned_views, 100);
+  EXPECT_GT(sets, 450);
+  EXPECT_GT(bags, 75);
+}
+
+TEST(PolyOracleTest, WalkMatchesTheReferenceOnUnindexedAndIndexedData) {
+  Rng rng(2202);
+  auto vocab = MixedVocabulary();
+  int sets = 0, bags = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const ConjunctiveQuery q = RandomAcyclicQuery(vocab, rng);
+    const Structure d = RandomDanglingDatabase(vocab, rng);
+    if (trial % 2 == 1) IndexEveryRelation(d, &sets, &bags);
+    ExpectWalkMatchesReference(q, d, ReferenceYannakakis(q, d));
+  }
+  EXPECT_GT(sets, 100);
+  EXPECT_GT(bags, 100);
+}
+
+TEST(PolyOracleTest, GovernorTripInsideAViewSemijoinLeavesTheRelation) {
+  // E(X,Y), U(Y) over a 3000-tuple E whose Y column U covers in part: the
+  // project task's semijoins drop rows from E's view, in passes long
+  // enough to poll three times each. A trip at any poll or any charge
+  // returns kResourceExhausted and leaves E's storage as it was.
+  auto vocab = MixedVocabulary();
+  const RelId e = 0, u = 2;
+  Rng rng(2203);
+  Structure d(vocab, 100);
+  std::set<std::pair<Element, Element>> edges;
+  while (edges.size() < 3000) {
+    edges.emplace(static_cast<Element>(rng.Below(100)),
+                  static_cast<Element>(rng.Below(100)));
+  }
+  for (const auto& [x, y] : edges) d.AddTuple(e, {x, y});
+  for (Element y = 0; y < 100; y += 3) d.AddTuple(u, {y});
+  int sets = 0, bags = 0;
+  IndexEveryRelation(d, &sets, &bags);
+  ASSERT_EQ(sets, 2);
+  ConjunctiveQuery q(vocab, "Q");
+  const VarId x = q.GetOrCreateVar("X"), y = q.GetOrCreateVar("Y");
+  q.AddAtom(e, {x, y});
+  q.AddAtom(u, {y});
+  const ReferenceYannakakis ref(q, d);
+  ASSERT_TRUE(ref.pruned(0));
+  const std::vector<VarId> proj = {x, y};
+  const Storage before = StorageOf(d);
+  auto want = AcyclicProject(q, d, proj);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(*want, ref.Project(proj).rows);
+
+  uint64_t checks = 0;
+  {
+    ResourceGovernor fits(/*deadline_ms=*/60'000, /*memory=*/256u << 20);
+    auto got = AcyclicProject(q, d, proj, SIZE_MAX, nullptr, &fits);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, *want);
+    EXPECT_GT(fits.peak_bytes(), 0u);  // the copy-on-write
+    EXPECT_EQ(fits.bytes_in_use(), 0u);
+    checks = fits.checks();
+  }
+  ASSERT_GE(checks, 6u);
+  // True when the run tripped.
+  auto run = [&](const GovernorFailpoints& fp) {
+    ResourceGovernor gov;
+    gov.set_failpoints(fp);
+    auto got = AcyclicProject(q, d, proj, SIZE_MAX, nullptr, &gov);
+    EXPECT_EQ(StorageOf(d), before);
+    EXPECT_EQ(gov.bytes_in_use(), 0u);
+    if (got.ok()) {
+      EXPECT_EQ(*got, *want);
+      return false;
+    }
+    EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
+    return true;
+  };
+  for (uint64_t k = 1; k <= checks; ++k) {
+    SCOPED_TRACE(testing::Message() << "trip_after_checks=" << k);
+    GovernorFailpoints fp;
+    fp.trip_after_checks = k;
+    EXPECT_TRUE(run(fp));
+  }
+  uint64_t k = 1;
+  for (;; ++k) {
+    SCOPED_TRACE(testing::Message() << "trip_after_charges=" << k);
+    ASSERT_LT(k, 1000u);
+    GovernorFailpoints fp;
+    fp.trip_after_charges = k;
+    if (!run(fp)) break;
+  }
+  EXPECT_GT(k, 1u);
+}
+
+TEST(PolyOracleTest, AtomsThatCannotBeViewsStillMaterialize) {
+  // A one-atom decide runs no semijoin, so its governor's peak is the
+  // atom table's own buffer: 0 for a view, the copy otherwise.
+  auto vocab = MakeGraphVocabulary();
+  auto peak_of = [&](const ConjunctiveQuery& q, const Structure& d) {
+    ResourceGovernor gov(/*deadline_ms=*/60'000, /*memory=*/256u << 20);
+    auto r = EvaluateBooleanAcyclic(q, d, nullptr, &gov);
+    EXPECT_TRUE(r.ok() && *r);
+    EXPECT_EQ(gov.bytes_in_use(), 0u);
+    return gov.peak_bytes();
+  };
+  ConjunctiveQuery distinct(vocab, "Q"), repeated(vocab, "Q");
+  const VarId x = distinct.GetOrCreateVar("X");
+  distinct.AddAtom(0, {x, distinct.GetOrCreateVar("Y")});
+  const VarId xx = repeated.GetOrCreateVar("X");
+  repeated.AddAtom(0, {xx, xx});
+
+  Structure set_db(vocab, 3), bag_db(vocab, 3), unindexed(vocab, 3);
+  for (Structure* d : {&set_db, &bag_db, &unindexed}) {
+    d->AddTuple(0, {0, 0});
+    d->AddTuple(0, {0, 1});
+    d->AddTuple(0, {2, 1});
+  }
+  bag_db.AddTuple(0, {0, 1});
+  set_db.relation(0).EnsureIndex();
+  bag_db.relation(0).EnsureIndex();
+
+  EXPECT_EQ(peak_of(distinct, set_db), 0u);
+  EXPECT_GT(peak_of(repeated, set_db), 0u);
+  EXPECT_GT(peak_of(distinct, bag_db), 0u);
+  EXPECT_GT(peak_of(distinct, unindexed), 0u);
+  for (const Structure* d : {&set_db, &bag_db, &unindexed}) {
+    for (const ConjunctiveQuery* q : {&distinct, &repeated}) {
+      const ReferenceYannakakis ref(*q, *d);
+      std::vector<VarId> all;
+      for (VarId v = 0; v < q->var_count(); ++v) all.push_back(v);
+      ExpectProjectMatchesReference(*q, *d, ref, all);
+      ExpectCountMatchesReference(*q, *d, ref);
+      ExpectWalkMatchesReference(*q, *d, ref);
+    }
+  }
+}
+
+// ---- The one-column key path. ----------------------------------------------
+
+TEST(PolyOracleTest, SemijoinScratchMatchesTheIndexedSemijoin) {
+  // SemijoinScratch marks a one-column key in a presence bitset when its
+  // values lie below the direct bound, and builds a HashIndex otherwise;
+  // both must keep exactly the rows Semijoin keeps through a HashIndex.
+  // Values run over [0, universe) with both ends present, or past the
+  // bound (sparse); tables may be empty; the left side is a view or owned.
+  Rng rng(2204);
+  rel::SemijoinScratch scratch;
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const size_t universe = std::vector<size_t>{1, 2, 7, 64}[rng.Below(4)];
+    const bool sparse = rng.Chance(0.2);
+    auto value = [&] {
+      const auto v = static_cast<Element>(rng.Below(universe));
+      return sparse ? v * 100000 : v;
+    };
+    auto fill = [&](size_t rows) {
+      std::vector<Element> cells;
+      for (size_t r = 0; r < rows; ++r) {
+        cells.push_back(value());
+        cells.push_back(value());
+      }
+      if (rows >= 2) {  // both ends of the range
+        cells[0] = 0;
+        cells[3] = static_cast<Element>(sparse ? (universe - 1) * 100000
+                                               : universe - 1);
+      }
+      return cells;
+    };
+    const size_t left_rows = rng.Chance(0.1) ? 0 : rng.Below(40);
+    const size_t right_rows = rng.Chance(0.15) ? 0 : rng.Below(40);
+    const std::vector<Element> left_cells = fill(left_rows);
+    const std::vector<Element> right_cells = fill(right_rows);
+    rel::Table right(2);
+    for (size_t r = 0; r < right_rows; ++r) {
+      right.AppendRow({right_cells.data() + 2 * r, 2});
+    }
+    const std::vector<std::vector<uint32_t>> keys = {{0}, {1}, {0, 1}};
+    const std::vector<uint32_t>& left_key = keys[rng.Below(3)];
+    const std::vector<uint32_t> right_key =
+        left_key.size() == 2 ? std::vector<uint32_t>{1, 0}
+                             : keys[rng.Below(2)];
+
+    rel::Table want(2);
+    for (size_t r = 0; r < left_rows; ++r) {
+      want.AppendRow({left_cells.data() + 2 * r, 2});
+    }
+    rel::HashIndex index;
+    index.Build(right.data(), 2, static_cast<uint32_t>(right_rows), right_key);
+    const size_t want_removed = rel::Semijoin(want, left_key, right, index);
+
+    const bool view = rng.Chance(0.5);
+    rel::Table got(2);
+    if (view) {
+      got = rel::Table::View(left_cells.data(), 2, left_rows);
+    } else {
+      for (size_t r = 0; r < left_rows; ++r) {
+        got.AppendRow({left_cells.data() + 2 * r, 2});
+      }
+    }
+    const std::vector<Element> cells_before = left_cells;
+    EXPECT_EQ(scratch.Run(got, left_key, right, right_key), want_removed);
+    ASSERT_EQ(got.row_count(), want.row_count());
+    for (size_t r = 0; r < got.row_count(); ++r) {
+      EXPECT_TRUE(std::equal(got.row(r).begin(), got.row(r).end(),
+                             want.row(r).begin()));
+    }
+    EXPECT_EQ(left_cells, cells_before);
+    if (view && left_rows > 0) {
+      EXPECT_EQ(got.borrowed(), want_removed == 0);
+    }
+    if (right_rows == 0) EXPECT_EQ(got.row_count(), 0u);
+  }
+}
+
+TEST(PolyOracleTest, OneColumnKeysAtTheEdgesOfTheUniverse) {
+  // Chains and stars of E-atoms whose connectors are one column, over
+  // universes 0 and 1 and over graphs whose edges all touch element 0 or
+  // n-1: the count fold's per-value sums and the semijoins' presence bits
+  // at both ends of the range, at every count limit, indexed and not.
+  auto vocab = MixedVocabulary();
+  const RelId e = 0, u = 2;
+  std::vector<Structure> dbs;
+  dbs.emplace_back(vocab, 0);
+  {
+    Structure d(vocab, 1);
+    d.AddTuple(e, {0, 0});
+    d.AddTuple(u, {0});
+    dbs.push_back(std::move(d));
+  }
+  for (size_t n : {2, 5, 9}) {
+    Structure d(vocab, n);
+    const auto last = static_cast<Element>(n - 1);
+    for (Element v = 0; v < n; ++v) {
+      d.AddTuple(e, {0, v});
+      if (v != 0 && v != last) d.AddTuple(e, {v, last});
+    }
+    d.AddTuple(u, {last});
+    dbs.push_back(std::move(d));
+  }
+  std::vector<ConjunctiveQuery> queries;
+  for (size_t atoms : {2, 3, 5}) {
+    for (bool star : {false, true}) {
+      ConjunctiveQuery q(vocab, "Q");
+      std::vector<VarId> vars;
+      for (size_t v = 0; v <= atoms; ++v) {
+        vars.push_back(q.GetOrCreateVar("X" + std::to_string(v)));
+      }
+      for (size_t v = 1; v <= atoms; ++v) {
+        const VarId parent = star ? vars[0] : vars[v - 1];
+        if (v % 2 == 0) {
+          q.AddAtom(e, {parent, vars[v]});
+        } else {
+          q.AddAtom(e, {vars[v], parent});
+        }
+      }
+      q.AddAtom(u, {vars[atoms]});
+      queries.push_back(std::move(q));
+    }
+  }
+  for (size_t i = 0; i < dbs.size(); ++i) {
+    for (bool indexed : {false, true}) {
+      const Structure& d = dbs[i];
+      if (indexed) {
+        int sets = 0, bags = 0;
+        IndexEveryRelation(d, &sets, &bags);
+      }
+      for (size_t k = 0; k < queries.size(); ++k) {
+        SCOPED_TRACE(testing::Message() << "db " << i << ", query " << k
+                                        << (indexed ? ", indexed" : ""));
+        const ConjunctiveQuery& q = queries[k];
+        const ReferenceYannakakis ref(q, d);
+        ExpectCountMatchesReference(q, d, ref);
+        ExpectProjectMatchesReference(q, d, ref, {0});
+        ExpectWalkMatchesReference(q, d, ref);
+      }
+    }
+  }
+}
+
+TEST(PolyOracleTest, TreeSourcesReachOneColumnConnectorsThroughBags) {
+  // A tree's decomposition has two-element bags joined on one element, so
+  // the treewidth route's semijoins and count fold take the one-column
+  // path over bag tables. Every task against the oracle, and the count at
+  // every limit.
+  Rng rng(2205);
+  auto vocab = MakeGraphVocabulary();
+  for (int trial = 0; trial < 30; ++trial) {
+    Structure a = StructureFromGraph(vocab, RandomTree(2 + rng.Below(7), rng));
+    Structure b = RandomGraphStructure(vocab, 1 + rng.Below(5),
+                                       0.3 + 0.15 * rng.Below(4), rng,
+                                       /*symmetric=*/rng.Below(2) == 0);
+    CheckTreewidthBattery(a, b, "tree", trial);
+    const size_t total = OracleSolutions(a, b).size();
+    HomProblem p = MustProblem(HomProblem::FromStructures(a, b));
+    for (size_t limit : {size_t{1}, size_t{2}, size_t{7}, size_t{10000},
+                         size_t{SIZE_MAX}}) {
+      EngineOptions options;
+      options.backend = Backend::kTreewidth;
+      options.count_limit = limit;
+      EngineResult r = MustRun(HomEngine(options), p, HomTask::kCount);
+      EXPECT_TRUE(r.stats.used_treewidth);
+      EXPECT_EQ(r.count, std::min(total, limit)) << "limit " << limit;
     }
   }
 }
