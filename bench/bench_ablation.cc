@@ -1,18 +1,14 @@
-// Ablations for the design choices DESIGN.md calls out:
+// Ablations for the library's design choices:
 //   - MAC vs forward checking in the generic solver;
-//   - SCC-based vs phase-propagation 2-SAT;
-//   - min-fill vs min-degree elimination orders (width and time);
-//   - treewidth DP vs ∃FO^{w+1} sentence evaluation (two implementations
-//     of Theorem 5.4's idea).
+//   - the SCC-based 2-SAT solver behind the bijunctive route (Theorem 3.3);
+//   - min-fill vs min-degree elimination orders (width and time).
 
 #include <benchmark/benchmark.h>
 
-#include "fo/evaluate.h"
-#include "fo/from_decomposition.h"
 #include "gen/generators.h"
 #include "schaefer/cnf.h"
 #include "solver/backtracking.h"
-#include "treewidth/hom_dp.h"
+#include "treewidth/decomposition.h"
 
 namespace cqcs {
 namespace {
@@ -67,16 +63,7 @@ void BM_TwoSat_Scc(benchmark::State& state) {
     benchmark::DoNotOptimize(SolveTwoSat(f));
   }
 }
-void BM_TwoSat_Propagation(benchmark::State& state) {
-  const uint32_t n = static_cast<uint32_t>(state.range(0));
-  CnfFormula f = RandomTwoCnf(n, 2 * n, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SolveTwoSatByPropagation(f));
-  }
-}
 BENCHMARK(BM_TwoSat_Scc)->Arg(256)->Arg(1024)->Arg(4096)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_TwoSat_Propagation)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMicrosecond);
 
 void RunOrder(benchmark::State& state, bool min_fill) {
@@ -96,34 +83,6 @@ void BM_Order_MinDegree(benchmark::State& state) { RunOrder(state, false); }
 BENCHMARK(BM_Order_MinFill)->Arg(32)->Arg(64)->Arg(128)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Order_MinDegree)->Arg(32)->Arg(64)->Arg(128)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_BoundedTw_Dp(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(77 + n);
-  auto vocab = MakeGraphVocabulary();
-  Structure a =
-      StructureFromGraph(vocab, RandomPartialKTree(n, 2, 0.85, rng));
-  Structure b = RandomGraphStructure(vocab, 6, 0.5, rng, true);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SolveBoundedTreewidth(a, b));
-  }
-}
-void BM_BoundedTw_FoSentence(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(77 + n);
-  auto vocab = MakeGraphVocabulary();
-  Structure a =
-      StructureFromGraph(vocab, RandomPartialKTree(n, 2, 0.85, rng));
-  Structure b = RandomGraphStructure(vocab, 6, 0.5, rng, true);
-  auto sentence = BuildSentence(a);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EvaluateFoSentence(*sentence, b));
-  }
-}
-BENCHMARK(BM_BoundedTw_Dp)->Arg(16)->Arg(32)->Arg(64)->Arg(128)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_BoundedTw_FoSentence)->Arg(16)->Arg(32)->Arg(64)->Arg(128)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -1,14 +1,13 @@
 // E10 (Lemma 5.5): the dual-graph binary encoding preserves homomorphism
 // existence; its cost is quadratic in the number of tuples (all coincidence
 // pairs are materialized). Series: encoding time and size versus tuple
-// count and arity; plus an agreement audit through the treewidth DP.
+// count and arity. (The equivalence itself is checked by treewidth_test's
+// BinaryEncodingTest.PreservesHomomorphismExistence.)
 
 #include <benchmark/benchmark.h>
 
 #include "gen/generators.h"
-#include "solver/backtracking.h"
 #include "treewidth/binary_encoding.h"
-#include "treewidth/hom_dp.h"
 
 namespace cqcs {
 namespace {
@@ -45,31 +44,6 @@ void BM_BinaryEncode_AritySweep(benchmark::State& state) {
 BENCHMARK(BM_BinaryEncode_AritySweep)
     ->Arg(2)->Arg(3)->Arg(4)->Arg(6)->Arg(8)
     ->Unit(benchmark::kMicrosecond);
-
-void BM_BinaryEquivalenceAudit(benchmark::State& state) {
-  auto vocab = std::make_shared<Vocabulary>();
-  vocab->AddRelation("R", 3);
-  size_t agreements = 0, instances = 0;
-  for (auto _ : state) {
-    agreements = instances = 0;
-    Rng rng(2718);
-    for (int trial = 0; trial < 20; ++trial) {
-      Structure a = RandomStructure(vocab, 2 + rng.Below(4), rng.Below(5), rng);
-      Structure b = RandomStructure(vocab, 2 + rng.Below(3), rng.Below(7), rng);
-      bool direct = HasHomomorphism(a, b);
-      bool encoded = HomomorphismExistsViaBinaryEncoding(
-          a, b, [](const Structure& ea, const Structure& eb) {
-            return HasHomomorphism(ea, eb);
-          });
-      ++instances;
-      if (direct == encoded) ++agreements;
-    }
-    benchmark::DoNotOptimize(agreements);
-  }
-  state.counters["instances"] = static_cast<double>(instances);
-  state.counters["agreements"] = static_cast<double>(agreements);
-}
-BENCHMARK(BM_BinaryEquivalenceAudit)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cqcs

@@ -1,12 +1,12 @@
 // E4 (Lemma 3.5): Booleanization preserves homomorphism existence at a
 // ⌈log |B|⌉ blow-up. Series: encoding time and measured blow-up factor as
-// |B| grows; a one-time equivalence audit against the direct solver.
+// |B| grows. (The equivalence itself is checked by schaefer_uniform_test's
+// BooleanizeTest.PreservesHomomorphismExistence.)
 
 #include <benchmark/benchmark.h>
 
 #include "gen/generators.h"
 #include "schaefer/booleanize.h"
-#include "solver/backtracking.h"
 
 namespace cqcs {
 namespace {
@@ -32,34 +32,6 @@ void BM_Booleanize(benchmark::State& state) {
 BENCHMARK(BM_Booleanize)
     ->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)
     ->Unit(benchmark::kMicrosecond);
-
-void BM_BooleanizeEquivalenceAudit(benchmark::State& state) {
-  // Decide 30 random instances both directly and through the encoding;
-  // the counter reports agreements (must equal instances).
-  Rng rng(99);
-  auto vocab = MakeGraphVocabulary();
-  size_t agreements = 0, instances = 0;
-  for (auto _ : state) {
-    agreements = 0;
-    instances = 0;
-    Rng local(rng.Next());
-    for (int trial = 0; trial < 30; ++trial) {
-      Structure a =
-          RandomGraphStructure(vocab, 3 + local.Below(4), 0.4, local, false);
-      Structure b =
-          RandomGraphStructure(vocab, 2 + local.Below(5), 0.4, local, false);
-      auto boolean = Booleanize(a, b);
-      bool direct = HasHomomorphism(a, b);
-      bool encoded = HasHomomorphism(boolean->a_b, boolean->b_b);
-      ++instances;
-      if (direct == encoded) ++agreements;
-    }
-    benchmark::DoNotOptimize(agreements);
-  }
-  state.counters["instances"] = static_cast<double>(instances);
-  state.counters["agreements"] = static_cast<double>(agreements);
-}
-BENCHMARK(BM_BooleanizeEquivalenceAudit)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cqcs

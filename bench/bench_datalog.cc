@@ -2,6 +2,8 @@
 // ρ_B decides the Spoiler's win, agreeing with the game solver; for Horn
 // targets the game decides CSP exactly. Series: semi-naive evaluation of
 // ρ_B and the section 4.1 non-2-colorability program as the input grows.
+// (The agreement with the game solver is checked by pebble_test's
+// RhoBTest.AgreesWithGameSolver.)
 
 #include <benchmark/benchmark.h>
 
@@ -9,7 +11,6 @@
 #include "datalog/evaluator.h"
 #include "datalog/rho_b.h"
 #include "gen/generators.h"
-#include "pebble/game.h"
 
 namespace cqcs {
 namespace {
@@ -51,33 +52,6 @@ void BM_RhoB_Evaluation(benchmark::State& state) {
 BENCHMARK(BM_RhoB_Evaluation)
     ->Arg(4)->Arg(6)->Arg(8)->Arg(12)->Arg(16)
     ->Unit(benchmark::kMillisecond);
-
-void BM_RhoB_VsGameAudit(benchmark::State& state) {
-  // Agreement audit between the two Theorem 4.7 implementations.
-  auto vocab = MakeGraphVocabulary();
-  size_t agreements = 0, instances = 0;
-  for (auto _ : state) {
-    agreements = instances = 0;
-    Rng rng(4242);
-    for (int trial = 0; trial < 10; ++trial) {
-      Structure b = RandomGraphStructure(vocab, 2, 0.5, rng, false);
-      Structure a = RandomGraphStructure(vocab, 3 + rng.Below(3), 0.4, rng,
-                                         false);
-      auto rho = BuildSpoilerWinProgram(b, 2);
-      auto datalog_says = GoalDerivable(*rho, a);
-      auto game_says = SpoilerWinsExistentialKPebble(a, b, 2);
-      ++instances;
-      if (datalog_says.ok() && game_says.ok() &&
-          *datalog_says == *game_says) {
-        ++agreements;
-      }
-    }
-    benchmark::DoNotOptimize(agreements);
-  }
-  state.counters["instances"] = static_cast<double>(instances);
-  state.counters["agreements"] = static_cast<double>(agreements);
-}
-BENCHMARK(BM_RhoB_VsGameAudit)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cqcs

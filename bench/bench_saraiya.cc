@@ -1,7 +1,8 @@
 // E5 (Proposition 3.6): two-atom conjunctive-query containment in
 // polynomial time via Booleanization + bijunctivity, versus the generic
 // NP containment test. Series: both decision procedures as the queries
-// grow; the counter audits agreement.
+// grow. (Their agreement is checked by schaefer_uniform_test's
+// SaraiyaTest.RandomChainQueriesAgree.)
 
 #include <benchmark/benchmark.h>
 
@@ -59,24 +60,6 @@ void BM_GenericContainment(benchmark::State& state) {
 BENCHMARK(BM_GenericContainment)
     ->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMicrosecond);
-
-void BM_SaraiyaAgreementAudit(benchmark::State& state) {
-  size_t agreements = 0, instances = 0;
-  for (auto _ : state) {
-    agreements = instances = 0;
-    for (uint64_t seed = 0; seed < 25; ++seed) {
-      QueryPair pair = MakePair(3, 100 + seed);
-      auto fast = TwoAtomContainment(pair.q1, pair.q2);
-      auto slow = IsContained(pair.q1, pair.q2);
-      ++instances;
-      if (fast.ok() && slow.ok() && *fast == *slow) ++agreements;
-    }
-    benchmark::DoNotOptimize(agreements);
-  }
-  state.counters["instances"] = static_cast<double>(instances);
-  state.counters["agreements"] = static_cast<double>(agreements);
-}
-BENCHMARK(BM_SaraiyaAgreementAudit)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cqcs

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Runs the benchmark suite with fixed seeds and writes two merged
+# Runs the benchmark suite with fixed seeds and writes three merged
 # google-benchmark JSON files, so successive PRs leave a comparable perf
 # trajectory:
 #
@@ -19,6 +19,20 @@
 #                       fsync=always / interval / never; plus the
 #                       concurrent-clients arm, 1/2/4/8 client threads on
 #                       the result-hit path at zipfian 0.5 and 0.99.
+#   BENCH_paper.json    the paper-claim series E1-E12 (the header of each
+#                       bench file names its theorem; docs/architecture.md
+#                       maps binaries to results): Schaefer recognition,
+#                       defining formulas, the formula vs direct uniform
+#                       algorithms, Booleanization, Saraiya containment,
+#                       Examples 3.7/3.8, the pebble game, Datalog, the
+#                       binary encoding, the hardness slices, plus the
+#                       solver and elimination-order ablations.
+#
+# A binary may sit in two groups with disjoint filters. Before running
+# anything (in --quick mode too) the script checks that every
+# bench/bench_*.cc binary belongs to a group and that the full filters of
+# its groups select each benchmark it registers exactly once: a benchmark
+# that no BENCH file records is recorded or deleted, not left to rot.
 #
 # Each merged file's .context.host records the hardware and build the
 # numbers came from — nproc, compiler, build type, git sha, and git_dirty
@@ -27,7 +41,7 @@
 # context attached.
 #
 # Usage: bench/run_bench.sh [--quick] [build-dir] [solver-output.json]
-#                           [serving-output.json]
+#                           [serving-output.json] [paper-output.json]
 #   --quick   reduced series + minimal min_time, for CI smoke use: checks
 #             that every bench binary still runs and emits valid JSON
 #             without burning minutes on statistics.
@@ -51,21 +65,26 @@ for arg in "$@"; do
 done
 
 BUILD_DIR="${ARGS[0]:-build}"
-SOLVER_OUT="${ARGS[1]:-BENCH_solver.json}"
-SERVING_OUT="${ARGS[2]:-BENCH_serving.json}"
-
-SOLVER_BINS=(bench_hardness bench_uniform_boolean bench_acyclic bench_treewidth bench_rel)
-SOLVER_FILTER='BM_CliqueIntoRandomGraph|BM_PlantedCliqueRecovery|BM_SparseRefutationFc|BM_CyclicQueryIntoSparseGraph|BM_Backtracking_NodeThroughput|BM_Horn_Backtracking|BM_CliqueRefutationParallel|BM_PlantedCliqueParallel|BM_EngineAutoVsUniform|BM_YannakakisTask|BM_TreewidthDpIndexed|BM_TreewidthAutoRoute|BM_Decomposition_MinFill|BM_ProbeBatch'
-SERVING_BINS=(bench_serving)
-SERVING_FILTER='BM_ServingReadHeavy|BM_ServingUpdateHeavy|BM_ServingDurableUpdateHeavy|BM_ServingHitPathClients'
+GROUP_NAMES=(solver serving paper)
+declare -A OUT=([solver]="${ARGS[1]:-BENCH_solver.json}"
+                [serving]="${ARGS[2]:-BENCH_serving.json}"
+                [paper]="${ARGS[3]:-BENCH_paper.json}")
+declare -A BINS FILTER QUICK_FILTER
+BINS[solver]="bench_hardness bench_uniform_boolean bench_acyclic bench_treewidth bench_rel"
+FILTER[solver]='BM_CliqueIntoRandomGraph|BM_PlantedCliqueRecovery|BM_SparseRefutationFc|BM_CyclicQueryIntoSparseGraph|BM_Backtracking_NodeThroughput|BM_Horn_Backtracking|BM_CliqueRefutationParallel|BM_PlantedCliqueParallel|BM_EngineAutoVsUniform|BM_YannakakisTask|BM_TreewidthDpIndexed|BM_TreewidthAutoRoute|BM_Decomposition_MinFill|BM_ProbeBatch'
+BINS[serving]="bench_serving"
+FILTER[serving]='BM_ServingReadHeavy|BM_ServingUpdateHeavy|BM_ServingDurableUpdateHeavy|BM_ServingHitPathClients'
+BINS[paper]="bench_recognition bench_formula_build bench_uniform_boolean bench_booleanize bench_saraiya bench_examples_2col bench_pebble bench_datalog bench_binary_encoding bench_treewidth bench_acyclic bench_hardness bench_ablation"
+FILTER[paper]='BM_Classify|BM_Build|BM_Horn_Formula|BM_Horn_Direct|BM_Bijunctive_|BM_Affine_Equations|BM_Arity|BM_Booleanize|BM_SaraiyaContainment|BM_GenericContainment|BM_TwoColor_|BM_CspC4_|BM_PebbleGame|BM_Non2ColProgram|BM_RhoB_Evaluation|BM_BinaryEncode|BM_TreewidthDp_WidthSweep|BM_YannakakisEvaluation|BM_CliqueFixedK_GraphSweep|BM_ChainContainment|BM_RandomContainment|BM_Solver_|BM_TwoSat_Scc|BM_Order_'
+# Smoke series: one cheap entry per binary plus the parallel scaling
+# series (its correctness under load is exactly what CI should smoke),
+# and for serving the disabled-vs-full-cache pair at zipfian 0.99 (the
+# pair the headline speedup claim compares) plus the 4-client hit path.
+QUICK_FILTER[solver]='BM_CliqueIntoRandomGraph/3|BM_Backtracking_NodeThroughput/|BM_CliqueRefutationParallel|BM_YannakakisTask_Witness/0/64|BM_YannakakisTask_CountThreads/2/4096|BM_TreewidthDpIndexed_SourceSweep/128|BM_ProbeBatch_Batched/1024'
+QUICK_FILTER[serving]='BM_ServingReadHeavy/0/2|BM_ServingReadHeavy/2/2|BM_ServingHitPathClients/99/real_time/threads:4'
+QUICK_FILTER[paper]='BM_ClassifyStructure/4$|BM_BuildBijunctive/4$|BM_ArityDirect/4$|BM_Booleanize/4$|BM_SaraiyaContainment/2$|BM_TwoColor_Bfs/65$|BM_PebbleGame_TargetSweep/2$|BM_Non2ColProgram/9$|BM_BinaryEncode/8$|BM_TreewidthDp_WidthSweep/1$|BM_YannakakisEvaluation/32$|BM_ChainContainment/4$|BM_TwoSat_Scc/256$'
 MIN_TIME="${BENCH_MIN_TIME:-0.2}"
 if [[ "$QUICK" == 1 ]]; then
-  # Smoke series: one cheap entry per binary plus the parallel scaling
-  # series (its correctness under load is exactly what CI should smoke),
-  # and for serving the disabled-vs-full-cache pair at zipfian 0.99 (the
-  # pair the headline speedup claim compares) plus the 4-client hit path.
-  SOLVER_FILTER='BM_CliqueIntoRandomGraph/3|BM_Backtracking_NodeThroughput/|BM_CliqueRefutationParallel|BM_YannakakisTask_Witness/0/64|BM_YannakakisTask_CountThreads/2/4096|BM_TreewidthDpIndexed_SourceSweep/128|BM_ProbeBatch_Batched/1024'
-  SERVING_FILTER='BM_ServingReadHeavy/0/2|BM_ServingReadHeavy/2/2|BM_ServingHitPathClients/99/real_time/threads:4'
   MIN_TIME="${BENCH_MIN_TIME:-0.01}"
 fi
 
@@ -91,6 +110,14 @@ fi
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
+require_built() {
+  if [[ ! -x "$BUILD_DIR/bench/$1" ]]; then
+    echo "error: $BUILD_DIR/bench/$1 not built (configure with" \
+         "CQCS_BUILD_BENCHMARKS=ON and google-benchmark installed)" >&2
+    exit 1
+  fi
+}
+
 # run_group <output.json> <filter> <bin>...: runs each binary with the
 # filter, validates its JSON, then merges all of them (first file's context
 # + the host block + concatenated benchmark entries) into the output.
@@ -98,13 +125,6 @@ run_group() {
   local out="$1" filter="$2"
   shift 2
   local bins=("$@")
-  for bin in "${bins[@]}"; do
-    if [[ ! -x "$BUILD_DIR/bench/$bin" ]]; then
-      echo "error: $BUILD_DIR/bench/$bin not built (configure with" \
-           "CQCS_BUILD_BENCHMARKS=ON and google-benchmark installed)" >&2
-      exit 1
-    fi
-  done
   local jsons=()
   for bin in "${bins[@]}"; do
     if ! "$BUILD_DIR/bench/$bin" \
@@ -143,5 +163,47 @@ run_group() {
        "nproc=$NPROC, quick=$QUICK)"
 }
 
-run_group "$SOLVER_OUT" "$SOLVER_FILTER" "${SOLVER_BINS[@]}"
-run_group "$SERVING_OUT" "$SERVING_FILTER" "${SERVING_BINS[@]}"
+# check_groups: every bench/bench_*.cc binary is in a group, and the full
+# filters of its groups select each benchmark it registers exactly once
+# (google-benchmark's own filter matching, via --benchmark_list_tests).
+check_groups() {
+  local bad=0 src bin group all selected missing twice
+  for src in bench/bench_*.cc; do
+    bin="$(basename "$src" .cc)"
+    require_built "$bin"
+    selected=""
+    for group in "${GROUP_NAMES[@]}"; do
+      if [[ " ${BINS[$group]} " == *" $bin "* ]]; then
+        selected+="$("$BUILD_DIR/bench/$bin" --benchmark_list_tests \
+                       --benchmark_filter="${FILTER[$group]}" 2>/dev/null)"$'\n'
+      fi
+    done
+    if [[ -z "$selected" ]]; then
+      echo "error: $bin belongs to no group in bench/run_bench.sh" >&2
+      bad=1
+      continue
+    fi
+    all="$("$BUILD_DIR/bench/$bin" --benchmark_list_tests | sort)"
+    selected="$(sed '/^$/d' <<< "$selected" | sort)"
+    missing="$(comm -23 <(echo "$all") <(uniq <<< "$selected"))"
+    twice="$(uniq -d <<< "$selected")"
+    if [[ -n "$missing" ]]; then
+      echo "error: no group's full filter selects these $bin benchmarks" \
+           "(record or delete them):" $missing >&2
+      bad=1
+    fi
+    if [[ -n "$twice" ]]; then
+      echo "error: two groups record these $bin benchmarks:" $twice >&2
+      bad=1
+    fi
+  done
+  return "$bad"
+}
+
+check_groups
+for group in "${GROUP_NAMES[@]}"; do
+  filter="${FILTER[$group]}"
+  [[ "$QUICK" == 1 ]] && filter="${QUICK_FILTER[$group]}"
+  # shellcheck disable=SC2086  # BINS holds a space-separated list
+  run_group "${OUT[$group]}" "$filter" ${BINS[$group]}
+done

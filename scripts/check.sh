@@ -7,8 +7,10 @@
 #                       the cqcs_lint sweep over src/ + tools/)
 #      bench smoke      bench/run_bench.sh --quick over the same tree, into
 #                       a temp dir (the committed BENCH files stay as
-#                       they are); skipped when the bench binaries were not
-#                       built (no google-benchmark package)
+#                       they are): runs every bench binary once and checks
+#                       that each benchmark is in a recorded group; skipped
+#                       when the bench binaries were not built (no
+#                       google-benchmark package)
 #   3. sanitizers       the ROADMAP.md sanitizer map: -L serve, -L poly,
 #                       -L solver-parallel and -L robust under TSan,
 #                       -L durable, -L poly, -L engine and -L solver under
@@ -72,7 +74,7 @@ step "bench smoke (run_bench.sh --quick)"
 if [ -x build-check/bench/bench_serving ]; then
   bench_tmp="$(mktemp -d)"
   run bench/run_bench.sh --quick build-check "$bench_tmp/solver.json" \
-      "$bench_tmp/serving.json"
+      "$bench_tmp/serving.json" "$bench_tmp/paper.json"
   bench_rc=$?
   rm -rf "$bench_tmp"
   [ $bench_rc -eq 0 ] || exit 1

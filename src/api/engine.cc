@@ -1,6 +1,5 @@
 #include "api/engine.h"
 
-#include <cstdio>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -11,27 +10,6 @@
 namespace cqcs {
 
 namespace {
-
-void AppendJsonString(std::ostringstream& out, std::string_view s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
 
 /// The passes of the Yannakakis program a task reads.
 YannakakisProgram::Passes PassesFor(HomTask task) {
@@ -546,123 +524,98 @@ Result<std::vector<std::vector<Element>>> HomEngine::Project(
 
 // ---- Rendering. ----------------------------------------------------------
 
-std::string EngineStats::ToJson() const {
-  std::ostringstream out;
-  out << "{";
-  out << "\"search\":";
-  if (used_search) {
-    out << "{\"nodes\":" << search.nodes
-        << ",\"backtracks\":" << search.backtracks
-        << ",\"backjumps\":" << search.backjumps
-        << ",\"restarts\":" << search.restarts
-        << ",\"revisions\":" << search.revisions
-        << ",\"support_walks\":" << search.support_walks
-        << ",\"workers\":" << search.workers
-        << ",\"limit_hit\":" << (search.limit_hit ? "true" : "false") << "}";
-  } else {
-    out << "null";
-  }
-  out << ",\"treewidth\":";
-  if (used_treewidth) {
-    out << "{\"width\":" << treewidth.width
-        << ",\"table_entries\":" << treewidth.table_entries
-        << ",\"table_rows\":" << treewidth.table_rows
-        << ",\"workers\":" << treewidth.workers
-        << ",\"morsels\":" << treewidth.morsels
-        << ",\"steals\":" << treewidth.steals << "}";
-  } else {
-    out << "null";
-  }
-  out << ",\"acyclic\":";
-  if (used_acyclic) {
-    out << "{\"atom_tables\":" << yannakakis.atom_tables
-        << ",\"rows_materialized\":" << yannakakis.rows_materialized
-        << ",\"max_table_rows\":" << yannakakis.max_table_rows
-        << ",\"semijoins\":" << yannakakis.semijoins
-        << ",\"rows_pruned\":" << yannakakis.rows_pruned
-        << ",\"join_rows\":" << yannakakis.join_rows
-        << ",\"workers\":" << yannakakis.workers
-        << ",\"morsels\":" << yannakakis.morsels
-        << ",\"steals\":" << yannakakis.steals << "}";
-  } else {
-    out << "null";
-  }
-  out << ",\"pebble\":";
-  if (used_pebble) {
-    out << "{\"total_positions\":" << pebble.total_positions
-        << ",\"deleted_positions\":" << pebble.deleted_positions << "}";
-  } else {
-    out << "null";
-  }
-  out << ",\"schaefer\":";
-  if (used_schaefer) {
-    out << "{\"classes\":";
-    AppendJsonString(out, SchaeferClassSetToString(schaefer.classes));
-    out << ",\"dispatched\":";
-    AppendJsonString(out, SchaeferClassSetToString(schaefer.dispatched));
-    out << ",\"trivial\":" << (schaefer.trivial ? "true" : "false") << "}";
-  } else {
-    out << "null";
-  }
-  out << ",\"governor\":";
-  if (governor.enabled) {
-    out << "{\"tripped\":" << (governor.tripped ? "true" : "false")
-        << ",\"cause\":\"" << TripCauseName(governor.cause)
-        << "\",\"checks\":" << governor.checks
-        << ",\"peak_bytes\":" << governor.peak_bytes
-        << ",\"elapsed_ms\":" << governor.elapsed_ms << "}";
-  } else {
-    out << "null";
-  }
-  out << ",\"serve\":";
-  if (serve.enabled) {
-    out << "{\"plan_cache_hit\":" << (serve.plan_cache_hit ? "true" : "false")
-        << ",\"result_cache_hit\":"
-        << (serve.result_cache_hit ? "true" : "false")
-        << ",\"plan_hit_rate\":" << serve.plan_hit_rate
-        << ",\"result_hit_rate\":" << serve.result_hit_rate
-        << ",\"shed_total\":" << serve.shed_total
-        << ",\"queue_depth\":" << serve.queue_depth << "}";
-  } else {
-    out << "null";
-  }
-  out << "}";
-  return out.str();
+void EngineStats::WriteJson(JsonWriter& out) const {
+  out.BeginObject();
+  out.ObjectOrNull("search", used_search, [&](JsonWriter& o) {
+    o.Key("nodes").Uint(search.nodes)
+        .Key("backtracks").Uint(search.backtracks)
+        .Key("backjumps").Uint(search.backjumps)
+        .Key("longest_backjump").Uint(search.longest_backjump)
+        .Key("restarts").Uint(search.restarts)
+        .Key("max_conflict_set").Uint(search.max_conflict_set)
+        .Key("revisions").Uint(search.revisions)
+        .Key("support_walks").Uint(search.support_walks)
+        .Key("workers").Uint(search.workers)
+        .Key("splits").Uint(search.splits)
+        .Key("steals").Uint(search.steals)
+        .Key("limit_hit").Bool(search.limit_hit);
+  });
+  out.ObjectOrNull("treewidth", used_treewidth, [&](JsonWriter& o) {
+    o.Key("width").Int(treewidth.width)
+        .Key("table_entries").Uint(treewidth.table_entries)
+        .Key("table_rows").Uint(treewidth.table_rows)
+        .Key("workers").Uint(treewidth.workers)
+        .Key("morsels").Uint(treewidth.morsels)
+        .Key("steals").Uint(treewidth.steals);
+  });
+  out.ObjectOrNull("acyclic", used_acyclic, [&](JsonWriter& o) {
+    o.Key("atom_tables").Uint(yannakakis.atom_tables)
+        .Key("rows_materialized").Uint(yannakakis.rows_materialized)
+        .Key("max_table_rows").Uint(yannakakis.max_table_rows)
+        .Key("semijoins").Uint(yannakakis.semijoins)
+        .Key("rows_pruned").Uint(yannakakis.rows_pruned)
+        .Key("join_rows").Uint(yannakakis.join_rows)
+        .Key("workers").Uint(yannakakis.workers)
+        .Key("morsels").Uint(yannakakis.morsels)
+        .Key("steals").Uint(yannakakis.steals);
+  });
+  out.ObjectOrNull("pebble", used_pebble, [&](JsonWriter& o) {
+    o.Key("total_positions").Uint(pebble.total_positions)
+        .Key("deleted_positions").Uint(pebble.deleted_positions);
+  });
+  out.ObjectOrNull("schaefer", used_schaefer, [&](JsonWriter& o) {
+    o.Key("classes").String(SchaeferClassSetToString(schaefer.classes))
+        .Key("dispatched").String(SchaeferClassSetToString(schaefer.dispatched))
+        .Key("trivial").Bool(schaefer.trivial);
+  });
+  out.ObjectOrNull("governor", governor.enabled, [&](JsonWriter& o) {
+    o.Key("tripped").Bool(governor.tripped)
+        .Key("cause").String(TripCauseName(governor.cause))
+        .Key("checks").Uint(governor.checks)
+        .Key("peak_bytes").Uint(governor.peak_bytes)
+        .Key("elapsed_ms").Uint(governor.elapsed_ms);
+  });
+  out.ObjectOrNull("serve", serve.enabled, [&](JsonWriter& o) {
+    o.Key("plan_cache_hit").Bool(serve.plan_cache_hit)
+        .Key("result_cache_hit").Bool(serve.result_cache_hit)
+        .Key("plan_hit_rate").Double(serve.plan_hit_rate)
+        .Key("result_hit_rate").Double(serve.result_hit_rate)
+        .Key("shed_total").Uint(serve.shed_total)
+        .Key("queue_depth").Uint(serve.queue_depth);
+  });
+  out.EndObject();
 }
 
-std::string EngineExplain::ToString() const {
-  std::ostringstream out;
-  out << "backend " << BackendName(chosen) << " (requested "
-      << BackendName(requested) << ", task " << HomTaskName(served)
-      << "): " << reason;
-  for (const std::string& f : fallbacks) out << "\n  - " << f;
-  if (profiled) out << "\n  profile: " << profile.ToString();
-  return out.str();
-}
-
-std::string EngineExplain::ToJson() const {
-  std::ostringstream out;
-  out << "{\"requested\":\"" << BackendName(requested) << "\",\"chosen\":\""
-      << BackendName(chosen) << "\",\"served\":\"" << HomTaskName(served)
-      << "\",\"reason\":";
-  AppendJsonString(out, reason);
-  out << ",\"fallbacks\":[";
-  for (size_t i = 0; i < fallbacks.size(); ++i) {
-    if (i > 0) out << ",";
-    AppendJsonString(out, fallbacks[i]);
+void EngineExplain::WriteJson(JsonWriter& out) const {
+  out.BeginObject()
+      .Key("requested").String(BackendName(requested))
+      .Key("chosen").String(BackendName(chosen))
+      .Key("served").String(HomTaskName(served))
+      .Key("reason").String(reason)
+      .Key("fallbacks").BeginArray();
+  for (const std::string& f : fallbacks) out.String(f);
+  out.EndArray().Key("profile");
+  if (profiled) {
+    profile.WriteJson(out);
+  } else {
+    out.Null();
   }
-  out << "],\"profile\":" << (profiled ? profile.ToJson() : "null") << "}";
-  return out.str();
+  out.EndObject();
 }
 
 std::string EngineResult::ToJson() const {
-  std::ostringstream out;
-  out << "{\"task\":\"" << HomTaskName(task)
-      << "\",\"decided\":" << (decided ? "true" : "false")
-      << ",\"witness\":" << (witness.has_value() ? "true" : "false")
-      << ",\"count\":" << count << ",\"rows\":" << rows.size()
-      << ",\"explain\":" << explain.ToJson() << ",\"stats\":" << stats.ToJson()
-      << "}";
+  JsonWriter out;
+  out.BeginObject()
+      .Key("task").String(HomTaskName(task))
+      .Key("decided").Bool(decided)
+      .Key("witness").Bool(witness.has_value())
+      .Key("count").Uint(count)
+      .Key("rows").Uint(rows.size())
+      .Key("explain");
+  explain.WriteJson(out);
+  out.Key("stats");
+  stats.WriteJson(out);
+  out.EndObject();
   return out.str();
 }
 

@@ -44,6 +44,7 @@
 #include "api/problem.h"
 #include "api/profile.h"
 #include "common/governor.h"
+#include "common/json.h"
 #include "common/status.h"
 #include "pebble/game.h"
 #include "schaefer/uniform.h"
@@ -171,7 +172,8 @@ struct EngineStats {
   /// Serving-layer record (cache hits, admission snapshot) for requests
   /// that came through serve::ServingEngine.
   ServeRequestStats serve;
-  std::string ToJson() const;
+  void WriteJson(JsonWriter& out) const;
+  std::string ToJson() const { return ToJsonString(*this); }
 };
 
 /// The routing record: what was asked, what ran, and why — with the profile
@@ -192,8 +194,8 @@ struct EngineExplain {
                               ///< tasks record at least the GYO verdict);
                               ///< explicit backends skip it
   InstanceProfile profile;    ///< meaningful when `profiled`
-  std::string ToString() const;
-  std::string ToJson() const;
+  void WriteJson(JsonWriter& out) const;
+  std::string ToJson() const { return ToJsonString(*this); }
 };
 
 /// The unified answer. Which fields are meaningful depends on the task:
@@ -210,7 +212,7 @@ struct EngineResult {
 
   const EngineExplain& Explain() const { return explain; }
   /// Machine-readable record of answer + explain + stats, for
-  /// `hom_tool --explain` and the bench harnesses.
+  /// `hom_tool --explain`.
   std::string ToJson() const;
 };
 

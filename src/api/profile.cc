@@ -1,7 +1,6 @@
 #include "api/profile.h"
 
 #include <cstdint>
-#include <sstream>
 
 #include "common/saturating.h"
 
@@ -65,64 +64,33 @@ size_t EstimateAcyclicBytes(const Structure& a, const Structure& b) {
   return total;
 }
 
-std::string InstanceProfile::ToString() const {
-  std::ostringstream out;
-  out << "source ‖A‖=" << source_size << " (n=" << source_universe
-      << ", tuples=" << source_tuples << "), target ‖B‖=" << target_size
-      << " (n=" << target_universe << ", tuples=" << target_tuples << "), ";
-  if (target_boolean) {
-    out << "Boolean target ["
-        << (schaefer_classes != 0 ? SchaeferClassSetToString(schaefer_classes)
-                                  : std::string("no Schaefer class"))
-        << "], ";
-  } else {
-    out << "non-Boolean target, ";
-  }
-  if (acyclicity_known) {
-    out << (source_acyclic ? "acyclic" : "cyclic") << " source, ";
-  } else {
-    out << "acyclicity not evaluated, ";
-  }
-  if (width_known && width_lower_bound) {
-    out << "width>=" << width_estimate << " (min-fill stopped after "
-        << eliminations_done << " of " << source_universe
-        << " eliminations)";
-  } else if (width_known) {
-    out << "width<=" << width_estimate << " (" << decomposition_bags
-        << " bags, est. DP cost " << treewidth_dp_cost << ")";
-  } else {
-    out << "width not estimated";
-  }
-  return out.str();
-}
-
-std::string InstanceProfile::ToJson() const {
-  std::ostringstream out;
-  out << "{\"source_universe\":" << source_universe
-      << ",\"source_tuples\":" << source_tuples
-      << ",\"source_size\":" << source_size
-      << ",\"target_universe\":" << target_universe
-      << ",\"target_tuples\":" << target_tuples
-      << ",\"target_size\":" << target_size
-      << ",\"target_boolean\":" << (target_boolean ? "true" : "false")
-      << ",\"schaefer_classes\":\""
-      << (schaefer_classes != 0 ? SchaeferClassSetToString(schaefer_classes)
-                                : std::string())
-      << "\",\"source_acyclic\":"
-      << (acyclicity_known ? (source_acyclic ? "true" : "false") : "null")
-      << ",\"width_estimate\":";
-  if (width_known && width_lower_bound) {
-    out << "null,\"width_lower_bound\":" << width_estimate
-        << ",\"eliminations_done\":" << eliminations_done
-        << ",\"decomposition_bags\":null,\"treewidth_dp_cost\":null";
-  } else if (width_known) {
-    out << width_estimate << ",\"decomposition_bags\":" << decomposition_bags
-        << ",\"treewidth_dp_cost\":" << treewidth_dp_cost;
-  } else {
-    out << "null,\"decomposition_bags\":null,\"treewidth_dp_cost\":null";
-  }
-  out << "}";
-  return out.str();
+void InstanceProfile::WriteJson(JsonWriter& out) const {
+  const bool stopped = width_known && width_lower_bound;
+  const bool estimated = width_known && !width_lower_bound;
+  out.BeginObject()
+      .Key("source_universe").Uint(source_universe)
+      .Key("source_tuples").Uint(source_tuples)
+      .Key("source_size").Uint(source_size)
+      .Key("target_universe").Uint(target_universe)
+      .Key("target_tuples").Uint(target_tuples)
+      .Key("target_size").Uint(target_size)
+      .Key("target_boolean").Bool(target_boolean)
+      .Key("schaefer_classes")
+      .String(schaefer_classes != 0 ? SchaeferClassSetToString(schaefer_classes)
+                                    : std::string());
+  out.Key("source_acyclic");
+  acyclicity_known ? out.Bool(source_acyclic) : out.Null();
+  out.Key("width_estimate");
+  estimated ? out.Int(width_estimate) : out.Null();
+  out.Key("width_lower_bound");
+  stopped ? out.Int(width_estimate) : out.Null();
+  out.Key("eliminations_done");
+  stopped ? out.Uint(eliminations_done) : out.Null();
+  out.Key("decomposition_bags");
+  estimated ? out.Uint(decomposition_bags) : out.Null();
+  out.Key("treewidth_dp_cost");
+  estimated ? out.Double(treewidth_dp_cost) : out.Null();
+  out.EndObject();
 }
 
 }  // namespace cqcs

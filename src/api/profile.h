@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/json.h"
 #include "core/structure.h"
 #include "schaefer/boolean_relation.h"
 
@@ -62,10 +63,10 @@ struct InstanceProfile {
   /// the header comment). 0 for a lower bound.
   double treewidth_dp_cost = 0.0;
 
-  /// One-line diagnostic rendering.
-  std::string ToString() const;
-  /// Machine-readable rendering for `hom_tool --explain` and the benches.
-  std::string ToJson() const;
+  /// Machine-readable rendering, nested in EngineExplain's: one key set
+  /// whatever stage the router reached, null where a stage did not run.
+  void WriteJson(JsonWriter& out) const;
+  std::string ToJson() const { return ToJsonString(*this); }
 };
 
 /// Fills the size-statistic fields (the paper's ‖·‖ measures) of `profile`:

@@ -73,17 +73,6 @@ inline void ForEachSetBit(const uint64_t* words, size_t nwords, Fn fn) {
   }
 }
 
-/// a &= b, word at a time. Returns true iff any word of `a` changed.
-inline bool AndInPlace(uint64_t* a, const uint64_t* b, size_t nwords) {
-  bool changed = false;
-  for (size_t wi = 0; wi < nwords; ++wi) {
-    uint64_t next = a[wi] & b[wi];
-    changed |= next != a[wi];
-    a[wi] = next;
-  }
-  return changed;
-}
-
 }  // namespace bitwords
 
 /// A bitset whose size is fixed at construction.

@@ -73,7 +73,6 @@ class CondVar {
     lock.release();
   }
 
-  void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:

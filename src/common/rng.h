@@ -78,11 +78,6 @@ class Rng {
     return u < p;
   }
 
-  /// Uniform double in [0, 1).
-  double NextDouble() {
-    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-  }
-
   /// Fisher-Yates shuffle of a random-access container.
   template <typename Container>
   void Shuffle(Container& c) {

@@ -63,16 +63,6 @@ bool ParseUint64(std::string_view s, uint64_t* out) {
   return true;
 }
 
-std::string JoinStrings(const std::vector<std::string>& pieces,
-                        std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(pieces[i]);
-  }
-  return out;
-}
-
 bool IsIdentifier(std::string_view s) {
   if (s.empty()) return false;
   auto head = static_cast<unsigned char>(s[0]);

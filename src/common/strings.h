@@ -25,10 +25,6 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// (empty input, overflow, trailing garbage).
 bool ParseUint64(std::string_view s, uint64_t* out);
 
-/// Joins pieces with a separator.
-std::string JoinStrings(const std::vector<std::string>& pieces,
-                        std::string_view sep);
-
 /// True if `s` is a valid identifier: [A-Za-z_][A-Za-z0-9_']*.
 bool IsIdentifier(std::string_view s);
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "api/profile.h"
+#include "common/json.h"
 #include "common/saturating.h"
 #include "core/io.h"
 #include "cq/parser.h"
@@ -104,32 +104,37 @@ std::string LimitsKey(const EngineOptions& engine) {
 }  // namespace
 
 std::string ServeStats::ToJson() const {
-  std::ostringstream out;
-  out << "{\"requests\":" << requests << ",\"served\":" << served
-      << ",\"errors\":" << errors << ",\"plan_hits\":" << plan_hits
-      << ",\"plan_misses\":" << plan_misses
-      << ",\"plan_hit_rate\":" << PlanHitRate()
-      << ",\"result_hits\":" << result_hits
-      << ",\"result_misses\":" << result_misses
-      << ",\"result_hit_rate\":" << ResultHitRate()
-      << ",\"shed_queue\":" << shed_queue << ",\"shed_bytes\":" << shed_bytes
-      << ",\"updates\":" << updates
-      << ",\"invalidated_entries\":" << invalidated_entries
-      << ",\"update_refusals\":" << update_refusals
-      << ",\"quarantined\":" << quarantined
-      << ",\"degraded\":" << (degraded ? "true" : "false")
-      << ",\"recovered_dbs\":" << recovered_dbs
-      << ",\"records_replayed\":" << records_replayed
-      << ",\"wal_appends\":" << wal_appends
-      << ",\"wal_append_failures\":" << wal_append_failures
-      << ",\"snapshots\":" << snapshots
-      << ",\"snapshot_failures\":" << snapshot_failures
-      << ",\"poisoned_queries\":" << poisoned_queries
-      << ",\"queue_depth\":" << queue_depth
-      << ",\"queue_depth_peak\":" << queue_depth_peak
-      << ",\"inflight_bytes\":" << inflight_bytes
-      << ",\"plan_cache_entries\":" << plan_cache_entries
-      << ",\"result_cache_entries\":" << result_cache_entries << "}";
+  JsonWriter out;
+  out.BeginObject()
+      .Key("requests").Uint(requests)
+      .Key("served").Uint(served)
+      .Key("errors").Uint(errors)
+      .Key("plan_hits").Uint(plan_hits)
+      .Key("plan_misses").Uint(plan_misses)
+      .Key("plan_hit_rate").Double(PlanHitRate())
+      .Key("result_hits").Uint(result_hits)
+      .Key("result_misses").Uint(result_misses)
+      .Key("result_hit_rate").Double(ResultHitRate())
+      .Key("shed_queue").Uint(shed_queue)
+      .Key("shed_bytes").Uint(shed_bytes)
+      .Key("updates").Uint(updates)
+      .Key("invalidated_entries").Uint(invalidated_entries)
+      .Key("update_refusals").Uint(update_refusals)
+      .Key("quarantined").Uint(quarantined)
+      .Key("degraded").Bool(degraded)
+      .Key("recovered_dbs").Uint(recovered_dbs)
+      .Key("records_replayed").Uint(records_replayed)
+      .Key("wal_appends").Uint(wal_appends)
+      .Key("wal_append_failures").Uint(wal_append_failures)
+      .Key("snapshots").Uint(snapshots)
+      .Key("snapshot_failures").Uint(snapshot_failures)
+      .Key("poisoned_queries").Uint(poisoned_queries)
+      .Key("queue_depth").Uint(queue_depth)
+      .Key("queue_depth_peak").Uint(queue_depth_peak)
+      .Key("inflight_bytes").Uint(inflight_bytes)
+      .Key("plan_cache_entries").Uint(plan_cache_entries)
+      .Key("result_cache_entries").Uint(result_cache_entries)
+      .EndObject();
   return out.str();
 }
 

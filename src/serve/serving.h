@@ -59,7 +59,7 @@
 // Every served EngineResult carries stats.serve (plan/result hit flags plus
 // an engine-wide snapshot), so `hom_tool --explain`-style consumers see the
 // cache behavior inline; the aggregate ServeStats snapshot has its own
-// ToJson for the `stats` protocol command and the bench harness.
+// ToJson for the `stats` protocol command.
 
 #ifndef CQCS_SERVE_SERVING_H_
 #define CQCS_SERVE_SERVING_H_

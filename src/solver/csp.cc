@@ -164,34 +164,14 @@ std::span<const Element> CspInstance::LcvValuePermutation() const {
   return lcv_perm_;
 }
 
-// The vector<DynamicBitset> entry points below are the stable public API
-// (tests and one-shot callers); each wraps a throwaway Propagator. The
-// search loop keeps one Propagator alive instead — see backtracking.cc.
-
-bool ReviseConstraint(const CspInstance& csp, uint32_t ci,
-                      std::vector<DynamicBitset>& domains,
-                      std::vector<Element>* changed) {
-  Propagator prop(csp);
-  prop.LoadDomains(domains);
-  bool ok = prop.Revise(ci, changed);
-  prop.StoreDomains(&domains);
-  return ok;
-}
-
+// The vector<DynamicBitset> entry point (tests and one-shot callers) wraps
+// a throwaway Propagator; the search loop keeps one alive instead — see
+// backtracking.cc.
 bool EstablishGac(const CspInstance& csp,
                   std::vector<DynamicBitset>& domains) {
   Propagator prop(csp);
   prop.LoadDomains(domains);
   bool ok = prop.EstablishGac();
-  prop.StoreDomains(&domains);
-  return ok;
-}
-
-bool PropagateFrom(const CspInstance& csp, Element seed_var,
-                   std::vector<DynamicBitset>& domains, bool cascade) {
-  Propagator prop(csp);
-  prop.LoadDomains(domains);
-  bool ok = prop.Propagate(seed_var, cascade);
   prop.StoreDomains(&domains);
   return ok;
 }

@@ -127,28 +127,14 @@ class CspInstance {
   mutable bool lcv_perm_built_ = false;
 };
 
-/// Shrinks the domains of the variables of `constraints()[ci]` to their
-/// GAC-supported values. Returns false iff some domain becomes empty.
-/// Appends every variable whose domain shrank to `*changed` (if non-null).
-///
-/// These three free functions are one-shot conveniences: each constructs a
-/// throwaway Propagator, whose setup is proportional to the whole instance.
-/// Calling them in a loop repeats that setup — loops should hold a
-/// Propagator (solver/propagator.h) directly, as the search does.
-bool ReviseConstraint(const CspInstance& csp, uint32_t ci,
-                      std::vector<DynamicBitset>& domains,
-                      std::vector<Element>* changed);
-
 /// Establishes generalized arc consistency on `domains` by revising to a
 /// fixpoint (AC-3 style queue). Returns false iff a domain wiped out, in
 /// which case no homomorphism extends the given domains.
+///
+/// A one-shot convenience: it constructs a throwaway Propagator, whose setup
+/// is proportional to the whole instance. Loops should hold a Propagator
+/// (solver/propagator.h) directly, as the search does.
 bool EstablishGac(const CspInstance& csp, std::vector<DynamicBitset>& domains);
-
-/// Re-establishes consistency after `seed_var` changed. With `cascade` true
-/// this is MAC (revisions propagate to a fixpoint); with false it is plain
-/// forward checking (each constraint touching seed_var is revised once).
-bool PropagateFrom(const CspInstance& csp, Element seed_var,
-                   std::vector<DynamicBitset>& domains, bool cascade = true);
 
 }  // namespace cqcs
 

@@ -54,7 +54,7 @@ TEST(EngineRoutingTest, AcyclicSourcePicksYannakakisForDecide) {
     HomProblem p = MustProblem(HomProblem::FromStructures(a, b));
     HomEngine engine;
     EngineResult r = MustRun(engine, p, HomTask::kDecide);
-    EXPECT_EQ(r.explain.chosen, Backend::kAcyclic) << r.explain.ToString();
+    EXPECT_EQ(r.explain.chosen, Backend::kAcyclic) << r.explain.ToJson();
     EXPECT_TRUE(r.explain.profiled);
     EXPECT_TRUE(r.explain.profile.source_acyclic);
     EXPECT_NE(r.explain.reason.find("acyclic"), std::string::npos);
@@ -76,7 +76,7 @@ TEST(EngineRoutingTest, TreeSourceWitnessTakesYannakakis) {
     HomProblem p = MustProblem(HomProblem::FromStructures(a, b));
     HomEngine engine;
     EngineResult r = MustRun(engine, p, HomTask::kWitness);
-    EXPECT_EQ(r.explain.chosen, Backend::kAcyclic) << r.explain.ToString();
+    EXPECT_EQ(r.explain.chosen, Backend::kAcyclic) << r.explain.ToJson();
     EXPECT_FALSE(r.stats.used_search);
     EXPECT_TRUE(r.stats.used_acyclic);
     EXPECT_EQ(r.explain.served, HomTask::kWitness);
@@ -104,7 +104,7 @@ TEST(EngineRoutingTest, BoundedWidthSourcePicksTreewidthDp) {
     // the (cheaper) Yannakakis route wins; otherwise the DP must fire.
     EXPECT_EQ(r.explain.chosen,
               p.SourceAcyclic() ? Backend::kAcyclic : Backend::kTreewidth)
-        << r.explain.ToString();
+        << r.explain.ToJson();
     if (!p.SourceAcyclic()) {
       EXPECT_LE(r.explain.profile.width_estimate, 3);
     }
@@ -128,7 +128,7 @@ TEST(EngineRoutingTest, SchaeferTargetPicksUniformPolyAlgorithm) {
     HomProblem p = MustProblem(HomProblem::FromStructures(a, b));
     HomEngine engine;
     EngineResult r = MustRun(engine, p, HomTask::kWitness);
-    EXPECT_EQ(r.explain.chosen, Backend::kSchaefer) << r.explain.ToString();
+    EXPECT_EQ(r.explain.chosen, Backend::kSchaefer) << r.explain.ToJson();
     EXPECT_TRUE(r.explain.profile.target_boolean);
     EXPECT_NE(r.explain.profile.schaefer_classes, 0);
     EXPECT_FALSE(r.stats.used_search);
@@ -151,7 +151,7 @@ TEST(EngineRoutingTest, FallbackWhenWidthEstimateTooHigh) {
   HomProblem p = MustProblem(HomProblem::FromStructures(k6, k5));
   HomEngine engine;
   EngineResult r = MustRun(engine, p, HomTask::kDecide);
-  EXPECT_EQ(r.explain.chosen, Backend::kUniform) << r.explain.ToString();
+  EXPECT_EQ(r.explain.chosen, Backend::kUniform) << r.explain.ToJson();
   EXPECT_TRUE(r.stats.used_search);
   EXPECT_FALSE(r.decided);
   EXPECT_EQ(r.explain.profile.width_estimate, 5);
@@ -159,7 +159,7 @@ TEST(EngineRoutingTest, FallbackWhenWidthEstimateTooHigh) {
   for (const std::string& f : r.explain.fallbacks) {
     if (f.find("treewidth") != std::string::npos) noted_width = true;
   }
-  EXPECT_TRUE(noted_width) << r.explain.ToString();
+  EXPECT_TRUE(noted_width) << r.explain.ToJson();
 }
 
 TEST(EngineRoutingTest, FallbackOnNonSchaeferBooleanTarget) {
@@ -181,14 +181,14 @@ TEST(EngineRoutingTest, FallbackOnNonSchaeferBooleanTarget) {
   ASSERT_GT(p.SourceDecomposition().Width(), 3);
   HomEngine engine;
   EngineResult r = MustRun(engine, p, HomTask::kDecide);
-  EXPECT_EQ(r.explain.chosen, Backend::kUniform) << r.explain.ToString();
+  EXPECT_EQ(r.explain.chosen, Backend::kUniform) << r.explain.ToJson();
   bool noted_schaefer = false;
   for (const std::string& f : r.explain.fallbacks) {
     if (f.find("outside every Schaefer class") != std::string::npos) {
       noted_schaefer = true;
     }
   }
-  EXPECT_TRUE(noted_schaefer) << r.explain.ToString();
+  EXPECT_TRUE(noted_schaefer) << r.explain.ToJson();
   EXPECT_EQ(r.decided, OracleDecide(a, b));
 }
 
@@ -263,7 +263,7 @@ TEST(EngineRoutingTest, AcyclicServesCountEnumerateProjectWithoutSearch) {
 
     EngineResult count = MustRun(engine, p, HomTask::kCount);
     EXPECT_EQ(count.explain.chosen, Backend::kAcyclic)
-        << count.explain.ToString();
+        << count.explain.ToJson();
     EXPECT_TRUE(count.explain.profiled);
     EXPECT_FALSE(count.stats.used_search);
     EXPECT_TRUE(count.stats.used_acyclic);
@@ -307,7 +307,7 @@ TEST(EngineRoutingTest, CyclicSourceCountFallsBackToSearch) {
   HomProblem p = MustProblem(HomProblem::FromStructures(k3, k4));
   HomEngine engine;
   EngineResult r = MustRun(engine, p, HomTask::kCount);
-  EXPECT_EQ(r.explain.chosen, Backend::kTreewidth) << r.explain.ToString();
+  EXPECT_EQ(r.explain.chosen, Backend::kTreewidth) << r.explain.ToJson();
   EXPECT_TRUE(r.stats.used_treewidth);
   EXPECT_FALSE(r.stats.used_search);
   EXPECT_TRUE(r.explain.profiled);
@@ -319,7 +319,7 @@ TEST(EngineRoutingTest, CyclicSourceCountFallsBackToSearch) {
   Structure k6 = CliqueStructure(vocab, 6);
   HomProblem wide = MustProblem(HomProblem::FromStructures(k5, k6));
   EngineResult s = MustRun(engine, wide, HomTask::kCount);
-  EXPECT_EQ(s.explain.chosen, Backend::kUniform) << s.explain.ToString();
+  EXPECT_EQ(s.explain.chosen, Backend::kUniform) << s.explain.ToJson();
   EXPECT_TRUE(s.stats.used_search);
   EXPECT_FALSE(s.stats.used_treewidth);
   EXPECT_EQ(s.count, BacktrackingSolver(k5, k6).CountSolutions());
@@ -334,8 +334,8 @@ TEST(EngineRoutingTest, CyclicSourceCountFallsBackToSearch) {
       noted_gate = true;
     }
   }
-  EXPECT_TRUE(noted_acyclic) << s.explain.ToString();
-  EXPECT_TRUE(noted_gate) << s.explain.ToString();
+  EXPECT_TRUE(noted_acyclic) << s.explain.ToJson();
+  EXPECT_TRUE(noted_gate) << s.explain.ToJson();
 }
 
 TEST(EngineRoutingTest, CountLimitZeroCountsNothingOnEveryBackend) {
@@ -359,7 +359,7 @@ TEST(EngineRoutingTest, CountLimitZeroCountsNothingOnEveryBackend) {
       options.backend = backend;
       options.count_limit = 0;
       EngineResult r = MustRun(HomEngine(options), p, HomTask::kCount);
-      EXPECT_EQ(r.count, 0u) << r.explain.ToString();
+      EXPECT_EQ(r.count, 0u) << r.explain.ToJson();
     }
   }
 }
@@ -404,7 +404,7 @@ TEST(EngineRoutingTest, ContainmentProblemsRouteThroughPolyBackends) {
   HomProblem p = MustProblem(HomProblem::FromContainment(chain6, chain4));
   HomEngine engine;
   EngineResult r = MustRun(engine, p, HomTask::kDecide);
-  EXPECT_NE(r.explain.chosen, Backend::kUniform) << r.explain.ToString();
+  EXPECT_NE(r.explain.chosen, Backend::kUniform) << r.explain.ToJson();
   auto via_eval = IsContainedViaEvaluation(chain6, chain4);
   ASSERT_TRUE(via_eval.ok());
   EXPECT_EQ(r.decided, *via_eval);
@@ -693,10 +693,10 @@ TEST(EngineRoutingTest, CappedStageThreeRoutesLikeTheFullGate) {
               ? Backend::kTreewidth
               : Backend::kUniform;
       const EngineResult cold = MustRun(HomEngine(options), p, HomTask::kDecide);
-      ASSERT_EQ(cold.explain.chosen, want) << cold.explain.ToString();
+      ASSERT_EQ(cold.explain.chosen, want) << cold.explain.ToJson();
       // A warm rerun answers from what the cold one cached.
       const EngineResult warm = MustRun(HomEngine(options), p, HomTask::kDecide);
-      ASSERT_EQ(warm.explain.chosen, want) << warm.explain.ToString();
+      ASSERT_EQ(warm.explain.chosen, want) << warm.explain.ToJson();
       EXPECT_EQ(cold.decided, warm.decided);
 
       const InstanceProfile& prof = cold.explain.profile;
@@ -733,15 +733,16 @@ TEST(EngineRoutingTest, CappedRefusalIsCachedAndExplained) {
   EXPECT_TRUE(r.explain.profile.width_lower_bound);
   EXPECT_EQ(r.explain.profile.width_estimate, 7);
   EXPECT_EQ(r.explain.profile.eliminations_done, 0u);
-  const std::string text = r.explain.ToString();
+  const std::string text = r.explain.ToJson();
   EXPECT_NE(text.find("min-fill width>3 (a bag of width 7; stopped after 0 of "
                       "8 eliminations)"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("width>=7 (min-fill stopped after 0 of 8 eliminations)"),
+  EXPECT_NE(text.find("\"width_estimate\":null,\"width_lower_bound\":7,"
+                      "\"eliminations_done\":0,\"decomposition_bags\":null,"
+                      "\"treewidth_dp_cost\":null}"),
             std::string::npos)
       << text;
-  EXPECT_NE(r.ToJson().find("\"width_lower_bound\":7"), std::string::npos);
 
   // The verdict is cached: a capped rerun needs no elimination (a governor
   // that trips on its first poll would stop one), and an uncapped request
@@ -764,7 +765,7 @@ TEST(EngineRoutingTest, CappedRefusalIsCachedAndExplained) {
   EngineResult skipped = MustRun(HomEngine(tight), q, HomTask::kDecide);
   EXPECT_EQ(skipped.explain.chosen, Backend::kUniform);
   EXPECT_FALSE(skipped.explain.profile.width_known);
-  EXPECT_NE(skipped.explain.ToString().find("min-fill skipped"),
+  EXPECT_NE(skipped.explain.ToJson().find("min-fill skipped"),
             std::string::npos);
 }
 
@@ -779,9 +780,35 @@ TEST(EngineRoutingTest, ExplainRendersJson) {
   EXPECT_NE(json.find("\"chosen\":\"acyclic\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"profile\":{"), std::string::npos) << json;
   EXPECT_NE(json.find("\"decided\":true"), std::string::npos) << json;
+  // The profile renders one key set whatever stage the router reached:
+  // min-fill did not stop here, so its lower-bound keys are null.
+  EXPECT_NE(json.find("\"width_lower_bound\":null,\"eliminations_done\":null"),
+            std::string::npos)
+      << json;
+  // The search renders every SolveStats counter.
+  EngineOptions uniform;
+  uniform.backend = Backend::kUniform;
+  json = MustRun(HomEngine(uniform), p, HomTask::kDecide).ToJson();
+  for (const char* key :
+       {"\"nodes\":", "\"backtracks\":", "\"backjumps\":",
+        "\"longest_backjump\":", "\"restarts\":", "\"max_conflict_set\":",
+        "\"revisions\":", "\"support_walks\":", "\"workers\":",
+        "\"splits\":", "\"steals\":", "\"limit_hit\":"}) {
+    EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
+  }
   EXPECT_EQ(BackendName(Backend::kTreewidth), std::string("treewidth"));
   EXPECT_EQ(ParseBackendName("schaefer"), Backend::kSchaefer);
   EXPECT_EQ(ParseBackendName("bogus"), std::nullopt);
+}
+
+TEST(EngineRoutingTest, ExplainJsonEscapesStrings) {
+  EngineExplain e;
+  e.reason = "q\"b\\n\nt\tc\x01.";
+  e.fallbacks = {e.reason, "plain"};
+  EXPECT_EQ(e.ToJson(),
+            "{\"requested\":\"auto\",\"chosen\":\"uniform\",\"served\":"
+            "\"decide\",\"reason\":\"q\\\"b\\\\n\\nt\\tc\\u0001.\",\"fallbacks\":"
+            "[\"q\\\"b\\\\n\\nt\\tc\\u0001.\",\"plain\"],\"profile\":null}");
 }
 
 }  // namespace

@@ -460,7 +460,7 @@ struct BackendCase {
 
 void ExpectCleanTrip(const EngineResult& r, HomTask task) {
   EXPECT_TRUE(r.stats.governor.enabled);
-  EXPECT_TRUE(r.stats.governor.tripped) << r.explain.ToString();
+  EXPECT_TRUE(r.stats.governor.tripped) << r.explain.ToJson();
   EXPECT_EQ(r.stats.governor.cause, TripCause::kFailpoint);
   EXPECT_FALSE(r.decided);
   EXPECT_FALSE(r.witness.has_value());
@@ -528,7 +528,7 @@ TEST(GovernorEngineTest, EveryBackendTripsCleanlyAndStaysReusable) {
         for (const auto& f : r.explain.fallbacks) {
           if (f.find("exhausted") != std::string::npos) mentioned = true;
         }
-        EXPECT_TRUE(mentioned) << r.explain.ToString();
+        EXPECT_TRUE(mentioned) << r.explain.ToJson();
       }
 
       // Reuse: the identical problem and an ungoverned engine agree with
@@ -632,7 +632,7 @@ TEST(GovernorEngineTest, ChargeFailpointTripsTheTablePaths) {
     options.failpoints.trip_after_charges = 1;
     HomEngine engine(options);
     EngineResult r = MustRun(engine, p, HomTask::kDecide);
-    EXPECT_TRUE(r.stats.governor.tripped) << r.explain.ToString();
+    EXPECT_TRUE(r.stats.governor.tripped) << r.explain.ToJson();
     EXPECT_EQ(r.stats.governor.cause, TripCause::kFailpoint);
     EXPECT_FALSE(r.decided);
   }
@@ -702,14 +702,14 @@ TEST(GovernorEngineTest, AutoRoutingDecompositionIsGoverned) {
   tripping.failpoints.trip_after_checks = 1;
   EngineResult r = MustRun(HomEngine(tripping), p, HomTask::kDecide);
   ExpectCleanTrip(r, HomTask::kDecide);
-  EXPECT_FALSE(r.explain.profile.width_known) << r.explain.ToString();
+  EXPECT_FALSE(r.explain.profile.width_known) << r.explain.ToJson();
   EXPECT_FALSE(r.stats.used_treewidth);
   EXPECT_FALSE(r.stats.used_search);
   bool mentioned = false;
   for (const auto& f : r.explain.fallbacks) {
     if (f.find("exhausted") != std::string::npos) mentioned = true;
   }
-  EXPECT_TRUE(mentioned) << r.explain.ToString();
+  EXPECT_TRUE(mentioned) << r.explain.ToJson();
 
   // The trip cached no decomposition: an ungoverned re-run builds it,
   // routes on it, and matches the oracle.
@@ -777,7 +777,7 @@ TEST(GovernorEngineTest, MemoryBudgetTripsExplicitAcyclicEnumerate) {
   options.memory_budget_bytes = 512;    // far below the atom tables
   HomEngine engine(options);
   EngineResult r = MustRun(engine, p, HomTask::kEnumerate);
-  EXPECT_TRUE(r.stats.governor.tripped) << r.explain.ToString();
+  EXPECT_TRUE(r.stats.governor.tripped) << r.explain.ToJson();
   EXPECT_EQ(r.stats.governor.cause, TripCause::kMemory);
   EXPECT_TRUE(r.rows.empty());
   EXPECT_GT(r.stats.governor.peak_bytes, 512u);
@@ -804,14 +804,14 @@ TEST(GovernorEngineTest, AutoAdmissionDemotesToSearchBeforeBuilding) {
   options.memory_budget_bytes = 256;  // admits nothing the DP would build
   HomEngine engine(options);
   EngineResult r = MustRun(engine, p, HomTask::kDecide);
-  EXPECT_EQ(r.explain.chosen, Backend::kUniform) << r.explain.ToString();
+  EXPECT_EQ(r.explain.chosen, Backend::kUniform) << r.explain.ToJson();
   bool admission_note = false;
   for (const auto& f : r.explain.fallbacks) {
     if (f.find("admission refused") != std::string::npos) {
       admission_note = true;
     }
   }
-  EXPECT_TRUE(admission_note) << r.explain.ToString();
+  EXPECT_TRUE(admission_note) << r.explain.ToJson();
   // The search streams: it decides correctly inside the same tiny budget.
   EXPECT_EQ(r.decided, OracleDecide(a, b));
   EXPECT_FALSE(r.stats.governor.tripped);
@@ -850,7 +850,7 @@ TEST(GovernorEngineTest, GovernedRunThatFitsBudgetMatchesUngoverned) {
     HomEngine engine(governed);
     EngineResult r = MustRun(engine, p, HomTask::kWitness);
     EXPECT_TRUE(r.stats.governor.enabled);
-    EXPECT_FALSE(r.stats.governor.tripped) << r.explain.ToString();
+    EXPECT_FALSE(r.stats.governor.tripped) << r.explain.ToJson();
     EXPECT_EQ(r.decided, OracleDecide(a, b)) << "trial " << trial;
     if (r.decided) {
       ASSERT_TRUE(r.witness.has_value());

@@ -20,7 +20,10 @@
 #   boolno   acyclic source, Boolean target, no homomorphism
 #
 # plus dedicated arms for budget exhaustion (3), bad flags (1), unreadable
-# files (2), and usage (1).
+# files (2), and usage (1). Every matrix and budget cell runs once more with
+# --explain, and the JSON record it prints must parse (jq -e .), as must the
+# `stats` reply of a serve session; without jq those parse checks are
+# skipped with a note.
 #
 # Usage: hom_tool_exit_codes.sh <path-to-hom_tool>
 
@@ -63,6 +66,37 @@ expect() {
   if [[ "$got" != "$want" ]]; then
     echo "FAIL [$desc]: expected exit $want, got $got: $*" >&2
     fail=1
+  fi
+}
+
+HAVE_JQ=0
+if command -v jq >/dev/null 2>&1; then
+  HAVE_JQ=1
+else
+  echo "skipped: jq not found; the --explain and stats JSON is not parsed"
+fi
+
+# Like expect, with --explain appended: every answer (exit 0, 1 or 3) also
+# prints one JSON record. The records are collected (one jq run parses them
+# all at the end; a jq start per cell would cost seconds).
+expect_json() {
+  local desc="$1" want="$2"
+  shift 2
+  local out got record
+  out="$("$@" --explain 2>/dev/null)"
+  got=$?
+  record="$(grep '^{' <<< "$out")"
+  if [[ "$got" != "$want" ]]; then
+    echo "FAIL [$desc/explain]: expected exit $want, got $got: $*" >&2
+    fail=1
+  elif [[ "$want" == 2 ]]; then
+    return
+  elif [[ -z "$record" || "$record" == *$'\n'* ]]; then
+    echo "FAIL [$desc/explain]: expected one JSON record: $*" >&2
+    fail=1
+  else
+    echo "$record" >> "$tmp/explain.jsonl"
+    echo "$desc" >> "$tmp/explain.cells"
   fi
 }
 
@@ -111,6 +145,11 @@ for task in decide witness count enumerate; do
       expect "$task/$backend/$inst/governed" "$want" \
         "$HOM_TOOL" solve "$a" "$b" "--task=$task" "--backend=$backend" \
         --memory-budget-mb=512 --deadline-ms=60000
+      expect_json "$task/$backend/$inst" "$want" \
+        "$HOM_TOOL" solve "$a" "$b" "--task=$task" "--backend=$backend"
+      expect_json "$task/$backend/$inst/governed" "$want" \
+        "$HOM_TOOL" solve "$a" "$b" "--task=$task" "--backend=$backend" \
+        --memory-budget-mb=512 --deadline-ms=60000
     done
   done
 done
@@ -119,6 +158,8 @@ done
 for task in decide witness count enumerate; do
   expect "trip/$task" 3 "$HOM_TOOL" solve "$tmp/p6.struct" "$tmp/big.struct" \
     "--task=$task" --backend=acyclic --memory-budget-mb=1
+  expect_json "trip/$task" 3 "$HOM_TOOL" solve "$tmp/p6.struct" \
+    "$tmp/big.struct" "--task=$task" --backend=acyclic --memory-budget-mb=1
 done
 
 # Usage problems -> 1.
@@ -144,6 +185,26 @@ if ! printf 'db g universe 3; E/2: 0 1, 1 2, 2 0\nquery q Q() :- E(X, Y).\nrun d
     | "$HOM_TOOL" serve >/dev/null 2>&1; then
   echo "FAIL [serve-session]: expected exit 0" >&2
   fail=1
+fi
+
+# Every collected --explain record parses; on a failure, name the cells.
+if [[ "$HAVE_JQ" == 1 ]] && ! jq -e . "$tmp/explain.jsonl" >/dev/null 2>&1; then
+  paste -d '\t' "$tmp/explain.cells" "$tmp/explain.jsonl" |
+    while IFS=$'\t' read -r desc record; do
+      jq -e . <<< "$record" >/dev/null 2>&1 ||
+        echo "FAIL [$desc/explain]: unparsable JSON: $record" >&2
+    done
+  fail=1
+fi
+
+# The stats reply is one JSON record.
+if [[ "$HAVE_JQ" == 1 ]]; then
+  out="$(printf 'db g universe 3; E/2: 0 1, 1 2, 2 0\nquery q Q() :- E(X, Y).\nrun decide q g\nrun decide q g\nrun decide q missing\nstats\nquit\n' \
+          | "$HOM_TOOL" serve 2>/dev/null)"
+  if ! grep '^{' <<< "$out" | jq -e '.requests == 3' >/dev/null; then
+    echo "FAIL [serve-stats-json]: out: $out" >&2
+    fail=1
+  fi
 fi
 
 # New serve flags reject malformed values with a usage error (1).
