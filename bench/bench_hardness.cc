@@ -300,7 +300,9 @@ BENCHMARK(BM_SparseRefutationFc_CbjDomWdeg)->Unit(benchmark::kMillisecond);
 // limit of 10^4. After X0 := v a neighbour keeps about 6 of its 512 values,
 // so most revisions walk the supports of the small domain instead of
 // re-checking every value's residue; `support_walks` out of `revisions`
-// says how many did. `nodes` is summed over the set.
+// says how many did. Every query has a cycle cutset of one variable, so
+// count and project stop at backtrack-free leaves; `leaves` counts them.
+// `nodes` is summed over the set.
 std::vector<HomProblem> CyclicQueriesIntoSparseGraph() {
   Rng rng(2020);
   auto vocab = MakeGraphVocabulary();
@@ -349,12 +351,14 @@ void BM_CyclicQueryIntoSparseGraph(benchmark::State& state, HomTask task) {
       stats.nodes += r->stats.search.nodes;
       stats.revisions += r->stats.search.revisions;
       stats.support_walks += r->stats.search.support_walks;
+      stats.leaves += r->stats.search.leaves;
       benchmark::DoNotOptimize(r);
     }
   }
   state.counters["nodes"] = static_cast<double>(stats.nodes);
   state.counters["revisions"] = static_cast<double>(stats.revisions);
   state.counters["support_walks"] = static_cast<double>(stats.support_walks);
+  state.counters["leaves"] = static_cast<double>(stats.leaves);
   state.counters["answers"] = static_cast<double>(answers);
 }
 BENCHMARK_CAPTURE(BM_CyclicQueryIntoSparseGraph, decide, HomTask::kDecide)

@@ -388,14 +388,25 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
         }
         SolveOptions solve = options_.solve;
         solve.governor = governor;  // trip surfaces as stats.search.limit_hit
-        BacktrackingSolver solver(&problem.Csp(), solve);
+        const CspInstance& csp = problem.Csp();
+        BacktrackingSolver solver(&csp, solve);
+        // Whether leaves ran shows in stats.search.leaves and .cutset.
+        r.explain.reason +=
+            csp.cycle_cutset().has_value()
+                ? "; cycle cutset of " +
+                      std::to_string(csp.cycle_cutset()->size())
+                : "; cycle cutset over " +
+                      std::to_string(CspInstance::kMaxCutset) +
+                      " variables (no backtrack-free leaves)";
         r.stats.used_search = true;
         switch (task) {
           case HomTask::kDecide:
+            r.decided = solver.Decide(&r.stats.search);
+            break;
           case HomTask::kWitness: {
             auto h = solver.Solve(&r.stats.search);
             r.decided = h.has_value();
-            if (task == HomTask::kWitness) r.witness = std::move(h);
+            r.witness = std::move(h);
             break;
           }
           case HomTask::kCount:
@@ -535,6 +546,8 @@ void EngineStats::WriteJson(JsonWriter& out) const {
         .Key("max_conflict_set").Uint(search.max_conflict_set)
         .Key("revisions").Uint(search.revisions)
         .Key("support_walks").Uint(search.support_walks)
+        .Key("leaves").Uint(search.leaves)
+        .Key("cutset").Uint(search.cutset)
         .Key("workers").Uint(search.workers)
         .Key("splits").Uint(search.splits)
         .Key("steals").Uint(search.steals)

@@ -198,7 +198,7 @@ const CspInstance& HomProblem::Csp() const {
   PairCache& cache = *pair_cache_;
   MutexLock lock(cache.mu);
   if (!cache.csp.has_value()) {
-    cache.csp.emplace(*source_, *target_);
+    cache.csp.emplace(*source_, *target_, projection_);
   }
   return *cache.csp;
 }

@@ -135,7 +135,8 @@ class HomProblem {
                                    WidthCap* cap = nullptr) const;
 
   /// The constraint network for the uniform backend, with B's CSR support
-  /// indexes materialized. Built once per (source, target) pair.
+  /// indexes materialized. Built once per (source, target) pair; the
+  /// projection at that time steers its cycle cutset (head first).
   const CspInstance& Csp() const;
 
  private:

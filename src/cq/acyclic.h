@@ -40,6 +40,8 @@
 
 namespace cqcs {
 
+class Propagator;            // solver/propagator.h
+struct ResidualForest;       // solver/residual.h
 class ResourceGovernor;      // common/governor.h
 class TreeDecomposition;     // treewidth/decomposition.h
 struct TreewidthSolveStats;  // treewidth/hom_dp.h
@@ -80,8 +82,8 @@ struct YannakakisStats {
 /// in an order its front end picks (an atom's argument order, a bag's
 /// element order); every variable's nodes form a connected subforest
 /// (running intersection), and a variable in no node ranges freely over
-/// the target universe. Two front ends load it, then run only the passes
-/// the task reads:
+/// the target universe. Three front ends load it, then run only the
+/// passes the task reads:
 ///
 ///   task              semijoin passes         match indexes
 ///   decide            bottom-up               -
@@ -112,7 +114,7 @@ struct YannakakisStats {
 ///
 /// A governor trip in any phase unwinds with kResourceExhausted; the
 /// caller must then discard every output (no torn results). Each program
-/// is loaded once, by one of the two entry points.
+/// is loaded once, by one of the entry points.
 class YannakakisProgram {
  public:
   /// What a task reads; the entry points run exactly those passes.
@@ -158,6 +160,18 @@ class YannakakisProgram {
                   const TreeDecomposition& decomposition, Passes passes,
                   TreewidthSolveStats* stats = nullptr,
                   std::vector<std::vector<Element>>* node_tables = nullptr);
+
+  /// Entry point from a search node (defined in solver/residual.cc): one
+  /// table per node of `forest`, holding a residual constraint's live
+  /// tuples (Propagator::ForEachLiveTuple) projected onto its unassigned
+  /// variables, or a variable's live domain; then `passes` over the
+  /// forest. Variables are the network's, and every one is in a node, so
+  /// an assignment row is a homomorphism extending the node. At a GAC node
+  /// (a MAC fixpoint) Count is then the number of solutions below it: a
+  /// constraint with at most one unassigned variable allows every value
+  /// left in that variable's domain.
+  Status FromDomains(const Propagator& prop, const ResidualForest& forest,
+                     Passes passes);
 
   /// False when some table emptied: no assignment satisfies the forest.
   /// After kCount only a loaded table can have emptied, so true does not

@@ -3,6 +3,7 @@
 #include <unordered_set>
 
 #include "common/hash.h"
+#include "common/saturating.h"
 #include "solver/parallel.h"
 #include "solver/search_context.h"
 
@@ -10,6 +11,7 @@ namespace cqcs {
 
 namespace {
 
+using solver_internal::LeafSink;
 using solver_internal::ParallelSearch;
 using solver_internal::SearchContext;
 
@@ -26,12 +28,13 @@ struct RowHash {
 size_t RunSearch(const CspInstance& csp, const SolveOptions& options,
                  std::span<const Element> projection,
                  const std::function<bool(const Homomorphism&)>& on_solution,
-                 SolveStats* stats, bool first_solution_only) {
+                 const LeafSink* leaf, SolveStats* stats,
+                 bool first_solution_only) {
   if (ResolveThreadCount(options.num_threads) > 1) {
-    return ParallelSearch(csp, options, projection, on_solution, stats,
+    return ParallelSearch(csp, options, projection, on_solution, leaf, stats,
                           first_solution_only);
   }
-  SearchContext ctx(csp, options, projection, on_solution, stats,
+  SearchContext ctx(csp, options, projection, on_solution, leaf, stats,
                     first_solution_only);
   return ctx.Run();
 }
@@ -54,14 +57,29 @@ std::optional<Homomorphism> BacktrackingSolver::Solve(SolveStats* stats) {
         found = h;
         return false;  // stop at the first solution
       },
-      stats, /*first_solution_only=*/true);
+      /*leaf=*/nullptr, stats, /*first_solution_only=*/true);
+  return found;
+}
+
+bool BacktrackingSolver::Decide(SolveStats* stats) {
+  bool found = false;
+  auto stop = [&found] {
+    found = true;
+    return false;  // stop at the first solution
+  };
+  LeafSink leaf;
+  leaf.on_count = [&stop](size_t) { return stop(); };
+  leaf.limit = 1;
+  RunSearch(
+      *csp_, options_, {}, [&stop](const Homomorphism&) { return stop(); },
+      &leaf, stats, /*first_solution_only=*/true);
   return found;
 }
 
 size_t BacktrackingSolver::ForEachSolution(
     const std::function<bool(const Homomorphism&)>& on_solution,
     SolveStats* stats) {
-  return RunSearch(*csp_, options_, {}, on_solution, stats,
+  return RunSearch(*csp_, options_, {}, on_solution, /*leaf=*/nullptr, stats,
                    /*first_solution_only=*/false);
 }
 
@@ -71,6 +89,8 @@ std::vector<std::vector<Element>> BacktrackingSolver::EnumerateProjections(
   if (max_results == 0) return {};
   std::unordered_set<std::vector<Element>, RowHash> seen;
   std::vector<std::vector<Element>> results;
+  LeafSink leaf;
+  leaf.project = true;
   RunSearch(
       *csp_, options_, projection,
       [&](const Homomorphism& h) {
@@ -87,20 +107,26 @@ std::vector<std::vector<Element>> BacktrackingSolver::EnumerateProjections(
         }
         return true;
       },
-      stats, /*first_solution_only=*/false);
+      &leaf, stats, /*first_solution_only=*/false);
   return results;
 }
 
 size_t BacktrackingSolver::CountSolutions(size_t limit, SolveStats* stats) {
   if (limit == 0) return 0;  // the callback counts a solution before the cap
   size_t count = 0;
+  LeafSink leaf;
+  leaf.on_count = [&count, limit](size_t n) {
+    count = SatAdd(count, n, limit);
+    return count < limit;
+  };
+  leaf.limit = limit;
   RunSearch(
       *csp_, options_, {},
       [&count, limit](const Homomorphism&) {
         ++count;
         return count < limit;
       },
-      stats, /*first_solution_only=*/false);
+      &leaf, stats, /*first_solution_only=*/false);
   return count;
 }
 

@@ -127,10 +127,18 @@ struct SolveStats {
   /// residue (docs/solver.md, Propagator: "Revision").
   uint64_t revisions = 0;
   uint64_t support_walks = 0;
+  /// Nodes the backtrack-free leaf rule answered (docs/solver.md,
+  /// "Backtrack-free leaves"): the cycle cutset (and, for project, the
+  /// head) assigned, the rest a GAC forest. At most `nodes`.
+  uint64_t leaves = 0;
+  /// Size of the cycle cutset the search branched on first
+  /// (CspInstance::cycle_cutset); 0 when the leaf rule was off.
+  uint64_t cutset = 0;
   // -- Parallel search (num_threads > 1; all zero on the sequential path).
   // Per-worker counters are merged deterministically after the run:
-  // nodes/backtracks/backjumps/restarts/revisions/support_walks are summed,
-  // longest_backjump and max_conflict_set maxed, limit_hit ORed.
+  // nodes/backtracks/backjumps/restarts/revisions/support_walks/leaves are
+  // summed, longest_backjump, max_conflict_set and cutset maxed, limit_hit
+  // ORed.
   /// Resolved worker loops; at most the shared pool's cap run at once.
   uint64_t workers = 0;
   /// Split events: a busy worker donated the untried values of its
@@ -163,6 +171,12 @@ class BacktrackingSolver {
   /// limit was hit — check stats).
   std::optional<Homomorphism> Solve(SolveStats* stats = nullptr);
 
+  /// Whether a homomorphism A -> B exists (false also when the node limit
+  /// was hit — check stats). Unlike Solve it needs no witness, so under
+  /// MAC it answers yes at the first node where the cycle cutset is
+  /// assigned without a wipeout (the backtrack-free leaf rule).
+  bool Decide(SolveStats* stats = nullptr);
+
   /// Invokes `on_solution` for every homomorphism; stop early by returning
   /// false from the callback. Returns the number of solutions delivered.
   size_t ForEachSolution(const std::function<bool(const Homomorphism&)>&
@@ -173,12 +187,16 @@ class BacktrackingSolver {
   /// (a list of A-elements): this is conjunctive-query evaluation when A is
   /// a canonical database and `projection` its distinguished variables.
   /// The search backtracks immediately after witnessing each projection, so
-  /// the cost is per-answer, not per-homomorphism. Results are deduplicated.
+  /// the cost is per-answer, not per-homomorphism; under MAC with the leaf
+  /// rule, a projection is witnessed once the projection and the cycle
+  /// cutset are assigned without a wipeout. Results are deduplicated.
   std::vector<std::vector<Element>> EnumerateProjections(
       std::span<const Element> projection, size_t max_results = SIZE_MAX,
       SolveStats* stats = nullptr);
 
-  /// Counts homomorphisms, stopping at `limit`.
+  /// Counts homomorphisms, stopping at `limit`. Under MAC with the leaf
+  /// rule, each node where the cycle cutset is assigned adds its residual
+  /// forest's count at once (saturating at `limit`).
   size_t CountSolutions(size_t limit = SIZE_MAX, SolveStats* stats = nullptr);
 
  private:

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/hash.h"
+#include "core/homomorphism.h"
 #include "solver/propagator.h"
 
 namespace cqcs {
@@ -42,9 +43,90 @@ void MarkDuplicateTuples(const Relation& ra, std::vector<uint8_t>* dup) {
   }
 }
 
+/// The greedy cycle cutset behind CspInstance::cycle_cutset(). It peels
+/// the variable/constraint incidence graph to its 2-core (a variable on at
+/// most one live constraint, or a constraint with at most one live
+/// variable, is a leaf and lies on no cycle), then moves one core variable
+/// at a time into C and peels again, until the core is empty: the graph
+/// minus C is then a forest. Constraints with one variable never close a
+/// cycle and are left out from the start. nullopt once C would exceed
+/// `cap`.
+std::optional<std::vector<Element>> GreedyCycleCutset(
+    const std::vector<Constraint>& constraints,
+    const std::vector<std::vector<uint32_t>>& constraints_of_var,
+    std::span<const Element> head, size_t cap) {
+  const size_t n = constraints_of_var.size();
+  std::vector<uint32_t> live_vars(constraints.size(), 0);
+  std::vector<uint32_t> degree(n, 0);
+  std::vector<uint8_t> var_gone(n, 0);
+  std::vector<uint8_t> con_gone(constraints.size(), 1);
+  for (size_t ci = 0; ci < constraints.size(); ++ci) {
+    const std::vector<Element>& vars = constraints[ci].vars;
+    if (vars.size() < 2) continue;
+    con_gone[ci] = 0;
+    live_vars[ci] = static_cast<uint32_t>(vars.size());
+    for (Element v : vars) ++degree[v];
+  }
+  std::vector<Element> var_queue;
+  std::vector<uint32_t> con_queue;
+  for (Element v = 0; v < n; ++v) {
+    if (degree[v] <= 1) var_queue.push_back(v);
+  }
+  auto remove_var = [&](Element v) {
+    var_gone[v] = 1;
+    for (uint32_t ci : constraints_of_var[v]) {
+      if (!con_gone[ci] && --live_vars[ci] <= 1) {
+        con_gone[ci] = 1;
+        con_queue.push_back(ci);
+      }
+    }
+  };
+  auto peel = [&] {
+    while (!var_queue.empty() || !con_queue.empty()) {
+      if (!var_queue.empty()) {
+        const Element v = var_queue.back();
+        var_queue.pop_back();
+        if (!var_gone[v]) remove_var(v);
+        continue;
+      }
+      const uint32_t ci = con_queue.back();
+      con_queue.pop_back();
+      for (Element v : constraints[ci].vars) {
+        if (!var_gone[v] && --degree[v] == 1) var_queue.push_back(v);
+      }
+    }
+  };
+  peel();
+  std::vector<Element> cutset;
+  size_t next_head = 0;
+  while (true) {
+    Element pick = kUnassigned;
+    while (next_head < head.size() && pick == kUnassigned) {
+      const Element h = head[next_head++];
+      if (!var_gone[h]) pick = h;
+    }
+    if (pick == kUnassigned) {
+      // No head variable is left on a cycle: take the core variable on the
+      // most core constraints (lowest id on ties).
+      for (Element v = 0; v < n; ++v) {
+        if (!var_gone[v] &&
+            (pick == kUnassigned || degree[v] > degree[pick])) {
+          pick = v;
+        }
+      }
+    }
+    if (pick == kUnassigned) return cutset;  // the core is empty
+    if (cutset.size() == cap) return std::nullopt;
+    cutset.push_back(pick);
+    remove_var(pick);
+    peel();
+  }
+}
+
 }  // namespace
 
-CspInstance::CspInstance(const Structure& a, const Structure& b)
+CspInstance::CspInstance(const Structure& a, const Structure& b,
+                         std::span<const Element> head)
     : a_(&a), b_(&b) {
   CQCS_CHECK_MSG(a.vocabulary()->Equals(*b.vocabulary()),
                  "CSP instance requires a common vocabulary");
@@ -112,6 +194,18 @@ CspInstance::CspInstance(const Structure& a, const Structure& b)
       uint32_t ci = static_cast<uint32_t>(constraints_.size());
       for (Element v : c.vars) constraints_of_var_[v].push_back(ci);
       constraints_.push_back(std::move(c));
+    }
+  }
+  for (Element h : head) CQCS_CHECK(h < a.universe_size());
+  if (b.universe_size() > 0) {
+    cutset_ = GreedyCycleCutset(constraints_, constraints_of_var_, head,
+                                kMaxCutset);
+  }
+  if (cutset_.has_value()) {
+    // Leaf tables skip their dedup over a relation known duplicate-free
+    // (YannakakisProgram::FromDomains); sorting it once here tells.
+    for (RelId id = 0; id < vocab.size(); ++id) {
+      if (a.relation(id).tuple_count() > 0) b.relation(id).EnsureIndex();
     }
   }
 }

@@ -16,8 +16,9 @@
 //
 // Thread safety: a constructed CspInstance is logically immutable and safe
 // to share across the parallel search's workers — every per-node read
-// (constraints, constraints_of, the relations' CSR support indexes, which
-// the constructor materializes eagerly) touches only memory written before
+// (constraints, constraints_of, the relations' CSR support indexes and,
+// when there is a cycle cutset, their sorted indexes, all of which the
+// constructor materializes eagerly) touches only memory written before
 // the workers started. The one lazily built cache is
 // ValueSupportScores(); the parallel driver (solver/parallel.cc) calls it
 // once on the calling thread when the strategy needs it, so workers only
@@ -28,6 +29,7 @@
 #define CQCS_SOLVER_CSP_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -74,8 +76,17 @@ struct Constraint {
 /// Immutable constraint network extracted from a pair (A, B).
 class CspInstance {
  public:
-  /// CHECK-fails if the vocabularies differ.
-  CspInstance(const Structure& a, const Structure& b);
+  /// Largest cycle cutset the backtrack-free leaf rule runs with (see
+  /// cycle_cutset()). Above it the search keeps its heuristic order: a
+  /// wide cutset means a dense source, where branching on it first pays
+  /// more than the leaves save (K3 colorings of G(120, 4.8) need about 40).
+  static constexpr size_t kMaxCutset = 4;
+
+  /// CHECK-fails if the vocabularies differ or a `head` element is out of
+  /// range. `head` (the projection of the problem, if any) only steers
+  /// which variables the cycle cutset picks first.
+  CspInstance(const Structure& a, const Structure& b,
+              std::span<const Element> head = {});
 
   const Structure& a() const { return *a_; }
   const Structure& b() const { return *b_; }
@@ -93,6 +104,17 @@ class CspInstance {
   /// Total residue slots over all constraints (see Constraint::
   /// residue_offset); sizes the propagator's residue array.
   size_t residue_slot_count() const { return residue_slots_; }
+
+  /// A cycle cutset C: once C is assigned, the constraints' scopes minus C
+  /// form a Berge-acyclic hypergraph (its variable/constraint incidence
+  /// graph is a forest; in particular no two constraints share two
+  /// unassigned variables). Picked greedily, head variables first, then
+  /// the variable on most constraints of the remaining cycles. nullopt
+  /// when C would exceed kMaxCutset or B is empty: the leaf rule is off.
+  /// Built eagerly, so workers may read it.
+  const std::optional<std::vector<Element>>& cycle_cutset() const {
+    return cutset_;
+  }
 
   /// Domains with every value allowed.
   std::vector<DynamicBitset> FullDomains() const;
@@ -121,6 +143,7 @@ class CspInstance {
   std::vector<Constraint> constraints_;
   std::vector<std::vector<uint32_t>> constraints_of_var_;
   size_t residue_slots_ = 0;
+  std::optional<std::vector<Element>> cutset_;
   mutable std::vector<uint64_t> value_support_scores_;
   mutable bool value_support_scores_built_ = false;
   mutable std::vector<Element> lcv_perm_;

@@ -22,6 +22,8 @@ void MergeStats(const SolveStats& in, SolveStats* out) {
   out->restarts += in.restarts;
   out->revisions += in.revisions;
   out->support_walks += in.support_walks;
+  out->leaves += in.leaves;
+  out->cutset = std::max(out->cutset, in.cutset);
   out->max_conflict_set = std::max(out->max_conflict_set, in.max_conflict_set);
   out->limit_hit = out->limit_hit || in.limit_hit;
 }
@@ -32,7 +34,8 @@ size_t ParallelSearch(const CspInstance& csp, const SolveOptions& options,
                       std::span<const Element> projection,
                       const std::function<bool(const Homomorphism&)>&
                           on_solution,
-                      SolveStats* stats, bool first_solution_only) {
+                      const LeafSink* leaf, SolveStats* stats,
+                      bool first_solution_only) {
   const unsigned workers = ResolveThreadCount(options.num_threads);
   CQCS_CHECK(workers > 1);
 
@@ -51,17 +54,30 @@ size_t ParallelSearch(const CspInstance& csp, const SolveOptions& options,
   // delivery fleet-wide.
   Mutex cb_mu;
   size_t delivered = 0;
-  auto serialized = [&](const Homomorphism& h) {
+  auto deliver = [&](auto&& report) {
     MutexLock lock(cb_mu);
     if (pool.cancel.load(std::memory_order_relaxed)) return false;
     ++delivered;
-    const bool keep_going = on_solution(h);
+    const bool keep_going = report();
     if (!keep_going) {
       pool.cancel.store(true, std::memory_order_relaxed);
       pool.NotifyCancelled();
     }
     return keep_going;
   };
+  auto serialized = [&](const Homomorphism& h) {
+    return deliver([&] { return on_solution(h); });
+  };
+  // Leaf counts go through the same lock, so the caller's sum needs none.
+  LeafSink serialized_leaf;
+  if (leaf != nullptr) {
+    serialized_leaf = *leaf;
+    if (leaf->on_count != nullptr) {
+      serialized_leaf.on_count = [&](size_t n) {
+        return deliver([&] { return leaf->on_count(n); });
+      };
+    }
+  }
 
   ParallelHandles handles;
   handles.cancel = &pool.cancel;
@@ -83,6 +99,7 @@ size_t ParallelSearch(const CspInstance& csp, const SolveOptions& options,
   auto worker_loop = [&](unsigned, size_t w, size_t) {
     if (pool.cancel.load(std::memory_order_relaxed)) return true;
     SearchContext ctx(csp, options, projection, serialized,
+                      leaf != nullptr ? &serialized_leaf : nullptr,
                       &worker_stats[w].stats, first_solution_only, &handles);
     // Root propagation is subproblem-independent: a refutation for one
     // worker is one for all. Every worker runs it anyway: the fixpoints run

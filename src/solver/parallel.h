@@ -44,18 +44,22 @@
 namespace cqcs {
 namespace solver_internal {
 
+struct LeafSink;  // solver/search_context.h
+
 /// Runs the full search with ResolveThreadCount(options.num_threads)
 /// workers. Mirrors SearchContext::Run: `on_solution` is invoked once per
 /// solution found (serialized; returning false cancels every worker), and
 /// the return value is the number of callback invocations. `projection`
 /// enables the projection-prefix pruning exactly as in the sequential
-/// search. Requires options.num_threads to resolve to > 1 — the sequential
-/// path never comes through here.
+/// search, and `leaf` (may be null) the leaf rule, whose on_count goes
+/// through the same lock. Requires options.num_threads to resolve to > 1 —
+/// the sequential path never comes through here.
 size_t ParallelSearch(const CspInstance& csp, const SolveOptions& options,
                       std::span<const Element> projection,
                       const std::function<bool(const Homomorphism&)>&
                           on_solution,
-                      SolveStats* stats, bool first_solution_only);
+                      const LeafSink* leaf, SolveStats* stats,
+                      bool first_solution_only);
 
 }  // namespace solver_internal
 }  // namespace cqcs

@@ -201,7 +201,7 @@ size_t Propagator::SupportWalkSlot(const Constraint& c) const {
   ForEachValue(c.vars[j], [&](size_t a) {
     candidates += rb.TuplesWith(pos, static_cast<Element>(a)).size();
   });
-  return (k + 1) * candidates < others ? j : SIZE_MAX;
+  return candidates < others ? j : SIZE_MAX;
 }
 
 bool Propagator::ReviseBySupportWalk(const Constraint& c, size_t j,

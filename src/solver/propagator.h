@@ -24,13 +24,16 @@
 //      candidate tuples once, OR each live tuple's values into one scratch
 //      bitset per slot (refreshing that (slot, value) residue), then AND
 //      every domain with its bitset word by word. It runs when
-//      k * |dom_j| < S and (k + 1) * W < S, with k the scope width, S the
-//      other slots' summed domain sizes and W the candidate tuple count;
-//      the first test is O(k) and guards computing W. Constraints over a
-//      dense relation (Constraint::may_walk false) skip the rule. On a
-//      sparse target right after an assignment nearly every residue of a
-//      neighbour is dead, so the residue path would rescan a full domain's
-//      tuple lists while the walk touches about |dom_j| x (degree) tuples.
+//      k * |dom_j| < S and W < S, with k the scope width, S the other
+//      slots' summed domain sizes and W the candidate tuple count; the
+//      first test is O(k) and guards computing W. Constraints over a dense
+//      relation (Constraint::may_walk false) skip the rule. Cost model:
+//      the walk pays one TupleAlive per candidate, W in all; the residue
+//      path pays at least one per value of the other slots, S in all, and
+//      on a sparse target right after an assignment nearly every residue
+//      of a neighbour is dead, so each dying value also rescans its whole
+//      tuple list and pays a ClearValue. W < S is therefore the break-even
+//      point.
 //  * Optional conflict tracking (EnableConflictTracking) maintains, per
 //    variable, the set of decision variables responsible for its domain
 //    prunings. Conflict sets live in the same flat word array as the
@@ -120,6 +123,27 @@ class Propagator {
   /// Revises one constraint; appends shrunk variables to `*changed` (if
   /// non-null). Returns false iff a domain wiped out.
   bool Revise(uint32_t ci, std::vector<Element>* changed);
+
+  /// Calls fn(tuple) for every live B-tuple of constraint `ci` (see
+  /// TupleAlive), each once: it walks the candidate lists of the scope slot
+  /// with the smallest domain. `tuple` points at the relation's storage.
+  template <typename Fn>
+  void ForEachLiveTuple(uint32_t ci, Fn fn) const {
+    const Constraint& c = csp_->constraints()[ci];
+    const Relation& rb = csp_->b().relation(c.rel);
+    size_t j = 0;
+    for (size_t i = 1; i < c.vars.size(); ++i) {
+      if (counts_[c.vars[i]] < counts_[c.vars[j]]) j = i;
+    }
+    const uint32_t pos = c.pos_of_var(j);
+    ForEachValue(c.vars[j], [&](size_t a) {
+      for (uint32_t t : rb.TuplesWith(pos, static_cast<Element>(a))) {
+        if (TupleAlive(rb, t, c)) {
+          fn(rb.data().data() + static_cast<size_t>(t) * rb.arity());
+        }
+      }
+    });
+  }
 
   /// Revise calls so far, and how many of them took the support walk (see
   /// the header comment). Never reset; the search copies them out.

@@ -6,6 +6,7 @@
 #include "common/bitset.h"
 #include "common/check.h"
 #include "common/governor.h"
+#include "cq/acyclic.h"
 
 namespace cqcs {
 namespace solver_internal {
@@ -27,7 +28,8 @@ SearchContext::SearchContext(const CspInstance& csp,
                              std::span<const Element> projection,
                              std::function<bool(const Homomorphism&)>
                                  on_solution,
-                             SolveStats* stats, bool first_solution_only,
+                             const LeafSink* leaf, SolveStats* stats,
+                             bool first_solution_only,
                              const ParallelHandles* par)
     : csp_(csp),
       options_(options),
@@ -51,6 +53,23 @@ SearchContext::SearchContext(const CspInstance& csp,
     prefix_.push_back(v);
   }
   prune_boundary_ = projection.empty() ? SIZE_MAX : prefix_.size();
+  // The leaf rule: the cutset joins the prefix, below the prune boundary,
+  // so project still prunes right after the projection variables. Leaves
+  // are search nodes: with nothing to branch on first (an acyclic network
+  // without projection) the rule stays off and the search runs as before.
+  const std::optional<std::vector<Element>>& cutset = csp_.cycle_cutset();
+  if (leaf != nullptr && cutset.has_value() &&
+      options_.propagation == Propagation::kMac &&
+      prefix_.size() + cutset->size() > 0) {
+    for (Element v : *cutset) {
+      if (in_prefix_[v]) continue;
+      in_prefix_[v] = 1;
+      prefix_.push_back(v);
+    }
+    residual_ = ResidualForest::Build(csp_, in_prefix_);
+    leaf_ = leaf;
+    stats_->cutset = cutset->size();
+  }
   // One value buffer per depth, sized once: the search itself does not
   // allocate.
   values_by_depth_.resize(csp_.var_count());
@@ -254,7 +273,9 @@ void SearchContext::TrySplit(size_t cur_depth) {
 }
 
 SearchContext::Step SearchContext::Search(size_t depth) {
-  if (depth + replay_len_ == csp_.var_count()) return EmitSolution();
+  const size_t abs_depth = depth + replay_len_;
+  if (abs_depth == csp_.var_count()) return EmitSolution();
+  if (leaf_ != nullptr && abs_depth == prefix_.size()) return Leaf();
   Element var = SelectVariable(depth);
 
   std::vector<Element>& values = values_by_depth_[depth];
@@ -398,6 +419,37 @@ SearchContext::Step SearchContext::EmitSolution() {
   ++solutions_;
   if (!on_solution_(solution_)) return Step::kStop;
   return Step::kPrune;
+}
+
+SearchContext::Step SearchContext::Leaf() {
+  ++stats_->leaves;  // never the root: the prefix is not empty
+  // MAC holds GAC here and the unassigned part is a Berge-acyclic forest,
+  // so every value left extends to a solution (Freuder 1982): project
+  // reports its row, decide its yes, without assigning the rest.
+  if (leaf_->project) return EmitSolution();
+  size_t count = 1;
+  if (leaf_->limit > 1) {
+    Result<size_t> n = CountResidual();
+    if (!n.ok()) {
+      // Only a governor trip fails the program: stop as CountNode would.
+      CQCS_CHECK(n.status().code() == StatusCode::kResourceExhausted);
+      stats_->limit_hit = true;
+      if (par_ != nullptr) par_->cancel->store(true, std::memory_order_relaxed);
+      return Step::kStop;
+    }
+    count = *n;
+  }
+  ++solutions_;
+  if (!leaf_->on_count(count)) return Step::kStop;
+  return Step::kPrune;
+}
+
+Result<size_t> SearchContext::CountResidual() {
+  YannakakisProgram program(nullptr, options_.governor);
+  CQCS_RETURN_IF_ERROR(program.FromDomains(prop_, *residual_,
+                                           YannakakisProgram::Passes::kCount));
+  // No table is empty at a GAC node, so the program is satisfiable.
+  return program.Count(leaf_->limit);
 }
 
 // One tight scan per heuristic: the selection loop runs at every search

@@ -30,14 +30,17 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
 #include "core/homomorphism.h"
 #include "solver/backtracking.h"
 #include "solver/csp.h"
 #include "solver/propagator.h"
+#include "solver/residual.h"
 
 namespace cqcs {
 namespace solver_internal {
@@ -47,6 +50,25 @@ namespace solver_internal {
 /// search state, then explore the subtree below exhaustively.
 struct Subproblem {
   std::vector<std::pair<Element, Element>> decisions;
+};
+
+/// How the backtrack-free leaf rule reports (docs/solver.md, "Backtrack-
+/// free leaves"). Decide, count and project pass one; witness and
+/// enumerate pass none and assign every variable. The rule runs only under
+/// MAC and when the instance has a cycle cutset; the search then branches
+/// on the projection and the cutset first, and a node where both are
+/// assigned without a wipeout is a leaf: every value left extends to a
+/// solution.
+struct LeafSink {
+  /// Project: a leaf reports through on_solution, and only the projection
+  /// and cutset entries of that Homomorphism are meaningful; then it
+  /// prunes like any reported solution. Otherwise a leaf calls on_count.
+  bool project = false;
+  /// Adds the number of solutions below a leaf, saturated at `limit`
+  /// (decide is a count at limit 1, which needs no counting); returns
+  /// false to stop the search.
+  std::function<bool(size_t)> on_count;
+  size_t limit = SIZE_MAX;
 };
 
 /// Shared-state handles wired in by the parallel driver. All pointers stay
@@ -69,10 +91,13 @@ struct ParallelHandles {
 
 class SearchContext {
  public:
+  /// `leaf` (may be null; not owned) turns on the leaf rule where it
+  /// applies.
   SearchContext(const CspInstance& csp, const SolveOptions& options,
                 std::span<const Element> projection,
                 std::function<bool(const Homomorphism&)> on_solution,
-                SolveStats* stats, bool first_solution_only = false,
+                const LeafSink* leaf, SolveStats* stats,
+                bool first_solution_only = false,
                 const ParallelHandles* par = nullptr);
 
   /// Root propagation: MAC establishes GAC, forward checking verifies no
@@ -103,6 +128,12 @@ class SearchContext {
 
   Step Search(size_t depth);
   Step EmitSolution();
+  /// The leaf rule at a node whose prefix (projection and cutset) is
+  /// assigned: report and prune, or stop.
+  Step Leaf();
+  /// The residual forest's solution count at a leaf, saturated at the
+  /// sink's limit; fails only on a governor trip.
+  Result<size_t> CountResidual();
   Element SelectVariable(size_t depth);
   Element SelectLex() const;
   Element SelectMrv() const;
@@ -140,6 +171,11 @@ class SearchContext {
   Homomorphism solution_;
   size_t prune_boundary_ = SIZE_MAX;
   size_t solutions_ = 0;
+  /// The leaf rule's sink, or nullptr when the rule is off; then prefix_
+  /// holds the projection only. When on, prefix_ continues with the cycle
+  /// cutset and residual_ is the shape left below every leaf.
+  const LeafSink* leaf_ = nullptr;
+  std::optional<ResidualForest> residual_;
   /// The instance's shared least-constraining value permutation
   /// (CspInstance::LcvValuePermutation), or nullptr unless
   /// ValOrder::kLeastConstraining: var_count x domain_size, flat.

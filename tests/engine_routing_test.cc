@@ -792,13 +792,53 @@ TEST(EngineRoutingTest, ExplainRendersJson) {
   for (const char* key :
        {"\"nodes\":", "\"backtracks\":", "\"backjumps\":",
         "\"longest_backjump\":", "\"restarts\":", "\"max_conflict_set\":",
-        "\"revisions\":", "\"support_walks\":", "\"workers\":",
+        "\"revisions\":", "\"support_walks\":", "\"leaves\":",
+        "\"cutset\":", "\"workers\":",
         "\"splits\":", "\"steals\":", "\"limit_hit\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
   }
   EXPECT_EQ(BackendName(Backend::kTreewidth), std::string("treewidth"));
   EXPECT_EQ(ParseBackendName("schaefer"), Backend::kSchaefer);
   EXPECT_EQ(ParseBackendName("bogus"), std::nullopt);
+}
+
+TEST(EngineRoutingTest, UniformReasonNamesTheCycleCutset) {
+  // A triangle with a tail and head X0: fixing X0 leaves a forest, so the
+  // search stops at backtrack-free leaves and --explain says so. A K3
+  // coloring of a dense graph needs a cutset past the cap.
+  auto vocab = MakeGraphVocabulary();
+  Rng rng(2424);
+  Structure g = RandomGraphStructure(vocab, 40, 0.15, rng, true);
+  auto q = ParseQuery("Q(X0) :- E(X0, X1), E(X1, X2), E(X2, X0), E(X2, X3).",
+                      vocab);
+  ASSERT_TRUE(q.ok());
+  HomProblem p = MustProblem(HomProblem::FromQuery(*q, g));
+  EngineOptions uniform;
+  uniform.backend = Backend::kUniform;
+  for (HomTask task : {HomTask::kDecide, HomTask::kCount, HomTask::kProject}) {
+    EngineResult r = MustRun(HomEngine(uniform), p, task);
+    EXPECT_NE(r.explain.reason.find("cycle cutset of 1"), std::string::npos)
+        << r.explain.reason;
+    EXPECT_EQ(r.stats.search.cutset, 1u);
+    EXPECT_GT(r.stats.search.leaves, 0u);
+    EXPECT_LE(r.stats.search.leaves, r.stats.search.nodes);
+    EngineResult auto_r = MustRun(HomEngine(), p, task);
+    EXPECT_EQ(r.decided, auto_r.decided);
+    EXPECT_EQ(r.count, auto_r.count);
+  }
+  EngineResult witness = MustRun(HomEngine(uniform), p, HomTask::kWitness);
+  EXPECT_EQ(witness.stats.search.leaves, 0u);
+  EXPECT_EQ(witness.stats.search.cutset, 0u);
+
+  Structure dense = RandomGraphStructure(vocab, 30, 0.3, rng, true);
+  HomProblem coloring = MustProblem(
+      HomProblem::FromStructures(dense, CliqueStructure(vocab, 3)));
+  EngineResult r = MustRun(HomEngine(uniform), coloring, HomTask::kDecide);
+  EXPECT_NE(r.explain.reason.find("no backtrack-free leaves"),
+            std::string::npos)
+      << r.explain.reason;
+  EXPECT_EQ(r.stats.search.leaves, 0u);
+  EXPECT_EQ(r.stats.search.cutset, 0u);
 }
 
 TEST(EngineRoutingTest, ExplainJsonEscapesStrings) {

@@ -65,6 +65,7 @@ void CheckInvariants(const SolveOptions& options, const SolveStats& stats,
                      size_t var_count) {
   EXPECT_LE(stats.backtracks, stats.nodes);
   EXPECT_LE(stats.support_walks, stats.revisions);
+  EXPECT_LE(stats.leaves, stats.nodes);
   EXPECT_LE(stats.longest_backjump, stats.backjumps);
   EXPECT_LE(stats.max_conflict_set, var_count);
   if (!options.strategy.backjumping) {
