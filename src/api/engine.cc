@@ -300,16 +300,23 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
         // verbatim.
         const YannakakisProgram::Passes passes = PassesFor(task);
         const bool atoms = backend == Backend::kAcyclic;
+        // The atoms' shape is the plan's cached GYO forest; the bags' is
+        // built per run, into bag_shape.
+        JoinTree bag_shape;
         YannakakisProgram program(atoms ? &r.stats.yannakakis : nullptr,
                                   governor, options_.solve.num_threads);
         if (atoms) {
-          CQCS_RETURN_IF_ERROR(
-              program.FromAtoms(problem.SourceCanonicalQuery(), b, passes));
+          const JoinTree* forest = problem.SourceJoinForest();
+          if (forest == nullptr) {
+            return Status::InvalidArgument("the query's hypergraph is cyclic");
+          }
+          CQCS_RETURN_IF_ERROR(program.FromAtoms(
+              problem.SourceCanonicalQuery(), *forest, b, passes));
         } else {
           CQCS_RETURN_IF_ERROR(problem.EnsureSourceDecomposition(governor));
-          CQCS_RETURN_IF_ERROR(program.FromBags(a, b,
-                                                problem.SourceDecomposition(),
-                                                passes, &r.stats.treewidth));
+          CQCS_RETURN_IF_ERROR(program.FromBags(
+              a, b, problem.SourceDecomposition(), &bag_shape, passes,
+              &r.stats.treewidth));
         }
         const bool sat = program.satisfiable();
         switch (task) {
@@ -437,6 +444,11 @@ Result<EngineResult> HomEngine::Run(const HomProblem& problem,
                 problem.projection(), options_.max_results, &r.stats.search);
             r.count = r.rows.size();
             break;
+        }
+        // A tripped count is a lower bound, not an answer: it is cleared as
+        // on every route. Enumerated rows are verified, so they stay.
+        if (governor != nullptr && governor->tripped() && r.rows.empty()) {
+          r.count = 0;
         }
         return Status::OK();
       }

@@ -19,8 +19,8 @@ namespace cqcs {
 struct HomProblem::SourceCache {
   Mutex mu;
   std::optional<ConjunctiveQuery> canonical CQCS_GUARDED_BY(mu);
-  bool acyclic_known CQCS_GUARDED_BY(mu) = false;
-  bool acyclic CQCS_GUARDED_BY(mu) = false;
+  bool forest_known CQCS_GUARDED_BY(mu) = false;
+  std::optional<JoinTree> forest CQCS_GUARDED_BY(mu);  // nullopt: cyclic
   std::optional<TreeDecomposition> decomposition CQCS_GUARDED_BY(mu);
   // A capped build that stopped: min-fill's width is at least
   // width_lower_bound. A decomposition, once built, takes precedence.
@@ -133,17 +133,19 @@ const ConjunctiveQuery& HomProblem::SourceCanonicalQuery() const {
   return *cache.canonical;
 }
 
-bool HomProblem::SourceAcyclic() const {
+const JoinTree* HomProblem::SourceJoinForest() const {
   SourceCache& cache = *source_cache_;
   MutexLock lock(cache.mu);
-  if (!cache.acyclic_known) {
+  if (!cache.forest_known) {
     // Shared queue-driven GYO, straight on the source's tuples — same
     // hypergraph as the canonical query's, no query materialization.
-    cache.acyclic = IsAcyclicStructure(*source_);
-    cache.acyclic_known = true;
+    cache.forest = StructureJoinForest(*source_);
+    cache.forest_known = true;
   }
-  return cache.acyclic;
+  return cache.forest.has_value() ? &*cache.forest : nullptr;
 }
+
+bool HomProblem::SourceAcyclic() const { return SourceJoinForest() != nullptr; }
 
 const TreeDecomposition& HomProblem::SourceDecomposition() const {
   SourceCache& cache = *source_cache_;

@@ -13,7 +13,7 @@
 //                             with head markers (Theorem 2.1).
 //
 // A HomProblem is a *compiled* instance: the routing artifacts (canonical
-// query + GYO verdict, the target's Schaefer classes, min-fill tree
+// query + GYO join forest, the target's Schaefer classes, min-fill tree
 // decomposition) and the solver's constraint network (CspInstance, with
 // the CSR support indexes on B's relations) are built lazily on first use
 // and cached, so repeated solves — batch evaluation of one query over many databases,
@@ -76,7 +76,7 @@ class HomProblem {
                                             const ConjunctiveQuery& q2);
 
   /// The same source against a new target, sharing all source-side caches
-  /// (canonical query, acyclicity verdict, decomposition). This is the
+  /// (canonical query, join forest, decomposition). This is the
   /// batch-evaluation / Minimize reuse path. InvalidArgument on vocabulary
   /// mismatch.
   Result<HomProblem> WithTarget(Structure new_target) const;
@@ -113,7 +113,14 @@ class HomProblem {
   /// the input to the Yannakakis backend.
   const ConjunctiveQuery& SourceCanonicalQuery() const;
 
-  /// GYO verdict on the source's hypergraph.
+  /// GYO's join forest of the source's hypergraph (StructureJoinForest,
+  /// cq/gyo.h), shape included, or nullptr when the hypergraph is cyclic.
+  /// Its node i is atom i of SourceCanonicalQuery(), so the acyclic route
+  /// loads the canonical query over it without running GYO again. Built
+  /// once and shared by every WithTarget rebind.
+  const JoinTree* SourceJoinForest() const;
+
+  /// GYO verdict on the source's hypergraph: SourceJoinForest() != nullptr.
   bool SourceAcyclic() const;
 
   /// Min-fill heuristic tree decomposition of the source.

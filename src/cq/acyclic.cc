@@ -44,113 +44,132 @@ void YannakakisProgram::BumpTable(size_t rows) {
   }
 }
 
-Status YannakakisProgram::FromAtoms(const ConjunctiveQuery& q,
-                                    const Structure& d, Passes passes) {
-  if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->Poll());
-  CQCS_RETURN_IF_ERROR(q.Validate());
-  if (!q.vocabulary()->Equals(*d.vocabulary())) {
-    return Status::InvalidArgument("query/database vocabulary mismatch");
+JoinTree JoinTree::Build(size_t var_count,
+                         std::span<const std::vector<VarId>> nodes,
+                         std::vector<uint32_t> parent) {
+  JoinTree tree;
+  const auto m = static_cast<uint32_t>(parent.size());
+  CQCS_CHECK(nodes.size() == m);
+  tree.var_count = var_count;
+  tree.parent = std::move(parent);
+
+  // Node variables, first occurrences only: seen[v] is the last node that
+  // listed v. Variables no node lists range freely.
+  std::vector<uint32_t> seen(var_count, kNoParent);
+  size_t listed = 0;
+  for (const std::vector<VarId>& node : nodes) listed += node.size();
+  tree.vars_.reserve(listed);
+  tree.var_begin_.reserve(m + 1);
+  tree.var_begin_.push_back(0);
+  // cqcs-lint: allow(unpolled-loop): bounded by forest shape (nodes * vars-per-node), not data
+  for (uint32_t i = 0; i < m; ++i) {
+    for (VarId v : nodes[i]) {
+      if (seen[v] == i) continue;
+      seen[v] = i;
+      tree.vars_.push_back(v);
+    }
+    tree.var_begin_.push_back(static_cast<uint32_t>(tree.vars_.size()));
   }
-  auto forest = GyoJoinForest(q.var_count(), QueryHyperedges(q));
-  if (!forest.has_value()) {
-    return Status::InvalidArgument("the query's hypergraph is cyclic");
+  for (VarId v = 0; v < var_count; ++v) {
+    if (seen[v] == kNoParent) tree.isolated.push_back(v);
   }
-  var_count_ = q.var_count();
-  universe_ = d.universe_size();
-  m_ = q.atoms().size();
-  vars_.resize(m_);
-  tables_.resize(m_);
-  CQCS_RETURN_IF_ERROR(MaterializeAll(q, d));
-  return Run(std::move(forest->parent), passes);
+
+  // Children lists (in node order), roots, and the children-first order:
+  // every node's subtree is complete before the node itself.
+  tree.child_begin_.assign(m + 1, 0);
+  for (uint32_t i = 0; i < m; ++i) {
+    const uint32_t p = tree.parent[i];
+    if (p == kNoParent) {
+      tree.roots.push_back(i);
+    } else {
+      ++tree.child_begin_[p + 1];
+    }
+  }
+  for (uint32_t i = 0; i < m; ++i) {
+    tree.child_begin_[i + 1] += tree.child_begin_[i];
+  }
+  tree.children_.resize(m - tree.roots.size());
+  // pending[i]: i's children not yet in the order; first the fill cursor.
+  std::vector<uint32_t> pending(tree.child_begin_.begin(),
+                                tree.child_begin_.end() - 1);
+  for (uint32_t i = 0; i < m; ++i) {
+    const uint32_t p = tree.parent[i];
+    if (p != kNoParent) tree.children_[pending[p]++] = i;
+  }
+  std::vector<uint32_t> stack;
+  stack.reserve(m);
+  for (uint32_t i = 0; i < m; ++i) {
+    pending[i] = tree.child_begin_[i + 1] - tree.child_begin_[i];
+    if (pending[i] == 0) stack.push_back(i);
+  }
+  tree.order.reserve(m);
+  while (!stack.empty()) {
+    const uint32_t node = stack.back();
+    stack.pop_back();
+    tree.order.push_back(node);
+    const uint32_t p = tree.parent[node];
+    if (p != kNoParent && --pending[p] == 0) stack.push_back(p);
+  }
+  CQCS_CHECK(tree.order.size() == m);
+
+  // Shared-with-parent variables, in the child's column order, and their
+  // column positions on both sides. col_in_parent (seen's storage) is
+  // indexed by variable and reset after each node.
+  constexpr uint32_t kAbsent = UINT32_MAX;
+  std::vector<uint32_t> col_in_parent = std::move(seen);
+  std::fill(col_in_parent.begin(), col_in_parent.end(), kAbsent);
+  tree.shared_begin_.reserve(m + 1);
+  tree.shared_begin_.push_back(0);
+  tree.shared_vars_.reserve(tree.vars_.size());
+  tree.shared_child_cols_.reserve(tree.vars_.size());
+  tree.shared_parent_cols_.reserve(tree.vars_.size());
+  // cqcs-lint: allow(unpolled-loop): bounded by forest shape (nodes * vars-per-node), not data
+  for (uint32_t node = 0; node < m; ++node) {
+    const uint32_t p = tree.parent[node];
+    if (p != kNoParent) {
+      const std::span<const VarId> cv = tree.vars(node);
+      const std::span<const VarId> pv = tree.vars(p);
+      for (size_t j = 0; j < pv.size(); ++j) {
+        col_in_parent[pv[j]] = static_cast<uint32_t>(j);
+      }
+      for (size_t i = 0; i < cv.size(); ++i) {
+        if (col_in_parent[cv[i]] == kAbsent) continue;
+        tree.shared_vars_.push_back(cv[i]);
+        tree.shared_child_cols_.push_back(static_cast<uint32_t>(i));
+        tree.shared_parent_cols_.push_back(col_in_parent[cv[i]]);
+      }
+      for (VarId v : pv) col_in_parent[v] = kAbsent;
+    }
+    tree.shared_begin_.push_back(
+        static_cast<uint32_t>(tree.shared_vars_.size()));
+  }
+  return tree;
 }
 
-Status YannakakisProgram::Run(std::vector<uint32_t> parent, Passes passes) {
-  parent_ = std::move(parent);
-  m_ = tables_.size();
-  satisfiable_ = true;
+Status YannakakisProgram::FromAtoms(const ConjunctiveQuery& q,
+                                    const JoinTree& shape, const Structure& d,
+                                    Passes passes) {
+  if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->Poll());
+  CQCS_CHECK(shape.size() == q.atoms().size());
+  shape_ = &shape;
+  universe_ = d.universe_size();
+  tables_.resize(shape.size());
+  CQCS_RETURN_IF_ERROR(MaterializeAll(q, d));
+  return Run(passes);
+}
 
-  // Variables outside every node range freely; find them once.
-  std::vector<uint8_t> in_node(var_count_, 0);
-  // cqcs-lint: allow(unpolled-loop): bounded by forest shape (nodes * vars-per-node), not data
-  for (const std::vector<VarId>& vars : vars_) {
-    for (VarId v : vars) in_node[v] = 1;
-  }
-  for (VarId v = 0; v < var_count_; ++v) {
-    if (!in_node[v]) isolated_.push_back(v);
-  }
-
+Status YannakakisProgram::Run(Passes passes) {
   // Emptiness is decided after every table is loaded, in node order.
-  for (size_t i = 0; i < m_; ++i) {
-    if (tables_[i].empty()) {
+  satisfiable_ = true;
+  for (const Table& table : tables_) {
+    if (table.empty()) {
       satisfiable_ = false;
       return TripStatus();
     }
   }
-
-  // Forest shape: children lists, roots, topological order (children
-  // first — every node's subtree is fully processed before its parent).
-  children_.resize(m_);
-  std::vector<uint32_t> pending_children(m_, 0);
-  for (uint32_t i = 0; i < m_; ++i) {
-    if (parent_[i] == JoinTree::kNoParent) {
-      roots_.push_back(i);
-    } else {
-      children_[parent_[i]].push_back(i);
-      ++pending_children[parent_[i]];
-    }
-  }
-  order_.reserve(m_);
-  std::vector<uint32_t> stack;
-  for (uint32_t i = 0; i < m_; ++i) {
-    if (pending_children[i] == 0) stack.push_back(i);
-  }
-  while (!stack.empty()) {
-    uint32_t node = stack.back();
-    stack.pop_back();
-    order_.push_back(node);
-    uint32_t p = parent_[node];
-    if (p != JoinTree::kNoParent && --pending_children[p] == 0) {
-      stack.push_back(p);
-    }
-  }
-  CQCS_CHECK(order_.size() == m_);
-
-  // Shared-with-parent variables, in the child's column order, and their
-  // column positions on both sides. col_in_parent is indexed by variable
-  // and reset after each node.
-  shared_vars_.resize(m_);
-  shared_child_cols_.resize(m_);
-  shared_parent_cols_.resize(m_);
-  constexpr uint32_t kAbsent = UINT32_MAX;
-  std::vector<uint32_t> col_in_parent(var_count_, kAbsent);
-  // cqcs-lint: allow(unpolled-loop): bounded by forest shape (nodes * vars-per-node), not data
-  for (uint32_t node = 0; node < m_; ++node) {
-    uint32_t p = parent_[node];
-    if (p == JoinTree::kNoParent) continue;
-    const auto& cv = vars_[node];
-    const auto& pv = vars_[p];
-    for (size_t j = 0; j < pv.size(); ++j) {
-      col_in_parent[pv[j]] = static_cast<uint32_t>(j);
-    }
-    for (size_t i = 0; i < cv.size(); ++i) {
-      if (col_in_parent[cv[i]] == kAbsent) continue;
-      shared_vars_[node].push_back(cv[i]);
-      shared_child_cols_[node].push_back(static_cast<uint32_t>(i));
-      shared_parent_cols_[node].push_back(col_in_parent[cv[i]]);
-    }
-    for (VarId v : pv) col_in_parent[v] = kAbsent;
-  }
-
   // The walk's match indexes are the ones the bottom-up pass builds.
-  if (passes == Passes::kWalk) match_index_.resize(m_);
+  if (passes == Passes::kWalk) match_index_.resize(tables_.size());
   if (passes != Passes::kCount) CQCS_RETURN_IF_ERROR(Reduce(passes));
-  if (!satisfiable_ || passes == Passes::kDecide) return TripStatus();
-
-  // Forest pre-order for the enumeration walk (parents before children).
-  if (passes == Passes::kWalk) {
-    seq_.reserve(m_);
-    for (size_t i = order_.size(); i-- > 0;) seq_.push_back(order_[i]);
-  }
   return TripStatus();
 }
 
@@ -161,23 +180,25 @@ Status YannakakisProgram::Reduce(Passes passes) {
   // top-down pass, so a child's index here is its final match index: kWalk
   // builds it into match_index_; the other passes key each child through
   // one reused scratch, which needs no index for a one-column key.
+  const JoinTree& shape = *shape_;
   rel::SemijoinScratch scratch(gov_);
-  for (uint32_t node : order_) {
-    uint32_t p = parent_[node];
+  for (uint32_t node : shape.order) {
+    uint32_t p = shape.parent[node];
     if (p == JoinTree::kNoParent) continue;
     if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->Poll());
     size_t removed;
     if (passes == Passes::kWalk) {
       HashIndex& index = match_index_[node];
       index.AttachGovernor(gov_);
+      const std::span<const uint32_t> key = shape.shared_child_cols(node);
       index.Build(tables_[node].data(), tables_[node].width(),
                   static_cast<uint32_t>(tables_[node].row_count()),
-                  shared_child_cols_[node]);
-      removed = rel::Semijoin(tables_[p], shared_parent_cols_[node],
+                  {key.begin(), key.end()});
+      removed = rel::Semijoin(tables_[p], shape.shared_parent_cols(node),
                               tables_[node], index, gov_);
     } else {
-      removed = scratch.Run(tables_[p], shared_parent_cols_[node],
-                            tables_[node], shared_child_cols_[node]);
+      removed = scratch.Run(tables_[p], shape.shared_parent_cols(node),
+                            tables_[node], shape.shared_child_cols(node));
     }
     if (stats_ != nullptr) {
       ++stats_->semijoins;
@@ -197,13 +218,13 @@ Status YannakakisProgram::Reduce(Passes passes) {
   // Top-down pass: child := child ⋉ parent, parents first. A parent row
   // always keeps at least one match in each child (the match that let it
   // survive the bottom-up pass also survives here), so no table empties.
-  for (size_t i = order_.size(); i-- > 0;) {
-    uint32_t node = order_[i];
-    for (uint32_t child : children_[node]) {
+  for (size_t i = shape.order.size(); i-- > 0;) {
+    uint32_t node = shape.order[i];
+    for (uint32_t child : shape.children(node)) {
       if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->Poll());
       size_t removed =
-          scratch.Run(tables_[child], shared_child_cols_[child],
-                      tables_[node], shared_parent_cols_[child]);
+          scratch.Run(tables_[child], shape.shared_child_cols(child),
+                      tables_[node], shape.shared_parent_cols(child));
       if (stats_ != nullptr) {
         ++stats_->semijoins;
         stats_->rows_pruned += removed;
@@ -227,23 +248,21 @@ Status YannakakisProgram::MaterializeAll(const ConjunctiveQuery& q,
   // and the repeated-variable equalities), so atoms sharing a (relation,
   // map) key form one materialization group — canonical queries repeat one
   // pattern per relation across thousands of atoms.
-  std::vector<std::vector<uint32_t>> col_of_arg(m_);
-  std::vector<size_t> rep(m_);      // group representative per atom
+  const size_t m = tables_.size();
+  std::vector<std::vector<uint32_t>> col_of_arg(m);
+  std::vector<size_t> rep(m);       // group representative per atom
   std::vector<size_t> group_reps;   // distinct representatives
   // Two atoms with the same relation and the same position→column map
   // start from identical tables; materialize once, copy after.
   std::map<std::pair<RelId, std::vector<uint32_t>>, size_t> memo;
   // cqcs-lint: allow(unpolled-loop): bounded by query shape (atoms * arity^2), not data
-  for (size_t i = 0; i < m_; ++i) {
+  for (size_t i = 0; i < m; ++i) {
     const Atom& atom = q.atoms()[i];
-    std::vector<VarId>& vars = vars_[i];
-    vars.clear();
+    const std::span<const VarId> vars = shape_->vars(i);
     col_of_arg[i].resize(atom.args.size());
     for (size_t p = 0; p < atom.args.size(); ++p) {
-      const auto col = static_cast<uint32_t>(
+      col_of_arg[i][p] = static_cast<uint32_t>(
           std::find(vars.begin(), vars.end(), atom.args[p]) - vars.begin());
-      if (col == vars.size()) vars.push_back(atom.args[p]);
-      col_of_arg[i][p] = col;
     }
     rep[i] = i;
     const Relation& rel = d.relation(atom.rel);
@@ -266,7 +285,7 @@ Status YannakakisProgram::MaterializeAll(const ConjunctiveQuery& q,
   }
 
   // Pass 3 (atom order): copy memo hits, accumulate stats.
-  for (size_t i = 0; i < m_; ++i) {
+  for (size_t i = 0; i < m; ++i) {
     if (rep[i] != i) tables_[i] = tables_[rep[i]];  // re-charges via copy
     if (stats_ != nullptr) {
       ++stats_->atom_tables;
@@ -281,7 +300,7 @@ Status YannakakisProgram::MaterializeGroup(
     const ConjunctiveQuery& q, const Structure& d, size_t i,
     const std::vector<uint32_t>& col_of_arg) {
   const Atom& atom = q.atoms()[i];
-  const uint32_t width = static_cast<uint32_t>(vars_[i].size());
+  const auto width = static_cast<uint32_t>(shape_->vars(i).size());
   tables_[i] = Table(width);
   Table& table = tables_[i];
   table.AttachGovernor(gov_);
@@ -318,30 +337,27 @@ Status YannakakisProgram::MaterializeGroup(
   return TripStatus();
 }
 
-uint32_t YannakakisProgram::FirstRow(size_t depth) {
-  const uint32_t node = seq_[depth];
-  if (parent_[node] == JoinTree::kNoParent) {
+uint32_t YannakakisProgram::FirstRow(uint32_t node) {
+  if (shape_->parent[node] == JoinTree::kNoParent) {
     return tables_[node].empty() ? HashIndex::kNone : 0;
   }
-  // The parent's values are already in assign_ (parents precede children
-  // in seq_); probe the match index with them.
+  // The parent's values are already in assign_ (the walk visits parents
+  // first); probe the match index with them.
   key_scratch_.clear();
-  for (VarId v : shared_vars_[node]) key_scratch_.push_back(assign_[v]);
+  for (VarId v : shape_->shared_vars(node)) key_scratch_.push_back(assign_[v]);
   return match_index_[node].FindFirst(tables_[node].data(), key_scratch_);
 }
 
-uint32_t YannakakisProgram::NextRow(size_t depth, uint32_t r) const {
-  const uint32_t node = seq_[depth];
-  if (parent_[node] == JoinTree::kNoParent) {
+uint32_t YannakakisProgram::NextRow(uint32_t node, uint32_t r) const {
+  if (shape_->parent[node] == JoinTree::kNoParent) {
     return r + 1 < tables_[node].row_count() ? r + 1 : HashIndex::kNone;
   }
   return match_index_[node].Next(r);
 }
 
-void YannakakisProgram::WriteRow(size_t depth, uint32_t r) {
-  const uint32_t node = seq_[depth];
+void YannakakisProgram::WriteRow(uint32_t node, uint32_t r) {
   std::span<const Element> row = tables_[node].row(r);
-  const auto& vars = vars_[node];
+  const std::span<const VarId> vars = shape_->vars(node);
   for (size_t i = 0; i < vars.size(); ++i) assign_[vars[i]] = row[i];
 }
 
@@ -350,7 +366,8 @@ bool YannakakisProgram::EmitAssignment(
   // All tree variables fixed; expand the isolated ones (every value
   // works) with an odometer over the universe.
   const size_t n = universe_;
-  for (VarId v : isolated_) assign_[v] = 0;
+  const std::vector<VarId>& isolated = shape_->isolated;
+  for (VarId v : isolated) assign_[v] = 0;
   while (true) {
     // A governor trip aborts the walk; the caller turns it into a
     // kResourceExhausted status via the sticky trip state.
@@ -358,12 +375,12 @@ bool YannakakisProgram::EmitAssignment(
     out->push_back(assign_);
     if (out->size() >= max_results) return false;
     size_t k = 0;
-    while (k < isolated_.size() &&
-           ++assign_[isolated_[k]] == static_cast<Element>(n)) {
-      assign_[isolated_[k]] = 0;
+    while (k < isolated.size() &&
+           ++assign_[isolated[k]] == static_cast<Element>(n)) {
+      assign_[isolated[k]] = 0;
       ++k;
     }
-    if (k == isolated_.size()) return true;
+    if (k == isolated.size()) return true;
   }
 }
 
@@ -373,16 +390,20 @@ Status YannakakisProgram::Enumerate(size_t max_results,
   // Every return path reports a governor trip, including the ones where
   // EmitAssignment aborted the walk from inside.
   if (max_results == 0) return TripStatus();
-  if (universe_ == 0 && var_count_ > 0) return TripStatus();
-  assign_.assign(var_count_, 0);
-  const size_t depth_total = seq_.size();
+  const size_t var_count = shape_->var_count;
+  if (universe_ == 0 && var_count > 0) return TripStatus();
+  assign_.assign(var_count, 0);
+  const std::vector<uint32_t>& order = shape_->order;
+  const size_t depth_total = order.size();
   if (depth_total == 0) {
     EmitAssignment(max_results, out);
     return TripStatus();
   }
-  // Explicit-stack pre-order walk over seq_: cur[d] is the current row of
-  // seq_[d]'s table; the match chain makes that one uint32 the entire
-  // per-depth state, so arbitrarily deep forests cost heap, not stack.
+  // Explicit-stack pre-order walk: depth d visits node
+  // order[depth_total - 1 - d], so parents come first, and cur[d] is the
+  // current row of its table; the match chain makes that one uint32 the
+  // entire per-depth state, so arbitrarily deep forests cost heap, not
+  // stack.
   // Backtracking to depth d never re-probes: NextRow follows the chain,
   // and the ancestors' assign_ values it was keyed on are untouched.
   std::vector<uint32_t> cur(depth_total);
@@ -390,14 +411,15 @@ Status YannakakisProgram::Enumerate(size_t max_results,
   bool descending = true;
   while (true) {
     CQCS_RETURN_IF_ERROR(PollTick());
-    cur[d] = descending ? FirstRow(d) : NextRow(d, cur[d]);
+    const uint32_t node = order[depth_total - 1 - d];
+    cur[d] = descending ? FirstRow(node) : NextRow(node, cur[d]);
     if (cur[d] == HashIndex::kNone) {
       if (d == 0) return TripStatus();
       --d;
       descending = false;
       continue;
     }
-    WriteRow(d, cur[d]);
+    WriteRow(node, cur[d]);
     if (d + 1 == depth_total) {
       if (!EmitAssignment(max_results, out)) return TripStatus();
       descending = false;  // advance this depth's chain
@@ -423,20 +445,23 @@ Result<size_t> YannakakisProgram::Count(size_t limit) {
   // into per-key suffix sums along a match index's chains: Next(s) < s, so
   // an ascending fold leaves each chain head holding its whole key's sum,
   // and a parent row costs one FindFirst.
-  std::vector<std::vector<size_t>> cnt(m_);
+  const JoinTree& shape = *shape_;
+  std::vector<std::vector<size_t>> cnt(tables_.size());
   HashIndex index;
   index.AttachGovernor(gov_);
   rel::ValueArray<size_t> sums;
   sums.AttachGovernor(gov_);
-  for (uint32_t node : order_) {
+  for (uint32_t node : shape.order) {
     const Table& table = tables_[node];
     cnt[node].assign(table.row_count(), 1);
-    for (uint32_t child : children_[node]) {
+    for (uint32_t child : shape.children(node)) {
       if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->Poll());
       const Table& ct = tables_[child];
       const auto child_rows = static_cast<uint32_t>(ct.row_count());
-      const std::vector<uint32_t>& child_cols = shared_child_cols_[child];
-      const std::vector<uint32_t>& parent_cols = shared_parent_cols_[child];
+      const std::span<const uint32_t> child_cols =
+          shape.shared_child_cols(child);
+      const std::span<const uint32_t> parent_cols =
+          shape.shared_parent_cols(child);
       std::vector<size_t>& agg = cnt[child];
       const std::optional<size_t> slots =
           child_cols.size() == 1
@@ -457,7 +482,8 @@ Result<size_t> YannakakisProgram::Count(size_t limit) {
           sum[v] = SatAdd(sum[v], agg[s], limit);
         }
       } else {
-        index.Build(ct.data(), ct.width(), child_rows, child_cols);
+        index.Build(ct.data(), ct.width(), child_rows,
+                    {child_cols.begin(), child_cols.end()});
         for (uint32_t s = 0; s < child_rows; ++s) {
           if (gov_ != nullptr && (s & 1023) == 0) {
             CQCS_RETURN_IF_ERROR(gov_->Poll());
@@ -492,12 +518,12 @@ Result<size_t> YannakakisProgram::Count(size_t limit) {
   }
   size_t total = 1;
   // cqcs-lint: allow(unpolled-loop): one flat sum per root table row; the materialization that sized cnt was charged
-  for (uint32_t root : roots_) {
+  for (uint32_t root : shape.roots) {
     size_t tree_total = 0;
     for (size_t c : cnt[root]) tree_total = SatAdd(tree_total, c, limit);
     total = SatMul(total, tree_total, limit);
   }
-  for (size_t k = 0; k < isolated_.size(); ++k) {
+  for (size_t k = 0; k < shape.isolated.size(); ++k) {
     total = SatMul(total, universe_, limit);
   }
   CQCS_RETURN_IF_ERROR(TripStatus());
@@ -507,7 +533,8 @@ Result<size_t> YannakakisProgram::Count(size_t limit) {
 Status YannakakisProgram::ProjectReduce(
     std::span<const VarId> proj, std::vector<Table>* r_table,
     std::vector<std::vector<VarId>>* r_cols) {
-  std::vector<uint8_t> in_proj(var_count_, 0);
+  const JoinTree& shape = *shape_;
+  std::vector<uint8_t> in_proj(shape.var_count, 0);
   for (VarId v : proj) in_proj[v] = 1;
 
   // Bottom-up join-project: R[node] holds the distinct projections of
@@ -517,18 +544,19 @@ Status YannakakisProgram::ProjectReduce(
   // them output-bounded.
   HashIndex index;
   index.AttachGovernor(gov_);
-  for (uint32_t node : order_) {
+  for (uint32_t node : shape.order) {
     // `cur` reads the node's own table until the first join replaces it.
     Table joined;
     const Table* cur = &tables_[node];
-    std::vector<VarId> cur_cols = vars_[node];
-    for (uint32_t child : children_[node]) {
+    const std::span<const VarId> node_vars = shape.vars(node);
+    std::vector<VarId> cur_cols(node_vars.begin(), node_vars.end());
+    for (uint32_t child : shape.children(node)) {
       if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->Poll());
       // Join on the connector variables; pull in the child's accumulated
       // projection columns. A projection variable below the child that
       // also occurs above it must occur in the child's bag too (running
       // intersection), so the extras are always fresh columns.
-      const std::vector<VarId>& shared = shared_vars_[child];
+      const std::span<const VarId> shared = shape.shared_vars(child);
       const std::vector<VarId>& child_cols = (*r_cols)[child];
       std::vector<uint32_t> extras;
       std::vector<VarId> extra_vars;
@@ -569,17 +597,15 @@ Status YannakakisProgram::ProjectReduce(
       if (stats_ != nullptr) stats_->join_rows += cur->row_count();
       BumpTable(cur->row_count());
     }
-    // Keep projection columns plus the connector to the parent.
+    // Keep projection columns plus the connector to the parent (none at a
+    // root).
     std::vector<uint32_t> keep_cols;
     std::vector<VarId> keep_vars;
+    const std::span<const VarId> shared = shape.shared_vars(node);
     for (size_t i = 0; i < cur_cols.size(); ++i) {
       VarId v = cur_cols[i];
-      bool keep = in_proj[v];
-      if (!keep && parent_[node] != JoinTree::kNoParent) {
-        const std::vector<VarId>& shared = shared_vars_[node];
-        keep = std::find(shared.begin(), shared.end(), v) != shared.end();
-      }
-      if (keep) {
+      if (in_proj[v] ||
+          std::find(shared.begin(), shared.end(), v) != shared.end()) {
         keep_cols.push_back(static_cast<uint32_t>(i));
         keep_vars.push_back(v);
       }
@@ -589,8 +615,8 @@ Status YannakakisProgram::ProjectReduce(
     // projection is dead. Skipping it leaves max_table_rows as it was:
     // R[node] never has more rows than `cur`, and `cur` never more than a
     // table already counted (its join, or its atom table as materialized).
-    const bool connector_only = parent_[node] != JoinTree::kNoParent &&
-                                keep_vars.size() == shared_vars_[node].size();
+    const bool connector_only = shape.parent[node] != JoinTree::kNoParent &&
+                                keep_vars.size() == shared.size();
     (*r_cols)[node] = std::move(keep_vars);
     if (connector_only) continue;
     (*r_table)[node] = Table(static_cast<uint32_t>(keep_cols.size()));
@@ -605,34 +631,36 @@ Status YannakakisProgram::ProjectReduce(
 Result<std::vector<std::vector<Element>>> YannakakisProgram::Project(
     std::span<const VarId> proj, size_t max_results) {
   CQCS_CHECK(satisfiable_);
+  const JoinTree& shape = *shape_;
   std::vector<std::vector<Element>> results;
   if (max_results == 0) return results;
-  if (universe_ == 0 && var_count_ > 0) return results;
+  if (universe_ == 0 && shape.var_count > 0) return results;
 
-  std::vector<uint8_t> in_proj(var_count_, 0);
+  std::vector<uint8_t> in_proj(shape.var_count, 0);
   for (VarId v : proj) in_proj[v] = 1;
 
-  std::vector<Table> r_table(m_);
-  std::vector<std::vector<VarId>> r_cols(m_);
+  std::vector<Table> r_table(tables_.size());
+  std::vector<std::vector<VarId>> r_cols(tables_.size());
   CQCS_RETURN_IF_ERROR(ProjectReduce(proj, &r_table, &r_cols));
 
   // Assemble output rows: a cross product over the per-tree results and
   // the isolated projection variables (each tree's rows are distinct on
   // projection variables only, so every combination is a distinct row).
+  const std::vector<uint32_t>& roots = shape.roots;
   std::vector<VarId> iso_proj;
-  for (VarId v : isolated_) {
+  for (VarId v : shape.isolated) {
     if (in_proj[v]) iso_proj.push_back(v);
   }
-  std::vector<Element> value_of(var_count_, 0);
-  std::vector<size_t> root_row(roots_.size(), 0);
+  std::vector<Element> value_of(shape.var_count, 0);
+  std::vector<size_t> root_row(roots.size(), 0);
   std::vector<Element> iso_val(iso_proj.size(), 0);
   std::vector<Element> out_row(proj.size());
   while (true) {
     CQCS_RETURN_IF_ERROR(PollTick());
-    for (size_t t = 0; t < roots_.size(); ++t) {
-      const Table& rt = r_table[roots_[t]];
+    for (size_t t = 0; t < roots.size(); ++t) {
+      const Table& rt = r_table[roots[t]];
       std::span<const Element> row = rt.row(root_row[t]);
-      const auto& cols = r_cols[roots_[t]];
+      const auto& cols = r_cols[roots[t]];
       for (size_t i = 0; i < cols.size(); ++i) value_of[cols[i]] = row[i];
     }
     for (size_t i = 0; i < iso_proj.size(); ++i) {
@@ -650,12 +678,12 @@ Result<std::vector<std::vector<Element>>> YannakakisProgram::Project(
     }
     if (k < iso_val.size()) continue;
     size_t t = 0;
-    while (t < roots_.size() &&
-           ++root_row[t] == r_table[roots_[t]].row_count()) {
+    while (t < roots.size() &&
+           ++root_row[t] == r_table[roots[t]].row_count()) {
       root_row[t] = 0;
       ++t;
     }
-    if (t == roots_.size()) break;
+    if (t == roots.size()) break;
   }
   CQCS_RETURN_IF_ERROR(TripStatus());
   return results;
@@ -664,24 +692,25 @@ Result<std::vector<std::vector<Element>>> YannakakisProgram::Project(
 Result<size_t> YannakakisProgram::ProjectCount(std::span<const VarId> proj,
                                                size_t limit) {
   CQCS_CHECK(satisfiable_);
+  const JoinTree& shape = *shape_;
   if (limit == 0) return size_t{0};
-  if (universe_ == 0 && var_count_ > 0) return size_t{0};
+  if (universe_ == 0 && shape.var_count > 0) return size_t{0};
 
-  std::vector<Table> r_table(m_);
-  std::vector<std::vector<VarId>> r_cols(m_);
+  std::vector<Table> r_table(tables_.size());
+  std::vector<std::vector<VarId>> r_cols(tables_.size());
   CQCS_RETURN_IF_ERROR(ProjectReduce(proj, &r_table, &r_cols));
 
   // No cross-product assembly: a root's reduced table is exactly the
   // distinct projections of its tree's variables (its connector set is
   // empty), trees share no projection variables, and isolated projection
   // variables range freely — so the count is a plain saturated product.
-  std::vector<uint8_t> in_proj(var_count_, 0);
+  std::vector<uint8_t> in_proj(shape.var_count, 0);
   for (VarId v : proj) in_proj[v] = 1;
   size_t total = 1;
-  for (uint32_t root : roots_) {
+  for (uint32_t root : shape.roots) {
     total = SatMul(total, r_table[root].row_count(), limit);
   }
-  for (VarId v : isolated_) {
+  for (VarId v : shape.isolated) {
     if (in_proj[v]) total = SatMul(total, universe_, limit);
   }
   CQCS_RETURN_IF_ERROR(TripStatus());
@@ -689,6 +718,21 @@ Result<size_t> YannakakisProgram::ProjectCount(std::span<const VarId> proj,
 }
 
 namespace {
+
+/// Validates q against d and runs GYO on q's hypergraph: the shape the
+/// functions below load their program over.
+Result<JoinTree> AtomShape(const ConjunctiveQuery& q, const Structure& d) {
+  CQCS_RETURN_IF_ERROR(q.Validate());
+  if (!q.vocabulary()->Equals(*d.vocabulary())) {
+    return Status::InvalidArgument("query/database vocabulary mismatch");
+  }
+  std::optional<JoinTree> forest =
+      GyoJoinForest(q.var_count(), QueryHyperedges(q));
+  if (!forest.has_value()) {
+    return Status::InvalidArgument("the query's hypergraph is cyclic");
+  }
+  return *std::move(forest);
+}
 
 /// A projection variable outside the query is the caller's error.
 Status CheckProjection(const ConjunctiveQuery& q,
@@ -709,8 +753,9 @@ Result<bool> EvaluateBooleanAcyclic(const ConjunctiveQuery& q,
                                     ResourceGovernor* governor,
                                     unsigned num_threads) {
   YannakakisProgram run(stats, governor, num_threads);
+  CQCS_ASSIGN_OR_RETURN(const JoinTree shape, AtomShape(q, d));
   CQCS_RETURN_IF_ERROR(
-      run.FromAtoms(q, d, YannakakisProgram::Passes::kDecide));
+      run.FromAtoms(q, shape, d, YannakakisProgram::Passes::kDecide));
   return run.satisfiable();
 }
 
@@ -718,7 +763,9 @@ Result<std::optional<std::vector<Element>>> AcyclicWitness(
     const ConjunctiveQuery& q, const Structure& d, YannakakisStats* stats,
     ResourceGovernor* governor, unsigned num_threads) {
   YannakakisProgram run(stats, governor, num_threads);
-  CQCS_RETURN_IF_ERROR(run.FromAtoms(q, d, YannakakisProgram::Passes::kWalk));
+  CQCS_ASSIGN_OR_RETURN(const JoinTree shape, AtomShape(q, d));
+  CQCS_RETURN_IF_ERROR(
+      run.FromAtoms(q, shape, d, YannakakisProgram::Passes::kWalk));
   std::vector<std::vector<Element>> first;
   if (run.satisfiable()) CQCS_RETURN_IF_ERROR(run.Enumerate(1, &first));
   if (first.empty()) return std::optional<std::vector<Element>>();
@@ -730,7 +777,9 @@ Result<size_t> AcyclicCount(const ConjunctiveQuery& q, const Structure& d,
                             ResourceGovernor* governor,
                             unsigned num_threads) {
   YannakakisProgram run(stats, governor, num_threads);
-  CQCS_RETURN_IF_ERROR(run.FromAtoms(q, d, YannakakisProgram::Passes::kCount));
+  CQCS_ASSIGN_OR_RETURN(const JoinTree shape, AtomShape(q, d));
+  CQCS_RETURN_IF_ERROR(
+      run.FromAtoms(q, shape, d, YannakakisProgram::Passes::kCount));
   if (!run.satisfiable()) return size_t{0};
   return run.Count(limit);
 }
@@ -740,7 +789,9 @@ Result<std::vector<std::vector<Element>>> AcyclicEnumerate(
     YannakakisStats* stats, ResourceGovernor* governor,
     unsigned num_threads) {
   YannakakisProgram run(stats, governor, num_threads);
-  CQCS_RETURN_IF_ERROR(run.FromAtoms(q, d, YannakakisProgram::Passes::kWalk));
+  CQCS_ASSIGN_OR_RETURN(const JoinTree shape, AtomShape(q, d));
+  CQCS_RETURN_IF_ERROR(
+      run.FromAtoms(q, shape, d, YannakakisProgram::Passes::kWalk));
   std::vector<std::vector<Element>> out;
   if (run.satisfiable()) CQCS_RETURN_IF_ERROR(run.Enumerate(max_results, &out));
   return out;
@@ -753,8 +804,9 @@ Result<std::vector<std::vector<Element>>> AcyclicProject(
     unsigned num_threads) {
   CQCS_RETURN_IF_ERROR(CheckProjection(q, projection));
   YannakakisProgram run(stats, governor, num_threads);
+  CQCS_ASSIGN_OR_RETURN(const JoinTree shape, AtomShape(q, d));
   CQCS_RETURN_IF_ERROR(
-      run.FromAtoms(q, d, YannakakisProgram::Passes::kProject));
+      run.FromAtoms(q, shape, d, YannakakisProgram::Passes::kProject));
   if (!run.satisfiable()) return std::vector<std::vector<Element>>();
   return run.Project(projection, max_results);
 }
@@ -767,8 +819,9 @@ Result<size_t> AcyclicProjectCount(const ConjunctiveQuery& q,
                                    unsigned num_threads) {
   CQCS_RETURN_IF_ERROR(CheckProjection(q, projection));
   YannakakisProgram run(stats, governor, num_threads);
+  CQCS_ASSIGN_OR_RETURN(const JoinTree shape, AtomShape(q, d));
   CQCS_RETURN_IF_ERROR(
-      run.FromAtoms(q, d, YannakakisProgram::Passes::kProject));
+      run.FromAtoms(q, shape, d, YannakakisProgram::Passes::kProject));
   if (!run.satisfiable()) return size_t{0};
   return run.ProjectCount(projection, limit);
 }

@@ -46,14 +46,68 @@ class ResourceGovernor;      // common/governor.h
 class TreeDecomposition;     // treewidth/decomposition.h
 struct TreewidthSolveStats;  // treewidth/hom_dp.h
 
-/// A join tree over the atoms of a query: node i corresponds to atom i;
-/// parents are always removed after their children in GYO elimination.
-/// Queries whose hypergraph is disconnected produce a forest (several
-/// roots).
+/// The shape of a join forest: everything about it that does not depend on
+/// the tables' rows. It is derived once, by Build, from the variable count,
+/// each node's variables and the parent links, and then read by every
+/// YannakakisProgram run over that forest; only the tables change from run
+/// to run. The forest GYO returns (cq/gyo.h) has one node per hyperedge:
+/// node i of a query's forest is atom i, and parents are always removed
+/// after their children. A disconnected hypergraph gives several roots.
+/// The per-node lists are stored flat, so a shape costs a dozen
+/// allocations whatever its size: plans cache one each.
 struct JoinTree {
   static constexpr uint32_t kNoParent = UINT32_MAX;
-  /// parent[i] = atom index of i's parent, or kNoParent for roots.
+
+  /// The shape of the forest `parent` (kNoParent for roots; no cycles)
+  /// whose node i holds the variables nodes[i], each below var_count. A
+  /// variable repeated in a node counts once, at its first occurrence, and
+  /// that order is the column order of the node's table. Every variable's
+  /// nodes must form a connected subforest (running intersection).
+  static JoinTree Build(size_t var_count,
+                        std::span<const std::vector<VarId>> nodes,
+                        std::vector<uint32_t> parent);
+
+  size_t size() const { return parent.size(); }
+  /// Node i's distinct variables, in its table's column order.
+  std::span<const VarId> vars(uint32_t i) const {
+    return Slice(vars_, var_begin_, i);
+  }
+  std::span<const uint32_t> children(uint32_t i) const {
+    return Slice(children_, child_begin_, i);
+  }
+  /// The variables node i shares with its parent (none at a root), in its
+  /// own column order, and their column positions on each side (aligned).
+  std::span<const VarId> shared_vars(uint32_t i) const {
+    return Slice(shared_vars_, shared_begin_, i);
+  }
+  std::span<const uint32_t> shared_child_cols(uint32_t i) const {
+    return Slice(shared_child_cols_, shared_begin_, i);
+  }
+  std::span<const uint32_t> shared_parent_cols(uint32_t i) const {
+    return Slice(shared_parent_cols_, shared_begin_, i);
+  }
+
+  size_t var_count = 0;  ///< variables are [0, var_count)
+  /// parent[i] = index of i's parent node, or kNoParent for roots.
   std::vector<uint32_t> parent;
+  std::vector<uint32_t> roots;
+  /// Children before parents: every node's subtree precedes it. Read
+  /// backwards it is a pre-order (parents before children).
+  std::vector<uint32_t> order;
+  std::vector<VarId> isolated;  ///< variables in no node
+
+ private:
+  /// Node i's entries of a flat list: [begin[i], begin[i + 1]).
+  template <typename T>
+  static std::span<const T> Slice(const std::vector<T>& flat,
+                                  const std::vector<uint32_t>& begin,
+                                  uint32_t i) {
+    return {flat.data() + begin[i], begin[i + 1] - begin[i]};
+  }
+
+  std::vector<uint32_t> var_begin_, child_begin_, shared_begin_;
+  std::vector<VarId> vars_, shared_vars_;
+  std::vector<uint32_t> children_, shared_child_cols_, shared_parent_cols_;
 };
 
 /// Counters from one Yannakakis run, surfaced through EngineStats and
@@ -77,13 +131,15 @@ struct YannakakisStats {
   uint64_t steals = 0;            ///< always 0: no pool dispatch
 };
 
-/// Yannakakis's program over a join forest of tables. Node i holds a
-/// duplicate-free table whose columns are the distinct variables vars[i],
-/// in an order its front end picks (an atom's argument order, a bag's
-/// element order); every variable's nodes form a connected subforest
-/// (running intersection), and a variable in no node ranges freely over
-/// the target universe. Three front ends load it, then run only the
-/// passes the task reads:
+/// Yannakakis's program over a join forest of tables. The forest's shape
+/// is a JoinTree its caller owns and keeps alive for the program's
+/// lifetime: a plan's cached GYO forest, a search's residual forest, or a
+/// decomposition's. The program holds only the tables, the walk's match
+/// indexes and its counters. Node i's table is duplicate-free, and its
+/// columns are shape.vars(i), in an order the front end picks (an atom's
+/// argument order, a bag's element order); a variable in no node ranges
+/// freely over the target universe. Three front ends load it, then run
+/// only the passes the task reads:
 ///
 ///   task              semijoin passes         match indexes
 ///   decide            bottom-up               -
@@ -134,35 +190,37 @@ class YannakakisProgram {
   YannakakisProgram(const YannakakisProgram&) = delete;
   YannakakisProgram& operator=(const YannakakisProgram&) = delete;
 
-  /// Entry point from atoms: validates q against d, runs GYO
-  /// (InvalidArgument for cyclic queries or a vocabulary mismatch), loads
-  /// one table per atom of q over d, then runs `passes`. Variables are q's
-  /// VarIds; an atom's columns are its distinct variables in
-  /// first-occurrence order. An atom with distinct variables over a
-  /// relation whose duplicate_free() is true borrows the relation's
-  /// storage (a rel::Table view), so d must outlive the program and stay
-  /// unmodified; any other atom is materialized.
-  Status FromAtoms(const ConjunctiveQuery& q, const Structure& d,
-                   Passes passes);
+  /// Entry point from atoms: loads one table per atom of q over d, then
+  /// runs `passes` over `shape`, q's join forest as GyoJoinForest returns
+  /// it (node i is atom i, its columns the atom's distinct variables in
+  /// first-occurrence order). q must be valid over d's vocabulary; the
+  /// Acyclic* functions below check that and run GYO. Variables are q's
+  /// VarIds. An atom with distinct variables over a relation whose
+  /// duplicate_free() is true borrows the relation's storage (a rel::Table
+  /// view), so d must outlive the program and stay unmodified; any other
+  /// atom is materialized.
+  Status FromAtoms(const ConjunctiveQuery& q, const JoinTree& shape,
+                   const Structure& d, Passes passes);
 
   /// Entry point from bags (defined in treewidth/hom_dp.cc): validates
   /// `decomposition` against a (InvalidArgument as
   /// TreeDecomposition::ValidateFor, or on a vocabulary mismatch), builds
   /// one table per bag holding every assignment of the bag's elements that
   /// maps each tuple of a the bag covers into b, then runs `passes` over
-  /// the decomposition's forest. Variables are a's elements, so assignment
-  /// rows are homomorphisms a -> b. `stats` (may be null) receives the
-  /// width, the join extensions tried (table_entries), the bag-table rows
-  /// (table_rows) and the bag dispatch's worker/morsel/steal counters;
-  /// `node_tables` (may be null) receives each bag table, row-major, before
-  /// any semijoin.
+  /// the decomposition's forest. The forest's shape is built into *shape,
+  /// which the caller owns, once the decomposition is validated. Variables
+  /// are a's elements, so assignment rows are homomorphisms a -> b.
+  /// `stats` (may be null) receives the width, the join extensions tried
+  /// (table_entries), the bag-table rows (table_rows) and the bag
+  /// dispatch's worker/morsel/steal counters; `node_tables` (may be null)
+  /// receives each bag table, row-major, before any semijoin.
   Status FromBags(const Structure& a, const Structure& b,
-                  const TreeDecomposition& decomposition, Passes passes,
-                  TreewidthSolveStats* stats = nullptr,
+                  const TreeDecomposition& decomposition, JoinTree* shape,
+                  Passes passes, TreewidthSolveStats* stats = nullptr,
                   std::vector<std::vector<Element>>* node_tables = nullptr);
 
   /// Entry point from a search node (defined in solver/residual.cc): one
-  /// table per node of `forest`, holding a residual constraint's live
+  /// table per node of `forest.shape`, holding a residual constraint's live
   /// tuples (Propagator::ForEachLiveTuple) projected onto its unassigned
   /// variables, or a variable's live domain; then `passes` over the
   /// forest. Variables are the network's, and every one is in a node, so
@@ -197,9 +255,8 @@ class YannakakisProgram {
   Result<size_t> ProjectCount(std::span<const VarId> proj, size_t limit);
 
  private:
-  /// The program proper over the loaded vars_/tables_ and the forest
-  /// `parent` (kNoParent for roots): shape, then `passes`.
-  Status Run(std::vector<uint32_t> parent, Passes passes);
+  /// The program proper over the loaded tables_ and *shape_: `passes`.
+  Status Run(Passes passes);
   /// The semijoin passes: bottom-up, then top-down for kProject. Clears
   /// satisfiable_ when a table empties.
   Status Reduce(Passes passes);
@@ -225,14 +282,15 @@ class YannakakisProgram {
   Status TripStatus() const;
   void BumpTable(size_t rows);
   // Helpers for Enumerate's explicit-stack pre-order walk (one recursion
-  // frame per node would overflow the stack on ~100k-node forests).
-  /// First row of seq_[depth]'s table matching the ancestors in assign_
-  /// (all rows for roots), or HashIndex::kNone.
-  uint32_t FirstRow(size_t depth);
-  /// Next row of seq_[depth]'s table with the same key, or kNone.
-  uint32_t NextRow(size_t depth, uint32_t r) const;
-  /// Copies row r of seq_[depth]'s table into assign_.
-  void WriteRow(size_t depth, uint32_t r);
+  // frame per node would overflow the stack on ~100k-node forests). The
+  // walk visits shape_->order backwards, parents first.
+  /// First row of `node`'s table matching the ancestors in assign_ (all
+  /// rows for roots), or HashIndex::kNone.
+  uint32_t FirstRow(uint32_t node);
+  /// Next row of `node`'s table with the same key, or kNone.
+  uint32_t NextRow(uint32_t node, uint32_t r) const;
+  /// Copies row r of `node`'s table into assign_.
+  void WriteRow(uint32_t node, uint32_t r);
   /// Appends the isolated-variable expansions of the current assign_;
   /// false once *out reached max_results (aborts the walk).
   bool EmitAssignment(size_t max_results,
@@ -243,31 +301,18 @@ class YannakakisProgram {
   unsigned threads_ = 1;  // resolved worker count (FromBags' dispatch)
   uint64_t tick_ = 0;     // PollTick stride counter
 
-  size_t var_count_ = 0;  // variables are [0, var_count_)
-  size_t universe_ = 0;   // the range of every variable
-  size_t m_ = 0;          // nodes
-  std::vector<uint32_t> parent_;
-  std::vector<std::vector<VarId>> vars_;  // per node, distinct
-  std::vector<rel::Table> tables_;        // columns follow vars_[i]; an
-                                          // atom's may be a view
-  std::vector<std::vector<uint32_t>> children_;
-  std::vector<uint32_t> roots_;
-  std::vector<uint32_t> order_;  // children before parents
-  // Shared variables with the parent, in the child's column order; and
-  // their column positions on each side (aligned lists).
-  std::vector<std::vector<VarId>> shared_vars_;
-  std::vector<std::vector<uint32_t>> shared_child_cols_;
-  std::vector<std::vector<uint32_t>> shared_parent_cols_;
-  // Match index per non-root node, keyed on shared_child_cols_ (kWalk
-  // only: the bottom-up pass's semijoin indexes).
+  const JoinTree* shape_ = nullptr;  // the caller's; set by the entry point
+  size_t universe_ = 0;               // the range of every variable
+  std::vector<rel::Table> tables_;    // columns follow shape_->vars(i); an
+                                      // atom's may be a view
+  // Match index per non-root node, keyed on shape_->shared_child_cols
+  // (kWalk only: the bottom-up pass's semijoin indexes).
   std::vector<rel::HashIndex> match_index_;
-  std::vector<VarId> isolated_;  // variables in no node
   std::vector<Element> assign_;  // Enumerate's scratch
   std::vector<Element> key_scratch_;  // probe-key scratch (the key is
                                       // consumed by FindFirst before any
                                       // recursion, so one buffer serves
                                       // every depth)
-  std::vector<uint32_t> seq_;  // forest pre-order
   bool satisfiable_ = false;
 };
 

@@ -1,6 +1,7 @@
 #include "cq/gyo.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "cq/acyclic.h"
@@ -37,10 +38,10 @@ class GyoReducer {
     stamp_.assign(var_count, UINT32_MAX);
   }
 
-  std::optional<JoinTree> Run() {
-    JoinTree tree;
-    tree.parent.assign(m_, JoinTree::kNoParent);
-    parent_ = &tree;
+  /// The join forest's parent links, or nullopt when the hypergraph is
+  /// cyclic.
+  std::optional<std::vector<uint32_t>> Run() {
+    parent_.assign(m_, JoinTree::kNoParent);
     alive_count_ = m_;
     for (uint32_t i = 0; i < m_; ++i) Enqueue(i);
     while (!queue_.empty()) {
@@ -50,7 +51,7 @@ class GyoReducer {
       TryRemoveEar(e);
     }
     if (alive_count_ > 0) return std::nullopt;  // cyclic
-    return tree;
+    return std::move(parent_);
   }
 
  private:
@@ -63,7 +64,7 @@ class GyoReducer {
   void Remove(uint32_t e, uint32_t parent) {
     alive_[e] = 0;
     --alive_count_;
-    parent_->parent[e] = parent;
+    parent_[e] = parent;
     for (VarId v : vars_[e]) {
       if (--cnt_[v] == 1) {
         // v's sole remaining live edge may have just become an ear.
@@ -137,14 +138,17 @@ class GyoReducer {
   std::vector<uint32_t> stamp_;
   uint32_t stamped_edge_ = UINT32_MAX;
   uint32_t alive_count_ = 0;
-  JoinTree* parent_ = nullptr;
+  std::vector<uint32_t> parent_;
 };
 
 }  // namespace
 
 std::optional<JoinTree> GyoJoinForest(
     size_t var_count, std::span<const std::vector<VarId>> edges) {
-  return GyoReducer(var_count, edges).Run();
+  std::optional<std::vector<uint32_t>> parent =
+      GyoReducer(var_count, edges).Run();
+  if (!parent.has_value()) return std::nullopt;
+  return JoinTree::Build(var_count, edges, *std::move(parent));
 }
 
 std::vector<std::vector<VarId>> QueryHyperedges(const ConjunctiveQuery& q) {
@@ -154,7 +158,7 @@ std::vector<std::vector<VarId>> QueryHyperedges(const ConjunctiveQuery& q) {
   return edges;
 }
 
-bool IsAcyclicStructure(const Structure& a) {
+std::optional<JoinTree> StructureJoinForest(const Structure& a) {
   std::vector<std::vector<VarId>> edges;
   edges.reserve(a.TotalTuples());
   const Vocabulary& vocab = *a.vocabulary();
@@ -165,7 +169,7 @@ bool IsAcyclicStructure(const Structure& a) {
       edges.emplace_back(tup.begin(), tup.end());
     }
   }
-  return GyoJoinForest(a.universe_size(), edges).has_value();
+  return GyoJoinForest(a.universe_size(), edges);
 }
 
 }  // namespace cqcs

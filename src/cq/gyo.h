@@ -17,9 +17,12 @@
 // the whole reduction is near-linear: O(‖H‖) plus the witness subset
 // checks, each bounded by the pivot vertex's live degree.
 //
-// Callers: cq/acyclic.cc (join trees for Yannakakis) and api/problem.cc
-// (the router's acyclicity verdict) — previously two independent
-// ear-removal implementations that had to agree by luck.
+// The forest it returns is the whole JoinTree (cq/acyclic.h), shape
+// included, so a caller that keeps it never derives the shape again.
+// Callers: api/problem.cc, once per compiled plan (StructureJoinForest:
+// the router's acyclicity verdict, and the forest every acyclic run of the
+// plan reads); cq/acyclic.cc's Acyclic* functions, once per call; and
+// solver/residual.cc, once per search (the residual below the leaves).
 
 #ifndef CQCS_CQ_GYO_H_
 #define CQCS_CQ_GYO_H_
@@ -37,19 +40,22 @@ struct JoinTree;  // cq/acyclic.h
 
 /// Runs GYO on the hypergraph with vertices 0..var_count-1 and one edge
 /// per entry of `edges` (duplicate vertices within an edge are fine).
-/// Returns the join forest (parent[i] = witness edge, kNoParent for
-/// roots; parents are always removed after their children), or nullopt
-/// when the hypergraph is cyclic.
+/// Returns the join forest, or nullopt when the hypergraph is cyclic: node
+/// i is edge i, parent[i] its witness edge (kNoParent for roots; parents
+/// are always removed after their children), and vars(i) its distinct
+/// vertices in first-occurrence order.
 std::optional<JoinTree> GyoJoinForest(
     size_t var_count, std::span<const std::vector<VarId>> edges);
 
 /// The query's hypergraph: one edge per atom (the atom's argument set).
 std::vector<std::vector<VarId>> QueryHyperedges(const ConjunctiveQuery& q);
 
-/// GYO verdict for a structure, taken directly on its tuples (one edge
-/// per tuple) — the same hypergraph as CanonicalQuery(a)'s, without
-/// materializing the query. This is what the engine router calls.
-bool IsAcyclicStructure(const Structure& a);
+/// GYO on a structure, taken directly on its tuples (one edge per tuple,
+/// relation by relation, in tuple order) — the same hypergraph as
+/// CanonicalQuery(a)'s, without materializing the query. CanonicalQuery
+/// emits its atoms in that order, so the forest is the canonical query's
+/// join forest node for node. This is what HomProblem caches per plan.
+std::optional<JoinTree> StructureJoinForest(const Structure& a);
 
 }  // namespace cqcs
 

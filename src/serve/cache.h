@@ -141,10 +141,11 @@ class LruCache {
   void Put(const CacheKey& key, std::shared_ptr<const V> value) {
     if (capacity_ == 0) return;
     Shard& shard = ShardFor(key.digest);
+    Dropped dropped;  // declared before the lock: released after it
     MutexLock lock(shard.mu);
     auto it = shard.Find(key);
     if (it != shard.entries.end()) {
-      it->value = std::move(value);
+      dropped.push_back(std::exchange(it->value, std::move(value)));
       shard.MoveToFront(it);
       return;
     }
@@ -152,7 +153,7 @@ class LruCache {
     shard.index.emplace(key.digest, shard.entries.begin());
     ++shard.stats.insertions;
     while (shard.entries.size() > shard.capacity) {
-      shard.Remove(std::prev(shard.entries.end()));
+      dropped.push_back(shard.Remove(std::prev(shard.entries.end())));
       ++shard.stats.evictions;
     }
   }
@@ -164,18 +165,15 @@ class LruCache {
     size_t dropped = 0;
     for (size_t i = 0; i < shard_count_; ++i) {
       Shard& shard = shards_[i];
+      Dropped values;  // declared before the lock: released after it
       MutexLock lock(shard.mu);
-      size_t shard_dropped = 0;
       for (auto it = shard.entries.begin(); it != shard.entries.end();) {
         auto next = std::next(it);
-        if (pred(it->key)) {
-          shard.Remove(it);
-          ++shard_dropped;
-        }
+        if (pred(it->key)) values.push_back(shard.Remove(it));
         it = next;
       }
-      shard.stats.invalidations += shard_dropped;
-      dropped += shard_dropped;
+      shard.stats.invalidations += values.size();
+      dropped += values.size();
     }
     return dropped;
   }
@@ -183,9 +181,10 @@ class LruCache {
   void Clear() {
     for (size_t i = 0; i < shard_count_; ++i) {
       Shard& shard = shards_[i];
+      EntryList entries;  // declared before the lock: released after it
       MutexLock lock(shard.mu);
       shard.stats.invalidations += shard.entries.size();
-      shard.entries.clear();
+      entries.swap(shard.entries);
       shard.index.clear();
     }
   }
@@ -224,6 +223,10 @@ class LruCache {
     uint64_t promoted_at = 0;  ///< shard tick when last put at the front
   };
   using EntryList = std::list<Entry>;
+  /// Values leaving a shard. One can be the last owner of a compiled plan,
+  /// whose destructor frees many blocks, so they are released after the
+  /// shard's lock, not under it.
+  using Dropped = std::vector<std::shared_ptr<const V>>;
 
   /// One independent LRU. Cache-line aligned so neighbouring shards' locks
   /// do not share a line.
@@ -255,7 +258,10 @@ class LruCache {
       it->promoted_at = ++tick;
     }
 
-    void Remove(typename EntryList::iterator it) CQCS_REQUIRES(mu) {
+    /// Unlinks the entry and hands back its value, for the caller to
+    /// release once the lock is dropped.
+    std::shared_ptr<const V> Remove(typename EntryList::iterator it)
+        CQCS_REQUIRES(mu) {
       auto [lo, hi] = index.equal_range(it->key.digest);
       for (auto idx = lo; idx != hi; ++idx) {
         if (idx->second == it) {
@@ -263,7 +269,9 @@ class LruCache {
           break;
         }
       }
+      std::shared_ptr<const V> value = std::move(it->value);
       entries.erase(it);
+      return value;
     }
   };
 

@@ -10,7 +10,7 @@
 //                 content, collision-safe — serve/cache.h). Two levels
 //                 share one cache: a source-plan entry per canonical query
 //                 (the compiled HomProblem source side: canonical query,
-//                 GYO verdict, decomposition) and a pair-plan entry per
+//                 GYO join forest, decomposition) and a pair-plan entry per
 //                 (query, database version) whose target-side artifacts
 //                 (CSP network, profile) are warm too. A query seen against
 //                 a NEW database version rebinds the source plan with

@@ -1,5 +1,6 @@
 #include "solver/backtracking.h"
 
+#include <optional>
 #include <unordered_set>
 
 #include "common/hash.h"
@@ -25,11 +26,17 @@ struct RowHash {
 /// One search, sequential or parallel by options.num_threads. The callback
 /// contract is identical either way (the parallel driver serializes
 /// deliveries), so every entry point builds one closure and routes here.
+/// A non-null `leaf` receives the search's residual, which lives for the
+/// call: the shape is the same below every leaf of every worker.
 size_t RunSearch(const CspInstance& csp, const SolveOptions& options,
                  std::span<const Element> projection,
                  const std::function<bool(const Homomorphism&)>& on_solution,
-                 const LeafSink* leaf, SolveStats* stats,
-                 bool first_solution_only) {
+                 LeafSink* leaf, SolveStats* stats, bool first_solution_only) {
+  std::optional<ResidualForest> residual;
+  if (leaf != nullptr) {
+    residual = ResidualForest::ForSearch(csp, options, projection);
+    leaf->residual = residual.has_value() ? &*residual : nullptr;
+  }
   if (ResolveThreadCount(options.num_threads) > 1) {
     return ParallelSearch(csp, options, projection, on_solution, leaf, stats,
                           first_solution_only);

@@ -1,5 +1,6 @@
 #include "solver/residual.h"
 
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -12,9 +13,23 @@
 
 namespace cqcs {
 
-ResidualForest ResidualForest::Build(const CspInstance& csp,
-                                     std::span<const uint8_t> assigned) {
+std::optional<ResidualForest> ResidualForest::ForSearch(
+    const CspInstance& csp, const SolveOptions& options,
+    std::span<const Element> projection) {
+  const std::optional<std::vector<Element>>& cutset = csp.cycle_cutset();
+  if (!cutset.has_value() || options.propagation != Propagation::kMac ||
+      (projection.empty() && cutset->empty())) {
+    return std::nullopt;
+  }
+  std::vector<uint8_t> assigned(csp.var_count(), 0);
+  for (Element v : projection) {
+    CQCS_CHECK(v < csp.var_count());
+    assigned[v] = 1;
+  }
+  for (Element v : *cutset) assigned[v] = 1;
+
   ResidualForest forest;
+  std::vector<std::vector<Element>> node_vars;
   std::vector<uint8_t> covered(csp.var_count(), 0);
   const std::vector<Constraint>& constraints = csp.constraints();
   for (uint32_t ci = 0; ci < constraints.size(); ++ci) {
@@ -29,16 +44,16 @@ ResidualForest ResidualForest::Build(const CspInstance& csp,
     if (vars.size() < 2) continue;
     for (Element v : vars) covered[v] = 1;
     forest.constraints.push_back(ci);
-    forest.vars.push_back(std::move(vars));
+    node_vars.push_back(std::move(vars));
     forest.positions.push_back(std::move(positions));
   }
   for (Element v = 0; v < csp.var_count(); ++v) {
-    if (!covered[v]) forest.vars.push_back({v});
+    if (!covered[v]) node_vars.push_back({v});
   }
   // Berge-acyclic once a cycle cutset is assigned, hence α-acyclic.
-  auto join_forest = GyoJoinForest(csp.var_count(), forest.vars);
-  CQCS_CHECK(join_forest.has_value());
-  forest.parent = std::move(join_forest->parent);
+  std::optional<JoinTree> shape = GyoJoinForest(csp.var_count(), node_vars);
+  CQCS_CHECK(shape.has_value());
+  forest.shape = *std::move(shape);
   return forest;
 }
 
@@ -47,20 +62,20 @@ Status YannakakisProgram::FromDomains(const Propagator& prop,
                                       Passes passes) {
   if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->Poll());
   const CspInstance& csp = prop.csp();
-  var_count_ = csp.var_count();
+  shape_ = &forest.shape;
   universe_ = csp.domain_size();
-  m_ = forest.vars.size();
-  vars_ = forest.vars;
-  tables_.resize(m_);
+  const size_t m = forest.shape.size();
+  tables_.resize(m);
   const size_t constraint_nodes = forest.constraints.size();
-  for (size_t i = 0; i < m_; ++i) {
+  for (size_t i = 0; i < m; ++i) {
     if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->Poll());
-    const auto width = static_cast<uint32_t>(vars_[i].size());
+    const std::span<const VarId> vars = forest.shape.vars(i);
+    const auto width = static_cast<uint32_t>(vars.size());
     rel::Table& table = tables_[i];
     table = rel::Table(width);
     table.AttachGovernor(gov_);
     if (i >= constraint_nodes) {
-      prop.ForEachValue(vars_[i][0], [&](size_t v) {
+      prop.ForEachValue(vars[0], [&](size_t v) {
         *table.AppendRowSlot() = static_cast<Element>(v);
       });
       BumpTable(table.row_count());
@@ -84,7 +99,7 @@ Status YannakakisProgram::FromDomains(const Propagator& prop,
     BumpTable(table.row_count());
   }
   CQCS_RETURN_IF_ERROR(TripStatus());
-  return Run(forest.parent, passes);
+  return Run(passes);
 }
 
 }  // namespace cqcs

@@ -54,21 +54,16 @@ SearchContext::SearchContext(const CspInstance& csp,
   }
   prune_boundary_ = projection.empty() ? SIZE_MAX : prefix_.size();
   // The leaf rule: the cutset joins the prefix, below the prune boundary,
-  // so project still prunes right after the projection variables. Leaves
-  // are search nodes: with nothing to branch on first (an acyclic network
-  // without projection) the rule stays off and the search runs as before.
-  const std::optional<std::vector<Element>>& cutset = csp_.cycle_cutset();
-  if (leaf != nullptr && cutset.has_value() &&
-      options_.propagation == Propagation::kMac &&
-      prefix_.size() + cutset->size() > 0) {
-    for (Element v : *cutset) {
+  // so project still prunes right after the projection variables.
+  if (leaf != nullptr && leaf->residual != nullptr) {
+    const std::vector<Element>& cutset = *csp_.cycle_cutset();
+    for (Element v : cutset) {
       if (in_prefix_[v]) continue;
       in_prefix_[v] = 1;
       prefix_.push_back(v);
     }
-    residual_ = ResidualForest::Build(csp_, in_prefix_);
     leaf_ = leaf;
-    stats_->cutset = cutset->size();
+    stats_->cutset = cutset.size();
   }
   // One value buffer per depth, sized once: the search itself does not
   // allocate.
@@ -446,7 +441,7 @@ SearchContext::Step SearchContext::Leaf() {
 
 Result<size_t> SearchContext::CountResidual() {
   YannakakisProgram program(nullptr, options_.governor);
-  CQCS_RETURN_IF_ERROR(program.FromDomains(prop_, *residual_,
+  CQCS_RETURN_IF_ERROR(program.FromDomains(prop_, *leaf_->residual,
                                            YannakakisProgram::Passes::kCount));
   // No table is empty at a GAC node, so the program is satisfiable.
   return program.Count(leaf_->limit);

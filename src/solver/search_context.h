@@ -54,11 +54,10 @@ struct Subproblem {
 
 /// How the backtrack-free leaf rule reports (docs/solver.md, "Backtrack-
 /// free leaves"). Decide, count and project pass one; witness and
-/// enumerate pass none and assign every variable. The rule runs only under
-/// MAC and when the instance has a cycle cutset; the search then branches
-/// on the projection and the cutset first, and a node where both are
-/// assigned without a wipeout is a leaf: every value left extends to a
-/// solution.
+/// enumerate pass none and assign every variable. The rule runs only where
+/// ResidualForest::ForSearch finds a residual; the search then branches on
+/// the projection and the cutset first, and a node where both are assigned
+/// without a wipeout is a leaf: every value left extends to a solution.
 struct LeafSink {
   /// Project: a leaf reports through on_solution, and only the projection
   /// and cutset entries of that Homomorphism are meaningful; then it
@@ -69,6 +68,9 @@ struct LeafSink {
   /// false to stop the search.
   std::function<bool(size_t)> on_count;
   size_t limit = SIZE_MAX;
+  /// The residual below every leaf, built once per search and read by
+  /// every worker; the rule is off while it is null.
+  const ResidualForest* residual = nullptr;
 };
 
 /// Shared-state handles wired in by the parallel driver. All pointers stay
@@ -91,8 +93,8 @@ struct ParallelHandles {
 
 class SearchContext {
  public:
-  /// `leaf` (may be null; not owned) turns on the leaf rule where it
-  /// applies.
+  /// `leaf` (may be null; not owned) turns on the leaf rule when it carries
+  /// a residual.
   SearchContext(const CspInstance& csp, const SolveOptions& options,
                 std::span<const Element> projection,
                 std::function<bool(const Homomorphism&)> on_solution,
@@ -173,9 +175,8 @@ class SearchContext {
   size_t solutions_ = 0;
   /// The leaf rule's sink, or nullptr when the rule is off; then prefix_
   /// holds the projection only. When on, prefix_ continues with the cycle
-  /// cutset and residual_ is the shape left below every leaf.
+  /// cutset and leaf_->residual is the residual below every leaf.
   const LeafSink* leaf_ = nullptr;
-  std::optional<ResidualForest> residual_;
   /// The instance's shared least-constraining value permutation
   /// (CspInstance::LcvValuePermutation), or nullptr unless
   /// ValOrder::kLeastConstraining: var_count x domain_size, flat.

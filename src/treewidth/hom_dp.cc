@@ -241,7 +241,7 @@ class BagJoin {
 
 Status YannakakisProgram::FromBags(
     const Structure& a, const Structure& b,
-    const TreeDecomposition& decomposition, Passes passes,
+    const TreeDecomposition& decomposition, JoinTree* shape, Passes passes,
     TreewidthSolveStats* stats,
     std::vector<std::vector<Element>>* node_tables) {
   if (!a.vocabulary()->Equals(*b.vocabulary())) {
@@ -289,7 +289,6 @@ Status YannakakisProgram::FromBags(
   // each worker reusing its own BagJoin. Counters merge in node order. This
   // is the program's only parallel phase.
   const size_t nodes = decomposition.node_count();
-  vars_.resize(nodes);
   tables_.resize(nodes);
   std::vector<uint64_t> tried(nodes, 0);
   std::vector<BagJoin> joins(threads_, BagJoin(a, b, ix, gov_));
@@ -311,10 +310,11 @@ Status YannakakisProgram::FromBags(
   }
   CQCS_RETURN_IF_ERROR(TripStatus());
 
+  std::vector<std::vector<VarId>> bags(nodes);
   std::vector<uint32_t> parent(nodes);
   for (uint32_t node = 0; node < nodes; ++node) {
-    vars_[node].assign(decomposition.bag(node).begin(),
-                       decomposition.bag(node).end());
+    bags[node].assign(decomposition.bag(node).begin(),
+                      decomposition.bag(node).end());
     parent[node] = decomposition.parent(node);
     if (stats != nullptr) {
       stats->table_entries += tried[node];
@@ -325,9 +325,10 @@ Status YannakakisProgram::FromBags(
       node_tables->emplace_back(t.data(), t.data() + t.row_count() * t.width());
     }
   }
-  var_count_ = a.universe_size();
+  *shape = JoinTree::Build(a.universe_size(), bags, std::move(parent));
+  shape_ = shape;
   universe_ = b.universe_size();
-  return Run(std::move(parent), passes);
+  return Run(passes);
 }
 
 Result<std::optional<Homomorphism>> SolveViaTreeDecomposition(
@@ -335,8 +336,9 @@ Result<std::optional<Homomorphism>> SolveViaTreeDecomposition(
     const TreeDecomposition& decomposition, TreewidthSolveStats* stats,
     ResourceGovernor* governor, unsigned num_threads,
     std::vector<std::vector<Element>>* node_tables) {
+  JoinTree shape;
   YannakakisProgram program(nullptr, governor, num_threads);
-  CQCS_RETURN_IF_ERROR(program.FromBags(a, b, decomposition,
+  CQCS_RETURN_IF_ERROR(program.FromBags(a, b, decomposition, &shape,
                                         YannakakisProgram::Passes::kWalk,
                                         stats, node_tables));
   std::vector<std::vector<Element>> first;

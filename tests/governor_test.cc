@@ -1011,6 +1011,72 @@ TEST(GovernorEngineTest, TreewidthTasksTripAtEveryCheckAndCharge) {
   }
 }
 
+/// Homomorphisms a -> b, by trying every map.
+size_t BruteForceCount(const Structure& a, const Structure& b) {
+  const size_t n = a.universe_size();
+  const size_t d = b.universe_size();
+  Homomorphism h(n, 0);
+  size_t count = 0;
+  while (true) {
+    count += IsHomomorphism(a, b, h) ? 1 : 0;
+    size_t i = 0;
+    while (i < n && h[i] + 1 == d) h[i++] = 0;
+    if (i == n) return count;
+    ++h[i];
+  }
+}
+
+TEST(GovernorEngineTest, UniformCountTripsInsideBacktrackFreeLeaves) {
+  // The uniform count stops at the cycle cutset and counts the residual
+  // forest with the relational program; that program's tables are the
+  // search's only memory charges, so a charge failpoint trips inside a
+  // leaf. Every trip must unwind to "unknown" (count 0), at one thread and
+  // at two, and the first untripped run must match brute force.
+  auto vocab = MakeGraphVocabulary();
+  // Two directed triangles joined by a bridge, plus a tail: a cutset of 2.
+  Structure a(vocab, 8);
+  for (auto [u, v] : std::vector<std::pair<Element, Element>>{
+           {0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {2, 3}, {5, 6},
+           {6, 7}}) {
+    a.AddTuple(0, {u, v});
+  }
+  Rng rng(7031);
+  Structure b = RandomGraphStructure(vocab, 4, 0.8, rng, /*symmetric=*/true);
+  const size_t want = BruteForceCount(a, b);
+  ASSERT_GT(want, 0u);
+  HomProblem p = MustProblem(HomProblem::FromStructures(a, b));
+  ASSERT_TRUE(p.Csp().cycle_cutset().has_value());
+  ASSERT_EQ(p.Csp().cycle_cutset()->size(), 2u);
+
+  for (unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    EngineOptions base;
+    base.backend = Backend::kUniform;
+    base.solve.num_threads = threads;
+    const EngineResult plain = MustRun(HomEngine(base), p, HomTask::kCount);
+    EXPECT_EQ(plain.count, want);
+    ASSERT_GT(plain.stats.search.leaves, 0u);
+
+    uint64_t k = 1;
+    for (;; ++k) {
+      SCOPED_TRACE(testing::Message() << "trip_after_charges=" << k);
+      ASSERT_LT(k, 10'000u);
+      EngineOptions options = base;
+      options.failpoints.trip_after_charges = k;
+      const EngineResult r = MustRun(HomEngine(options), p, HomTask::kCount);
+      if (!r.stats.governor.tripped) {
+        EXPECT_EQ(r.count, want);
+        EXPECT_EQ(r.stats.search.leaves, plain.stats.search.leaves);
+        break;
+      }
+      EXPECT_EQ(r.stats.governor.cause, TripCause::kFailpoint);
+      EXPECT_TRUE(r.stats.search.limit_hit);
+      EXPECT_EQ(r.count, 0u);
+    }
+    EXPECT_GT(k, 1u);
+  }
+}
+
 TEST(GovernorEngineTest, UniformTripKeepsVerifiedPrefix) {
   // The search's enumeration keeps solutions verified before the trip —
   // each is a real homomorphism — marked incomplete via limit_hit.

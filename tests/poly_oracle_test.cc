@@ -13,6 +13,7 @@
 #include <cmath>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <vector>
@@ -638,9 +639,12 @@ void ExpectMatchesOdometer(const Structure& a, const Structure& b,
     if (threads == 1) entries = stats.table_entries;
     EXPECT_EQ(stats.table_entries, entries);
     // The count over the same bag tables, saturated.
+    JoinTree shape;
     YannakakisProgram program(nullptr, nullptr, threads);
-    ASSERT_TRUE(
-        program.FromBags(a, b, td, YannakakisProgram::Passes::kCount).ok());
+    ASSERT_TRUE(program
+                    .FromBags(a, b, td, &shape,
+                              YannakakisProgram::Passes::kCount)
+                    .ok());
     size_t count = 0;
     if (program.satisfiable()) count = *program.Count(kCountLimit);
     EXPECT_EQ(count, oracle_count);
@@ -1845,6 +1849,76 @@ TEST(PolyOracleTest, TreeSourcesReachOneColumnConnectorsThroughBags) {
       EXPECT_EQ(r.count, std::min(total, limit)) << "limit " << limit;
     }
   }
+}
+
+/// The acyclic route loads SourceCanonicalQuery() over the plan's cached
+/// forest, so the two must agree node for node. That holds because
+/// CanonicalQuery emits its atoms in the order the structure-level GYO reads
+/// the tuples: relation by relation, then tuple index. Rebinds share the
+/// compiled source side, so they hand out the same forest object. Returns
+/// whether the source is acyclic.
+bool ExpectCachedForestIsTheQueryForest(const HomProblem& p,
+                                        const Structure& other_target) {
+  const ConjunctiveQuery& q = p.SourceCanonicalQuery();
+  const std::optional<JoinTree> want =
+      GyoJoinForest(q.var_count(), QueryHyperedges(q));
+  const JoinTree* cached = p.SourceJoinForest();
+  EXPECT_EQ(cached != nullptr, want.has_value());
+  EXPECT_EQ(p.SourceAcyclic(), want.has_value());
+  if (cached != nullptr && want.has_value()) {
+    EXPECT_EQ(cached->parent, want->parent);
+    EXPECT_EQ(cached->size(), q.atoms().size());
+    for (uint32_t i = 0; i < cached->size(); ++i) {
+      EXPECT_TRUE(std::ranges::equal(cached->vars(i), want->vars(i)))
+          << "node " << i;
+    }
+  }
+  Result<HomProblem> copied = p.WithTarget(other_target);
+  Result<HomProblem> shared =
+      p.WithTarget(std::make_shared<const Structure>(other_target));
+  EXPECT_TRUE(copied.ok() && shared.ok());
+  if (copied.ok()) EXPECT_EQ(copied->SourceJoinForest(), cached);
+  if (shared.ok()) EXPECT_EQ(shared->SourceJoinForest(), cached);
+  return want.has_value();
+}
+
+TEST(PolyOracleTest, CachedForestIsTheCanonicalQueryForest) {
+  Rng rng(2025);
+  int acyclic = 0, cyclic = 0;
+  auto tally = [&](bool is_acyclic) { ++(is_acyclic ? acyclic : cyclic); };
+  auto graph_vocab = MakeGraphVocabulary();
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE(testing::Message() << "graph trial " << trial);
+    // Trees, forests with duplicate edges, and partial 2-trees.
+    Structure a = trial % 2 == 0
+                      ? StructureFromGraph(
+                            graph_vocab, RandomTree(2 + rng.Below(6), rng))
+                      : StructureFromGraph(graph_vocab,
+                                           RandomPartialKTree(
+                                               5 + rng.Below(8), 2, 0.85, rng));
+    if (trial % 4 == 0 && a.universe_size() > 1) a.AddTuple(0, {0, 1});
+    Structure b = RandomGraphStructure(graph_vocab, 2 + rng.Below(3), 0.5, rng,
+                                       /*symmetric=*/true);
+    Structure b2 = RandomGraphStructure(graph_vocab, 3, 0.5, rng,
+                                        /*symmetric=*/false);
+    HomProblem p = MustProblem(HomProblem::FromStructures(a, b));
+    tally(ExpectCachedForestIsTheQueryForest(p, b2));
+  }
+  auto vocab = MixedVocabulary();
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE(testing::Message() << "mixed trial " << trial);
+    // Canonical databases of random acyclic queries (repeated variables,
+    // variables in no atom), and random databases as sources.
+    const ConjunctiveQuery q = RandomAcyclicQuery(vocab, rng);
+    const Structure d = RandomDanglingDatabase(vocab, rng);
+    const Structure d2 = RandomDanglingDatabase(vocab, rng);
+    HomProblem from_query = MustProblem(HomProblem::FromQuery(q, d));
+    tally(ExpectCachedForestIsTheQueryForest(from_query, d2));
+    HomProblem from_db = MustProblem(HomProblem::FromStructures(d, d2));
+    tally(ExpectCachedForestIsTheQueryForest(from_db, d));
+  }
+  EXPECT_GT(acyclic, 100);
+  EXPECT_GT(cyclic, 20);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -534,15 +535,33 @@ TEST(ServingEngineTest, QueueDepthShedsConcurrentOverload) {
   heavy.query = ToString(ChainQuery(vocab, 6));  // ~24^7 paths: deadline-bound
   heavy.database = "big";
   heavy.task = HomTask::kCount;
+  std::atomic<bool> done{false};
   std::thread slow([&] {
     auto r = serving.Serve(heavy);
     // Served (possibly as an un-cacheable "unknown"), never shed: it held
     // the slot first.
     EXPECT_TRUE(r.ok()) << r.status().ToString();
+    done.store(true);
   });
-  // Wait until the heavy request is inside the engine.
-  while (serving.stats().queue_depth == 0) {
+  // Wait until the heavy request is inside the engine. If it finishes
+  // first, or never shows up within 30 s, the test fails instead of
+  // spinning forever.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  bool in_flight = false;
+  while (!done.load() && std::chrono::steady_clock::now() < give_up) {
+    if (serving.stats().queue_depth != 0) {
+      in_flight = true;
+      break;
+    }
     std::this_thread::yield();
+  }
+  if (!in_flight) {
+    slow.join();
+    FAIL() << (done.load() ? "the heavy request finished before it was "
+                             "seen in flight: shedding was not exercised"
+                           : "the heavy request was not seen in flight "
+                             "within 30 s");
   }
   serve::ServeRequest cheap;
   cheap.query = ToString(ChainQuery(vocab, 2));
