@@ -24,6 +24,13 @@
 // sharing one engine whose answers are all cached, swept over zipfian
 // theta 0.5 and 0.99 (Arg 0 = theta x 100). Its ops_per_sec is the
 // clients' combined throughput over wall time.
+//
+// BM_ServingDurableReadsDuringUpdates is the read-path-under-writes arm:
+// one writer thread upserts G(512, deg 6) databases through the WAL
+// (fsync never) without pause while three reader threads serve cached
+// answers from the other databases. Its p50/p90/p99_us are the readers'
+// latencies, so they show whether a read waits behind an update's log
+// append.
 
 #include <benchmark/benchmark.h>
 #include <unistd.h>
@@ -35,6 +42,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cq/query.h"
@@ -332,6 +340,152 @@ void HitPathSweep(benchmark::internal::Benchmark* b) {
 }
 BENCHMARK(BM_ServingHitPathClients)
     ->Apply(HitPathSweep)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+// ---- Readers while a writer updates through the WAL. -----------------------
+
+constexpr size_t kChurnUniverse = 512;
+constexpr double kChurnDegree = 6.0;
+constexpr uint32_t kReadDbs = 3;
+
+/// A durable engine (fsync never) whose kReadDbs read databases have every
+/// query's answer cached, plus a writer thread that upserts a fourth
+/// database, alternating two pre-built G(512, deg 6) payloads, until the
+/// fixture is destroyed.
+struct DurableReadsFixture {
+  std::filesystem::path data_dir;
+  std::unique_ptr<serve::ServingEngine> engine;
+  std::vector<serve::ServeRequest> requests;
+  std::vector<Structure> payloads;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> updates{0};
+  std::atomic<bool> update_failed{false};
+  std::thread writer;
+
+  DurableReadsFixture() = default;
+  DurableReadsFixture(const DurableReadsFixture&) = delete;
+  DurableReadsFixture& operator=(const DurableReadsFixture&) = delete;
+  ~DurableReadsFixture() {
+    stop.store(true);
+    if (writer.joinable()) writer.join();
+    engine.reset();
+    std::filesystem::remove_all(data_dir);
+  }
+};
+
+std::unique_ptr<DurableReadsFixture> MakeDurableReadsFixture() {
+  auto fixture = std::make_unique<DurableReadsFixture>();
+  fixture->data_dir = std::filesystem::temp_directory_path() /
+                      ("cqcs_bench_durable_reads_" +
+                       std::to_string(::getpid()));
+  std::filesystem::remove_all(fixture->data_dir);
+  serve::ServeOptions options;
+  options.durability.data_dir = fixture->data_dir.string();
+  options.durability.fsync = serve::FsyncPolicy::kNever;
+  // Per-record cost only: no snapshot lands in the timed window.
+  options.durability.snapshot_every_records = 1 << 20;
+  fixture->engine = std::make_unique<serve::ServingEngine>(options);
+  if (!fixture->engine->Open().ok()) return nullptr;
+
+  auto vocab = MakeGraphVocabulary();
+  const double p = kChurnDegree / (kChurnUniverse - 1);
+  Rng rng(0xd0ab1e);
+  auto make_db = [&] {
+    return RandomGraphStructure(vocab, kChurnUniverse, p, rng,
+                                /*symmetric=*/true);
+  };
+  const std::vector<std::string> queries = MakeQueryPool(vocab, kQueryPool);
+  for (uint32_t d = 0; d < kReadDbs; ++d) {
+    if (!fixture->engine->UpsertDatabase(DbName(d), make_db()).ok()) {
+      return nullptr;
+    }
+    for (const std::string& query : queries) {
+      serve::ServeRequest request;
+      request.query = query;
+      request.database = DbName(d);
+      request.task = HomTask::kDecide;
+      if (!fixture->engine->Serve(request).ok()) return nullptr;
+      fixture->requests.push_back(std::move(request));
+    }
+  }
+  fixture->payloads.push_back(make_db());
+  fixture->payloads.push_back(make_db());
+  DurableReadsFixture* f = fixture.get();
+  f->writer = std::thread([f] {
+    for (uint64_t i = 0; !f->stop.load(std::memory_order_relaxed); ++i) {
+      if (!f->engine->UpsertDatabase(DbName(kReadDbs), f->payloads[i % 2])
+               .ok()) {
+        f->update_failed.store(true);
+        return;
+      }
+      f->updates.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  return fixture;
+}
+
+// Set up (and its writer started) by thread 0 before the timed loop, torn
+// down by it after; google-benchmark holds every thread at the loop's start
+// and end.
+std::unique_ptr<DurableReadsFixture> durable_reads_fixture;
+
+void BM_ServingDurableReadsDuringUpdates(benchmark::State& state) {
+  if (state.thread_index() == 0) {
+    durable_reads_fixture = MakeDurableReadsFixture();
+  }
+  Rng rng(0x5ead + static_cast<uint64_t>(state.thread_index()) * 7919);
+  std::vector<double> lat_us;
+  lat_us.reserve(1 << 16);
+  uint64_t misses = 0;
+  for (auto _ : state) {
+    if (durable_reads_fixture == nullptr) {
+      state.SkipWithError("durable-reads fixture set-up failed");
+      break;
+    }
+    const std::vector<serve::ServeRequest>& requests =
+        durable_reads_fixture->requests;
+    const serve::ServeRequest& request =
+        requests[rng.Below(requests.size())];
+    const auto start = std::chrono::steady_clock::now();
+    auto result = durable_reads_fixture->engine->Serve(request);
+    const auto stop = std::chrono::steady_clock::now();
+    if (!result.ok() || !result->stats.serve.result_cache_hit) ++misses;
+    benchmark::DoNotOptimize(result);
+    lat_us.push_back(
+        std::chrono::duration<double, std::micro>(stop - start).count());
+  }
+
+  std::sort(lat_us.begin(), lat_us.end());
+  auto pct = [&](double p) {
+    if (lat_us.empty()) return 0.0;
+    return lat_us[static_cast<size_t>(p * (lat_us.size() - 1))];
+  };
+  using benchmark::Counter;
+  // Percentiles are per reader, averaged over the readers; ops_per_sec
+  // sums the readers' requests over the wall time.
+  state.counters["p50_us"] = Counter(pct(0.50), Counter::kAvgThreads);
+  state.counters["p90_us"] = Counter(pct(0.90), Counter::kAvgThreads);
+  state.counters["p99_us"] = Counter(pct(0.99), Counter::kAvgThreads);
+  state.counters["ops_per_sec"] =
+      Counter(static_cast<double>(lat_us.size()), Counter::kIsRate);
+  state.counters["non_hits"] = static_cast<double>(misses);
+  if (state.thread_index() == 0 && durable_reads_fixture != nullptr) {
+    durable_reads_fixture->stop.store(true);
+    durable_reads_fixture->writer.join();
+    // A writer that stopped early would leave the readers measuring an
+    // idle log.
+    if (durable_reads_fixture->update_failed.load()) {
+      state.SkipWithError("writer's update refused mid-run");
+    }
+    state.counters["updates_per_sec"] = Counter(
+        static_cast<double>(durable_reads_fixture->updates.load()),
+        Counter::kIsRate);
+    durable_reads_fixture.reset();
+  }
+}
+BENCHMARK(BM_ServingDurableReadsDuringUpdates)
+    ->Threads(kReadDbs)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 

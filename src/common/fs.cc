@@ -198,11 +198,13 @@ class FaultyWritableFile : public WritableFile {
       : owner_(owner), base_(std::move(base)) {}
 
   Status Append(std::string_view data) override {
-    if (FaultyFs::Hits(&owner_->writes_, owner_->failpoints_.fail_write_n)) {
+    const FsFailpoints fp = owner_->failpoints();
+    const uint64_t nth = ++owner_->writes_;
+    if (fp.stall_write_n != 0 && nth == fp.stall_write_n) owner_->Stall();
+    if (fp.fail_write_n != 0 && nth == fp.fail_write_n) {
       // A short write is a write the kernel acknowledged for fewer bytes
       // than asked: land the configured prefix, then report failure.
-      const size_t keep =
-          std::min(owner_->failpoints_.short_write_bytes, data.size());
+      const size_t keep = std::min(fp.short_write_bytes, data.size());
       if (keep > 0) {
         Status s = base_->Append(data.substr(0, keep));
         if (!s.ok()) return s;
@@ -213,7 +215,7 @@ class FaultyWritableFile : public WritableFile {
   }
 
   Status Sync() override {
-    if (FaultyFs::Hits(&owner_->syncs_, owner_->failpoints_.fail_sync_n)) {
+    if (FaultyFs::Hits(&owner_->syncs_, owner_->failpoints().fail_sync_n)) {
       return Status::Internal("io: injected fsync failure");
     }
     return base_->Sync();
@@ -236,9 +238,37 @@ Clock* RealClock() {
   return clock;
 }
 
-bool FaultyFs::Hits(uint64_t* counter, uint64_t n) {
-  ++*counter;
-  return n != 0 && *counter == n;
+bool FaultyFs::Hits(std::atomic<uint64_t>* counter, uint64_t n) {
+  const uint64_t nth = ++*counter;
+  return n != 0 && nth == n;
+}
+
+void FaultyFs::set_failpoints(const FsFailpoints& fp) {
+  MutexLock lock(mu_);
+  failpoints_ = fp;
+}
+
+FsFailpoints FaultyFs::failpoints() const {
+  MutexLock lock(mu_);
+  return failpoints_;
+}
+
+void FaultyFs::Stall() {
+  MutexLock lock(mu_);
+  stalled_ = true;
+  stall_cv_.NotifyAll();
+  stall_cv_.Wait(mu_, [&] { return stall_released_; });
+}
+
+void FaultyFs::AwaitStall() {
+  MutexLock lock(mu_);
+  stall_cv_.Wait(mu_, [&] { return stalled_; });
+}
+
+void FaultyFs::ReleaseStall() {
+  MutexLock lock(mu_);
+  stall_released_ = true;
+  stall_cv_.NotifyAll();
 }
 
 Result<std::unique_ptr<WritableFile>> FaultyFs::OpenAppend(
@@ -258,7 +288,7 @@ Result<std::unique_ptr<WritableFile>> FaultyFs::OpenTrunc(
 }
 
 Status FaultyFs::Rename(const std::string& from, const std::string& to) {
-  if (Hits(&renames_, failpoints_.fail_rename_n)) {
+  if (Hits(&renames_, failpoints().fail_rename_n)) {
     return Status::Internal("io: injected rename failure");
   }
   return base_->Rename(from, to);

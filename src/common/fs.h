@@ -17,13 +17,16 @@
 #ifndef CQCS_COMMON_FS_H_
 #define CQCS_COMMON_FS_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 
 namespace cqcs {
 
@@ -96,24 +99,36 @@ class ManualClock : public Clock {
 /// short_write_bytes of its payload to the underlying file, so tests can
 /// manufacture torn records exactly); later writes succeed again. Zero
 /// disables a failpoint. The same scheme covers Sync and Rename.
+///
+/// stall_write_n counts on the same Append counter: the Nth Append blocks,
+/// before writing a byte, until FaultyFs::ReleaseStall() — so a test can
+/// hold a writer inside its WAL append and probe what else still runs.
 struct FsFailpoints {
   uint64_t fail_write_n = 0;
   size_t short_write_bytes = 0;  ///< bytes the failing write still lands
   uint64_t fail_sync_n = 0;
   uint64_t fail_rename_n = 0;
+  uint64_t stall_write_n = 0;
 };
 
 /// A FileSystem decorator that injects the configured faults and forwards
-/// everything else to the base filesystem.
+/// everything else to the base filesystem. Thread-safe: a snapshot write
+/// and a WAL append may run through one FaultyFs at once, so the counters
+/// are atomic and the failpoints sit under a mutex.
 class FaultyFs : public FileSystem {
  public:
   explicit FaultyFs(FileSystem* base, FsFailpoints failpoints = {})
       : base_(base), failpoints_(failpoints) {}
 
-  void set_failpoints(const FsFailpoints& fp) { failpoints_ = fp; }
-  uint64_t writes() const { return writes_; }
-  uint64_t syncs() const { return syncs_; }
-  uint64_t renames() const { return renames_; }
+  void set_failpoints(const FsFailpoints& fp) CQCS_EXCLUDES(mu_);
+  uint64_t writes() const { return writes_.load(); }
+  uint64_t syncs() const { return syncs_.load(); }
+  uint64_t renames() const { return renames_.load(); }
+
+  /// Blocks until the stall_write_n Append has started stalling.
+  void AwaitStall() CQCS_EXCLUDES(mu_);
+  /// Lets the stalled Append proceed (and any later one pass the stall).
+  void ReleaseStall() CQCS_EXCLUDES(mu_);
 
   Result<std::unique_ptr<WritableFile>> OpenAppend(
       const std::string& path) override;
@@ -145,14 +160,22 @@ class FaultyFs : public FileSystem {
 
  private:
   friend class FaultyWritableFile;
-  /// True when this call is the Nth — the caller then injects its fault.
-  static bool Hits(uint64_t* counter, uint64_t n);
+  FsFailpoints failpoints() const CQCS_EXCLUDES(mu_);
+  /// Counts one call; true when it is the Nth — the caller then injects
+  /// its fault.
+  static bool Hits(std::atomic<uint64_t>* counter, uint64_t n);
+  /// The stall_write_n Append's wait for ReleaseStall().
+  void Stall() CQCS_EXCLUDES(mu_);
 
   FileSystem* base_;
-  FsFailpoints failpoints_;
-  uint64_t writes_ = 0;
-  uint64_t syncs_ = 0;
-  uint64_t renames_ = 0;
+  mutable Mutex mu_;
+  FsFailpoints failpoints_ CQCS_GUARDED_BY(mu_);
+  bool stalled_ CQCS_GUARDED_BY(mu_) = false;
+  bool stall_released_ CQCS_GUARDED_BY(mu_) = false;
+  CondVar stall_cv_;
+  std::atomic<uint64_t> writes_{0};
+  std::atomic<uint64_t> syncs_{0};
+  std::atomic<uint64_t> renames_{0};
 };
 
 }  // namespace cqcs

@@ -337,8 +337,8 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
     }
   }
   manager->last_sync_ms_ = clock->NowMs();
-  manager->stats_.poisoned = manager->poisoned_;
-  manager->stats_.wal_bytes = manager->good_offset_;
+  manager->counters_.poisoned = manager->poisoned_;
+  manager->counters_.wal_bytes = manager->good_offset_;
   return manager;
 }
 
@@ -369,7 +369,7 @@ Status DurabilityManager::AppendDrop(const std::string& name) {
 Status DurabilityManager::AppendRecord(const std::string& payload) {
   MutexLock lock(mu_);
   if (poisoned_ || wal_ == nullptr) {
-    ++stats_.wal_append_failures;
+    ++counters_.wal_append_failures;
     return Status::Unavailable(
         "write-ahead log is poisoned; updates are refused (reads keep "
         "serving from memory)");
@@ -391,7 +391,7 @@ Status DurabilityManager::AppendRecord(const std::string& payload) {
   const std::string frame = FrameRecord(payload);
   Status written = wal_->Append(frame);
   if (!written.ok()) {
-    ++stats_.wal_append_failures;
+    ++counters_.wal_append_failures;
     RewindLog();
     return Status::Unavailable("write-ahead log append failed: " +
                                written.ToString());
@@ -418,18 +418,18 @@ Status DurabilityManager::AppendRecord(const std::string& payload) {
     if (!s.ok()) {
       // The bytes may or may not be durable; refusing AND rewinding keeps
       // the ack set and the log in agreement either way.
-      ++stats_.wal_append_failures;
+      ++counters_.wal_append_failures;
       RewindLog();
       return Status::Unavailable("write-ahead log fsync failed: " +
                                  s.ToString());
     }
-    ++stats_.wal_syncs;
+    ++counters_.wal_syncs;
     last_sync_ms_ = clock_->NowMs();
     dirty_since_sync_ = false;
   }
   good_offset_ += frame.size();
-  stats_.wal_bytes = good_offset_;
-  ++stats_.wal_appends;
+  counters_.wal_bytes = good_offset_;
+  ++counters_.wal_appends;
   ++records_since_snapshot_;
   return Status::OK();
 }
@@ -444,13 +444,13 @@ void DurabilityManager::RewindLog() {
   Status cut = fs_->Truncate(WalPath(generation_), good_offset_);
   if (!cut.ok()) {
     poisoned_ = true;
-    stats_.poisoned = true;
+    counters_.poisoned = true;
     return;
   }
   auto reopened = fs_->OpenAppend(WalPath(generation_));
   if (!reopened.ok()) {
     poisoned_ = true;
-    stats_.poisoned = true;
+    counters_.poisoned = true;
     return;
   }
   wal_ = *std::move(reopened);
@@ -465,7 +465,7 @@ bool DurabilityManager::SnapshotDue() const {
 Status DurabilityManager::RotateLog(uint64_t* new_gen) {
   MutexLock lock(mu_);
   if (poisoned_ || wal_ == nullptr) {
-    ++stats_.snapshot_failures;
+    ++counters_.snapshot_failures;
     return Status::Unavailable(
         "write-ahead log is poisoned; cannot rotate to a new generation");
   }
@@ -475,11 +475,11 @@ Status DurabilityManager::RotateLog(uint64_t* new_gen) {
     // abandoning the handle.
     Status s = wal_->Sync();
     if (!s.ok()) {
-      ++stats_.snapshot_failures;
+      ++counters_.snapshot_failures;
       return Status::Unavailable("log rotation: fsync of current log: " +
                                  s.ToString());
     }
-    ++stats_.wal_syncs;
+    ++counters_.wal_syncs;
     dirty_since_sync_ = false;
   }
   const uint64_t next_gen = generation_ + 1;
@@ -487,7 +487,7 @@ Status DurabilityManager::RotateLog(uint64_t* new_gen) {
   if (!fresh.ok()) {
     // Non-fatal: the current generation keeps accepting appends and the
     // rotation is retried by the next SnapshotDue() trigger.
-    ++stats_.snapshot_failures;
+    ++counters_.snapshot_failures;
     return Status::Internal("log rotation: new log open failed: " +
                             fresh.status().ToString());
   }
@@ -495,7 +495,7 @@ Status DurabilityManager::RotateLog(uint64_t* new_gen) {
   generation_ = next_gen;
   good_offset_ = 0;
   records_since_snapshot_ = 0;
-  stats_.wal_bytes = 0;
+  counters_.wal_bytes = 0;
   if (new_gen != nullptr) *new_gen = next_gen;
   return Status::OK();
 }
@@ -514,8 +514,7 @@ Status DurabilityManager::WriteSnapshot(
     // Best-effort cleanup: the primary error is `cause`; a stale .tmp file
     // is invisible to recovery.
     CQCS_IGNORE_RESULT(fs_->RemoveFile(tmp_path));
-    MutexLock lock(mu_);
-    ++stats_.snapshot_failures;
+    ++counters_.snapshot_failures;
     return Status::Internal("snapshot: " + what + ": " + cause.ToString());
   };
 
@@ -536,10 +535,7 @@ Status DurabilityManager::WriteSnapshot(
   // Best effort: the rename is already atomic, and recovery replays the
   // log chain if the directory entry is lost to a crash.
   CQCS_IGNORE_RESULT(fs_->SyncDir(options_.data_dir));
-  {
-    MutexLock lock(mu_);
-    ++stats_.snapshots;
-  }
+  ++counters_.snapshots;
 
   // Generations below the snapshot are now dead weight; removal is pure
   // cleanup and recovery ignores them either way.
@@ -565,8 +561,15 @@ Status DurabilityManager::Snapshot(const std::vector<CatalogEntry>& catalog) {
 }
 
 DurabilityStats DurabilityManager::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
+  DurabilityStats stats;
+  stats.wal_appends = counters_.wal_appends.load();
+  stats.wal_append_failures = counters_.wal_append_failures.load();
+  stats.wal_syncs = counters_.wal_syncs.load();
+  stats.snapshots = counters_.snapshots.load();
+  stats.snapshot_failures = counters_.snapshot_failures.load();
+  stats.wal_bytes = counters_.wal_bytes.load();
+  stats.poisoned = counters_.poisoned.load();
+  return stats;
 }
 
 uint64_t DurabilityManager::generation() const {

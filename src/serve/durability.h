@@ -69,13 +69,19 @@
 // covering the disk.
 //
 // Thread safety: Open() is a constructor; the instance methods take an
-// internal mutex, but callers that need append order to match their own
-// state order (the ServingEngine does) must serialize Append*/Snapshot
-// against their state mutations themselves.
+// internal mutex, held across the write and fsync of an append, but
+// callers that need append order to match their own state order must
+// serialize Append*/RotateLog against their state mutations themselves.
+// The ServingEngine does so with its writer lock (writer_mu_), which it
+// holds across every append and rotation; its registry lock is never held
+// across a call into this class. stats() reads atomic counters and never
+// waits on the internal mutex, so a stats probe does not queue behind an
+// append's I/O.
 
 #ifndef CQCS_SERVE_DURABILITY_H_
 #define CQCS_SERVE_DURABILITY_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -202,6 +208,8 @@ class DurabilityManager {
   /// catalog must reflect every append made so far, with none racing in.
   Status Snapshot(const std::vector<CatalogEntry>& catalog);
 
+  /// Lock-free: each counter is exact, the set is not one atomic
+  /// snapshot.
   DurabilityStats stats() const;
   uint64_t generation() const;
   const std::string& data_dir() const { return options_.data_dir; }
@@ -229,7 +237,19 @@ class DurabilityManager {
   uint64_t last_sync_ms_ CQCS_GUARDED_BY(mu_) = 0;
   bool dirty_since_sync_ CQCS_GUARDED_BY(mu_) = false;
   bool poisoned_ CQCS_GUARDED_BY(mu_) = false;
-  DurabilityStats stats_ CQCS_GUARDED_BY(mu_);
+
+  /// The counters behind stats(), written under mu_ (WriteSnapshot's
+  /// outside it) and read without it.
+  struct Counters {
+    std::atomic<uint64_t> wal_appends{0};
+    std::atomic<uint64_t> wal_append_failures{0};
+    std::atomic<uint64_t> wal_syncs{0};
+    std::atomic<uint64_t> snapshots{0};
+    std::atomic<uint64_t> snapshot_failures{0};
+    std::atomic<uint64_t> wal_bytes{0};
+    std::atomic<bool> poisoned{false};
+  };
+  Counters counters_;
 };
 
 }  // namespace cqcs::serve

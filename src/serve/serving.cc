@@ -169,6 +169,7 @@ Status ServingEngine::Open(RecoveryInfo* info) {
             entry.name, entry.version,
             std::make_shared<const Structure>(std::move(entry.db))));
   }
+  MutexLock writer(writer_mu_);
   MutexLock lock(registry_mu_);
   durability_ = *std::move(manager);
   registry_.clear();
@@ -214,7 +215,7 @@ std::vector<ServingEngine::CatalogRef> ServingEngine::CatalogRefsLocked()
 }
 
 std::optional<std::pair<uint64_t, std::vector<ServingEngine::CatalogRef>>>
-ServingEngine::MaybeRotateForSnapshotLocked() {
+ServingEngine::MaybeRotateForSnapshot() {
   if (durability_ == nullptr || !durability_->SnapshotDue()) {
     return std::nullopt;
   }
@@ -222,9 +223,11 @@ ServingEngine::MaybeRotateForSnapshotLocked() {
   // Rotation failure is non-fatal (counted in stats): the log keeps
   // growing until a later rotation succeeds.
   if (!durability_->RotateLog(&gen).ok()) return std::nullopt;
-  // The catalog handle is captured under registry_mu_, so it covers every
-  // record appended before the rotation — the consistency point the
-  // snapshot needs. The expensive serialization runs after the lock drops.
+  // writer_mu_ is held, so every record appended before the rotation is
+  // already applied and no other writer can change the registry: the
+  // handle captured now is the consistency point the snapshot needs. The
+  // expensive serialization runs after both locks drop.
+  MutexLock lock(registry_mu_);
   return std::make_pair(gen, CatalogRefsLocked());
 }
 
@@ -241,6 +244,30 @@ void ServingEngine::FinishSnapshot(uint64_t gen,
   CQCS_IGNORE_RESULT(durability_->WriteSnapshot(gen, catalog));
 }
 
+Status ServingEngine::LogUpdate(const std::string& name, uint64_t version,
+                                const Structure* db) {
+  if (degraded_.load()) {
+    Count(counters_.update_refusals);
+    return Status::Unavailable(
+        "serving is degraded (the write-ahead log stopped accepting "
+        "writes); updates are refused, reads keep serving");
+  }
+  if (durability_ == nullptr) return Status::OK();
+  // Log BEFORE apply: an update is acknowledged only once it is durably in
+  // the WAL, and a refused append must leave the registry untouched
+  // (never-resurrect contract).
+  Status logged = db != nullptr ? durability_->AppendUpsert(name, version, *db)
+                                : durability_->AppendDrop(name);
+  if (!logged.ok()) {
+    // A caller error (oversized record) refuses just this update; an I/O
+    // failure means the log can no longer be trusted to acknowledge
+    // anything — sticky degraded mode.
+    if (logged.code() != StatusCode::kInvalidArgument) degraded_.store(true);
+    Count(counters_.update_refusals);
+  }
+  return logged;
+}
+
 Status ServingEngine::UpsertDatabase(const std::string& name, Structure db) {
   if (!ValidDatabaseName(name)) {
     return Status::InvalidArgument(
@@ -251,34 +278,25 @@ Status ServingEngine::UpsertDatabase(const std::string& name, Structure db) {
   BuildIndexes(db);
   auto shared = std::make_shared<const Structure>(std::move(db));
   std::optional<std::pair<uint64_t, std::vector<CatalogRef>>> snapshot;
+  std::shared_ptr<const DbEntry> entry;
   {
-    MutexLock lock(registry_mu_);
-    if (degraded_) {
-      Count(counters_.update_refusals);
-      return Status::Unavailable(
-          "serving is degraded (the write-ahead log stopped accepting "
-          "writes); updates are refused, reads keep serving");
+    MutexLock writer(writer_mu_);
+    uint64_t next_version = 1;
+    {
+      MutexLock lock(registry_mu_);
+      auto it = registry_.find(name);
+      if (it != registry_.end()) next_version = it->second->version + 1;
     }
-    auto it = registry_.find(name);
-    const uint64_t next_version =
-        it != registry_.end() ? it->second->version + 1 : 1;
-    if (durability_ != nullptr) {
-      // Log BEFORE apply: an update is acknowledged only once it is
-      // durably in the WAL, and a refused append must leave the registry
-      // untouched (never-resurrect contract).
-      Status logged = durability_->AppendUpsert(name, next_version, *shared);
-      if (!logged.ok()) {
-        // A caller error (oversized record) refuses just this update; an
-        // I/O failure means the log can no longer be trusted to
-        // acknowledge anything — sticky degraded mode.
-        if (logged.code() != StatusCode::kInvalidArgument) degraded_ = true;
-        Count(counters_.update_refusals);
-        return logged;
-      }
-    }
-    registry_[name] =
+    CQCS_RETURN_IF_ERROR(LogUpdate(name, next_version, shared.get()));
+    entry =
         std::make_shared<const DbEntry>(name, next_version, std::move(shared));
-    snapshot = MaybeRotateForSnapshotLocked();
+    {
+      // The swap hands the replaced entry back to `entry`, so its last
+      // reference (and its structure) is released outside the lock.
+      MutexLock lock(registry_mu_);
+      registry_[name].swap(entry);
+    }
+    snapshot = MaybeRotateForSnapshot();
   }
   if (snapshot.has_value()) FinishSnapshot(snapshot->first, snapshot->second);
   const size_t dropped = InvalidateFor(name);
@@ -289,28 +307,23 @@ Status ServingEngine::UpsertDatabase(const std::string& name, Structure db) {
 
 Status ServingEngine::DropDatabase(const std::string& name) {
   std::optional<std::pair<uint64_t, std::vector<CatalogRef>>> snapshot;
+  std::shared_ptr<const DbEntry> entry;
   {
-    MutexLock lock(registry_mu_);
-    auto it = registry_.find(name);
-    if (it == registry_.end()) {
-      return Status::NotFound("no database named \"" + name + "\"");
-    }
-    if (degraded_) {
-      Count(counters_.update_refusals);
-      return Status::Unavailable(
-          "serving is degraded (the write-ahead log stopped accepting "
-          "writes); updates are refused, reads keep serving");
-    }
-    if (durability_ != nullptr) {
-      Status logged = durability_->AppendDrop(name);
-      if (!logged.ok()) {
-        if (logged.code() != StatusCode::kInvalidArgument) degraded_ = true;
-        Count(counters_.update_refusals);
-        return logged;
+    MutexLock writer(writer_mu_);
+    {
+      MutexLock lock(registry_mu_);
+      if (registry_.count(name) == 0) {
+        return Status::NotFound("no database named \"" + name + "\"");
       }
     }
-    registry_.erase(it);
-    snapshot = MaybeRotateForSnapshotLocked();
+    CQCS_RETURN_IF_ERROR(LogUpdate(name, /*version=*/0, /*db=*/nullptr));
+    {
+      MutexLock lock(registry_mu_);
+      auto it = registry_.find(name);
+      entry = std::move(it->second);
+      registry_.erase(it);
+    }
+    snapshot = MaybeRotateForSnapshot();
   }
   if (snapshot.has_value()) FinishSnapshot(snapshot->first, snapshot->second);
   Count(counters_.invalidated_entries, InvalidateFor(name));
@@ -342,8 +355,7 @@ Result<std::shared_ptr<const Structure>> ServingEngine::GetDatabase(
 }
 
 bool ServingEngine::degraded() const {
-  MutexLock lock(registry_mu_);
-  return degraded_ ||
+  return degraded_.load() ||
          (durability_ != nullptr && durability_->stats().poisoned);
 }
 
@@ -616,17 +628,16 @@ ServeStats ServingEngine::stats() const {
       if (count >= options_.poison_strikes) ++snapshot.poisoned_queries;
     }
   }
-  {
-    MutexLock lock(registry_mu_);
-    snapshot.degraded = degraded_;
-    if (durability_ != nullptr) {
-      const DurabilityStats d = durability_->stats();
-      snapshot.degraded = snapshot.degraded || d.poisoned;
-      snapshot.wal_appends = d.wal_appends;
-      snapshot.wal_append_failures = d.wal_append_failures;
-      snapshot.snapshots = d.snapshots;
-      snapshot.snapshot_failures = d.snapshot_failures;
-    }
+  // No registry lock: degraded_ is atomic and the manager's counters are
+  // too, so a stats probe never waits on a WAL append.
+  snapshot.degraded = degraded_.load();
+  if (durability_ != nullptr) {
+    const DurabilityStats d = durability_->stats();
+    snapshot.degraded = snapshot.degraded || d.poisoned;
+    snapshot.wal_appends = d.wal_appends;
+    snapshot.wal_append_failures = d.wal_append_failures;
+    snapshot.snapshots = d.snapshots;
+    snapshot.snapshot_failures = d.snapshot_failures;
   }
   return snapshot;
 }

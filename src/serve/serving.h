@@ -49,10 +49,13 @@
 //                 database update clears it.
 //
 // Thread safety: Serve(), UpsertDatabase(), and stats() may be called from
-// concurrent threads. Per-request parallelism (SolveOptions::num_threads)
-// rides the shared MorselPool (common/work_pool.h) in two places: the
-// solver's work-stealing search on the uniform route and the bag joins on
-// the treewidth route. The acyclic route runs on the request's thread.
+// concurrent threads. Updates serialize on a writer lock that is held across
+// their WAL append; reads never wait on it, only on the registry lock, which
+// guards lookup and swap and is never held across log I/O. Per-request
+// parallelism (SolveOptions::num_threads) rides the shared MorselPool
+// (common/work_pool.h) in two places: the solver's work-stealing search on
+// the uniform route and the bag joins on the treewidth route. The acyclic
+// route runs on the request's thread.
 // Every route answers exactly as a 1-thread run does, so cached results are
 // thread-count-agnostic and num_threads stays out of the cache keys.
 //
@@ -263,31 +266,50 @@ class ServingEngine {
   /// Builds the sorted catalog handle from registry_.
   std::vector<CatalogRef> CatalogRefsLocked() const
       CQCS_REQUIRES(registry_mu_);
+  /// Logs one update before it is applied: an upsert of `db` at `version`,
+  /// or a drop when `db` is null. Refuses while degraded. A refusal leaves
+  /// the registry untouched; an I/O failure (anything but InvalidArgument)
+  /// also enters degraded mode. The CQCS_EXCLUDES makes "no WAL I/O under
+  /// the registry lock" a compile-time fact: every read probes that lock.
+  Status LogUpdate(const std::string& name, uint64_t version,
+                   const Structure* db) CQCS_REQUIRES(writer_mu_)
+      CQCS_EXCLUDES(registry_mu_);
   /// If a snapshot is due, rotates the log (cheap) and captures the catalog
-  /// handle. The returned refs feed FinishSnapshot() AFTER the lock is
-  /// released.
+  /// handle, taking registry_mu_ only for the capture. The returned refs
+  /// feed FinishSnapshot() AFTER writer_mu_ is released.
   std::optional<std::pair<uint64_t, std::vector<CatalogRef>>>
-  MaybeRotateForSnapshotLocked() CQCS_REQUIRES(registry_mu_);
+  MaybeRotateForSnapshot() CQCS_REQUIRES(writer_mu_)
+      CQCS_EXCLUDES(registry_mu_);
   /// Deep-copies, serializes, and writes the snapshot — the slow half. The
   /// CQCS_EXCLUDES is the PR 8 review rule as a compile-time fact: snapshot
-  /// I/O must never run under the registry lock.
+  /// I/O never runs under the registry lock, nor under the writer lock.
   void FinishSnapshot(uint64_t gen, const std::vector<CatalogRef>& refs)
-      CQCS_EXCLUDES(registry_mu_);
+      CQCS_EXCLUDES(registry_mu_, writer_mu_);
 
   const ServeOptions options_;
 
-  /// registry_mu_ also serializes the durable path: WAL append order must
-  /// equal registry apply order, and a snapshot must see a registry no
-  /// append can be racing past.
+  /// Orders the log: UpsertDatabase, DropDatabase and log rotation run
+  /// under it, so WAL append order equals registry apply order and a
+  /// snapshot's catalog handle is taken with no update in flight. Taken
+  /// before registry_mu_, never after it.
+  Mutex writer_mu_;
+  /// Lookup and swap only: a reader's one probe, a writer's version read
+  /// and entry swap. Never held across log I/O (LogUpdate,
+  /// MaybeRotateForSnapshot and FinishSnapshot exclude it). Only writers
+  /// change registry_, and they hold writer_mu_, so a writer's version read
+  /// stays current across its append.
   mutable Mutex registry_mu_;
   std::unordered_map<std::string, std::shared_ptr<const DbEntry>> registry_
       CQCS_GUARDED_BY(registry_mu_);
   /// Written once by Open() before serving starts, then only read; the
   /// manager carries its own internal lock. Not guarded: FinishSnapshot()
-  /// must reach it with registry_mu_ released. Append/apply ordering is
-  /// preserved because every Append* call happens under registry_mu_.
+  /// must reach it with no engine lock held. Append/apply ordering is
+  /// preserved because every Append* and RotateLog call happens under
+  /// writer_mu_.
   std::unique_ptr<DurabilityManager> durability_;
-  bool degraded_ CQCS_GUARDED_BY(registry_mu_) = false;  ///< sticky
+  /// Sticky; set by a writer (under writer_mu_) when an append fails on
+  /// I/O, read by degraded() and stats() with no lock.
+  std::atomic<bool> degraded_{false};
 
   /// Poison-query quarantine: consecutive budget-trip strikes per raw
   /// query text, bounded.

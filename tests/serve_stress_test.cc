@@ -17,6 +17,14 @@
 //     lock) while snapshot serialization and pruning run outside it, and
 //     readers keep serving throughout. A reopen afterwards must recover
 //     the exact final catalog.
+//   - The write path off the read lock: while an upsert is stalled inside
+//     its WAL append (a FaultyFs stall failpoint), a cold miss, a result
+//     hit, ListDatabases() and stats() on the engine must all complete.
+//   - The log-order contracts under races: writers upsert ONE name while
+//     another drops and re-registers it, and (second arm) an append fails
+//     mid-race. The log is read back record by record: versions are
+//     distinct and in append order, the registry matches the last
+//     acknowledged record, and a reopen reproduces it byte for byte.
 //   - Cold queries from several threads against a freshly registered
 //     database that was never indexed: every request rebinds a cached
 //     source plan onto the same shared structure (WithTarget shares it,
@@ -26,13 +34,19 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/engine.h"
+#include "common/fs.h"
 #include "common/rng.h"
 #include "core/io.h"
 #include "cq/parser.h"
@@ -45,6 +59,144 @@ namespace {
 
 constexpr int kThreads = 8;
 constexpr int kOpsPerThread = 40;
+
+/// A scratch data directory, unique per process and test, removed on exit.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& tag)
+      : path_((std::filesystem::temp_directory_path() /
+               ("cqcs_serve_stress_" + tag + "_" +
+                std::to_string(::getpid())))
+                  .string()) {
+    std::filesystem::remove_all(path_);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(path_); }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// A durable engine's options: one log generation (no snapshots), so the
+/// whole update history stays readable in wal-0.
+serve::ServeOptions OneLogOptions(const std::string& dir, FileSystem* fs) {
+  serve::ServeOptions options;
+  options.engine.count_limit = 1u << 20;
+  options.durability.data_dir = dir;
+  options.durability.fsync = serve::FsyncPolicy::kNever;
+  options.durability.snapshot_every_records = 0;
+  options.durability.fs = fs;
+  return options;
+}
+
+/// One WAL record: 'U' (upsert, with version and structure text) or 'D'.
+struct WalRecord {
+  char op = 0;
+  std::string name;
+  uint64_t version = 0;
+  std::string structure;
+};
+
+/// Reads a log back in append order ([u32 LE length][u32 LE CRC][payload],
+/// payload "U <name> <version>\n<structure>" or "D <name>\n").
+std::vector<WalRecord> ReadLog(const std::string& path) {
+  auto content = RealFileSystem()->ReadFile(path);
+  EXPECT_TRUE(content.ok()) << path;
+  std::vector<WalRecord> records;
+  if (!content.ok()) return records;
+  const std::string& log = *content;
+  size_t off = 0;
+  while (off + 8 <= log.size()) {
+    const auto* u = reinterpret_cast<const unsigned char*>(log.data() + off);
+    const size_t len = u[0] | (u[1] << 8) | (u[2] << 16) |
+                       (static_cast<size_t>(u[3]) << 24);
+    const std::string payload = log.substr(off + 8, len);
+    off += 8 + len;
+    const size_t eol = payload.find('\n');
+    const std::string header = payload.substr(0, eol);
+    WalRecord record;
+    record.op = header[0];
+    const size_t name_end = header.find(' ', 2);
+    record.name = header.substr(2, name_end - 2);
+    if (record.op == 'U') {
+      record.version = std::stoull(header.substr(name_end + 1));
+      record.structure = payload.substr(eol + 1);
+    }
+    records.push_back(std::move(record));
+  }
+  EXPECT_EQ(off, log.size()) << "torn log " << path;
+  return records;
+}
+
+/// Readers for the race arms: count queries on a database nobody updates
+/// (oracle-checked) and on the contended name (which may be mid-drop).
+class ReaderPool {
+ public:
+  ReaderPool(serve::ServingEngine* serving, const std::string& stable,
+             const std::string& contended, size_t expected_count) {
+    for (int r = 0; r < 2; ++r) {
+      threads_.emplace_back([this, serving, stable, contended,
+                             expected_count] {
+        serve::ServeRequest request;
+        request.query = "Q(X) :- E(X, Y), E(Y, Z).";
+        request.task = HomTask::kCount;
+        while (!stop_.load()) {
+          request.database = stable;
+          auto r1 = serving->Serve(request);
+          if (!r1.ok() || r1->count != expected_count) ++failures_;
+          request.database = contended;
+          auto r2 = serving->Serve(request);
+          if (!r2.ok() && r2.status().code() != StatusCode::kNotFound) {
+            ++failures_;
+          }
+        }
+      });
+    }
+  }
+  ReaderPool(const ReaderPool&) = delete;
+  ReaderPool& operator=(const ReaderPool&) = delete;
+
+  /// Stops and joins the readers; returns how many reads went wrong.
+  int Finish() {
+    stop_.store(true);
+    for (auto& t : threads_) t.join();
+    threads_.clear();
+    return failures_.load();
+  }
+  ~ReaderPool() { Finish(); }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::atomic<int> failures_{0};
+  std::vector<std::thread> threads_;
+};
+
+/// The count of `query` on `db`, computed off the serving path.
+size_t OracleCount(const std::string& query, const Structure& db) {
+  auto q = ParseQuery(query, db.vocabulary());
+  EXPECT_TRUE(q.ok());
+  auto problem = HomProblem::FromQuery(*q, db);
+  EXPECT_TRUE(problem.ok());
+  auto r = HomEngine().Run(*problem, HomTask::kCount);
+  EXPECT_TRUE(r.ok());
+  return r->count;
+}
+
+/// A reopen of `dir` must reproduce `serving`'s catalog: names, versions,
+/// and every structure byte for byte.
+void ExpectReopenMatches(const serve::ServingEngine& serving,
+                         const std::string& dir) {
+  const auto expected = serving.ListDatabases();
+  serve::ServingEngine reopened(OneLogOptions(dir, nullptr));
+  ASSERT_TRUE(reopened.Open(nullptr).ok());
+  EXPECT_EQ(reopened.ListDatabases(), expected);
+  for (const auto& [name, version] : expected) {
+    auto ours = serving.GetDatabase(name);
+    auto theirs = reopened.GetDatabase(name);
+    ASSERT_TRUE(ours.ok() && theirs.ok()) << name;
+    EXPECT_EQ(PrintStructure(**ours), PrintStructure(**theirs)) << name;
+  }
+}
 
 TEST(ServeStressTest, SharedProblemMixedTasksAndRebindsMatchOracle) {
   auto vocab = MakeGraphVocabulary();
@@ -222,7 +374,7 @@ TEST(ServeStressTest, DurableConcurrentUpdatesSnapshotWithoutBlockingReads) {
   auto vocab = MakeGraphVocabulary();
   serve::ServeOptions options;
   options.durability.data_dir = dir;
-  // Every few updates crosses the threshold: rotations (under the registry
+  // Every few updates crosses the threshold: rotations (under the writer
   // lock) constantly interleave with snapshot writes (outside it) while
   // readers and other writers keep going.
   options.durability.snapshot_every_records = 4;
@@ -286,6 +438,240 @@ TEST(ServeStressTest, DurableConcurrentUpdatesSnapshotWithoutBlockingReads) {
     }
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(ServeStressTest, ReadsAndHitsCompleteWhileAWalAppendStalls) {
+  ScratchDir dir("stall");
+  auto vocab = MakeGraphVocabulary();
+  FaultyFs faulty(RealFileSystem());
+  serve::ServingEngine serving(OneLogOptions(dir.path(), &faulty));
+  ASSERT_TRUE(serving.Open(nullptr).ok());
+  Rng rng(0x57a11);
+  const Structure b =
+      RandomGraphStructure(vocab, 14, 0.3, rng, /*symmetric=*/true);
+  ASSERT_TRUE(serving
+                  .UpsertDatabase("A", RandomGraphStructure(
+                                           vocab, 10, 0.3, rng,
+                                           /*symmetric=*/true))
+                  .ok());
+  ASSERT_TRUE(serving.UpsertDatabase("B", b).ok());
+  const std::string hit_query = "Q(X) :- E(X, Y), E(Y, Z).";
+  const std::string cold_query = "Q(X) :- E(X, Y), E(Y, Z), E(Z, W).";
+  serve::ServeRequest warm{hit_query, "B", HomTask::kCount};
+  ASSERT_TRUE(serving.Serve(warm).ok());
+  const size_t hit_count = OracleCount(hit_query, b);
+  const size_t cold_count = OracleCount(cold_query, b);
+
+  // The next Append anywhere is A's WAL record: it blocks until released.
+  FsFailpoints stall;
+  stall.stall_write_n = faulty.writes() + 1;
+  faulty.set_failpoints(stall);
+  Rng a2_rng(0xa2);
+  const Structure a2 =
+      RandomGraphStructure(vocab, 10, 0.3, a2_rng, /*symmetric=*/true);
+  Status upsert = Status::Internal("not run");
+  std::thread writer([&] { upsert = serving.UpsertDatabase("A", a2); });
+  faulty.AwaitStall();
+
+  // Every probe runs while the append is stalled; an empty string is a pass.
+  auto probes = std::async(std::launch::async, [&]() -> std::string {
+    auto cold = serving.Serve({cold_query, "B", HomTask::kCount});
+    if (!cold.ok() || cold->stats.serve.result_cache_hit ||
+        cold->count != cold_count) {
+      return "cold miss on B";
+    }
+    auto hit = serving.Serve(warm);
+    if (!hit.ok() || !hit->stats.serve.result_cache_hit ||
+        hit->count != hit_count) {
+      return "result hit on B";
+    }
+    // Log before apply: A is still at its old version mid-append.
+    const auto listed = serving.ListDatabases();
+    if (listed.size() != 2 || listed[0] != std::make_pair(std::string("A"),
+                                                          uint64_t{1})) {
+      return "ListDatabases";
+    }
+    const serve::ServeStats stats = serving.stats();
+    if (stats.wal_appends != 2 || stats.degraded || serving.degraded()) {
+      return "stats";
+    }
+    return "";
+  });
+  const bool completed =
+      probes.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
+  faulty.ReleaseStall();
+  writer.join();
+  EXPECT_TRUE(completed) << "reads waited on the stalled WAL append";
+  EXPECT_EQ(probes.get(), "");
+  ASSERT_TRUE(upsert.ok()) << upsert.ToString();
+  const auto listed = serving.ListDatabases();
+  ASSERT_EQ(listed.size(), 2u);
+  EXPECT_EQ(listed[0], std::make_pair(std::string("A"), uint64_t{2}));
+  auto stored = serving.GetDatabase("A");
+  ASSERT_TRUE(stored.ok());
+  EXPECT_EQ(PrintStructure(**stored), PrintStructure(a2));
+}
+
+TEST(ServeStressTest, SameNameWritersGetDistinctVersionsInLogOrder) {
+  ScratchDir dir("samename");
+  auto vocab = MakeGraphVocabulary();
+  serve::ServingEngine serving(OneLogOptions(dir.path(), nullptr));
+  ASSERT_TRUE(serving.Open(nullptr).ok());
+  Rng rng(0x5a3e);
+  const Structure stable =
+      RandomGraphStructure(vocab, 12, 0.3, rng, /*symmetric=*/true);
+  ASSERT_TRUE(serving.UpsertDatabase("stable", stable).ok());
+  ASSERT_TRUE(serving
+                  .UpsertDatabase("shared", RandomGraphStructure(
+                                                vocab, 10, 0.3, rng,
+                                                /*symmetric=*/true))
+                  .ok());
+  ReaderPool readers(&serving, "stable", "shared",
+                     OracleCount("Q(X) :- E(X, Y), E(Y, Z).", stable));
+
+  constexpr int kUpserters = 3;
+  constexpr int kUpserts = 30;
+  constexpr int kDrops = 10;
+  std::atomic<int> acked_upserts{2};  // the two registrations above
+  std::atomic<int> acked_drops{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kUpserters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < kUpserts; ++i) {
+        Rng db_rng(w * 1000 + i);
+        Status s = serving.UpsertDatabase(
+            "shared",
+            RandomGraphStructure(vocab, 10, 0.3, db_rng, /*symmetric=*/true));
+        s.ok() ? ++acked_upserts : ++failures;
+      }
+    });
+  }
+  writers.emplace_back([&] {
+    for (int i = 0; i < kDrops; ++i) {
+      Status dropped = serving.DropDatabase("shared");
+      if (dropped.ok()) {
+        ++acked_drops;
+      } else if (dropped.code() != StatusCode::kNotFound) {
+        ++failures;
+      }
+      Rng db_rng(0xd0 + i);
+      Status s = serving.UpsertDatabase(
+          "shared",
+          RandomGraphStructure(vocab, 10, 0.3, db_rng, /*symmetric=*/true));
+      s.ok() ? ++acked_upserts : ++failures;
+      std::this_thread::yield();
+    }
+  });
+  for (auto& t : writers) t.join();
+  EXPECT_EQ(readers.Finish(), 0);
+  EXPECT_EQ(failures.load(), 0);
+
+  // Append order is apply order: in the log, "shared"'s versions count up
+  // by one from each drop, so no two acknowledged upserts share a version.
+  const std::vector<WalRecord> log = ReadLog(dir.path() + "/wal-0");
+  int upserts = 0;
+  int drops = 0;
+  uint64_t expected_version = 1;
+  const WalRecord* last = nullptr;
+  for (const WalRecord& record : log) {
+    if (record.name != "shared") continue;
+    if (record.op == 'D') {
+      ++drops;
+      expected_version = 1;
+      last = nullptr;
+      continue;
+    }
+    ++upserts;
+    EXPECT_EQ(record.version, expected_version) << "upsert #" << upserts;
+    ++expected_version;
+    last = &record;
+  }
+  EXPECT_EQ(upserts + 1, acked_upserts.load());  // + "stable"
+  EXPECT_EQ(drops, acked_drops.load());
+  // The final version counts the acknowledged upserts since the last drop,
+  // and the registry holds the last one's contents.
+  ASSERT_NE(last, nullptr);
+  auto stored = serving.GetDatabase("shared");
+  ASSERT_TRUE(stored.ok());
+  EXPECT_EQ(PrintStructure(**stored), last->structure);
+  const auto listed = serving.ListDatabases();
+  ASSERT_EQ(listed.size(), 2u);
+  EXPECT_EQ(listed[0].second, last->version);
+  ExpectReopenMatches(serving, dir.path());
+}
+
+TEST(ServeStressTest, RefusedAppendAmidRacingWritersLeavesTheRegistryAlone) {
+  ScratchDir dir("refused");
+  auto vocab = MakeGraphVocabulary();
+  FaultyFs faulty(RealFileSystem());
+  serve::ServingEngine serving(OneLogOptions(dir.path(), &faulty));
+  ASSERT_TRUE(serving.Open(nullptr).ok());
+  Rng rng(0x4ef);
+  const Structure stable =
+      RandomGraphStructure(vocab, 12, 0.3, rng, /*symmetric=*/true);
+  ASSERT_TRUE(serving.UpsertDatabase("stable", stable).ok());
+  ASSERT_TRUE(serving
+                  .UpsertDatabase("shared", RandomGraphStructure(
+                                                vocab, 10, 0.3, rng,
+                                                /*symmetric=*/true))
+                  .ok());
+  ReaderPool readers(&serving, "stable", "shared",
+                     OracleCount("Q(X) :- E(X, Y), E(Y, Z).", stable));
+  // Armed while the readers run: the 49th append from here on fails.
+  constexpr int kGoodAppends = 48;
+  FsFailpoints fail;
+  fail.fail_write_n = faulty.writes() + kGoodAppends + 1;
+  faulty.set_failpoints(fail);
+
+  constexpr int kWriters = 3;
+  std::atomic<int> acked{0};
+  std::atomic<int> refused{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      // Upsert until the engine refuses; the cap only bounds a broken run.
+      for (int i = 0; i < 200; ++i) {
+        Rng db_rng(w * 1000 + i);
+        Status s = serving.UpsertDatabase(
+            "shared",
+            RandomGraphStructure(vocab, 10, 0.3, db_rng, /*symmetric=*/true));
+        if (s.ok()) {
+          ++acked;
+          continue;
+        }
+        s.code() == StatusCode::kUnavailable ? ++refused : ++failures;
+        return;
+      }
+      ++failures;
+    });
+  }
+  for (auto& t : writers) t.join();
+  EXPECT_EQ(readers.Finish(), 0);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(refused.load(), kWriters);
+  EXPECT_EQ(acked.load(), kGoodAppends);
+  EXPECT_TRUE(serving.degraded());
+  const serve::ServeStats stats = serving.stats();
+  EXPECT_TRUE(stats.degraded);
+  EXPECT_EQ(stats.wal_append_failures, 1u);
+
+  // The refused append changed nothing: "shared" is at the version of the
+  // last acknowledged upsert, with its contents, in memory and on reopen.
+  const std::vector<WalRecord> log = ReadLog(dir.path() + "/wal-0");
+  ASSERT_FALSE(log.empty());
+  const WalRecord& last = log.back();
+  EXPECT_EQ(last.name, "shared");
+  EXPECT_EQ(last.version, 1u + kGoodAppends);
+  const auto listed = serving.ListDatabases();
+  ASSERT_EQ(listed.size(), 2u);
+  EXPECT_EQ(listed[0], std::make_pair(std::string("shared"),
+                                      uint64_t{1} + kGoodAppends));
+  auto stored = serving.GetDatabase("shared");
+  ASSERT_TRUE(stored.ok());
+  EXPECT_EQ(PrintStructure(**stored), last.structure);
+  ExpectReopenMatches(serving, dir.path());
 }
 
 TEST(ServeStressTest, ColdQueriesOnAFreshDatabaseShareItsIndexesSafely) {
