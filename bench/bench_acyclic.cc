@@ -197,7 +197,7 @@ void RunChurnShapedTask(benchmark::State& state, HomTask task) {
   options.count_limit = kChurnShapedCountCap;
   HomEngine engine(options);
   size_t next = 0;
-  uint64_t answers = 0, semijoins = 0, join_rows = 0;
+  uint64_t answers = 0, semijoins = 0, skipped = 0, join_rows = 0;
   for (auto _ : state) {
     auto compiled = HomProblem::FromQuery(queries[next], Structure(vocab, 0));
     auto problem = compiled->WithTarget(db);
@@ -207,6 +207,7 @@ void RunChurnShapedTask(benchmark::State& state, HomTask task) {
                  : task == HomTask::kCount ? r->count
                                            : r->rows.size();
       semijoins += r->stats.yannakakis.semijoins;
+      skipped += r->stats.yannakakis.semijoins_skipped;
       join_rows += r->stats.yannakakis.join_rows;
     }
     benchmark::DoNotOptimize(r);
@@ -215,6 +216,7 @@ void RunChurnShapedTask(benchmark::State& state, HomTask task) {
   const double runs = static_cast<double>(state.iterations());
   state.counters["answers_per_run"] = static_cast<double>(answers) / runs;
   state.counters["semijoins_per_run"] = static_cast<double>(semijoins) / runs;
+  state.counters["skipped_per_run"] = static_cast<double>(skipped) / runs;
   state.counters["join_rows_per_run"] = static_cast<double>(join_rows) / runs;
 }
 

@@ -299,11 +299,12 @@ int Solve(const char* a_path, const char* b_path, int flag_count,
     const YannakakisStats& ys = result->stats.yannakakis;
     std::printf(
         "acyclic: tables=%llu rows=%llu max_table_rows=%llu semijoins=%llu "
-        "pruned=%llu join_rows=%llu\n",
+        "skipped=%llu pruned=%llu join_rows=%llu\n",
         static_cast<unsigned long long>(ys.atom_tables),
         static_cast<unsigned long long>(ys.rows_materialized),
         static_cast<unsigned long long>(ys.max_table_rows),
         static_cast<unsigned long long>(ys.semijoins),
+        static_cast<unsigned long long>(ys.semijoins_skipped),
         static_cast<unsigned long long>(ys.rows_pruned),
         static_cast<unsigned long long>(ys.join_rows));
   }

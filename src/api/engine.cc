@@ -578,6 +578,7 @@ void EngineStats::WriteJson(JsonWriter& out) const {
         .Key("rows_materialized").Uint(yannakakis.rows_materialized)
         .Key("max_table_rows").Uint(yannakakis.max_table_rows)
         .Key("semijoins").Uint(yannakakis.semijoins)
+        .Key("semijoins_skipped").Uint(yannakakis.semijoins_skipped)
         .Key("rows_pruned").Uint(yannakakis.rows_pruned)
         .Key("join_rows").Uint(yannakakis.join_rows)
         .Key("workers").Uint(yannakakis.workers)

@@ -6,6 +6,15 @@
 
 namespace cqcs {
 
+namespace {
+
+/// Words of a presence bitset over `num_values` values.
+size_t PresenceWords(Element num_values) {
+  return (static_cast<size_t>(num_values) + 63) / 64;
+}
+
+}  // namespace
+
 void Relation::Add(std::span<const Element> tuple) {
   CQCS_CHECK_MSG(tuple.size() == arity_,
                  "tuple of length " << tuple.size() << " added to relation of"
@@ -66,7 +75,10 @@ void Relation::EnsurePositionIndex(Element num_values) const {
   const size_t m = tuple_count();
   const size_t slots = static_cast<size_t>(arity_) * num_values;
   // Counting sort per (position, value) slot: count, prefix-sum, fill.
+  // The count pass also marks each position's presence bitset.
+  const size_t words = PresenceWords(num_values);
   pos_offsets_.assign(slots + 1, 0);
+  presence_.assign(arity_ * words, 0);
   for (size_t t = 0; t < m; ++t) {
     const Element* tup = data_.data() + t * arity_;
     for (uint32_t p = 0; p < arity_; ++p) {
@@ -75,6 +87,7 @@ void Relation::EnsurePositionIndex(Element num_values) const {
                                             << " values, but tuple mentions "
                                             << tup[p]);
       ++pos_offsets_[static_cast<size_t>(p) * num_values + tup[p] + 1];
+      presence_[p * words + tup[p] / 64] |= uint64_t{1} << (tup[p] % 64);
     }
   }
   for (size_t s = 0; s < slots; ++s) pos_offsets_[s + 1] += pos_offsets_[s];
@@ -98,6 +111,13 @@ std::span<const uint32_t> Relation::TuplesWith(uint32_t pos,
   size_t slot = static_cast<size_t>(pos) * pos_num_values_ + value;
   return {pos_ids_.data() + pos_offsets_[slot],
           pos_offsets_[slot + 1] - pos_offsets_[slot]};
+}
+
+std::span<const uint64_t> Relation::Presence(uint32_t pos) const {
+  CQCS_CHECK(pos < arity_);
+  if (!pos_index_valid_) return {};
+  const size_t words = PresenceWords(pos_num_values_);
+  return {presence_.data() + pos * words, words};
 }
 
 void Relation::Dedup() {

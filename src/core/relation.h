@@ -46,7 +46,9 @@ class Relation {
 
   /// Builds (or reuses) the sorted index behind Contains. Neither this nor
   /// EnsurePositionIndex is synchronized: a relation shared across threads
-  /// must have both built before it is shared.
+  /// must have both built before it is shared. The presence bitsets are
+  /// built with the position index, so they too exist before sharing, and
+  /// no reader builds them.
   void EnsureIndex() const;
 
   /// Whether the relation holds no duplicate tuple: known (true or false)
@@ -62,9 +64,18 @@ class Relation {
   /// position p < arity and value v < num_values, the list of tuple ids t
   /// with tuple(t)[p] == v, in increasing t. One O(m·arity) CSR pass; the
   /// CSP propagator walks these lists instead of rescanning all tuples.
+  /// The same pass builds each position's presence bitset (Presence).
   /// CHECK-fails if some tuple mentions an element >= num_values.
   /// Invalidated by mutation, like the sorted index.
   void EnsurePositionIndex(Element num_values) const;
+
+  /// The values position `pos` holds: bit v of word v/64 is set iff some
+  /// tuple has v there, over ceil(num_values / 64) words of the last
+  /// EnsurePositionIndex(num_values). Empty while the position index is
+  /// absent (never built, or invalidated by a mutation): this never builds
+  /// it, so it is safe to call concurrently under EnsureIndex's sharing
+  /// rule. Valid until the next mutation.
+  std::span<const uint64_t> Presence(uint32_t pos) const;
 
   /// Tuple ids whose position `pos` holds `value`. Requires a prior
   /// EnsurePositionIndex(n) with value < n (returns an empty span for
@@ -102,6 +113,9 @@ class Relation {
   // pos_offsets_[p * num_values + v + 1] of pos_ids_.
   mutable std::vector<uint32_t> pos_offsets_;
   mutable std::vector<uint32_t> pos_ids_;
+  // Position p's presence bitset: words [p * w, (p + 1) * w) with
+  // w = ceil(pos_num_values_ / 64); built with the position index.
+  mutable std::vector<uint64_t> presence_;
   mutable Element pos_num_values_ = 0;
   mutable bool pos_index_valid_ = false;
 };

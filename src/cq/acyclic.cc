@@ -155,7 +155,28 @@ Status YannakakisProgram::FromAtoms(const ConjunctiveQuery& q,
   universe_ = d.universe_size();
   tables_.resize(shape.size());
   CQCS_RETURN_IF_ERROR(MaterializeAll(q, d));
+  if (passes != Passes::kCount) RecordEdgePresence(q, d);
   return Run(passes);
+}
+
+void YannakakisProgram::RecordEdgePresence(const ConjunctiveQuery& q,
+                                           const Structure& d) {
+  const JoinTree& shape = *shape_;
+  // A variable's column holds a subset of the values its relation has at
+  // the variable's first position (all of them for a view).
+  auto presence = [&](uint32_t node, VarId v) {
+    const Atom& atom = q.atoms()[node];
+    const auto pos = static_cast<uint32_t>(
+        std::find(atom.args.begin(), atom.args.end(), v) - atom.args.begin());
+    return d.relation(atom.rel).Presence(pos);
+  };
+  edge_presence_.assign(shape.size(), EdgePresence{});
+  for (uint32_t i = 0; i < shape.size(); ++i) {
+    const std::span<const VarId> key = shape.shared_vars(i);
+    if (key.size() != 1) continue;  // a root, or a multi-column key
+    edge_presence_[i] = {presence(i, key[0]),
+                         presence(shape.parent[i], key[0])};
+  }
 }
 
 Status YannakakisProgram::Run(Passes passes) {
@@ -173,37 +194,85 @@ Status YannakakisProgram::Run(Passes passes) {
   return TripStatus();
 }
 
+namespace {
+
+/// Whether every value set in `sub` is also set in `super` (bit v of word
+/// v/64 in both).
+bool PresenceSubset(std::span<const uint64_t> sub,
+                    std::span<const uint64_t> super) {
+  for (size_t w = 0; w < sub.size(); ++w) {
+    const uint64_t outside = w < super.size() ? sub[w] & ~super[w] : sub[w];
+    if (outside != 0) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+void YannakakisProgram::SemijoinEdge(uint32_t child, bool up,
+                                     rel::SemijoinScratch& scratch,
+                                     const HashIndex* child_index) {
+  const JoinTree& shape = *shape_;
+  const uint32_t parent = shape.parent[child];
+  const EdgePresence edge =
+      edge_presence_.empty() ? EdgePresence{} : edge_presence_[child];
+  const uint32_t left = up ? parent : child;
+  const uint32_t right = up ? child : parent;
+  const std::span<const uint32_t> left_cols =
+      up ? shape.shared_parent_cols(child) : shape.shared_child_cols(child);
+  const std::span<const uint32_t> right_cols =
+      up ? shape.shared_child_cols(child) : shape.shared_parent_cols(child);
+  const std::span<const uint64_t> left_presence = up ? edge.parent : edge.child;
+  // An unreduced view's key column holds exactly its relation's presence;
+  // any other table's holds some subset of it.
+  const std::span<const uint64_t> right_exact =
+      tables_[right].borrowed() ? (up ? edge.child : edge.parent)
+                                : std::span<const uint64_t>();
+  if (stats_ != nullptr) ++stats_->semijoins;
+  // Covered: left's values lie in its relation's presence, which lies in
+  // right's exact presence, so no left row can drop. Decided without
+  // reading a row, and left stays as it is (a view stays a view).
+  if (!right_exact.empty() && !left_presence.empty() &&
+      PresenceSubset(left_presence, right_exact)) {
+    if (stats_ != nullptr) ++stats_->semijoins_skipped;
+    return;
+  }
+  size_t removed;
+  if (child_index != nullptr && right_exact.empty()) {
+    removed = rel::Semijoin(tables_[left], left_cols, tables_[right],
+                            *child_index, gov_);
+  } else {
+    removed = scratch.Run(tables_[left], left_cols, tables_[right],
+                          right_cols, right_exact);
+  }
+  if (stats_ != nullptr) stats_->rows_pruned += removed;
+}
+
 Status YannakakisProgram::Reduce(Passes passes) {
   // Bottom-up pass: parent := parent ⋉ child, children first, so every
   // table is final for its own parent's filtering. Governed runs poll
   // once per semijoin — each is one bounded table sweep. The walk has no
   // top-down pass, so a child's index here is its final match index: kWalk
   // builds it into match_index_; the other passes key each child through
-  // one reused scratch, which needs no index for a one-column key.
+  // one reused scratch, which needs no index for a one-column key. A
+  // one-column key over atom tables is first decided from the relations'
+  // presence bitsets (SemijoinEdge).
   const JoinTree& shape = *shape_;
   rel::SemijoinScratch scratch(gov_);
   for (uint32_t node : shape.order) {
     uint32_t p = shape.parent[node];
     if (p == JoinTree::kNoParent) continue;
     if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->Poll());
-    size_t removed;
+    const HashIndex* index = nullptr;
     if (passes == Passes::kWalk) {
-      HashIndex& index = match_index_[node];
-      index.AttachGovernor(gov_);
-      const std::span<const uint32_t> key = shape.shared_child_cols(node);
-      index.Build(tables_[node].data(), tables_[node].width(),
+      HashIndex& built = match_index_[node];
+      built.AttachGovernor(gov_);
+      built.Build(tables_[node].data(), tables_[node].width(),
                   static_cast<uint32_t>(tables_[node].row_count()),
-                  {key.begin(), key.end()});
-      removed = rel::Semijoin(tables_[p], shape.shared_parent_cols(node),
-                              tables_[node], index, gov_);
-    } else {
-      removed = scratch.Run(tables_[p], shape.shared_parent_cols(node),
-                            tables_[node], shape.shared_child_cols(node));
+                  shape.shared_child_cols(node));
+      index = &built;
     }
-    if (stats_ != nullptr) {
-      ++stats_->semijoins;
-      stats_->rows_pruned += removed;
-    }
+    SemijoinEdge(node, /*up=*/true, scratch, index);
     if (tables_[p].empty()) {
       satisfiable_ = false;
       return Status::OK();
@@ -222,13 +291,7 @@ Status YannakakisProgram::Reduce(Passes passes) {
     uint32_t node = shape.order[i];
     for (uint32_t child : shape.children(node)) {
       if (gov_ != nullptr) CQCS_RETURN_IF_ERROR(gov_->Poll());
-      size_t removed =
-          scratch.Run(tables_[child], shape.shared_child_cols(child),
-                      tables_[node], shape.shared_parent_cols(child));
-      if (stats_ != nullptr) {
-        ++stats_->semijoins;
-        stats_->rows_pruned += removed;
-      }
+      SemijoinEdge(child, /*up=*/false, scratch, nullptr);
       CQCS_RETURN_IF_ERROR(TripStatus());
       CQCS_CHECK(!tables_[child].empty());
     }
@@ -482,8 +545,7 @@ Result<size_t> YannakakisProgram::Count(size_t limit) {
           sum[v] = SatAdd(sum[v], agg[s], limit);
         }
       } else {
-        index.Build(ct.data(), ct.width(), child_rows,
-                    {child_cols.begin(), child_cols.end()});
+        index.Build(ct.data(), ct.width(), child_rows, child_cols);
         for (uint32_t s = 0; s < child_rows; ++s) {
           if (gov_ != nullptr && (s & 1023) == 0) {
             CQCS_RETURN_IF_ERROR(gov_->Poll());
@@ -585,7 +647,7 @@ Status YannakakisProgram::ProjectReduce(
         }
         index.Build((*r_table)[child].data(), (*r_table)[child].width(),
                     static_cast<uint32_t>((*r_table)[child].row_count()),
-                    std::move(right_key));
+                    right_key);
         Table next(static_cast<uint32_t>(cur->width() + extras.size()));
         next.AttachGovernor(gov_);
         rel::HashJoinAppend(*cur, left_key, (*r_table)[child], index, extras,

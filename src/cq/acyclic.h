@@ -11,8 +11,11 @@
 // allocation. An atom with distinct variables over a relation that
 // EnsureIndex has found duplicate-free is a read-only view of the
 // relation's tuples, copied only once a semijoin drops rows from it; a
-// one-column semijoin or count key over a small range reads a
-// value-indexed array instead of an index (rel/ops.h).
+// one-column semijoin whose right side is such a view is decided from the
+// relations' per-position presence bitsets (Relation::Presence), skipped
+// outright when no row can drop; and a one-column semijoin or count key
+// over a small range reads a value-indexed array instead of an index
+// (rel/ops.h).
 //
 // The program is not tied to atoms: it runs over any join forest of
 // duplicate-free tables (YannakakisProgram below). The treewidth route
@@ -45,6 +48,10 @@ struct ResidualForest;       // solver/residual.h
 class ResourceGovernor;      // common/governor.h
 class TreeDecomposition;     // treewidth/decomposition.h
 struct TreewidthSolveStats;  // treewidth/hom_dp.h
+
+namespace rel {
+class SemijoinScratch;  // rel/ops.h
+}  // namespace rel
 
 /// The shape of a join forest: everything about it that does not depend on
 /// the tables' rows. It is derived once, by Build, from the variable count,
@@ -121,8 +128,10 @@ struct YannakakisStats {
   uint64_t rows_materialized = 0; ///< rows the atom tables hold, as a view
                                   ///< or a copy
   uint64_t max_table_rows = 0;    ///< peak rows in any one table
-  uint64_t semijoins = 0;         ///< semijoin operator applications
+  uint64_t semijoins = 0;         ///< semijoins the passes decided
                                   ///< (0 on count: it runs no semijoins)
+  uint64_t semijoins_skipped = 0; ///< of those, decided from presence
+                                  ///< bitsets alone, reading no row
   uint64_t rows_pruned = 0;       ///< rows removed by the semijoin passes
                                   ///< (0 on count)
   uint64_t join_rows = 0;         ///< rows produced by the projection phase
@@ -146,6 +155,20 @@ struct YannakakisStats {
 ///   count             none                    per child key, unreduced
 ///   witness/enumerate bottom-up               the bottom-up pass's own
 ///   project(-count)   bottom-up + top-down    -
+///
+/// Every semijoin of those passes (either direction, and the walk's probe,
+/// whose match index is still built) first tries the presence rule. For
+/// each edge with a one-column connector, FromAtoms records the presence
+/// bitsets of both atoms' relations at the connector (Relation::Presence,
+/// built with the position index; a repeated variable's first position).
+/// A right table that is still an unreduced view (rel::Table::borrowed)
+/// holds exactly its bitset, and any atom table holds a subset of its own.
+/// So when the left bitset is a subset of the right one, no left row can
+/// drop: the semijoin is skipped, counted in semijoins_skipped, and the
+/// left table stays as it is, a view if it was one. An uncovered semijoin
+/// with a view on the right reads the view's bitset instead of marking
+/// its rows. Multi-column keys, copied or reduced right tables, relations
+/// without a position index, and FromBags/FromDomains tables read rows.
 ///
 /// A one-column semijoin or count key whose values fit the direct bound
 /// (rel::HashIndex::DirectSlots) reads a value-indexed array, reused
@@ -275,6 +298,15 @@ class YannakakisProgram {
   Status ProjectReduce(std::span<const VarId> proj,
                        std::vector<rel::Table>* r_table,
                        std::vector<std::vector<VarId>>* r_cols);
+  /// Records edge_presence_ (FromAtoms, semijoin passes only).
+  void RecordEdgePresence(const ConjunctiveQuery& q, const Structure& d);
+  /// One semijoin on the edge from `child` to its parent: parent ⋉ child
+  /// when `up` (the bottom-up pass), else child ⋉ parent. Skipped when
+  /// edge_presence_ shows it covered; otherwise an unreduced view's
+  /// presence serves as the right side's bitset, and `child_index` (kWalk's
+  /// match index over the child, up only) is probed when there is none.
+  void SemijoinEdge(uint32_t child, bool up, rel::SemijoinScratch& scratch,
+                    const rel::HashIndex* child_index);
   /// Stride poll for the row loops: consults the governor every 1024th
   /// call. Ungoverned runs pay one branch.
   Status PollTick();
@@ -305,6 +337,17 @@ class YannakakisProgram {
   size_t universe_ = 0;               // the range of every variable
   std::vector<rel::Table> tables_;    // columns follow shape_->vars(i); an
                                       // atom's may be a view
+  // Per non-root node of a FromAtoms program with a one-column connector:
+  // its relations' presence bitsets (Relation::Presence) at the
+  // connector's first position in the node's atom (`child`) and in its
+  // parent's (`parent`). Each holds every value the column can hold, and
+  // exactly those while the table is an unreduced view. Spans are empty
+  // where a relation has no position index, and the whole vector is empty
+  // for FromBags and FromDomains, whose tables are never views.
+  struct EdgePresence {
+    std::span<const uint64_t> child, parent;
+  };
+  std::vector<EdgePresence> edge_presence_;
   // Match index per non-root node, keyed on shape_->shared_child_cols
   // (kWalk only: the bottom-up pass's semijoin indexes).
   std::vector<rel::HashIndex> match_index_;

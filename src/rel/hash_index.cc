@@ -88,10 +88,10 @@ std::optional<size_t> HashIndex::DirectSlots(const Element* base,
 }
 
 void HashIndex::Build(const Element* base, uint32_t width, uint32_t row_count,
-                      std::vector<uint32_t> key_cols) {
+                      std::span<const uint32_t> key_cols) {
   for (uint32_t c : key_cols) CQCS_CHECK(c < width);
   width_ = width;
-  key_cols_ = std::move(key_cols);
+  key_cols_.assign(key_cols.begin(), key_cols.end());
   // A one-column key whose values all fit the slots the hashed layout
   // would allocate is its own slot number: slots_[v] heads v's chain.
   const std::optional<size_t> direct =

@@ -23,6 +23,7 @@
 #define CQCS_REL_HASH_INDEX_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <span>
 #include <vector>
@@ -108,10 +109,17 @@ class HashIndex {
 
   /// Indexes rows [0, row_count) of `base`, rows of `width` cells, keyed
   /// on `key_cols` (column positions, each < width), replacing any earlier
-  /// contents. Picks the direct layout for a one-column key whose values
-  /// fit the hashed slot count, the hashed layout otherwise.
+  /// contents. The key columns are copied into the index's own buffer,
+  /// whose capacity a rebuild reuses. Picks the direct layout for a
+  /// one-column key whose values fit the hashed slot count, the hashed
+  /// layout otherwise.
   void Build(const Element* base, uint32_t width, uint32_t row_count,
-             std::vector<uint32_t> key_cols);
+             std::span<const uint32_t> key_cols);
+  void Build(const Element* base, uint32_t width, uint32_t row_count,
+             std::initializer_list<uint32_t> key_cols) {
+    Build(base, width, row_count,
+          std::span<const uint32_t>(key_cols.begin(), key_cols.size()));
+  }
 
   /// The bound of the direct layout for `row_count` rows: the slot count
   /// the hashed layout would allocate (the smallest power of two >= 2n,

@@ -63,40 +63,47 @@ SemijoinScratch::SemijoinScratch(ResourceGovernor* governor)
   present_.AttachGovernor(governor);
 }
 
-bool SemijoinScratch::MarkPresent(const Table& right, uint32_t col) {
+std::span<const uint64_t> SemijoinScratch::MarkPresent(const Table& right,
+                                                       uint32_t col) {
   const auto rows = static_cast<uint32_t>(right.row_count());
-  limit_ = HashIndex::DirectLimit(rows);
-  present_.Assign((limit_ + 63) / 64);
+  const size_t limit = HashIndex::DirectLimit(rows);
+  const size_t words = (limit + 63) / 64;
+  present_.Assign(words);
   uint64_t* const bits = present_.data();
   const size_t width = right.width();
   for (size_t r = 0; r < rows; ++r) {
     const Element v = right.data()[r * width + col];
-    if (v >= limit_) return false;
+    if (v >= limit) return {};
     bits[v >> 6] |= uint64_t{1} << (v & 63);
   }
-  return true;
+  return {bits, words};
 }
 
 size_t SemijoinScratch::Run(Table& left,
                             std::span<const uint32_t> left_key_cols,
                             const Table& right,
-                            std::span<const uint32_t> right_key_cols) {
+                            std::span<const uint32_t> right_key_cols,
+                            std::span<const uint64_t> right_presence) {
   CQCS_CHECK(left_key_cols.size() == right_key_cols.size());
+  CQCS_CHECK(right_presence.empty() || right_key_cols.size() == 1);
   const size_t before = left.row_count();
   if (before == 0) return 0;
-  if (right_key_cols.size() != 1 || !MarkPresent(right, right_key_cols[0])) {
+  std::span<const uint64_t> present = right_presence;
+  if (present.empty() && right_key_cols.size() == 1) {
+    present = MarkPresent(right, right_key_cols[0]);
+  }
+  if (present.empty()) {
     index_.Build(right.data(), right.width(),
-                 static_cast<uint32_t>(right.row_count()),
-                 {right_key_cols.begin(), right_key_cols.end()});
+                 static_cast<uint32_t>(right.row_count()), right_key_cols);
     return Semijoin(left, left_key_cols, right, index_, governor_);
   }
   // Branch-free gather of the kept row ids, polled once per 1024 rows.
   keep_.resize(before);
   uint32_t* const keep = keep_.data();
-  const uint64_t* const bits = present_.data();
+  const uint64_t* const bits = present.data();
   const Element* const cells = left.data() + left_key_cols[0];
   const size_t left_width = left.width();
-  const size_t limit = limit_;
+  const size_t limit = present.size() * 64;
   size_t kept = 0;
   for (size_t begin = 0; begin < before; begin += 1024) {
     if (governor_ != nullptr && !governor_->Poll().ok()) {
@@ -171,7 +178,7 @@ std::vector<uint32_t> FirstOccurrences(const Table& table,
   const auto rows = static_cast<uint32_t>(table.row_count());
   HashIndex index;
   index.AttachGovernor(governor);
-  index.Build(table.data(), table.width(), rows, {cols.begin(), cols.end()});
+  index.Build(table.data(), table.width(), rows, cols);
   std::vector<uint32_t> first;
   for (uint32_t r = 0; r < rows; ++r) {
     if (governor != nullptr && (r & 1023) == 1023 &&

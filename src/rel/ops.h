@@ -73,30 +73,34 @@ class ValueArray {
 
 /// The semijoin with its right-side key built per call, reusing its
 /// buffers across calls (one scratch serves a whole pass). A one-column
-/// key whose values lie below HashIndex::DirectLimit is marked in a
-/// presence bitset over the right rows' values, so a left row costs one
-/// load and nothing is chained; any other key builds a HashIndex over
-/// `right`. Both buffers are charged to the governor.
+/// key is read from a presence bitset over the right rows' values, so a
+/// left row costs one load and nothing is chained: the caller's bitset
+/// when it has one, else one marked here when the values lie below
+/// HashIndex::DirectLimit. Any other key builds a HashIndex over `right`.
+/// Both buffers are charged to the governor.
 class SemijoinScratch {
  public:
   explicit SemijoinScratch(ResourceGovernor* governor = nullptr);
 
   /// left := left ⋉ right on the aligned key columns; the contract of
   /// Semijoin above (rows removed, `left` unwritten when none are or on a
-  /// governor trip).
+  /// governor trip). `right_presence`, for a one-column key only, is the
+  /// exact set of values right's key column holds (bit v of word v/64),
+  /// read in place of marking the column: a relation's Presence when
+  /// `right` is an unreduced view of it. Empty when there is none.
   size_t Run(Table& left, std::span<const uint32_t> left_key_cols,
-             const Table& right, std::span<const uint32_t> right_key_cols);
+             const Table& right, std::span<const uint32_t> right_key_cols,
+             std::span<const uint64_t> right_presence = {});
 
  private:
   /// Marks column `col` of `right` in present_, one bit per value below
-  /// limit_ (the direct bound for right's rows); false as soon as a value
-  /// reaches it.
-  bool MarkPresent(const Table& right, uint32_t col);
+  /// the direct bound for right's rows, and returns the bitset; empty as
+  /// soon as a value reaches the bound.
+  std::span<const uint64_t> MarkPresent(const Table& right, uint32_t col);
 
   ResourceGovernor* governor_;
   HashIndex index_;
   ValueArray<uint64_t> present_;  // bit v of word v/64: value v occurs
-  size_t limit_ = 0;              // present_'s bound, in values
   std::vector<uint32_t> keep_;
 };
 

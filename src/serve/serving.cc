@@ -68,10 +68,11 @@ bool ValidDatabaseName(const std::string& name) {
 /// Builds every relation's lazily built indexes — the sorted index behind
 /// Contains (it also records which relations are duplicate-free, so the
 /// acyclic route skips their dedup) and the position index the CSP
-/// propagator walks (sized by the universe, as solver/csp.cc asks for it). Relation builds them on first
-/// use without synchronization, and one registered structure feeds
-/// concurrent WithTarget / CSP builds, so they must exist before the
-/// structure is published.
+/// propagator walks (sized by the universe, as solver/csp.cc asks for it),
+/// with the presence bitsets the acyclic route's semijoins read. Relation
+/// builds them on first use without synchronization, and one registered
+/// structure feeds concurrent WithTarget / CSP builds, so they must exist
+/// before the structure is published.
 void BuildIndexes(const Structure& db) {
   const auto num_values = static_cast<Element>(db.universe_size());
   for (RelId id = 0; id < db.vocabulary()->size(); ++id) {

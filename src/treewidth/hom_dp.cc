@@ -276,7 +276,7 @@ Status YannakakisProgram::FromBags(
     std::vector<uint32_t> all(br.arity());
     for (uint32_t c = 0; c < br.arity(); ++c) all[c] = c;
     ix.member[rel].AttachGovernor(gov_);
-    ix.member[rel].Build(br.data().data(), br.arity(), rows, std::move(all));
+    ix.member[rel].Build(br.data().data(), br.arity(), rows, all);
     if (br.arity() < 2) continue;
     ix.column[rel].resize(br.arity());
     for (uint32_t c = 0; c < br.arity(); ++c) {

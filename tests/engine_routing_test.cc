@@ -785,6 +785,14 @@ TEST(EngineRoutingTest, ExplainRendersJson) {
   EXPECT_NE(json.find("\"width_lower_bound\":null,\"eliminations_done\":null"),
             std::string::npos)
       << json;
+  // The acyclic route renders every YannakakisStats counter.
+  for (const char* key :
+       {"\"atom_tables\":", "\"rows_materialized\":", "\"max_table_rows\":",
+        "\"semijoins\":", "\"semijoins_skipped\":", "\"rows_pruned\":",
+        "\"join_rows\":"}) {
+    EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
+  }
+  EXPECT_LE(r.stats.yannakakis.semijoins_skipped, r.stats.yannakakis.semijoins);
   // The search renders every SolveStats counter.
   EngineOptions uniform;
   uniform.backend = Backend::kUniform;

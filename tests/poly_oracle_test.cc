@@ -16,6 +16,8 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "api/engine.h"
@@ -24,7 +26,10 @@
 #include "common/saturating.h"
 #include "core/homomorphism.h"
 #include "cq/acyclic.h"
+#include "cq/canonical.h"
+#include "cq/containment.h"
 #include "cq/gyo.h"
+#include "cq/parser.h"
 #include "gen/generators.h"
 #include "rel/hash_index.h"
 #include "rel/ops.h"
@@ -1919,6 +1924,385 @@ TEST(PolyOracleTest, CachedForestIsTheCanonicalQueryForest) {
   }
   EXPECT_GT(acyclic, 100);
   EXPECT_GT(cyclic, 20);
+}
+
+// ---- Presence bitsets. -----------------------------------------------------
+//
+// A relation with a position index carries one presence bitset per
+// position, and the semijoin passes decide a one-column key from them: the
+// semijoin is skipped when the right table is an unreduced view whose
+// bitset covers the left atom's, reads the bitset when the right table is a
+// view, and reads rows otherwise. Each case below runs every task through
+// the engine's acyclic route against the uniform search, and through the
+// direct API against the reference program (rows, order and stats).
+
+/// Builds every relation's sorted and position indexes, as the serving
+/// layer does before it publishes a database.
+void IndexForServing(const Structure& d) {
+  for (RelId rel = 0; rel < d.vocabulary()->size(); ++rel) {
+    d.relation(rel).EnsureIndex();
+    d.relation(rel).EnsurePositionIndex(
+        static_cast<Element>(d.universe_size()));
+  }
+}
+
+/// The acyclic route's stats for the tasks that run semijoins.
+struct PresenceRuns {
+  YannakakisStats decide, witness, project;
+};
+
+/// Every task on the kAcyclic route over p's shared target against the
+/// uniform search. The search builds a position index on its target, so it
+/// runs over a copy: the acyclic runs see the target as the caller left it.
+PresenceRuns ExpectAcyclicTasksMatchUniform(const HomProblem& p) {
+  EngineOptions acyclic, uniform;
+  acyclic.backend = Backend::kAcyclic;
+  uniform.backend = Backend::kUniform;
+  const HomProblem copy = MustProblem(p.WithTarget(Structure(p.target())));
+  PresenceRuns runs;
+  for (HomTask task : {HomTask::kDecide, HomTask::kWitness, HomTask::kCount,
+                       HomTask::kEnumerate, HomTask::kProject}) {
+    SCOPED_TRACE(HomTaskName(task));
+    const EngineResult got = MustRun(HomEngine(acyclic), p, task);
+    const EngineResult want = MustRun(HomEngine(uniform), copy, task);
+    EXPECT_TRUE(got.stats.used_acyclic);
+    EXPECT_EQ(got.decided, want.decided);
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(RowSet(got.rows.begin(), got.rows.end()),
+              RowSet(want.rows.begin(), want.rows.end()));
+    if (got.witness.has_value()) {
+      EXPECT_TRUE(IsHomomorphism(p.source(), p.target(), *got.witness));
+    }
+    const YannakakisStats& stats = got.stats.yannakakis;
+    EXPECT_LE(stats.semijoins_skipped, stats.semijoins);
+    if (task == HomTask::kDecide) runs.decide = stats;
+    if (task == HomTask::kWitness) runs.witness = stats;
+    if (task == HomTask::kProject) runs.project = stats;
+  }
+  return runs;
+}
+
+/// q over d through the engine (against the uniform search) and through the
+/// direct API (against the reference program, projecting onto q's head).
+PresenceRuns CheckPresenceCase(const ConjunctiveQuery& q,
+                               const std::shared_ptr<const Structure>& d) {
+  const ReferenceYannakakis ref(q, *d);
+  ExpectWalkMatchesReference(q, *d, ref);
+  ExpectProjectMatchesReference(q, *d, ref, q.head());
+  const HomProblem p = MustProblem(
+      MustProblem(HomProblem::FromQuery(q, Structure(d->vocabulary(), 0)))
+          .WithTarget(d));
+  return ExpectAcyclicTasksMatchUniform(p);
+}
+
+ConjunctiveQuery MustParse(const std::string& text,
+                           const VocabularyPtr& vocab) {
+  auto q = ParseQuery(text, vocab);
+  CQCS_CHECK_MSG(q.ok(), q.status().ToString());
+  return *std::move(q);
+}
+
+/// The body of `q` with its atoms in the order `perm` gives: GYO picks a
+/// different join forest for some orders, so each semijoin meets its
+/// tables from both sides.
+ConjunctiveQuery PermuteAtoms(const ConjunctiveQuery& q,
+                              const std::vector<size_t>& perm) {
+  ConjunctiveQuery out(q.vocabulary(), "Q");
+  for (VarId v = 0; v < q.var_count(); ++v) {
+    out.GetOrCreateVar("V" + std::to_string(v));
+  }
+  for (size_t i : perm) out.AddAtom(q.atoms()[i].rel, q.atoms()[i].args);
+  out.SetHead(q.head());
+  return out;
+}
+
+/// Every atom order of q, each checked as a presence case.
+std::vector<PresenceRuns> CheckEveryAtomOrder(
+    const ConjunctiveQuery& q, const std::shared_ptr<const Structure>& d) {
+  std::vector<size_t> perm(q.atoms().size());
+  for (size_t i = 0; i < perm.size(); ++i) perm[i] = i;
+  std::vector<PresenceRuns> out;
+  do {
+    SCOPED_TRACE(testing::Message()
+                 << "atom order " << testing::PrintToString(perm));
+    out.push_back(CheckPresenceCase(PermuteAtoms(q, perm), d));
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  return out;
+}
+
+std::shared_ptr<Structure> GraphDatabase(
+    const VocabularyPtr& vocab, size_t n,
+    const std::vector<std::pair<Element, Element>>& edges, bool symmetric) {
+  auto d = std::make_shared<Structure>(vocab, n);
+  for (const auto& [u, v] : edges) {
+    d->AddTuple(0, {u, v});
+    if (symmetric && u != v) d->AddTuple(0, {v, u});
+  }
+  return d;
+}
+
+TEST(PolyOracleTest, PresenceCoversADirectedRelationOneWayOnly) {
+  // E = {0→1, 1→2, 2→1}: position 0 holds {0, 1, 2}, position 1 holds
+  // {1, 2}. On the path E(X, Y), E(Y, Z) the semijoin that keys the
+  // in-side Y against the out-side one is covered; the other way it must
+  // read the out-side's bitset and drop 0→1.
+  auto vocab = MakeGraphVocabulary();
+  auto d = GraphDatabase(vocab, 3, {{0, 1}, {1, 2}, {2, 1}}, false);
+  IndexForServing(*d);
+  uint64_t skipped = 0, pruned = 0;
+  for (const char* text : {"Q(Y, Z) :- E(X, Y), E(Y, Z).",
+                           "Q(X, Y) :- E(X, Y), E(Y, Z).",
+                           "Q(X, Z) :- E(X, Y), E(Y, Z)."}) {
+    SCOPED_TRACE(text);
+    for (const PresenceRuns& runs :
+         CheckEveryAtomOrder(MustParse(text, vocab), d)) {
+      EXPECT_EQ(runs.project.semijoins, 2u);
+      EXPECT_LE(runs.project.semijoins_skipped, 1u);
+      EXPECT_EQ(runs.project.rows_pruned, 1u);
+      skipped += runs.project.semijoins_skipped;
+      pruned += runs.decide.rows_pruned;
+    }
+  }
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(pruned, 0u);
+
+  // Edges from {0, 1, 2} into {3, 4, 5}: the two positions share no value,
+  // nothing is covered, and the path has no match.
+  auto bipartite =
+      GraphDatabase(vocab, 6, {{0, 3}, {1, 4}, {2, 5}, {0, 4}}, false);
+  IndexForServing(*bipartite);
+  for (const PresenceRuns& runs : CheckEveryAtomOrder(
+           MustParse("Q(X) :- E(X, Y), E(Y, Z).", vocab), bipartite)) {
+    EXPECT_EQ(runs.decide.semijoins, 1u);
+    EXPECT_EQ(runs.decide.semijoins_skipped, 0u);
+    EXPECT_EQ(runs.decide.rows_pruned, 4u);
+  }
+}
+
+TEST(PolyOracleTest, PresenceLeavesIsolatedElementsOut) {
+  // A symmetric 4-cycle in a universe of 8: elements 4..7 are in no tuple
+  // of E, so no bitset of E holds them. U holds 1 and the isolated 5, so a
+  // semijoin between U and E is never covered either way and drops 5 or
+  // the rows that miss 1.
+  auto vocab = MixedVocabulary();
+  auto d = std::make_shared<Structure>(vocab, 8);
+  for (Element v = 0; v < 4; ++v) {
+    d->AddTuple(0, {v, static_cast<Element>((v + 1) % 4)});
+    d->AddTuple(0, {static_cast<Element>((v + 1) % 4), v});
+  }
+  d->AddTuple(2, {1});
+  d->AddTuple(2, {5});
+  IndexForServing(*d);
+  for (const PresenceRuns& runs : CheckEveryAtomOrder(
+           MustParse("Q(X) :- E(X, Y), E(Y, Z), E(Z, W).", vocab), d)) {
+    for (const YannakakisStats* stats :
+         {&runs.decide, &runs.witness, &runs.project}) {
+      EXPECT_EQ(stats->semijoins_skipped, stats->semijoins);
+      EXPECT_EQ(stats->rows_pruned, 0u);
+    }
+  }
+  for (const PresenceRuns& runs : CheckEveryAtomOrder(
+           MustParse("Q(X, Y) :- U(X), E(X, Y).", vocab), d)) {
+    EXPECT_EQ(runs.project.semijoins, 2u);
+    EXPECT_EQ(runs.project.semijoins_skipped, 0u);
+    EXPECT_GT(runs.project.rows_pruned, 0u);
+  }
+}
+
+TEST(PolyOracleTest, PresenceRespectsReducedTables) {
+  // A symmetric path 0-1-...-6, so E's two bitsets are equal and every
+  // E-E semijoin between unreduced views is covered. U = {0} reduces the
+  // E atom it hangs off. A reduced table is covered as a left side (its
+  // values are a subset of its relation's), but as a right side it no
+  // longer holds its bitset, so the semijoin must read its rows: in some
+  // atom orders the reduced E(Y, Z) is the right side of E(X, Y)'s
+  // semijoin, and skipping it would keep every X.
+  auto vocab = MixedVocabulary();
+  auto d = std::make_shared<Structure>(vocab, 7);
+  for (Element v = 0; v + 1 < 7; ++v) {
+    d->AddTuple(0, {v, static_cast<Element>(v + 1)});
+    d->AddTuple(0, {static_cast<Element>(v + 1), v});
+  }
+  d->AddTuple(2, {0});
+  IndexForServing(*d);
+  uint64_t skipped = 0, read = 0;
+  for (const char* text : {"Q(X) :- E(X, Y), E(Y, Z), U(Z).",
+                           "Q(X) :- E(X, Y), U(X), E(Y, Z)."}) {
+    SCOPED_TRACE(text);
+    for (const PresenceRuns& runs :
+         CheckEveryAtomOrder(MustParse(text, vocab), d)) {
+      EXPECT_GT(runs.project.rows_pruned, 0u);
+      skipped += runs.project.semijoins_skipped;
+      read += runs.project.semijoins - runs.project.semijoins_skipped;
+    }
+  }
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(read, 0u);
+}
+
+TEST(PolyOracleTest, PresenceFallsBackForCopiesAndWideKeys) {
+  // E(Y, Y) is materialized (a repeated variable): its table holds only
+  // the loops, a subset of what E's position 0 holds, so as a right side
+  // it must be read row by row. T(X, Y, Z), E(Y, Z) joins on two columns,
+  // which no bitset decides.
+  auto vocab = MixedVocabulary();
+  auto d = std::make_shared<Structure>(vocab, 5);
+  for (Element v = 0; v + 1 < 5; ++v) {
+    d->AddTuple(0, {v, static_cast<Element>(v + 1)});
+    d->AddTuple(0, {static_cast<Element>(v + 1), v});
+  }
+  d->AddTuple(0, {2, 2});
+  d->AddTuple(1, {0, 1, 2});
+  d->AddTuple(1, {1, 3, 3});
+  d->AddTuple(1, {4, 3, 4});
+  IndexForServing(*d);
+  for (const PresenceRuns& runs : CheckEveryAtomOrder(
+           MustParse("Q(X) :- E(X, Y), E(Y, Y).", vocab), d)) {
+    EXPECT_EQ(runs.project.rows_pruned, 6u);  // E(X, Y) keeps Y = 2
+  }
+  for (const PresenceRuns& runs : CheckEveryAtomOrder(
+           MustParse("Q(X) :- T(X, Y, Z), E(Y, Z).", vocab), d)) {
+    for (const YannakakisStats* stats :
+         {&runs.decide, &runs.witness, &runs.project}) {
+      EXPECT_EQ(stats->semijoins_skipped, 0u);
+    }
+  }
+}
+
+TEST(PolyOracleTest, PresenceDecidesContainmentHeadMarkers) {
+  // Contains builds D_{Q2} with unary head markers; over an indexed D_{Q1}
+  // a marker's bitset holds one value, so a semijoin into a marker reads
+  // it and one out of a marker is covered when the head value occurs.
+  auto vocab = MakeGraphVocabulary();
+  uint64_t skipped = 0, read = 0;
+  for (const auto& [q1_text, q2_text, contained] :
+       std::vector<std::tuple<const char*, const char*, bool>>{
+           {"Q(A) :- E(A, B), E(B, C), E(C, A).",
+            "Q(X) :- E(X, Y), E(Y, Z).", true},
+           {"Q(A) :- E(A, B), E(B, C).", "Q(X) :- E(Y, X), E(X, Z).",
+            false},
+           {"Q(A, C) :- E(A, B), E(B, C), E(C, D).",
+            "Q(X, Z) :- E(X, Y), E(Y, Z).", true}}) {
+    SCOPED_TRACE(testing::Message() << q1_text << " in " << q2_text);
+    const ConjunctiveQuery q1 = MustParse(q1_text, vocab);
+    const ConjunctiveQuery q2 = MustParse(q2_text, vocab);
+    auto is_contained = IsContained(q1, q2);
+    ASSERT_TRUE(is_contained.ok());
+    EXPECT_EQ(*is_contained, contained);
+    const HomProblem p = MustProblem(HomProblem::FromContainment(q1, q2));
+    auto d1 = std::make_shared<Structure>(p.target());
+    IndexForServing(*d1);
+    const PresenceRuns runs =
+        ExpectAcyclicTasksMatchUniform(MustProblem(p.WithTarget(d1)));
+    EXPECT_EQ(
+        MustRun(HomEngine(), MustProblem(p.WithTarget(d1)), HomTask::kDecide)
+            .decided,
+        contained);
+    skipped += runs.decide.semijoins_skipped;
+    read += runs.decide.semijoins - runs.decide.semijoins_skipped;
+  }
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(read, 0u);
+}
+
+TEST(PolyOracleTest, PresenceNeedsThePositionIndexAndNeverBuildsIt) {
+  // Sorted indexes only: the atoms are views, but no relation has a
+  // bitset, so every semijoin reads rows, and none is built on the way.
+  auto vocab = MakeGraphVocabulary();
+  Rng rng(2701);
+  auto d = std::make_shared<Structure>(
+      RandomGraphStructure(vocab, 10, 0.3, rng, /*symmetric=*/true));
+  d->relation(0).EnsureIndex();
+  for (const PresenceRuns& runs : CheckEveryAtomOrder(
+           MustParse("Q(X, W) :- E(X, Y), E(Y, Z), E(Y, W).", vocab), d)) {
+    for (const YannakakisStats* stats :
+         {&runs.decide, &runs.witness, &runs.project}) {
+      EXPECT_GT(stats->semijoins, 0u);
+      EXPECT_EQ(stats->semijoins_skipped, 0u);
+    }
+  }
+  EXPECT_TRUE(d->relation(0).Presence(0).empty());
+  EXPECT_TRUE(d->relation(0).Presence(1).empty());
+  // Indexed, the same relation's two bitsets are equal and every
+  // semijoin is skipped.
+  IndexForServing(*d);
+  ASSERT_FALSE(d->relation(0).Presence(0).empty());
+  EXPECT_TRUE(std::equal(d->relation(0).Presence(0).begin(),
+                         d->relation(0).Presence(0).end(),
+                         d->relation(0).Presence(1).begin(),
+                         d->relation(0).Presence(1).end()));
+  for (const PresenceRuns& runs : CheckEveryAtomOrder(
+           MustParse("Q(X, W) :- E(X, Y), E(Y, Z), E(Y, W).", vocab), d)) {
+    EXPECT_EQ(runs.project.semijoins_skipped, runs.project.semijoins);
+  }
+}
+
+TEST(PolyOracleTest, SymmetricChurnShapesSkipEverySemijoin) {
+  // The serving churn's acyclic traffic in small: trees of 3-6 randomly
+  // oriented E atoms (chains, stars, random attachment) into a symmetric
+  // graph with isolated vertices. Both positions of a symmetric relation
+  // hold the same values, so every semijoin is covered.
+  auto vocab = MakeGraphVocabulary();
+  Rng rng(2702);
+  auto d = std::make_shared<Structure>(
+      RandomGraphStructure(vocab, 12, 0.25, rng, /*symmetric=*/true));
+  IndexForServing(*d);
+  for (int trial = 0; trial < 24; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const size_t atoms = 3 + rng.Below(4);
+    ConjunctiveQuery q(vocab, "Q");
+    std::vector<VarId> vars;
+    for (size_t v = 0; v <= atoms; ++v) {
+      vars.push_back(q.GetOrCreateVar("X" + std::to_string(v)));
+    }
+    for (size_t v = 1; v <= atoms; ++v) {
+      const size_t parent =
+          trial % 3 == 0 ? v - 1 : trial % 3 == 1 ? 0 : rng.Below(v);
+      if (rng.Chance(0.5)) {
+        q.AddAtom(0, {vars[parent], vars[v]});
+      } else {
+        q.AddAtom(0, {vars[v], vars[parent]});
+      }
+    }
+    q.SetHead({vars[0]});
+    const PresenceRuns runs = CheckPresenceCase(q, d);
+    for (const YannakakisStats* stats :
+         {&runs.decide, &runs.witness, &runs.project}) {
+      EXPECT_GT(stats->semijoins, 0u);
+      EXPECT_EQ(stats->semijoins_skipped, stats->semijoins);
+    }
+  }
+}
+
+TEST(PolyOracleTest, PresenceDecidedSemijoinsMatchTheReference) {
+  // The random acyclic queries of the sweeps above (repeated variables,
+  // forests, variables in no atom, multi-column keys) over duplicate-free
+  // dangling databases with position indexes: every task matches the
+  // reference program row for row and stat for stat, and the storage the
+  // views borrow comes out untouched.
+  Rng rng(2703);
+  auto vocab = MixedVocabulary();
+  uint64_t skipped = 0, read = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const ConjunctiveQuery q = RandomAcyclicQuery(vocab, rng);
+    const Structure d = WithoutDuplicates(RandomDanglingDatabase(vocab, rng));
+    IndexForServing(d);
+    const ReferenceYannakakis ref(q, d);
+    std::vector<VarId> proj;
+    for (VarId v = 0; v < q.var_count(); v += 2) proj.push_back(v);
+    ExpectEveryTaskLeavesStorage(q, d, proj);
+    ExpectWalkMatchesReference(q, d, ref);
+    ExpectProjectMatchesReference(q, d, ref, proj);
+    ExpectCountMatchesReference(q, d, ref);
+    YannakakisStats stats;
+    ASSERT_TRUE(AcyclicProject(q, d, proj, SIZE_MAX, &stats).ok());
+    EXPECT_LE(stats.semijoins_skipped, stats.semijoins);
+    skipped += stats.semijoins_skipped;
+    read += stats.semijoins - stats.semijoins_skipped;
+  }
+  EXPECT_GT(skipped, 100u);
+  EXPECT_GT(read, 100u);
 }
 
 }  // namespace

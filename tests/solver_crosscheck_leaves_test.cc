@@ -8,7 +8,8 @@
 // (YannakakisProgram::FromDomains). This suite builds sources whose greedy
 // cutset has a known size (0, 1 or 2) plus tails, over binary and ternary
 // scopes, including the two-scopes-share-two-variables trap, and checks
-// every answer against exhaustive enumeration, at 1, 2 and 8 threads.
+// every answer against exhaustive enumeration, at 1, 2 and 8 threads, and
+// that a governor trip inside a leaf's residual count ends the count.
 
 #include <algorithm>
 #include <set>
@@ -16,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include "api/engine.h"
+#include "common/governor.h"
 #include "common/rng.h"
 #include "core/structure.h"
 #include "gen/generators.h"
@@ -404,6 +407,62 @@ TEST(SolverLeavesTest, ColoringPastTheCapSearchesAsBefore) {
   EXPECT_EQ(counted, seen);
   EXPECT_EQ(count.nodes, each.nodes);
   EXPECT_EQ(count.leaves, 0u);
+}
+
+TEST(SolverLeavesTest, GovernorTripInALeafEndsTheCount) {
+  // Two directed triangles joined by a bridge (a cutset of 2) into the
+  // loopless complete digraph on 6: 30 leaves in under 128 nodes. The
+  // residual count's tables are the search's only memory charges, so
+  // trip_after_charges = 1 trips inside the first leaf's CountResidual.
+  // The count must end there, tripped: limit_hit, count 0, and
+  // kResourceExhausted through HomEngine::Count. Every leaf charges, so
+  // each worker enters at most one. A leaf that swallowed the trip (count
+  // 0, no stop) would leave the parallel workers, whose fixpoints watch the
+  // search's cancel flag rather than the governor, to count 0 at every
+  // later leaf; the search's own trip checks would still end the run as
+  // "unknown", so the leaf count is what tells the two apart.
+  const VocabularyPtr vocab = LeafVocabulary();
+  Structure a(vocab, 6);
+  for (Element v = 0; v < 3; ++v) {
+    a.AddTuple(kE, {v, static_cast<Element>((v + 1) % 3)});
+    a.AddTuple(kE, {static_cast<Element>(3 + v),
+                    static_cast<Element>(3 + (v + 1) % 3)});
+  }
+  a.AddTuple(kE, {2, 3});
+  Structure b(vocab, 6);
+  for (Element x = 0; x < 6; ++x) {
+    for (Element y = 0; y < 6; ++y) {
+      if (x != y) b.AddTuple(kE, {x, y});
+    }
+  }
+  auto p = HomProblem::FromStructures(a, b);
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  ASSERT_TRUE(p->Csp().cycle_cutset().has_value());
+  ASSERT_EQ(p->Csp().cycle_cutset()->size(), 2u);
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    EngineOptions options;
+    options.backend = Backend::kUniform;
+    options.solve.num_threads = threads;
+    auto plain = HomEngine(options).Run(*p, HomTask::kCount);
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    EXPECT_EQ(plain->count, ReferenceSolutions(a, b).size());
+    ASSERT_GE(plain->stats.search.leaves, 30u);
+    ASSERT_LT(plain->stats.search.nodes, 128u);
+
+    options.failpoints.trip_after_charges = 1;
+    auto tripped = HomEngine(options).Run(*p, HomTask::kCount);
+    ASSERT_TRUE(tripped.ok()) << tripped.status().ToString();
+    EXPECT_TRUE(tripped->stats.governor.tripped);
+    EXPECT_EQ(tripped->stats.governor.cause, TripCause::kFailpoint);
+    EXPECT_TRUE(tripped->stats.search.limit_hit);
+    EXPECT_EQ(tripped->count, 0u);
+    EXPECT_GE(tripped->stats.search.leaves, 1u);
+    EXPECT_LE(tripped->stats.search.leaves, threads);
+    auto count = HomEngine(options).Count(*p);
+    ASSERT_FALSE(count.ok());
+    EXPECT_EQ(count.status().code(), StatusCode::kResourceExhausted);
+  }
 }
 
 }  // namespace
