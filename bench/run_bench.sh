@@ -85,7 +85,7 @@ FILTER[paper]='BM_Classify|BM_Build|BM_Horn_Formula|BM_Horn_Direct|BM_Bijunctive
 # skip), and for serving the disabled-vs-full-cache pair at zipfian 0.99 (the
 # pair the headline speedup claim compares) plus the 4-client hit path.
 QUICK_FILTER[solver]='BM_CliqueIntoRandomGraph/3|BM_Backtracking_NodeThroughput/|BM_CliqueRefutationParallel|BM_YannakakisTask_Witness/0/64|BM_YannakakisTask_Decide|BM_YannakakisTask_Project|BM_YannakakisTask_CountThreads/2/4096|BM_TreewidthDpIndexed_SourceSweep/128|BM_ProbeBatch_Batched/1024'
-QUICK_FILTER[serving]='BM_ServingReadHeavy/0/2|BM_ServingReadHeavy/2/2|BM_ServingHitPathClients/99/real_time/threads:4|BM_ServingDurableReadsDuringUpdates'
+QUICK_FILTER[serving]='BM_ServingReadHeavy/0/2|BM_ServingReadHeavy/1/2|BM_ServingReadHeavy/2/2|BM_ServingHitPathClients/99/real_time/threads:4|BM_ServingDurableReadsDuringUpdates'
 QUICK_FILTER[paper]='BM_ClassifyStructure/4$|BM_BuildBijunctive/4$|BM_ArityDirect/4$|BM_Booleanize/4$|BM_SaraiyaContainment/2$|BM_TwoColor_Bfs/65$|BM_PebbleGame_TargetSweep/2$|BM_Non2ColProgram/9$|BM_BinaryEncode/8$|BM_TreewidthDp_WidthSweep/1$|BM_YannakakisEvaluation/32$|BM_ChainContainment/4$|BM_TwoSat_Scc/256$'
 MIN_TIME="${BENCH_MIN_TIME:-0.2}"
 if [[ "$QUICK" == 1 ]]; then

@@ -178,17 +178,6 @@ class LruCache {
     return dropped;
   }
 
-  void Clear() {
-    for (size_t i = 0; i < shard_count_; ++i) {
-      Shard& shard = shards_[i];
-      EntryList entries;  // declared before the lock: released after it
-      MutexLock lock(shard.mu);
-      shard.stats.invalidations += shard.entries.size();
-      entries.swap(shard.entries);
-      shard.index.clear();
-    }
-  }
-
   /// Entries over all shards; each shard is read under its own lock, so a
   /// concurrent Put may or may not be counted.
   size_t size() const {

@@ -93,15 +93,6 @@ void CountOutcome(std::atomic<uint64_t>& counter) {
   counter.fetch_add(1, std::memory_order_release);
 }
 
-std::string LimitsKey(const EngineOptions& engine) {
-  std::string key = "|cl=";
-  key += std::to_string(engine.count_limit);
-  key += "|mr=";
-  key += std::to_string(engine.max_results);
-  key += engine.project_count_only ? "|pc=1|" : "|pc=0|";
-  return key;
-}
-
 }  // namespace
 
 std::string ServeStats::ToJson() const {
@@ -141,58 +132,60 @@ std::string ServeStats::ToJson() const {
 
 ServingEngine::DbEntry::DbEntry(const std::string& name,
                                 uint64_t registered_version,
+                                uint64_t registration,
                                 std::shared_ptr<const Structure> db)
     : structure(std::move(db)),
       version(registered_version),
-      target_key(name + "#" + std::to_string(version)),
-      vocab_key(structure->vocabulary()->ToString()),
-      memo_prefix(std::to_string(vocab_key.size()) + "|" + vocab_key + "|") {}
+      target_key(name + "#" + std::to_string(registration) + "|") {
+  // Relation names are arbitrary bytes, so Vocabulary::ToString() can print
+  // two different vocabularies alike; every name is length-framed instead.
+  const Vocabulary& vocab = *structure->vocabulary();
+  vocab_prefix = std::to_string(vocab.size()) + "|";
+  for (RelId id = 0; id < vocab.size(); ++id) {
+    const RelationSymbol& symbol = vocab.symbol(id);
+    vocab_prefix += std::to_string(symbol.name.size()) + ":" + symbol.name +
+                    "/" + std::to_string(symbol.arity) + "|";
+  }
+}
 
 ServingEngine::ServingEngine(ServeOptions options)
     : options_(options),
       plan_cache_(options.plan_cache_entries),
       result_cache_(options.result_cache_entries),
-      canonical_memo_(options.result_cache_entries),
-      limits_key_(LimitsKey(options.engine)) {}
+      canonical_memo_(options.result_cache_entries) {}
 
 Status ServingEngine::Open(RecoveryInfo* info) {
   if (options_.durability.data_dir.empty()) return Status::OK();
   std::vector<CatalogEntry> recovered;
   auto manager = DurabilityManager::Open(options_.durability, &recovered, info);
   if (!manager.ok()) return manager.status();
-  std::vector<std::pair<std::string, std::shared_ptr<const DbEntry>>> entries;
-  entries.reserve(recovered.size());
-  for (CatalogEntry& entry : recovered) {
-    BuildIndexes(entry.db);
-    entries.emplace_back(
-        entry.name,
-        std::make_shared<const DbEntry>(
-            entry.name, entry.version,
-            std::make_shared<const Structure>(std::move(entry.db))));
-  }
+  for (CatalogEntry& entry : recovered) BuildIndexes(entry.db);
   MutexLock writer(writer_mu_);
-  MutexLock lock(registry_mu_);
   durability_ = *std::move(manager);
-  registry_.clear();
-  for (auto& [name, entry] : entries) registry_[name] = std::move(entry);
-  counters_.recovered_dbs.store(registry_.size(), std::memory_order_relaxed);
+  std::unordered_map<std::string, std::shared_ptr<const DbEntry>> registry;
+  for (CatalogEntry& entry : recovered) {
+    registry[entry.name] = std::make_shared<const DbEntry>(
+        entry.name, entry.version, ++registrations_,
+        std::make_shared<const Structure>(std::move(entry.db)));
+  }
+  counters_.recovered_dbs.store(registry.size(), std::memory_order_relaxed);
+  {
+    MutexLock lock(registry_mu_);
+    registry_.swap(registry);
+  }
   counters_.records_replayed.store(
       info != nullptr ? info->records_replayed : 0, std::memory_order_relaxed);
   return Status::OK();
 }
 
 size_t ServingEngine::InvalidateFor(const std::string& name) {
-  // Invalidation sweep: every cached result (and warm pair plan) computed
-  // against any older version of this name. The version bump already made
-  // those keys unreachable; the sweep frees them eagerly so a stale answer
-  // cannot outlive the data it was computed from even via a key bug.
-  const std::string segment = "|" + name + "#";
-  size_t dropped = result_cache_.EraseIf([&](const CacheKey& key) {
-    return key.canonical.find(segment) != std::string::npos;
-  });
-  dropped += plan_cache_.EraseIf([&](const CacheKey& key) {
-    return key.canonical.find(segment) != std::string::npos;
-  });
+  // Every registration has its own target key, so results computed against
+  // an older one are already unreachable. The sweep frees them eagerly:
+  // it is what bounds the result cache's memory under churn. Plan keys
+  // name no database, so the plan cache is never swept.
+  const std::string prefix = name + "#";
+  const size_t dropped = result_cache_.EraseIf(
+      [&](const CacheKey& key) { return key.canonical.starts_with(prefix); });
   // The data changed, so prior budget trips are stale evidence: a
   // quarantined query may be cheap against the new contents.
   MutexLock lock(quarantine_mu_);
@@ -289,8 +282,8 @@ Status ServingEngine::UpsertDatabase(const std::string& name, Structure db) {
       if (it != registry_.end()) next_version = it->second->version + 1;
     }
     CQCS_RETURN_IF_ERROR(LogUpdate(name, next_version, shared.get()));
-    entry =
-        std::make_shared<const DbEntry>(name, next_version, std::move(shared));
+    entry = std::make_shared<const DbEntry>(name, next_version,
+                                            ++registrations_, std::move(shared));
     {
       // The swap hands the replaced entry back to `entry`, so its last
       // reference (and its structure) is released outside the lock.
@@ -442,7 +435,7 @@ Result<EngineResult> ServingEngine::Serve(const ServeRequest& request) {
   const bool memoize = options_.result_cache_entries > 0;
   std::optional<CacheKey> memo_key;
   if (memoize) {
-    memo_key = CacheKey::FromCanonical(db.memo_prefix + request.query);
+    memo_key = CacheKey::FromCanonical(db.vocab_prefix + request.query);
     canonical = canonical_memo_.Get(*memo_key);
   }
   if (canonical == nullptr) {
@@ -459,12 +452,10 @@ Result<EngineResult> ServingEngine::Serve(const ServeRequest& request) {
   // ---- Result cache. -----------------------------------------------------
   const char* task_name = HomTaskName(request.task);
   std::string result_key_text;
-  result_key_text.reserve(4 + std::strlen(task_name) + limits_key_.size() +
-                          db.target_key.size() + 1 + canonical->size());
-  result_key_text += "res|";
-  result_key_text += task_name;
-  result_key_text += limits_key_;
+  result_key_text.reserve(db.target_key.size() + std::strlen(task_name) + 1 +
+                          canonical->size());
   result_key_text += db.target_key;
+  result_key_text += task_name;
   result_key_text += '|';
   result_key_text += *canonical;
   const CacheKey result_key =
@@ -480,32 +471,12 @@ Result<EngineResult> ServingEngine::Serve(const ServeRequest& request) {
     Count(counters_.result_misses);
   }
 
-  // ---- Plan cache: pair level first, then source level + rebind. ---------
-  const CacheKey pair_key =
-      CacheKey::FromCanonical("pair|" + db.target_key + "|" + *canonical);
-  const CacheKey src_key =
-      CacheKey::FromCanonical("src|" + db.vocab_key + "|" + *canonical);
-  std::shared_ptr<const HomProblem> problem;
-  bool plan_hit = false;
-  if (options_.plan_cache_entries > 0) {
-    problem = plan_cache_.Get(pair_key);
-    if (problem != nullptr) {
-      plan_hit = true;  // target-side artifacts warm too
-    } else if (std::shared_ptr<const HomProblem> src = plan_cache_.Get(src_key)) {
-      // Same query, new database (or new version): share every source-side
-      // artifact, rebuild only the target side.
-      auto rebound = src->WithTarget(db.structure);
-      if (rebound.ok()) {
-        plan_hit = true;
-        auto shared = std::make_shared<const HomProblem>(*std::move(rebound));
-        plan_cache_.Put(pair_key, shared);
-        problem = std::move(shared);
-      }
-      // A vocabulary mismatch here means the src entry belongs to another
-      // schema despite the vocab key — fall through to a cold compile.
-    }
-  }
-  if (problem == nullptr) {
+  // ---- Plan cache: the compiled source side, bound per request. ----------
+  const CacheKey plan_key =
+      CacheKey::FromCanonical(db.vocab_prefix + *canonical);
+  std::shared_ptr<const HomProblem> plan = plan_cache_.Get(plan_key);
+  const bool plan_hit = plan != nullptr;
+  if (!plan_hit) {
     if (!query.has_value()) {
       auto parsed = ParseQuery(request.query, db.structure->vocabulary());
       if (!parsed.ok()) {
@@ -514,26 +485,26 @@ Result<EngineResult> ServingEngine::Serve(const ServeRequest& request) {
       }
       query.emplace(*std::move(parsed));
     }
-    // Compile the source side against an empty database over the same
-    // vocabulary, then bind the registered structure zero-copy — the path
-    // a source-level hit takes — so no plan owns a copy of the data.
+    // Compile against an empty database over the same vocabulary: the plan
+    // is the query's side alone and names no database.
     auto compiled = HomProblem::FromQuery(
         *query, Structure(db.structure->vocabulary(), 0));
-    Result<HomProblem> bound =
-        compiled.ok() ? compiled->WithTarget(db.structure) : compiled.status();
-    if (!bound.ok()) {
+    if (!compiled.ok()) {
       CountOutcome(counters_.errors);
-      return bound.status();
+      return compiled.status();
     }
-    auto shared = std::make_shared<const HomProblem>(*std::move(bound));
-    if (options_.plan_cache_entries > 0) {
-      plan_cache_.Put(src_key, std::make_shared<const HomProblem>(
-                                   *std::move(compiled)));
-      plan_cache_.Put(pair_key, shared);
-    }
-    problem = std::move(shared);
+    plan = std::make_shared<const HomProblem>(*std::move(compiled));
+    plan_cache_.Put(plan_key, plan);
   }
   Count(plan_hit ? counters_.plan_hits : counters_.plan_misses);
+  // Bind the registered structure zero-copy, for this request only: every
+  // source-side artifact is shared, only target tables build.
+  auto bound = plan->WithTarget(db.structure);
+  if (!bound.ok()) {
+    CountOutcome(counters_.errors);
+    return bound.status();
+  }
+  const HomProblem& problem = *bound;
 
   // ---- In-flight bytes admission. ----------------------------------------
   // The same size-bound estimate the engine's pre-flight admission uses
@@ -542,7 +513,7 @@ Result<EngineResult> ServingEngine::Serve(const ServeRequest& request) {
   // footprint, and already validated against the governor's accounting.
   if (options_.max_inflight_bytes > 0) {
     const size_t estimate =
-        EstimateAcyclicBytes(problem->source(), *db.structure);
+        EstimateAcyclicBytes(problem.source(), *db.structure);
     size_t current = in_flight_bytes_.load(std::memory_order_relaxed);
     for (;;) {
       if (SatAdd(current, estimate, SIZE_MAX) > options_.max_inflight_bytes) {
@@ -563,7 +534,7 @@ Result<EngineResult> ServingEngine::Serve(const ServeRequest& request) {
 
   // ---- Execute on the shared engine configuration. -----------------------
   HomEngine engine(options_.engine);
-  auto result = engine.Run(*problem, request.task);
+  auto result = engine.Run(problem, request.task);
   if (!result.ok()) {
     CountOutcome(counters_.errors);
     return result.status();

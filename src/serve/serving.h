@@ -6,26 +6,25 @@
 // databases that change rarely. The serving layer adds exactly the three
 // pieces that monetize that shape:
 //
-//   Plan cache    bounded LRU keyed by the canonical query text (full
-//                 content, collision-safe — serve/cache.h). Two levels
-//                 share one cache: a source-plan entry per canonical query
-//                 (the compiled HomProblem source side: canonical query,
-//                 GYO join forest, decomposition) and a pair-plan entry per
-//                 (query, database version) whose target-side artifacts
-//                 (CSP network, profile) are warm too. A query seen against
-//                 a NEW database version rebinds the source plan with
-//                 WithTarget — only tables rebuild.
-//   Result cache  bounded LRU keyed by (task, limits, source key = the
-//                 canonical query text, target key = database name #
-//                 registration version). Explicitly invalidated when the
-//                 database is re-registered: UpsertDatabase bumps the
-//                 version (making stale keys unreachable) AND sweeps the
-//                 old entries out. Unknown results (governor trips, node
-//                 limits) are never cached. A bounded memo from (schema,
-//                 raw query text) to the canonical text lets a repeated
-//                 text reach its result entry without a parse, so a hit
-//                 costs a registry lookup, two cache probes, and the
-//                 answer copy (docs/serving.md, "Hit path").
+//   Plan cache    bounded LRU of compiled source sides, keyed by
+//                 (vocabulary, canonical query text) — full content,
+//                 collision-safe (serve/cache.h). An entry is the
+//                 HomProblem compiled from the query alone: canonical
+//                 query, GYO join forest, decomposition. No plan names a
+//                 database: every miss, cold or warm, binds the registered
+//                 structure for that request only with the zero-copy
+//                 WithTarget, so only target tables build.
+//   Result cache  bounded LRU keyed by (target key = database name #
+//                 registration number, task, canonical query text). Every
+//                 registration gets a number unique in this engine, so a
+//                 replaced or dropped database's results are unreachable;
+//                 each update also sweeps them out, which bounds the
+//                 cache's memory under churn. Unknown results (governor
+//                 trips, node limits) are never cached. A bounded memo
+//                 from (schema, raw query text) to the canonical text lets
+//                 a repeated text reach its result entry without a parse,
+//                 so a hit costs a registry lookup, two cache probes, and
+//                 the answer copy (docs/serving.md, "Hit path").
 //   Admission     queue-level load shedding on top of the per-request
 //                 ResourceGovernor budgets: a global in-flight request
 //                 bound (queue depth) and an in-flight bytes bound fed by
@@ -120,7 +119,7 @@ struct ServeStats {
   uint64_t shed_queue = 0;     ///< shed: queue depth bound
   uint64_t shed_bytes = 0;     ///< shed: in-flight bytes bound
   uint64_t updates = 0;        ///< UpsertDatabase calls
-  uint64_t invalidated_entries = 0;  ///< cache entries swept by updates
+  uint64_t invalidated_entries = 0;  ///< result entries swept by updates
   uint64_t update_refusals = 0;  ///< updates refused (degraded / WAL failure)
   uint64_t quarantined = 0;    ///< requests refused by the poison quarantine
   bool degraded = false;       ///< WAL cannot accept writes; updates refuse
@@ -170,7 +169,7 @@ class ServingEngine {
 
   /// Registers `db` under `name`, replacing any previous registration.
   /// Replacement bumps the name's version and invalidates every cached
-  /// result (and pair plan) that was computed against the old content.
+  /// result that was computed against the old content.
   /// InvalidArgument if the database fails Validate(), or if the name
   /// breaks the durable-name rule (core/io IsCatalogName: no bytes <= 0x20,
   /// no DEL) or contains the cache-key separators '|' / '#' — a name the
@@ -212,13 +211,17 @@ class ServingEngine {
   /// request needs are computed here once, not per request.
   struct DbEntry {
     DbEntry(const std::string& name, uint64_t registered_version,
-            std::shared_ptr<const Structure> db);
+            uint64_t registration, std::shared_ptr<const Structure> db);
 
     std::shared_ptr<const Structure> structure;
-    uint64_t version = 0;
-    std::string target_key;   ///< "name#version"
-    std::string vocab_key;    ///< the vocabulary's ToString()
-    std::string memo_prefix;  ///< vocab_key, length-framed, for memo keys
+    uint64_t version = 0;     ///< the WAL and catalog version
+    /// "name#registration|", the result-key prefix. Not the version: that
+    /// restarts at 1 after a drop, and a result computed against the
+    /// dropped incarnation must never be reachable from the new one.
+    std::string target_key;
+    /// The vocabulary, every symbol length-framed: equal prefixes mean
+    /// equal vocabularies. The prefix of memo and plan keys.
+    std::string vocab_prefix;
   };
 
   /// The live counters behind ServeStats, lock-free. Each counter is exact.
@@ -260,8 +263,9 @@ class ServingEngine {
       const std::string& name) const;
   void FillServeSnapshot(EngineResult* result, bool plan_hit,
                          bool result_hit) const;
-  /// Sweeps both caches of entries computed against `name` and clears the
-  /// quarantine (the data changed; prior budget trips are stale evidence).
+  /// Sweeps the result cache of entries computed against `name` and clears
+  /// the quarantine (the data changed; prior budget trips are stale
+  /// evidence).
   size_t InvalidateFor(const std::string& name);
   /// Builds the sorted catalog handle from registry_.
   std::vector<CatalogRef> CatalogRefsLocked() const
@@ -301,6 +305,8 @@ class ServingEngine {
   mutable Mutex registry_mu_;
   std::unordered_map<std::string, std::shared_ptr<const DbEntry>> registry_
       CQCS_GUARDED_BY(registry_mu_);
+  /// Registrations made so far; numbers every DbEntry's target key.
+  uint64_t registrations_ CQCS_GUARDED_BY(writer_mu_) = 0;
   /// Written once by Open() before serving starts, then only read; the
   /// manager carries its own internal lock. Not guarded: FinishSnapshot()
   /// must reach it with no engine lock held. Append/apply ordering is
@@ -320,15 +326,12 @@ class ServingEngine {
   /// request skips the quarantine lock altogether.
   std::atomic<size_t> strike_entries_{0};
 
-  /// Both plan levels live in one LRU; keys are prefixed "src|" / "pair|".
+  /// Source plans only: each entry's target is an empty structure.
   LruCache<HomProblem> plan_cache_;
   LruCache<EngineResult> result_cache_;
-  /// (memo_prefix + raw query text) -> canonical query text, sized like the
+  /// (vocab_prefix + raw query text) -> canonical query text, sized like the
   /// result cache. Only parsable texts are entered.
   LruCache<std::string> canonical_memo_;
-  /// "|cl=<count_limit>|mr=<max_results>|pc=<0|1>|": the result-key segment
-  /// fixed by options_.
-  const std::string limits_key_;
 
   std::atomic<size_t> in_flight_{0};
   std::atomic<size_t> in_flight_bytes_{0};

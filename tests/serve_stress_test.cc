@@ -25,6 +25,9 @@
 //     mid-race. The log is read back record by record: versions are
 //     distinct and in append order, the registry matches the last
 //     acknowledged record, and a reopen reproduces it byte for byte.
+//   - A drop and a re-registration of one name while a slow count on it
+//     is in flight: the count's result, put after both, must never answer
+//     the new incarnation (its WAL version restarts at 1).
 //   - Cold queries from several threads against a freshly registered
 //     database that was never indexed: every request rebinds a cached
 //     source plan onto the same shared structure (WithTarget shares it,
@@ -674,6 +677,52 @@ TEST(ServeStressTest, RefusedAppendAmidRacingWritersLeavesTheRegistryAlone) {
   ExpectReopenMatches(serving, dir.path());
 }
 
+TEST(ServeStressTest, ResultOfADroppedIncarnationNeverAnswersTheNext) {
+  // A request resolves "g", then "g" is dropped and registered again with
+  // other content, and only then does the request put its result. The
+  // re-registration's sweep ran before that put, so the entry survives;
+  // its key must not be one the new incarnation's requests build.
+  auto vocab = MakeGraphVocabulary();
+  serve::ServeOptions options;
+  options.engine.backend = Backend::kUniform;  // a slow count
+  serve::ServingEngine serving(options);
+  Rng rng(0xd20b);
+  const Structure first =
+      RandomGraphStructure(vocab, 72, 0.5, rng, /*symmetric=*/true);
+  const Structure second =
+      RandomGraphStructure(vocab, 12, 0.5, rng, /*symmetric=*/true);
+  const std::string query =
+      "Q() :- E(A, B), E(B, C), E(C, D), E(D, A), E(A, C), E(B, D), "
+      "E(D, F), E(F, A).";
+  const size_t first_count = OracleCount(query, first);
+  const size_t second_count = OracleCount(query, second);
+  ASSERT_NE(first_count, second_count);
+  ASSERT_TRUE(serving.UpsertDatabase("g", first).ok());
+  const serve::ServeRequest request{query, "g", HomTask::kCount};
+  auto slow = std::async(std::launch::async,
+                         [&] { return serving.Serve(request); });
+  // A plan is counted after the request has resolved "g"; the count runs
+  // after that.
+  while (serving.stats().plan_misses == 0 &&
+         slow.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(serving.DropDatabase("g").ok());
+  ASSERT_TRUE(serving.UpsertDatabase("g", second).ok());
+  auto old = slow.get();
+  ASSERT_TRUE(old.ok()) << old.status().ToString();
+  EXPECT_EQ(old->count, first_count);
+  // The slow result is in the cache: the count outlasted the sweep.
+  ASSERT_EQ(serving.stats().result_cache_entries, 1u)
+      << "the count finished before the re-registration";
+  EXPECT_EQ(serving.ListDatabases(),
+            (std::vector<std::pair<std::string, uint64_t>>{{"g", 1}}));
+  auto fresh = serving.Serve(request);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_FALSE(fresh->stats.serve.result_cache_hit);
+  EXPECT_EQ(fresh->count, second_count);
+}
+
 TEST(ServeStressTest, ColdQueriesOnAFreshDatabaseShareItsIndexesSafely) {
   auto vocab = MakeGraphVocabulary();
   // Cyclic queries, all distinct. kUniform builds a CSP network (the
@@ -716,8 +765,8 @@ TEST(ServeStressTest, ColdQueriesOnAFreshDatabaseShareItsIndexesSafely) {
       }
     }
     serve::ServingEngine serving(options);
-    // Warm the source plans on another database: a cold compile copies its
-    // target, while the rebind below shares the registered structure.
+    // Warm the source plans on another database, so every request below
+    // binds a cached plan onto the fresh structure.
     Rng warm_rng(0x3a7);
     ASSERT_TRUE(serving
                     .UpsertDatabase("warm", RandomGraphStructure(
@@ -752,8 +801,8 @@ TEST(ServeStressTest, ColdQueriesOnAFreshDatabaseShareItsIndexesSafely) {
     EXPECT_EQ(failures.load(), 0) << "backend " << BackendName(backend);
     const serve::ServeStats stats = serving.stats();
     EXPECT_EQ(stats.errors, 0u);
-    // Every fresh-database request took a plan hit: a rebind or, for a
-    // query another thread rebound first, the shared pair plan.
+    // Every fresh-database request took a plan hit: the source plan warmed
+    // on "warm", bound to "fresh" for that request alone.
     EXPECT_EQ(stats.plan_misses, queries.size());
   }
 }

@@ -184,9 +184,9 @@ TEST(LruCacheTest, ShardedCacheKeepsAnEntryHitOftenEnoughResident) {
   EXPECT_LE(cache.size(), kShardedCapacity);
 }
 
-TEST(LruCacheTest, EraseIfAndClearSweepEveryShard) {
+TEST(LruCacheTest, EraseIfSweepsEveryShard) {
   // 1000 keys under a 4096-entry capacity (256 per shard): nothing is
-  // evicted, so the sweeps must find every key wherever its shard is.
+  // evicted, so the sweep must find every key wherever its shard is.
   LruCache<int> cache(4096);
   const int kKeys = 1000;
   for (int i = 0; i < kKeys; ++i) {
@@ -205,13 +205,7 @@ TEST(LruCacheTest, EraseIfAndClearSweepEveryShard) {
         nullptr;
     EXPECT_EQ(present, i % 2 == 1) << i;
   }
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  for (int i = 1; i < kKeys; i += 2) {
-    EXPECT_EQ(cache.Get(CacheKey::FromCanonical("key-" + std::to_string(i))),
-              nullptr);
-  }
-  EXPECT_EQ(cache.stats().invalidations, static_cast<uint64_t>(kKeys));
+  EXPECT_EQ(cache.stats().invalidations, static_cast<uint64_t>(kKeys / 2));
 }
 
 // ---- Workload generator. --------------------------------------------------
@@ -389,9 +383,9 @@ TEST(ServingEngineTest, RebindAfterUpdateSharesPlanAndAnswersFresh) {
 }
 
 TEST(ServingEngineTest, ColdCompiledPlanSharesTheRegisteredStructure) {
-  // A cold compile binds the registered structure zero-copy, as a
-  // source-level hit does: the pair plan holds a reference to the
-  // registration rather than a private copy of the data.
+  // A cold compile binds the registered structure zero-copy, as a plan
+  // hit does, and for this request only: the plan cache keeps the source
+  // plan alone, so once the request returns no plan holds the registration.
   auto vocab = MakeGraphVocabulary();
   serve::ServingEngine serving;
   const Structure db = MakeTestDb(vocab, 0, 0);
@@ -407,9 +401,40 @@ TEST(ServingEngineTest, ColdCompiledPlanSharesTheRegisteredStructure) {
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_FALSE(cold->stats.serve.plan_cache_hit);
   EXPECT_EQ(serving.stats().plan_misses, 1u);
-  EXPECT_EQ(registered->use_count(), before + 1);
+  EXPECT_EQ(serving.stats().plan_cache_entries, 1u);
+  EXPECT_EQ(registered->use_count(), before);
   EXPECT_EQ(cold->count,
             Oracle(request.query, db, HomTask::kCount, EngineOptions{}).count);
+}
+
+TEST(ServingEngineTest, VocabulariesThatPrintAlikeKeepTheirPlansApart) {
+  // {E/2, "F/2, G"/2} and {E/2, F/2, G/2} print the same ToString() but
+  // are different vocabularies. A query over E parses against both, and a
+  // plan compiled against one cannot be bound to the other's database.
+  auto odd = std::make_shared<Vocabulary>();
+  odd->AddRelation("E", 2);
+  odd->AddRelation("F/2, G", 2);
+  auto plain = std::make_shared<Vocabulary>();
+  for (const char* name : {"E", "F", "G"}) plain->AddRelation(name, 2);
+  ASSERT_EQ(odd->ToString(), plain->ToString());
+  ASSERT_FALSE(odd->Equals(*plain));
+  Structure a(odd, 3);
+  a.AddTuple(0, {0, 1});
+  a.AddTuple(0, {1, 2});
+  Structure b(plain, 2);
+  b.AddTuple(0, {0, 1});
+  serve::ServingEngine serving;
+  ASSERT_TRUE(serving.UpsertDatabase("a", a).ok());
+  ASSERT_TRUE(serving.UpsertDatabase("b", b).ok());
+  const std::string query = "Q(X, Y) :- E(X, Y).";
+  for (const auto& [name, db] :
+       {std::pair<const char*, const Structure*>{"a", &a}, {"b", &b}}) {
+    auto served = serving.Serve({query, name, HomTask::kCount});
+    ASSERT_TRUE(served.ok()) << name << ": " << served.status().ToString();
+    EXPECT_EQ(served->count,
+              Oracle(query, *db, HomTask::kCount, EngineOptions{}).count)
+        << name;
+  }
 }
 
 TEST(ServingEngineTest, UpdateHeavyMixServesZeroStaleAnswers) {
