@@ -31,6 +31,10 @@
 // answers from the other databases. Its p50/p90/p99_us are the readers'
 // latencies, so they show whether a read waits behind an update's log
 // append.
+//
+// BM_WalEncodeUpsert is the log append's CPU cost on its own: it encodes
+// and frames one G(512, deg 6) upsert record (structure text plus CRC32C)
+// and writes nothing.
 
 #include <benchmark/benchmark.h>
 #include <unistd.h>
@@ -47,6 +51,7 @@
 
 #include "cq/query.h"
 #include "gen/generators.h"
+#include "serve/durability.h"
 #include "serve/serving.h"
 #include "serve/workload.h"
 
@@ -343,11 +348,39 @@ BENCHMARK(BM_ServingHitPathClients)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
-// ---- Readers while a writer updates through the WAL. -----------------------
-
 constexpr size_t kChurnUniverse = 512;
 constexpr double kChurnDegree = 6.0;
 constexpr uint32_t kReadDbs = 3;
+
+/// The G(512, deg 6) random graphs the durable arms upsert.
+Structure MakeChurnDb(const VocabularyPtr& vocab, Rng& rng) {
+  return RandomGraphStructure(vocab, kChurnUniverse,
+                              kChurnDegree / (kChurnUniverse - 1), rng,
+                              /*symmetric=*/true);
+}
+
+// ---- One WAL record, encoded and framed. -----------------------------------
+
+/// The CPU half of a durable update's log append: the structure text, the
+/// record line and the CRC32C of one G(512, deg 6) upsert, with no file
+/// write. bytes_per_record is the frame's size.
+void BM_WalEncodeUpsert(benchmark::State& state) {
+  auto vocab = MakeGraphVocabulary();
+  Rng rng(0xd0ab1e);
+  const Structure db = MakeChurnDb(vocab, rng);
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string frame = serve::EncodeUpsertRecord("db0", 1, db);
+    bytes = frame.size();
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["bytes_per_record"] = static_cast<double>(bytes);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+}
+BENCHMARK(BM_WalEncodeUpsert)->Unit(benchmark::kMicrosecond);
+
+// ---- Readers while a writer updates through the WAL. -----------------------
 
 /// A durable engine (fsync never) whose kReadDbs read databases have every
 /// query's answer cached, plus a writer thread that upserts a fourth
@@ -389,12 +422,8 @@ std::unique_ptr<DurableReadsFixture> MakeDurableReadsFixture() {
   if (!fixture->engine->Open().ok()) return nullptr;
 
   auto vocab = MakeGraphVocabulary();
-  const double p = kChurnDegree / (kChurnUniverse - 1);
   Rng rng(0xd0ab1e);
-  auto make_db = [&] {
-    return RandomGraphStructure(vocab, kChurnUniverse, p, rng,
-                                /*symmetric=*/true);
-  };
+  auto make_db = [&] { return MakeChurnDb(vocab, rng); };
   const std::vector<std::string> queries = MakeQueryPool(vocab, kQueryPool);
   for (uint32_t d = 0; d < kReadDbs; ++d) {
     if (!fixture->engine->UpsertDatabase(DbName(d), make_db()).ok()) {

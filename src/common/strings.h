@@ -3,6 +3,8 @@
 #ifndef CQCS_COMMON_STRINGS_H_
 #define CQCS_COMMON_STRINGS_H_
 
+#include <charconv>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,6 +26,15 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// Parses a non-negative decimal integer; returns false on any deviation
 /// (empty input, overflow, trailing garbage).
 bool ParseUint64(std::string_view s, uint64_t* out);
+
+/// Appends `v` in decimal, the digits std::to_string would give, with no
+/// temporary string.
+inline void AppendUint64(uint64_t v, std::string* out) {
+  char digits[20];  // UINT64_MAX has 20 digits
+  const std::to_chars_result r =
+      std::to_chars(digits, digits + sizeof(digits), v);
+  out->append(digits, r.ptr);
+}
 
 /// True if `s` is a valid identifier: [A-Za-z_][A-Za-z0-9_']*.
 bool IsIdentifier(std::string_view s);

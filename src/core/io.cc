@@ -1,6 +1,7 @@
 #include "core/io.h"
 
-#include <sstream>
+#include <charconv>
+#include <limits>
 
 #include "common/strings.h"
 
@@ -161,13 +162,22 @@ bool IsCatalogName(std::string_view name) {
 }
 
 std::string PrintCatalog(const std::vector<CatalogEntry>& entries) {
-  std::ostringstream out;
-  out << "cqcs-catalog 1\n";
+  std::string out = "cqcs-catalog 1\n";
+  size_t bytes = out.size();
   for (const CatalogEntry& entry : entries) {
-    out << "db " << entry.name << " " << entry.version << "\n"
-        << PrintStructure(entry.db) << "end\n";
+    bytes += entry.name.size() + 32 + StructureTextHint(entry.db);
   }
-  return out.str();
+  out.reserve(bytes);
+  for (const CatalogEntry& entry : entries) {
+    out += "db ";
+    out += entry.name;
+    out += ' ';
+    AppendUint64(entry.version, &out);
+    out += '\n';
+    AppendStructure(entry.db, &out);
+    out += "end\n";
+  }
+  return out;
 }
 
 Result<std::vector<CatalogEntry>> ParseCatalog(std::string_view text) {
@@ -236,24 +246,66 @@ Result<std::vector<CatalogEntry>> ParseCatalog(std::string_view text) {
   return entries;
 }
 
-std::string PrintStructure(const Structure& s) {
-  std::ostringstream out;
-  out << "universe " << s.universe_size() << "\n";
+size_t StructureTextHint(const Structure& s) {
+  // Each element takes its digits plus one separator; an element below the
+  // universe size has at most as many digits as the size itself. A
+  // structure with an out-of-range element only makes the string grow.
+  size_t digits = 1;
+  for (size_t n = s.universe_size(); n >= 10; n /= 10) ++digits;
+  size_t bytes = 32;
   const Vocabulary& vocab = *s.vocabulary();
   for (RelId id = 0; id < vocab.size(); ++id) {
     const Relation& r = s.relation(id);
-    out << vocab.name(id) << "/" << r.arity() << ":";
-    for (uint32_t t = 0; t < r.tuple_count(); ++t) {
-      out << (t == 0 ? " " : ", ");
-      std::span<const Element> tup = r.tuple(t);
-      for (uint32_t p = 0; p < r.arity(); ++p) {
-        if (p > 0) out << " ";
-        out << tup[p];
-      }
-    }
-    out << "\n";
+    bytes += vocab.name(id).size() + 16 + r.tuple_count() +
+             r.data().size() * (digits + 1);
   }
-  return out.str();
+  return bytes;
+}
+
+void AppendStructure(const Structure& s, std::string* out) {
+  *out += "universe ";
+  AppendUint64(s.universe_size(), out);
+  *out += '\n';
+  const Vocabulary& vocab = *s.vocabulary();
+  for (RelId id = 0; id < vocab.size(); ++id) {
+    const Relation& r = s.relation(id);
+    *out += vocab.name(id);
+    *out += '/';
+    AppendUint64(r.arity(), out);
+    *out += ':';
+    // The tuples lie end to end in r.data(): a tuple's first element is
+    // preceded by " " (first tuple) or ", ", every other element by " ".
+    // Elements are formatted into a stack block that is appended whole, so
+    // the string checks its capacity once per block, not once per byte.
+    char block[1024];
+    // ", " and the digits of the widest element.
+    constexpr size_t kMaxPiece =
+        2 + std::numeric_limits<Element>::digits10 + 1;
+    size_t used = 0;
+    const std::vector<Element>& data = r.data();
+    for (size_t i = 0, pos = 0; i < data.size(); ++i) {
+      // >=, not >: one byte stays free after the last piece for the '\n'.
+      if (used + kMaxPiece >= sizeof(block)) {
+        out->append(block, used);
+        used = 0;
+      }
+      if (pos == 0 && i > 0) block[used++] = ',';
+      block[used++] = ' ';
+      used = static_cast<size_t>(
+          std::to_chars(block + used, block + sizeof(block), data[i]).ptr -
+          block);
+      if (++pos == r.arity()) pos = 0;
+    }
+    block[used++] = '\n';
+    out->append(block, used);
+  }
+}
+
+std::string PrintStructure(const Structure& s) {
+  std::string out;
+  out.reserve(StructureTextHint(s));
+  AppendStructure(s, &out);
+  return out;
 }
 
 }  // namespace cqcs

@@ -49,6 +49,14 @@ Result<Structure> ParseStructure(std::string_view text, VocabularyPtr vocab);
 /// Prints a structure in the format ParseStructure accepts.
 std::string PrintStructure(const Structure& s);
 
+/// Appends PrintStructure(s) to `*out`, so a writer can encode a structure
+/// straight into a larger buffer (a WAL frame, a snapshot).
+void AppendStructure(const Structure& s, std::string* out);
+
+/// A bound on PrintStructure(s).size() for reserve(): it holds whenever
+/// every element lies below the universe size, as Validate() requires.
+size_t StructureTextHint(const Structure& s);
+
 /// One named, versioned database in a serialized catalog.
 struct CatalogEntry {
   std::string name;

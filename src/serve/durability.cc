@@ -17,11 +17,11 @@ constexpr uint64_t kMaxRecordBytes = 1ull << 30;
 
 constexpr size_t kHeaderBytes = 8;  // u32 length + u32 crc32c, both LE
 
-void PutLe32(uint32_t v, std::string* out) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-  out->push_back(static_cast<char>((v >> 16) & 0xFF));
-  out->push_back(static_cast<char>((v >> 24) & 0xFF));
+/// Writes `v` little-endian over the four bytes at `out`.
+void PutLe32(uint32_t v, char* out) {
+  for (int i = 0; i < 4; ++i) {
+    out[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
 }
 
 uint32_t GetLe32(const char* p) {
@@ -31,13 +31,25 @@ uint32_t GetLe32(const char* p) {
          (static_cast<uint32_t>(u[3]) << 24);
 }
 
-std::string FrameRecord(const std::string& payload) {
+// A frame is built in one buffer: NewFrame reserves the header's 8 bytes,
+// the caller appends the payload behind them, and SealFrame patches in the
+// payload's length and CRC32C. No payload is built apart and copied in.
+
+/// An empty record frame: the header's 8 bytes, zero until SealFrame
+/// fills them in, with room reserved for `payload_bytes` more.
+std::string NewFrame(size_t payload_bytes) {
   std::string frame;
-  frame.reserve(kHeaderBytes + payload.size());
-  PutLe32(static_cast<uint32_t>(payload.size()), &frame);
-  PutLe32(Crc32c(payload), &frame);
-  frame += payload;
+  frame.reserve(kHeaderBytes + payload_bytes);
+  frame.append(kHeaderBytes, '\0');
   return frame;
+}
+
+/// Fills in the header of a frame whose payload is complete.
+void SealFrame(std::string* frame) {
+  const std::string_view payload =
+      std::string_view(*frame).substr(kHeaderBytes);
+  PutLe32(static_cast<uint32_t>(payload.size()), frame->data());
+  PutLe32(Crc32c(payload), frame->data() + 4);
 }
 
 /// The catalog-name constraint, for names arriving from a possibly-corrupt
@@ -150,6 +162,19 @@ std::optional<FsyncPolicy> ParseFsyncPolicyName(std::string_view name) {
   if (name == "interval") return FsyncPolicy::kInterval;
   if (name == "never") return FsyncPolicy::kNever;
   return std::nullopt;
+}
+
+std::string EncodeUpsertRecord(std::string_view name, uint64_t version,
+                               const Structure& db) {
+  std::string frame = NewFrame(name.size() + 24 + StructureTextHint(db));
+  frame += "U ";
+  frame += name;
+  frame += ' ';
+  AppendUint64(version, &frame);
+  frame += '\n';
+  AppendStructure(db, &frame);
+  SealFrame(&frame);
+  return frame;
 }
 
 DurabilityManager::DurabilityManager(DurabilityOptions options,
@@ -351,9 +376,7 @@ Status DurabilityManager::AppendUpsert(const std::string& name,
         "\" contains whitespace or control bytes; recovery would reject "
         "its record, so it must not be acknowledged");
   }
-  std::string payload = "U " + name + " " + std::to_string(version) + "\n" +
-                        PrintStructure(db);
-  return AppendRecord(payload);
+  return AppendRecord(EncodeUpsertRecord(name, version, db));
 }
 
 Status DurabilityManager::AppendDrop(const std::string& name) {
@@ -363,10 +386,15 @@ Status DurabilityManager::AppendDrop(const std::string& name) {
         "\" contains whitespace or control bytes; recovery would reject "
         "its record, so it must not be acknowledged");
   }
-  return AppendRecord("D " + name + "\n");
+  std::string frame = NewFrame(name.size() + 3);
+  frame += "D ";
+  frame += name;
+  frame += '\n';
+  SealFrame(&frame);
+  return AppendRecord(frame);
 }
 
-Status DurabilityManager::AppendRecord(const std::string& payload) {
+Status DurabilityManager::AppendRecord(const std::string& frame) {
   MutexLock lock(mu_);
   if (poisoned_ || wal_ == nullptr) {
     ++counters_.wal_append_failures;
@@ -377,18 +405,20 @@ Status DurabilityManager::AppendRecord(const std::string& payload) {
   // Recovery treats a length word past the ceiling as framing corruption
   // and truncates the record AND everything after it — so an oversized
   // payload must be refused here, before any byte is written, never
-  // acknowledged. (The ceiling also keeps the u32 length word exact.)
+  // acknowledged. (The ceiling also keeps the u32 length word exact: a
+  // payload too long for it was sealed with a wrapped length, and is
+  // refused here.)
   const uint64_t limit =
       options_.max_record_bytes == 0
           ? kMaxRecordBytes
           : std::min<uint64_t>(options_.max_record_bytes, kMaxRecordBytes);
-  if (payload.size() > limit) {
+  const size_t payload_bytes = frame.size() - kHeaderBytes;
+  if (payload_bytes > limit) {
     return Status::InvalidArgument(
-        "record payload of " + std::to_string(payload.size()) +
+        "record payload of " + std::to_string(payload_bytes) +
         " bytes exceeds the write-ahead log record limit of " +
         std::to_string(limit) + " bytes; the update is refused");
   }
-  const std::string frame = FrameRecord(payload);
   Status written = wal_->Append(frame);
   if (!written.ok()) {
     ++counters_.wal_append_failures;

@@ -113,6 +113,12 @@ enum class FsyncPolicy {
 const char* FsyncPolicyName(FsyncPolicy policy);
 std::optional<FsyncPolicy> ParseFsyncPolicyName(std::string_view name);
 
+/// The framed WAL record of an upsert, header included: exactly the bytes
+/// DurabilityManager::AppendUpsert appends for it. The name is not
+/// checked here; AppendUpsert checks it before encoding.
+std::string EncodeUpsertRecord(std::string_view name, uint64_t version,
+                               const Structure& db);
+
 struct DurabilityOptions {
   /// Directory for the WAL and snapshots; created if absent. Empty means
   /// durability is disabled (the ServingEngine then never constructs a
@@ -219,7 +225,8 @@ class DurabilityManager {
 
   std::string WalPath(uint64_t gen) const;
   std::string SnapshotPath(uint64_t gen) const;
-  Status AppendRecord(const std::string& payload) CQCS_REQUIRES(mu_);
+  /// Appends one sealed frame (header, then payload).
+  Status AppendRecord(const std::string& frame) CQCS_EXCLUDES(mu_);
   /// Post-failure repair: cut the log back to the last known-good offset
   /// and reopen it. Sets poisoned_ when the log cannot be made clean.
   void RewindLog() CQCS_REQUIRES(mu_);

@@ -16,6 +16,8 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -104,6 +106,56 @@ TEST(Crc32c, SeedChainsIncrementally) {
   EXPECT_EQ(whole, chained);
 }
 
+/// The textbook one-byte-at-a-time CRC32C, with no table: the reference
+/// the word-at-a-time implementation must agree with on every length and
+/// alignment.
+uint32_t BitwiseCrc32c(const unsigned char* p, size_t n, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+/// 100 bytes from a fixed LCG, so every byte value shows up in the sweep.
+std::vector<unsigned char> SeededBytes() {
+  std::vector<unsigned char> bytes(100);
+  uint32_t state = 12345;
+  for (unsigned char& b : bytes) {
+    state = state * 1103515245u + 12345u;
+    b = static_cast<unsigned char>(state >> 16);
+  }
+  return bytes;
+}
+
+TEST(Crc32c, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  const std::vector<unsigned char> bytes = SeededBytes();
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 80; ++len) {
+      const unsigned char* p = bytes.data() + offset;
+      EXPECT_EQ(Crc32c(p, len), BitwiseCrc32c(p, len, 0))
+          << "offset " << offset << " length " << len;
+      EXPECT_EQ(Crc32c(p, len, 0xDEADBEEFu),
+                BitwiseCrc32c(p, len, 0xDEADBEEFu))
+          << "seeded, offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32c, SeedChainsAtEverySplitPoint) {
+  const std::vector<unsigned char> bytes = SeededBytes();
+  const uint32_t whole = Crc32c(bytes.data(), bytes.size());
+  EXPECT_EQ(whole, BitwiseCrc32c(bytes.data(), bytes.size(), 0));
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    const uint32_t first = Crc32c(bytes.data(), split);
+    EXPECT_EQ(Crc32c(bytes.data() + split, bytes.size() - split, first), whole)
+        << "split " << split;
+  }
+}
+
 TEST(Crc32c, DetectsSingleBitFlips) {
   std::string data = "framing test payload";
   const uint32_t good = Crc32c(data.data(), data.size());
@@ -136,6 +188,180 @@ TEST(Catalog, EmptyCatalogRoundTrips) {
   auto parsed = ParseCatalog(PrintCatalog({}));
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed->empty());
+}
+
+// --------------------------------------------------------- golden bytes ---
+//
+// Logs and snapshots written by earlier builds must keep recovering, and
+// files written now must read the same under an earlier build: the encoder
+// may get faster but must not change a byte. These literals were captured
+// from the ostringstream encoder the formats were first written with.
+
+/// P/1 with a 6-digit element, Z/2 declared but empty, T/3.
+Structure GoldenDb() {
+  auto vocab = std::make_shared<Vocabulary>();
+  const RelId p = vocab->AddRelation("P", 1);
+  vocab->AddRelation("Z", 2);
+  const RelId t = vocab->AddRelation("T", 3);
+  Structure db(vocab, 123457);
+  const Element p0[] = {0};
+  const Element p1[] = {123456};
+  const Element t0[] = {1, 2, 3};
+  const Element t1[] = {123456, 0, 99999};
+  db.AddTuple(p, p0);
+  db.AddTuple(p, p1);
+  db.AddTuple(t, t0);
+  db.AddTuple(t, t1);
+  return db;
+}
+
+/// Two entries: GoldenDb at version UINT64_MAX, and a structure with an
+/// empty universe and no relation at all. (A relation of arity 0 cannot
+/// be built: Vocabulary::TryAddRelation refuses it.)
+std::vector<CatalogEntry> GoldenCatalog() {
+  std::vector<CatalogEntry> entries;
+  entries.push_back(CatalogEntry{"alpha", UINT64_MAX, GoldenDb()});
+  entries.push_back(
+      CatalogEntry{"void", 0, Structure(std::make_shared<Vocabulary>(), 0)});
+  return entries;
+}
+
+constexpr const char* kGoldenStructure =
+    "universe 123457\n"
+    "P/1: 0, 123456\n"
+    "Z/2:\n"
+    "T/3: 1 2 3, 123456 0 99999\n";
+
+constexpr const char* kGoldenCatalog =
+    "cqcs-catalog 1\n"
+    "db alpha 18446744073709551615\n"
+    "universe 123457\n"
+    "P/1: 0, 123456\n"
+    "Z/2:\n"
+    "T/3: 1 2 3, 123456 0 99999\n"
+    "end\n"
+    "db void 0\n"
+    "universe 0\n"
+    "end\n";
+
+TEST(GoldenBytes, PrintStructure) {
+  EXPECT_EQ(PrintStructure(GoldenDb()), kGoldenStructure);
+  EXPECT_EQ(PrintStructure(Structure(std::make_shared<Vocabulary>(), 0)),
+            "universe 0\n");
+}
+
+TEST(GoldenBytes, PrintCatalog) {
+  EXPECT_EQ(PrintCatalog(GoldenCatalog()), kGoldenCatalog);
+  EXPECT_EQ(PrintCatalog({}), "cqcs-catalog 1\n");
+}
+
+/// The ostringstream printer the WAL and snapshot formats were first
+/// written with, kept as the byte-for-byte reference.
+std::string StreamPrintStructure(const Structure& s) {
+  std::ostringstream out;
+  out << "universe " << s.universe_size() << "\n";
+  const Vocabulary& vocab = *s.vocabulary();
+  for (RelId id = 0; id < vocab.size(); ++id) {
+    const Relation& r = s.relation(id);
+    out << vocab.name(id) << "/" << r.arity() << ":";
+    for (uint32_t t = 0; t < r.tuple_count(); ++t) {
+      out << (t == 0 ? " " : ", ");
+      std::span<const Element> tup = r.tuple(t);
+      for (uint32_t p = 0; p < r.arity(); ++p) {
+        if (p > 0) out << " ";
+        out << tup[p];
+      }
+    }
+    out << "\n";
+  }
+  return out.str();
+}
+
+TEST(GoldenBytes, PrintStructureMatchesStreamReferenceOnLargeInputs) {
+  // Long relations of widest-possible elements cross the printer's
+  // internal block boundary at every offset within a piece.
+  auto vocab = std::make_shared<Vocabulary>();
+  const RelId wide = vocab->AddRelation("W", 1);
+  const RelId tri = vocab->AddRelation("T", 3);
+  const RelId big = vocab->AddRelation("B", 97);
+  Structure db(vocab, UINT32_MAX);
+  uint32_t state = 99;
+  auto next = [&state] {
+    state = state * 1103515245u + 12345u;
+    return state >> (state % 29);  // 1 to 10 digits
+  };
+  for (int t = 0; t < 700; ++t) {
+    const Element w[] = {next()};
+    db.AddTuple(wide, w);
+    const Element tr[] = {next(), next(), UINT32_MAX - 1};
+    db.AddTuple(tri, tr);
+  }
+  std::vector<Element> row(97);
+  for (int t = 0; t < 5; ++t) {
+    for (Element& e : row) e = next();
+    db.AddTuple(big, row);
+  }
+  const std::string text = PrintStructure(db);
+  EXPECT_EQ(text, StreamPrintStructure(db));
+  EXPECT_LE(text.size(), StructureTextHint(db));
+  EXPECT_EQ(PrintStructure(GoldenDb()), StreamPrintStructure(GoldenDb()));
+}
+
+TEST(GoldenBytes, FramedUpsertRecord) {
+  ScratchDir dir("golden_wal");
+  FaultyFs faulty(RealFileSystem());  // counts the Append calls
+  std::vector<CatalogEntry> recovered;
+  auto mgr =
+      DurabilityManager::Open(Opts(dir.path(), &faulty), &recovered, nullptr);
+  ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
+  ASSERT_TRUE((*mgr)->AppendUpsert("alpha", UINT64_MAX, GoldenDb()).ok());
+  EXPECT_EQ(faulty.writes(), 1u) << "a record is one Append";
+
+  auto log = RealFileSystem()->ReadFile(dir.path() + "/wal-0");
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  const std::string payload =
+      std::string("U alpha 18446744073709551615\n") + kGoldenStructure;
+  // Length 92 = 0x5c and CRC32C 0xf5534e90, both little-endian.
+  const std::string header("\x5c\x00\x00\x00\x90\x4e\x53\xf5", 8);
+  EXPECT_EQ(payload.size(), 92u);
+  EXPECT_EQ(*log, header + payload);
+}
+
+TEST(GoldenBytes, SnapshotFile) {
+  ScratchDir dir("golden_snapshot");
+  std::vector<CatalogEntry> recovered;
+  auto mgr = DurabilityManager::Open(Opts(dir.path()), &recovered, nullptr);
+  ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
+  ASSERT_TRUE((*mgr)->Snapshot(GoldenCatalog()).ok());
+  auto snapshot = RealFileSystem()->ReadFile(dir.path() + "/snapshot-1");
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_EQ(*snapshot, std::string(kGoldenCatalog) + "crc 9fe08934\n");
+}
+
+TEST(GoldenBytes, SeedWrittenLogAndSnapshotRecover) {
+  // Files laid down byte for byte as the ostringstream encoder wrote them
+  // must recover to the same catalog.
+  ScratchDir dir("golden_recover");
+  ASSERT_TRUE(RealFileSystem()->CreateDir(dir.path()).ok());
+  auto write = [](const std::string& path, const std::string& bytes) {
+    auto file = RealFileSystem()->OpenTrunc(path);
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->Append(bytes).ok());
+    ASSERT_TRUE((*file)->Close().ok());
+  };
+  write(dir.path() + "/snapshot-1",
+        std::string(kGoldenCatalog) + "crc 9fe08934\n");
+  write(dir.path() + "/wal-1",
+        std::string("\x5c\x00\x00\x00\x90\x4e\x53\xf5", 8) +
+            "U alpha 18446744073709551615\n" + kGoldenStructure);
+  std::vector<CatalogEntry> recovered;
+  RecoveryInfo info;
+  auto mgr = DurabilityManager::Open(Opts(dir.path()), &recovered, &info);
+  ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
+  EXPECT_TRUE(info.snapshot_loaded);
+  EXPECT_EQ(info.records_replayed, 1u);
+  EXPECT_FALSE(info.tail_truncated);
+  EXPECT_EQ(PrintCatalog(recovered), kGoldenCatalog);
 }
 
 TEST(Catalog, RejectsCorruptInputsWithoutAborting) {
