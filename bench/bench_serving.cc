@@ -25,6 +25,11 @@
 // theta 0.5 and 0.99 (Arg 0 = theta x 100). Its ops_per_sec is the
 // clients' combined throughput over wall time.
 //
+// BM_ServingHitProjectRows sizes the answer copy on the result-hit path:
+// one client repeats one cached project query whose answer has 1, 64 or
+// 4096 rows (Arg 0), so the rows' copy into the served result is the only
+// cost that grows along the series.
+//
 // BM_ServingDurableReadsDuringUpdates is the read-path-under-writes arm:
 // one writer thread upserts G(512, deg 6) databases through the WAL
 // (fsync never) without pause while three reader threads serve cached
@@ -346,6 +351,58 @@ void HitPathSweep(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_ServingHitPathClients)
     ->Apply(HitPathSweep)
     ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+// ---- One result-cache hit, by answer size. ---------------------------------
+
+/// Serves "Q(X) :- E(X, Y)." as a project query against the directed cycle
+/// on `rows` vertices (a self-loop at rows == 1): one answer row per vertex.
+/// The answer is cached before timing starts, so every timed request is a
+/// hit that copies all of its rows.
+void BM_ServingHitProjectRows(benchmark::State& state) {
+  const auto rows = static_cast<size_t>(state.range(0));
+  serve::ServingEngine engine;
+  if (!engine
+           .UpsertDatabase("cycle",
+                           DirectedCycleStructure(MakeGraphVocabulary(), rows))
+           .ok()) {
+    state.SkipWithError("database registration failed");
+    return;
+  }
+  serve::ServeRequest request;
+  request.query = "Q(X) :- E(X, Y).";
+  request.database = "cycle";
+  request.task = HomTask::kProject;
+  auto warm = engine.Serve(request);
+  if (!warm.ok() || warm->rows.size() != rows) {
+    state.SkipWithError("project answer did not have the expected rows");
+    return;
+  }
+  std::vector<double> lat_us;
+  lat_us.reserve(1 << 16);
+  uint64_t misses = 0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    auto result = engine.Serve(request);
+    const auto stop = std::chrono::steady_clock::now();
+    if (!result.ok() || !result->stats.serve.result_cache_hit) ++misses;
+    benchmark::DoNotOptimize(result);
+    lat_us.push_back(
+        std::chrono::duration<double, std::micro>(stop - start).count());
+  }
+
+  std::sort(lat_us.begin(), lat_us.end());
+  auto pct = [&](double p) {
+    if (lat_us.empty()) return 0.0;
+    return lat_us[static_cast<size_t>(p * (lat_us.size() - 1))];
+  };
+  state.counters["p50_us"] = pct(0.50);
+  state.counters["p99_us"] = pct(0.99);
+  state.counters["rows"] = static_cast<double>(rows);
+  state.counters["non_hits"] = static_cast<double>(misses);
+}
+BENCHMARK(BM_ServingHitProjectRows)
+    ->Arg(1)->Arg(64)->Arg(4096)
     ->Unit(benchmark::kMicrosecond);
 
 constexpr size_t kChurnUniverse = 512;

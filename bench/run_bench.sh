@@ -22,7 +22,9 @@
 #                       the durable reads-during-updates arm, three readers'
 #                       hit latencies while one writer logs G(512, deg 6)
 #                       upserts; plus the WAL encode row, one such upsert
-#                       record encoded and framed with no file write.
+#                       record encoded and framed with no file write; plus
+#                       the hit-copy rows, one result-cache hit whose
+#                       cached project answer has 1, 64 or 4096 rows.
 #   BENCH_paper.json    the paper-claim series E1-E12 (the header of each
 #                       bench file names its theorem; docs/architecture.md
 #                       maps binaries to results): Schaefer recognition,
@@ -77,16 +79,17 @@ declare -A BINS FILTER QUICK_FILTER
 BINS[solver]="bench_hardness bench_uniform_boolean bench_acyclic bench_treewidth bench_rel"
 FILTER[solver]='BM_CliqueIntoRandomGraph|BM_PlantedCliqueRecovery|BM_SparseRefutationFc|BM_CyclicQueryIntoSparseGraph|BM_Backtracking_NodeThroughput|BM_Horn_Backtracking|BM_CliqueRefutationParallel|BM_PlantedCliqueParallel|BM_EngineAutoVsUniform|BM_YannakakisTask|BM_TreewidthDpIndexed|BM_TreewidthAutoRoute|BM_Decomposition_MinFill|BM_ProbeBatch'
 BINS[serving]="bench_serving"
-FILTER[serving]='BM_ServingReadHeavy|BM_ServingUpdateHeavy|BM_ServingDurableUpdateHeavy|BM_ServingHitPathClients|BM_ServingDurableReadsDuringUpdates|BM_WalEncodeUpsert'
+FILTER[serving]='BM_ServingReadHeavy|BM_ServingUpdateHeavy|BM_ServingDurableUpdateHeavy|BM_ServingHitPathClients|BM_ServingHitProjectRows|BM_ServingDurableReadsDuringUpdates|BM_WalEncodeUpsert'
 BINS[paper]="bench_recognition bench_formula_build bench_uniform_boolean bench_booleanize bench_saraiya bench_examples_2col bench_pebble bench_datalog bench_binary_encoding bench_treewidth bench_acyclic bench_hardness bench_ablation"
 FILTER[paper]='BM_Classify|BM_Build|BM_Horn_Formula|BM_Horn_Direct|BM_Bijunctive_|BM_Affine_Equations|BM_Arity|BM_Booleanize|BM_SaraiyaContainment|BM_GenericContainment|BM_TwoColor_|BM_CspC4_|BM_PebbleGame|BM_Non2ColProgram|BM_RhoB_Evaluation|BM_BinaryEncode|BM_TreewidthDp_WidthSweep|BM_YannakakisEvaluation|BM_CliqueFixedK_GraphSweep|BM_ChainContainment|BM_RandomContainment|BM_Solver_|BM_TwoSat_Scc|BM_Order_'
 # Smoke series: one cheap entry per binary plus the parallel scaling
 # series (its correctness under load is exactly what CI should smoke),
 # the churn-shaped decide and project rows (the semijoin passes' presence
 # skip), and for serving the disabled-vs-full-cache pair at zipfian 0.99 (the
-# pair the headline speedup claim compares) plus the 4-client hit path.
+# pair the headline speedup claim compares) plus the 4-client hit path and
+# the hit-copy rows.
 QUICK_FILTER[solver]='BM_CliqueIntoRandomGraph/3|BM_Backtracking_NodeThroughput/|BM_CliqueRefutationParallel|BM_YannakakisTask_Witness/0/64|BM_YannakakisTask_Decide|BM_YannakakisTask_Project|BM_YannakakisTask_CountThreads/2/4096|BM_TreewidthDpIndexed_SourceSweep/128|BM_ProbeBatch_Batched/1024'
-QUICK_FILTER[serving]='BM_ServingReadHeavy/0/2|BM_ServingReadHeavy/1/2|BM_ServingReadHeavy/2/2|BM_ServingHitPathClients/99/real_time/threads:4|BM_ServingDurableReadsDuringUpdates|BM_WalEncodeUpsert'
+QUICK_FILTER[serving]='BM_ServingReadHeavy/0/2|BM_ServingReadHeavy/1/2|BM_ServingReadHeavy/2/2|BM_ServingHitPathClients/99/real_time/threads:4|BM_ServingHitProjectRows|BM_ServingDurableReadsDuringUpdates|BM_WalEncodeUpsert'
 QUICK_FILTER[paper]='BM_ClassifyStructure/4$|BM_BuildBijunctive/4$|BM_ArityDirect/4$|BM_Booleanize/4$|BM_SaraiyaContainment/2$|BM_TwoColor_Bfs/65$|BM_PebbleGame_TargetSweep/2$|BM_Non2ColProgram/9$|BM_BinaryEncode/8$|BM_TreewidthDp_WidthSweep/1$|BM_YannakakisEvaluation/32$|BM_ChainContainment/4$|BM_TwoSat_Scc/256$'
 MIN_TIME="${BENCH_MIN_TIME:-0.2}"
 if [[ "$QUICK" == 1 ]]; then

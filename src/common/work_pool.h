@@ -1,27 +1,23 @@
 // The shared worker-pool machinery under every parallel path in the repo.
 //
-// Three pieces, one module, so the solver's work-stealing subtree search,
+// Two pieces, one module, so the solver's work-stealing subtree search,
 // the treewidth route's bag joins, and the serving layer all draw threads
 // through the same code (the library starts no others):
 //
 //   * ResolveThreadCount — the one mapping from a `num_threads` option to
 //     an actual worker count (0 = one per hardware thread, never < 1).
-//   * WorkPool<Task>    — the PR 3 mutex+condvar task pool generalized
-//     over its task type: Acquire/Release with the idle/termination
-//     protocol, Donate for dynamic splitting, a cooperative cancel flag,
-//     and split/steal counters. The solver instantiates it with its
-//     decision-prefix Subproblem; the type carries the PR 9 thread-safety
-//     annotations unchanged.
 //   * MorselPool        — a lazily started, process-wide pool of parked
 //     worker threads running *morsels*: contiguous index ranges claimed
 //     dynamically from an atomic cursor. It has two dispatchers: the
 //     treewidth route's independent bag joins (YannakakisProgram::FromBags
 //     in treewidth/hom_dp.cc, 8 bags a morsel) and the parallel search's
-//     worker loops (solver/parallel.cc, one loop a morsel). The Yannakakis
-//     passes and the rel/ operators run on the calling thread: their
-//     per-node sweeps are mostly far below one morsel, and dispatching them
-//     made the count slower at each added thread. Because the pool is
-//     shared, a single serving-layer request can soak every idle worker.
+//     worker loops (solver/parallel.cc, one loop a morsel; the loops trade
+//     subproblems through the solver's own SubproblemPool in
+//     solver/search_context.h). The Yannakakis passes and the rel/
+//     operators run on the calling thread: their per-node sweeps are mostly
+//     far below one morsel, and dispatching them made the count slower at
+//     each added thread. Because the pool is shared, a single
+//     serving-layer request can soak every idle worker.
 //
 // Morsel execution contract: the calling thread is always worker 0 and
 // participates; results must not depend on which worker runs which morsel
@@ -36,10 +32,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -50,106 +44,6 @@ namespace cqcs {
 /// `num_threads` option -> actual worker count: 0 means one per hardware
 /// thread (never less than 1).
 unsigned ResolveThreadCount(unsigned num_threads);
-
-/// The shared task pool plus the idle/termination protocol (extracted from
-/// src/solver/parallel.cc, PR 3). Locking discipline: the mutex guards only
-/// pool pushes/pops and the busy/done bookkeeping — events that happen once
-/// per task, not per node. The per-node hot path (cancellation, split
-/// polling, node budget) reads the atomics mirrored next to it without ever
-/// taking the lock.
-template <typename Task>
-class WorkPool {
- public:
-  explicit WorkPool(Task root) {
-    pool_.push_back(std::move(root));
-    pool_size_.store(1, std::memory_order_relaxed);
-  }
-
-  // Each hot atomic on its own cache line: cancel/want_work/pool_size are
-  // read by every worker at every node, and global_nodes (node_limit runs)
-  // is written by every worker at every node — sharing a line would turn
-  // the reads into cross-core misses on each increment.
-  alignas(64) std::atomic<bool> cancel{false};
-  alignas(64) std::atomic<uint32_t> want_work{0};
-  alignas(64) std::atomic<size_t> pool_size_{0};
-  alignas(64) std::atomic<uint64_t> global_nodes{0};
-
-  /// Blocks until a task is available (returns true, with `*task` filled
-  /// and the caller marked busy) or the run is over — cancelled, or pool
-  /// empty with nobody busy (returns false).
-  bool Acquire(Task* task) {
-    MutexLock lock(mu_);
-    for (;;) {
-      if (cancel.load(std::memory_order_relaxed) || done_) return false;
-      if (!pool_.empty()) {
-        *task = std::move(pool_.front());
-        pool_.pop_front();
-        pool_size_.store(pool_.size(), std::memory_order_relaxed);
-        ++pops_;
-        ++busy_;
-        return true;
-      }
-      if (busy_ == 0) {
-        done_ = true;
-        cv_.NotifyAll();
-        return false;
-      }
-      want_work.fetch_add(1, std::memory_order_relaxed);
-      cv_.Wait(mu_, [&] {
-        return cancel.load(std::memory_order_relaxed) || done_ ||
-               !pool_.empty();
-      });
-      want_work.fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
-
-  /// Marks the caller idle again; declares the run done if it drained the
-  /// last work.
-  void Release() {
-    MutexLock lock(mu_);
-    --busy_;
-    if (pool_.empty() && busy_ == 0) {
-      done_ = true;
-      cv_.NotifyAll();
-    }
-  }
-
-  /// A busy worker donating freshly split tasks.
-  void Donate(std::vector<Task> tasks) {
-    if (tasks.empty()) return;
-    MutexLock lock(mu_);
-    ++splits_;
-    for (Task& task : tasks) pool_.push_back(std::move(task));
-    pool_size_.store(pool_.size(), std::memory_order_relaxed);
-    cv_.NotifyAll();
-  }
-
-  /// Wakes every waiter after `cancel` was set (the flag is in the wait
-  /// predicate, so lock-then-notify cannot miss anyone).
-  void NotifyCancelled() {
-    MutexLock lock(mu_);
-    cv_.NotifyAll();
-  }
-
-  uint64_t splits() const {
-    MutexLock lock(mu_);
-    return splits_;
-  }
-  /// Every pop except the initial root came from another worker's donation.
-  uint64_t steals() const {
-    MutexLock lock(mu_);
-    return pops_ > 0 ? pops_ - 1 : 0;
-  }
-
- private:
-  mutable Mutex mu_;
-  CondVar cv_;
-  std::deque<Task> pool_ CQCS_GUARDED_BY(mu_);
-  size_t busy_ CQCS_GUARDED_BY(mu_) = 0;
-  bool done_ CQCS_GUARDED_BY(mu_) = false;
-  uint64_t pops_ CQCS_GUARDED_BY(mu_) = 0;
-  uint64_t splits_ CQCS_GUARDED_BY(mu_) = 0;
-};
 
 /// What one MorselPool::Run dispatch did; the bag-join dispatch copies it
 /// into TreewidthSolveStats. `workers` and `morsels` are

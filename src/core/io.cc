@@ -165,7 +165,7 @@ std::string PrintCatalog(const std::vector<CatalogEntry>& entries) {
   std::string out = "cqcs-catalog 1\n";
   size_t bytes = out.size();
   for (const CatalogEntry& entry : entries) {
-    bytes += entry.name.size() + 32 + StructureTextHint(entry.db);
+    bytes += entry.name.size() + 32 + StructureTextHint(*entry.db);
   }
   out.reserve(bytes);
   for (const CatalogEntry& entry : entries) {
@@ -174,7 +174,7 @@ std::string PrintCatalog(const std::vector<CatalogEntry>& entries) {
     out += ' ';
     AppendUint64(entry.version, &out);
     out += '\n';
-    AppendStructure(entry.db, &out);
+    AppendStructure(*entry.db, &out);
     out += "end\n";
   }
   return out;
@@ -240,7 +240,9 @@ Result<std::vector<CatalogEntry>> ParseCatalog(std::string_view text) {
       return Status::ParseError("catalog database '" + name +
                                 "': " + valid.ToString());
     }
-    entries.push_back(CatalogEntry{std::move(name), version, *std::move(db)});
+    entries.push_back(CatalogEntry{
+        std::move(name), version,
+        std::make_shared<const Structure>(*std::move(db))});
     ++i;  // past 'end'
   }
   return entries;

@@ -30,6 +30,7 @@
 #define CQCS_CORE_IO_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -57,11 +58,13 @@ void AppendStructure(const Structure& s, std::string* out);
 /// every element lies below the universe size, as Validate() requires.
 size_t StructureTextHint(const Structure& s);
 
-/// One named, versioned database in a serialized catalog.
+/// One named, versioned database in a serialized catalog. The structure is
+/// shared and immutable, so a catalog can hold the very structures a live
+/// registry serves (a snapshot prints them with no copy).
 struct CatalogEntry {
   std::string name;
   uint64_t version = 0;
-  Structure db;
+  std::shared_ptr<const Structure> db;
 };
 
 /// The durable-name rule: catalog names travel on single header lines in

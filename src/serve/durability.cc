@@ -1,6 +1,7 @@
 #include "serve/durability.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "common/check.h"
@@ -99,14 +100,15 @@ std::optional<uint64_t> ParseGen(std::string_view name,
 
 void ApplyUpsert(std::vector<CatalogEntry>* catalog, std::string name,
                  uint64_t version, Structure db) {
+  auto shared = std::make_shared<const Structure>(std::move(db));
   for (CatalogEntry& entry : *catalog) {
     if (entry.name == name) {
       entry.version = version;
-      entry.db = std::move(db);
+      entry.db = std::move(shared);
       return;
     }
   }
-  catalog->push_back(CatalogEntry{std::move(name), version, std::move(db)});
+  catalog->push_back(CatalogEntry{std::move(name), version, std::move(shared)});
 }
 
 void ApplyDrop(std::vector<CatalogEntry>* catalog, std::string_view name) {

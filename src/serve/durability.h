@@ -42,8 +42,8 @@
 //
 //   RotateLog()      cheap (one file open): switches appends to an empty
 //                    wal-<g+1>. Called with updates blocked, so the caller's
-//                    catalog copy taken right after covers every record in
-//                    generations <= g.
+//                    catalog capture taken right after covers every record
+//                    in generations <= g.
 //   WriteSnapshot()  slow (serialize + fsync): writes snapshot-<g+1>
 //                    (temp + fsync + rename + directory fsync), then prunes
 //                    older generations. Runs with no caller lock held;
@@ -195,8 +195,8 @@ class DurabilityManager {
 
   /// Snapshot phase 1 (cheap): switches appends to an empty next-generation
   /// log and resets the SnapshotDue() counter. Call with updates blocked,
-  /// then copy the catalog before unblocking — the copy must cover every
-  /// record appended before the rotation. On success `*new_gen` receives
+  /// then capture the catalog before unblocking — the capture must cover
+  /// every record appended before the rotation. On success `*new_gen` receives
   /// the new generation, which the caller passes to WriteSnapshot().
   /// Failure (counted in snapshot_failures) leaves the current generation
   /// accepting appends.

@@ -159,14 +159,13 @@ Status ServingEngine::Open(RecoveryInfo* info) {
   std::vector<CatalogEntry> recovered;
   auto manager = DurabilityManager::Open(options_.durability, &recovered, info);
   if (!manager.ok()) return manager.status();
-  for (CatalogEntry& entry : recovered) BuildIndexes(entry.db);
+  for (const CatalogEntry& entry : recovered) BuildIndexes(*entry.db);
   MutexLock writer(writer_mu_);
   durability_ = *std::move(manager);
   std::unordered_map<std::string, std::shared_ptr<const DbEntry>> registry;
   for (CatalogEntry& entry : recovered) {
     registry[entry.name] = std::make_shared<const DbEntry>(
-        entry.name, entry.version, ++registrations_,
-        std::make_shared<const Structure>(std::move(entry.db)));
+        entry.name, entry.version, ++registrations_, std::move(entry.db));
   }
   counters_.recovered_dbs.store(registry.size(), std::memory_order_relaxed);
   {
@@ -194,21 +193,20 @@ size_t ServingEngine::InvalidateFor(const std::string& name) {
   return dropped;
 }
 
-std::vector<ServingEngine::CatalogRef> ServingEngine::CatalogRefsLocked()
-    const {
-  std::vector<CatalogRef> catalog;
+std::vector<CatalogEntry> ServingEngine::CatalogLocked() const {
+  std::vector<CatalogEntry> catalog;
   catalog.reserve(registry_.size());
   for (const auto& [name, entry] : registry_) {
-    catalog.push_back(CatalogRef{name, entry->version, entry->structure});
+    catalog.push_back(CatalogEntry{name, entry->version, entry->structure});
   }
   std::sort(catalog.begin(), catalog.end(),
-            [](const CatalogRef& a, const CatalogRef& b) {
+            [](const CatalogEntry& a, const CatalogEntry& b) {
               return a.name < b.name;
             });
   return catalog;
 }
 
-std::optional<std::pair<uint64_t, std::vector<ServingEngine::CatalogRef>>>
+std::optional<std::pair<uint64_t, std::vector<CatalogEntry>>>
 ServingEngine::MaybeRotateForSnapshot() {
   if (durability_ == nullptr || !durability_->SnapshotDue()) {
     return std::nullopt;
@@ -219,19 +217,14 @@ ServingEngine::MaybeRotateForSnapshot() {
   if (!durability_->RotateLog(&gen).ok()) return std::nullopt;
   // writer_mu_ is held, so every record appended before the rotation is
   // already applied and no other writer can change the registry: the
-  // handle captured now is the consistency point the snapshot needs. The
+  // catalog captured now is the consistency point the snapshot needs. The
   // expensive serialization runs after both locks drop.
   MutexLock lock(registry_mu_);
-  return std::make_pair(gen, CatalogRefsLocked());
+  return std::make_pair(gen, CatalogLocked());
 }
 
 void ServingEngine::FinishSnapshot(uint64_t gen,
-                                   const std::vector<CatalogRef>& refs) {
-  std::vector<CatalogEntry> catalog;
-  catalog.reserve(refs.size());
-  for (const CatalogRef& ref : refs) {
-    catalog.push_back(CatalogEntry{ref.name, ref.version, *ref.db});
-  }
+                                   const std::vector<CatalogEntry>& catalog) {
   // Failure is non-fatal (counted in the manager's snapshot_failures):
   // recovery replays the whole log chain, and the write is retried at the
   // next rotation.
@@ -271,7 +264,7 @@ Status ServingEngine::UpsertDatabase(const std::string& name, Structure db) {
   CQCS_RETURN_IF_ERROR(db.Validate());
   BuildIndexes(db);
   auto shared = std::make_shared<const Structure>(std::move(db));
-  std::optional<std::pair<uint64_t, std::vector<CatalogRef>>> snapshot;
+  std::optional<std::pair<uint64_t, std::vector<CatalogEntry>>> snapshot;
   std::shared_ptr<const DbEntry> entry;
   {
     MutexLock writer(writer_mu_);
@@ -300,7 +293,7 @@ Status ServingEngine::UpsertDatabase(const std::string& name, Structure db) {
 }
 
 Status ServingEngine::DropDatabase(const std::string& name) {
-  std::optional<std::pair<uint64_t, std::vector<CatalogRef>>> snapshot;
+  std::optional<std::pair<uint64_t, std::vector<CatalogEntry>>> snapshot;
   std::shared_ptr<const DbEntry> entry;
   {
     MutexLock writer(writer_mu_);

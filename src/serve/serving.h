@@ -190,7 +190,10 @@ class ServingEngine {
   Result<EngineResult> Serve(const ServeRequest& request);
 
   /// The registered (name, version) pairs, sorted by name — the `catalog`
-  /// protocol command, and the chaos harness's oracle probe.
+  /// protocol command, and the chaos harness's oracle probe. A version
+  /// counts a name's registrations since it was last dropped: after a drop,
+  /// re-registering the name reports version 1 again, so (name, version)
+  /// does not identify content across a drop.
   std::vector<std::pair<std::string, uint64_t>> ListDatabases() const;
 
   /// The current registration of `name`; NotFound when absent.
@@ -248,15 +251,6 @@ class ServingEngine {
     std::atomic<size_t> queue_depth_peak{0};
   };
 
-  /// A cheap catalog handle: shared_ptr copies, no Structure deep copy —
-  /// taken under registry_mu_ so the expensive snapshot serialization can
-  /// run outside it (the structures are immutable).
-  struct CatalogRef {
-    std::string name;
-    uint64_t version = 0;
-    std::shared_ptr<const Structure> db;
-  };
-
   /// The current registration of `name`: one map probe and one refcount
   /// bump under registry_mu_.
   Result<std::shared_ptr<const DbEntry>> ResolveDatabase(
@@ -267,8 +261,11 @@ class ServingEngine {
   /// the quarantine (the data changed; prior budget trips are stale
   /// evidence).
   size_t InvalidateFor(const std::string& name);
-  /// Builds the sorted catalog handle from registry_.
-  std::vector<CatalogRef> CatalogRefsLocked() const
+  /// The registry as a catalog sorted by name. The entries share the
+  /// registered structures (shared_ptr copies, no Structure copy), so the
+  /// capture is cheap and the snapshot serialization can run outside
+  /// registry_mu_ (the structures are immutable).
+  std::vector<CatalogEntry> CatalogLocked() const
       CQCS_REQUIRES(registry_mu_);
   /// Logs one update before it is applied: an upsert of `db` at `version`,
   /// or a drop when `db` is null. Refuses while degraded. A refusal leaves
@@ -278,23 +275,23 @@ class ServingEngine {
   Status LogUpdate(const std::string& name, uint64_t version,
                    const Structure* db) CQCS_REQUIRES(writer_mu_)
       CQCS_EXCLUDES(registry_mu_);
-  /// If a snapshot is due, rotates the log (cheap) and captures the catalog
-  /// handle, taking registry_mu_ only for the capture. The returned refs
-  /// feed FinishSnapshot() AFTER writer_mu_ is released.
-  std::optional<std::pair<uint64_t, std::vector<CatalogRef>>>
+  /// If a snapshot is due, rotates the log (cheap) and captures the
+  /// catalog, taking registry_mu_ only for the capture. The returned
+  /// catalog feeds FinishSnapshot() AFTER writer_mu_ is released.
+  std::optional<std::pair<uint64_t, std::vector<CatalogEntry>>>
   MaybeRotateForSnapshot() CQCS_REQUIRES(writer_mu_)
       CQCS_EXCLUDES(registry_mu_);
-  /// Deep-copies, serializes, and writes the snapshot — the slow half. The
-  /// CQCS_EXCLUDES is the PR 8 review rule as a compile-time fact: snapshot
-  /// I/O never runs under the registry lock, nor under the writer lock.
-  void FinishSnapshot(uint64_t gen, const std::vector<CatalogRef>& refs)
+  /// Serializes and writes the snapshot — the slow half. The CQCS_EXCLUDES
+  /// is the PR 8 review rule as a compile-time fact: snapshot I/O never
+  /// runs under the registry lock, nor under the writer lock.
+  void FinishSnapshot(uint64_t gen, const std::vector<CatalogEntry>& catalog)
       CQCS_EXCLUDES(registry_mu_, writer_mu_);
 
   const ServeOptions options_;
 
   /// Orders the log: UpsertDatabase, DropDatabase and log rotation run
   /// under it, so WAL append order equals registry apply order and a
-  /// snapshot's catalog handle is taken with no update in flight. Taken
+  /// snapshot's catalog is captured with no update in flight. Taken
   /// before registry_mu_, never after it.
   Mutex writer_mu_;
   /// Lookup and swap only: a reader's one probe, a writer's version read

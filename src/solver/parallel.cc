@@ -46,7 +46,7 @@ size_t ParallelSearch(const CspInstance& csp, const SolveOptions& options,
     csp.LcvValuePermutation();  // builds ValueSupportScores too
   }
 
-  WorkPool<Subproblem> pool(Subproblem{});
+  SubproblemPool pool;
 
   // All solution delivery is serialized here, so the caller's closure needs
   // no internal locking, Solve's first-solution race has exactly one winner,
@@ -79,15 +79,6 @@ size_t ParallelSearch(const CspInstance& csp, const SolveOptions& options,
     }
   }
 
-  ParallelHandles handles;
-  handles.cancel = &pool.cancel;
-  handles.want_work = &pool.want_work;
-  handles.pool_size = &pool.pool_size_;
-  handles.global_nodes = &pool.global_nodes;
-  handles.donate = [&pool](std::vector<Subproblem> subs) {
-    pool.Donate(std::move(subs));
-  };
-
   // Cache-line padded: stats_->nodes is a per-node write, and adjacent
   // workers' stats sharing a line would false-share it.
   struct alignas(64) PaddedStats {
@@ -100,7 +91,7 @@ size_t ParallelSearch(const CspInstance& csp, const SolveOptions& options,
     if (pool.cancel.load(std::memory_order_relaxed)) return true;
     SearchContext ctx(csp, options, projection, serialized,
                       leaf != nullptr ? &serialized_leaf : nullptr,
-                      &worker_stats[w].stats, first_solution_only, &handles);
+                      &worker_stats[w].stats, first_solution_only, &pool);
     // Root propagation is subproblem-independent: a refutation for one
     // worker is one for all. Every worker runs it anyway: the fixpoints run
     // concurrently, and each seeds its worker's private AC-2001 residues.

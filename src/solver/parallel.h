@@ -6,7 +6,8 @@
 // turns that into wall-clock speedup with the classic CP decomposition:
 //
 //   * A shared pool of *subproblems* — decision prefixes into the
-//     sequential search tree (solver_internal::Subproblem).
+//     sequential search tree (solver_internal::SubproblemPool, in
+//     solver/search_context.h).
 //   * N worker loops, each owning a private Propagator/SearchContext and
 //     run as one morsel of a job on the shared MorselPool. A worker pops a
 //     subproblem, replays its prefix through the trail, and exhausts the

@@ -30,7 +30,7 @@ SearchContext::SearchContext(const CspInstance& csp,
                                  on_solution,
                              const LeafSink* leaf, SolveStats* stats,
                              bool first_solution_only,
-                             const ParallelHandles* par)
+                             SubproblemPool* pool)
     : csp_(csp),
       options_(options),
       on_solution_(std::move(on_solution)),
@@ -40,7 +40,7 @@ SearchContext::SearchContext(const CspInstance& csp,
       // A restarted run would re-report every solution already delivered,
       // so restarts only apply when the search stops at the first one.
       restarts_(options.strategy.restarts && first_solution_only),
-      par_(par) {
+      pool_(pool) {
   assigned_.assign(csp_.var_count(), 0);
   in_prefix_.assign(csp_.var_count(), 0);
   // Deduplicated projection prefix: these variables are branched on first,
@@ -71,8 +71,8 @@ SearchContext::SearchContext(const CspInstance& csp,
   for (auto& values : values_by_depth_) values.reserve(csp_.domain_size());
   solution_.resize(csp_.var_count());
   frame_donated_.assign(csp_.var_count(), 0);
-  if (par_ != nullptr) {
-    prop_.set_cancel_flag(par_->cancel);
+  if (pool_ != nullptr) {
+    prop_.set_cancel_flag(&pool_->cancel);
     var_by_depth_.assign(csp_.var_count(), 0);
     value_idx_by_depth_.assign(csp_.var_count(), 0);
   } else if (options_.governor != nullptr) {
@@ -135,8 +135,8 @@ void SearchContext::RunSubproblem(
       // away and never counted. Charging it here keeps the union of all
       // workers' nodes equal to the sequential tree's (the shared prefix
       // above it was already counted by the donor walking it).
-      if (par_ != nullptr &&
-          par_->cancel->load(std::memory_order_relaxed)) {
+      if (pool_ != nullptr &&
+          pool_->cancel.load(std::memory_order_relaxed)) {
         ok = false;
         break;
       }
@@ -154,8 +154,8 @@ void SearchContext::RunSubproblem(
       // Replay of a donated prefix can only genuinely fail at the stolen
       // value (the donor propagated everything above it); a failure that is
       // really a cancelled fixpoint is not a backtrack.
-      if (par_ == nullptr ||
-          !par_->cancel->load(std::memory_order_relaxed)) {
+      if (pool_ == nullptr ||
+          !pool_->cancel.load(std::memory_order_relaxed)) {
         ++stats_->backtracks;
       }
       ok = false;
@@ -206,8 +206,8 @@ bool SearchContext::CountNode() {
   if (options_.governor != nullptr && (stats_->nodes & 127) == 1) {
     if (!options_.governor->Poll().ok()) {
       stats_->limit_hit = true;
-      if (par_ != nullptr) {
-        par_->cancel->store(true, std::memory_order_relaxed);
+      if (pool_ != nullptr) {
+        pool_->cancel.store(true, std::memory_order_relaxed);
       }
       return false;
     }
@@ -215,12 +215,12 @@ bool SearchContext::CountNode() {
   // Unlimited searches never touch the shared counter: a per-node RMW on a
   // line every other worker reads would ping-pong for nothing.
   if (options_.node_limit == 0) return true;
-  if (par_ != nullptr) {
+  if (pool_ != nullptr) {
     const uint64_t total =
-        par_->global_nodes->fetch_add(1, std::memory_order_relaxed) + 1;
+        pool_->global_nodes.fetch_add(1, std::memory_order_relaxed) + 1;
     if (total > options_.node_limit) {
       stats_->limit_hit = true;
-      par_->cancel->store(true, std::memory_order_relaxed);
+      pool_->cancel.store(true, std::memory_order_relaxed);
       return false;
     }
     return true;
@@ -233,7 +233,6 @@ bool SearchContext::CountNode() {
 }
 
 void SearchContext::TrySplit(size_t cur_depth) {
-  if (par_->donate == nullptr) return;
   for (size_t k = 0; k <= cur_depth; ++k) {
     // Never split at or below the projection prune boundary: those subtrees
     // are abandoned wholesale after one solution, so donating them would
@@ -262,7 +261,7 @@ void SearchContext::TrySplit(size_t cur_depth) {
     // backtracking here (the in-loop jump over deeper conflicts stays
     // valid: it never depends on which sibling values remain).
     frame_donated_[k] = 1;
-    par_->donate(std::move(subs));
+    pool_->Donate(std::move(subs));
     return;
   }
 }
@@ -300,12 +299,12 @@ SearchContext::Step SearchContext::Search(size_t depth) {
   // shallower frame's — value list mid-loop.
   for (size_t vi = 0; vi < values.size(); ++vi) {
     const Element v = values[vi];
-    if (par_ != nullptr) {
-      if (par_->cancel->load(std::memory_order_relaxed)) return Step::kStop;
+    if (pool_ != nullptr) {
+      if (pool_->cancel.load(std::memory_order_relaxed)) return Step::kStop;
       var_by_depth_[depth] = var;
       value_idx_by_depth_[depth] = vi;
-      if (par_->want_work->load(std::memory_order_relaxed) > 0 &&
-          par_->pool_size->load(std::memory_order_relaxed) == 0) {
+      if (pool_->want_work.load(std::memory_order_relaxed) > 0 &&
+          pool_->pool_size.load(std::memory_order_relaxed) == 0) {
         TrySplit(depth);
       }
     }
@@ -324,8 +323,8 @@ SearchContext::Step SearchContext::Search(size_t depth) {
     const size_t solutions_before = solutions_;
     if (consistent) {
       child = Search(depth + 1);
-    } else if (par_ != nullptr &&
-               par_->cancel->load(std::memory_order_relaxed)) {
+    } else if (pool_ != nullptr &&
+               pool_->cancel.load(std::memory_order_relaxed)) {
       // A cancelled fixpoint surfaces as a propagation failure without a
       // real wipeout: conflict_var()/conflict_set are stale, so record no
       // backtrack and no conflict — just unwind.
@@ -429,7 +428,9 @@ SearchContext::Step SearchContext::Leaf() {
       // Only a governor trip fails the program: stop as CountNode would.
       CQCS_CHECK(n.status().code() == StatusCode::kResourceExhausted);
       stats_->limit_hit = true;
-      if (par_ != nullptr) par_->cancel->store(true, std::memory_order_relaxed);
+      if (pool_ != nullptr) {
+        pool_->cancel.store(true, std::memory_order_relaxed);
+      }
       return Step::kStop;
     }
     count = *n;

@@ -15,12 +15,12 @@
 //    worker's propagator reaches the exact domain state the donor had at
 //    the split point — same subtree, same node counts.
 //
-//  * Parallel handles. When constructed with a ParallelHandles pointer the
-//    node loop additionally (a) checks a shared cancellation flag, (b)
-//    counts nodes against a shared budget so node_limit bounds the whole
-//    parallel search, and (c) when idle workers exist and the shared pool
-//    is empty, donates the untried values of its shallowest open decision
-//    as fresh subproblems (TrySplit). With a null pointer all three checks
+//  * The subproblem pool. When constructed with a SubproblemPool pointer the
+//    node loop additionally (a) checks the pool's cancellation flag, (b)
+//    counts nodes against its shared budget so node_limit bounds the whole
+//    parallel search, and (c) when idle workers exist and the pool is
+//    empty, donates the untried values of its shallowest open decision as
+//    fresh subproblems (TrySplit). With a null pointer all three checks
 //    compile down to one branch per node and the search is byte-for-byte
 //    the sequential PR 2 behavior.
 
@@ -28,14 +28,18 @@
 #define CQCS_SOLVER_SEARCH_CONTEXT_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "core/homomorphism.h"
 #include "solver/backtracking.h"
 #include "solver/csp.h"
@@ -50,6 +54,113 @@ namespace solver_internal {
 /// search state, then explore the subtree below exhaustively.
 struct Subproblem {
   std::vector<std::pair<Element, Element>> decisions;
+};
+
+/// The shared subproblem pool of one parallel search (solver/parallel.cc),
+/// seeded with the root (the empty prefix), plus the idle/termination
+/// protocol: Acquire/Release, Donate for dynamic splitting, a cooperative
+/// cancel flag, and split/steal counters. Locking discipline: the mutex
+/// guards only pool pushes/pops and the busy/done bookkeeping — events that
+/// happen once per subproblem, not per node. The per-node hot path
+/// (cancellation, split polling, node budget) reads the atomics below
+/// without ever taking the lock.
+class SubproblemPool {
+ public:
+  SubproblemPool() { pool_.emplace_back(); }  // the root: the empty prefix
+
+  // Each hot atomic on its own cache line: cancel/want_work/pool_size are
+  // read by every worker at every node, and global_nodes (node_limit runs)
+  // is written by every worker at every node — sharing a line would turn
+  // the reads into cross-core misses on each increment.
+
+  /// Set once, read per node (relaxed): first solution found in a race,
+  /// callback asked to stop, or the global node budget ran out.
+  alignas(64) std::atomic<bool> cancel{false};
+  /// Number of workers currently idle and waiting in Acquire.
+  alignas(64) std::atomic<uint32_t> want_work{0};
+  /// The pool's size, mirrored for lock-free reads. Splitting is worth it
+  /// only when the pool is dry.
+  alignas(64) std::atomic<size_t> pool_size{1};
+  /// Nodes across all workers; node_limit is enforced against this total.
+  alignas(64) std::atomic<uint64_t> global_nodes{0};
+
+  /// Blocks until a subproblem is available (returns true, with `*task`
+  /// filled and the caller marked busy) or the run is over — cancelled, or
+  /// pool empty with nobody busy (returns false).
+  bool Acquire(Subproblem* task) {
+    MutexLock lock(mu_);
+    for (;;) {
+      if (cancel.load(std::memory_order_relaxed) || done_) return false;
+      if (!pool_.empty()) {
+        *task = std::move(pool_.front());
+        pool_.pop_front();
+        pool_size.store(pool_.size(), std::memory_order_relaxed);
+        ++pops_;
+        ++busy_;
+        return true;
+      }
+      if (busy_ == 0) {
+        done_ = true;
+        cv_.NotifyAll();
+        return false;
+      }
+      want_work.fetch_add(1, std::memory_order_relaxed);
+      cv_.Wait(mu_, [&] {
+        return cancel.load(std::memory_order_relaxed) || done_ ||
+               !pool_.empty();
+      });
+      want_work.fetch_sub(1, std::memory_order_relaxed);
+    }
+  }
+
+  /// Marks the caller idle again; declares the run done if it drained the
+  /// last work.
+  void Release() {
+    MutexLock lock(mu_);
+    --busy_;
+    if (pool_.empty() && busy_ == 0) {
+      done_ = true;
+      cv_.NotifyAll();
+    }
+  }
+
+  /// A busy worker donating freshly split subproblems; wakes the waiters.
+  /// An empty list is a no-op.
+  void Donate(std::vector<Subproblem> tasks) {
+    if (tasks.empty()) return;
+    MutexLock lock(mu_);
+    ++splits_;
+    for (Subproblem& task : tasks) pool_.push_back(std::move(task));
+    pool_size.store(pool_.size(), std::memory_order_relaxed);
+    cv_.NotifyAll();
+  }
+
+  /// Wakes every waiter after `cancel` was set (the flag is in the wait
+  /// predicate, so lock-then-notify cannot miss anyone).
+  void NotifyCancelled() {
+    MutexLock lock(mu_);
+    cv_.NotifyAll();
+  }
+
+  /// Donate calls that handed over at least one subproblem.
+  uint64_t splits() const {
+    MutexLock lock(mu_);
+    return splits_;
+  }
+  /// Every pop except the initial root came from another worker's donation.
+  uint64_t steals() const {
+    MutexLock lock(mu_);
+    return pops_ > 0 ? pops_ - 1 : 0;
+  }
+
+ private:
+  mutable Mutex mu_;
+  CondVar cv_;
+  std::deque<Subproblem> pool_ CQCS_GUARDED_BY(mu_);
+  size_t busy_ CQCS_GUARDED_BY(mu_) = 0;
+  bool done_ CQCS_GUARDED_BY(mu_) = false;
+  uint64_t pops_ CQCS_GUARDED_BY(mu_) = 0;
+  uint64_t splits_ CQCS_GUARDED_BY(mu_) = 0;
 };
 
 /// How the backtrack-free leaf rule reports (docs/solver.md, "Backtrack-
@@ -73,34 +184,17 @@ struct LeafSink {
   const ResidualForest* residual = nullptr;
 };
 
-/// Shared-state handles wired in by the parallel driver. All pointers stay
-/// owned by the driver and outlive every worker's SearchContext.
-struct ParallelHandles {
-  /// Set once, read per node (relaxed): first solution found in a race,
-  /// callback asked to stop, or the global node budget ran out.
-  std::atomic<bool>* cancel = nullptr;
-  /// Number of workers currently idle and waiting for subproblems.
-  std::atomic<uint32_t>* want_work = nullptr;
-  /// Approximate size of the shared subproblem pool (maintained by the
-  /// driver). Splitting is worth it only when the pool is dry.
-  std::atomic<size_t>* pool_size = nullptr;
-  /// Nodes across all workers; node_limit is enforced against this total.
-  std::atomic<uint64_t>* global_nodes = nullptr;
-  /// Hands freshly split subproblems to the pool. Called rarely (only when
-  /// want_work > 0 and the pool is empty), so a std::function is fine.
-  std::function<void(std::vector<Subproblem>)> donate;
-};
-
 class SearchContext {
  public:
   /// `leaf` (may be null; not owned) turns on the leaf rule when it carries
-  /// a residual.
+  /// a residual. `pool` (not owned) is the parallel search's shared pool,
+  /// null on the sequential path.
   SearchContext(const CspInstance& csp, const SolveOptions& options,
                 std::span<const Element> projection,
                 std::function<bool(const Homomorphism&)> on_solution,
                 const LeafSink* leaf, SolveStats* stats,
                 bool first_solution_only = false,
-                const ParallelHandles* par = nullptr);
+                SubproblemPool* pool = nullptr);
 
   /// Root propagation: MAC establishes GAC, forward checking verifies no
   /// domain starts empty. Returns false iff the whole instance is already
@@ -165,7 +259,7 @@ class SearchContext {
   Propagator prop_;
   const bool cbj_;
   const bool restarts_;
-  const ParallelHandles* par_;
+  SubproblemPool* const pool_;
   std::vector<uint8_t> assigned_;
   std::vector<Element> prefix_;
   std::vector<uint8_t> in_prefix_;

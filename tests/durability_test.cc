@@ -170,8 +170,10 @@ TEST(Crc32c, DetectsSingleBitFlips) {
 
 TEST(Catalog, RoundTripsExactly) {
   std::vector<CatalogEntry> entries;
-  entries.push_back(CatalogEntry{"alpha", 3, MakeDb(3, " 0 1, 1 2")});
-  entries.push_back(CatalogEntry{"beta", 1, MakeDb(2, " 0 0")});
+  entries.push_back(CatalogEntry{
+      "alpha", 3, std::make_shared<const Structure>(MakeDb(3, " 0 1, 1 2"))});
+  entries.push_back(CatalogEntry{
+      "beta", 1, std::make_shared<const Structure>(MakeDb(2, " 0 0"))});
   const std::string text = PrintCatalog(entries);
   auto parsed = ParseCatalog(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -220,9 +222,12 @@ Structure GoldenDb() {
 /// be built: Vocabulary::TryAddRelation refuses it.)
 std::vector<CatalogEntry> GoldenCatalog() {
   std::vector<CatalogEntry> entries;
-  entries.push_back(CatalogEntry{"alpha", UINT64_MAX, GoldenDb()});
+  entries.push_back(CatalogEntry{
+      "alpha", UINT64_MAX, std::make_shared<const Structure>(GoldenDb())});
   entries.push_back(
-      CatalogEntry{"void", 0, Structure(std::make_shared<Vocabulary>(), 0)});
+      CatalogEntry{"void", 0,
+                   std::make_shared<const Structure>(
+                       std::make_shared<Vocabulary>(), 0)});
   return entries;
 }
 
@@ -430,7 +435,7 @@ TEST(Durability, AppendsRecoverAcrossReopen) {
   ASSERT_EQ(recovered.size(), 1u);
   EXPECT_EQ(recovered[0].name, "a");
   EXPECT_EQ(recovered[0].version, 2u);
-  EXPECT_EQ(PrintStructure(recovered[0].db),
+  EXPECT_EQ(PrintStructure(*recovered[0].db),
             PrintStructure(MakeDb(2, " 1 0")));
 }
 
@@ -442,7 +447,8 @@ TEST(Durability, SnapshotSwitchesGenerationAndPrunesOldFiles) {
     ASSERT_TRUE(mgr.ok());
     ASSERT_TRUE((*mgr)->AppendUpsert("a", 1, MakeDb(2, " 0 1")).ok());
     std::vector<CatalogEntry> catalog;
-    catalog.push_back(CatalogEntry{"a", 1, MakeDb(2, " 0 1")});
+    catalog.push_back(CatalogEntry{
+        "a", 1, std::make_shared<const Structure>(MakeDb(2, " 0 1"))});
     ASSERT_TRUE((*mgr)->Snapshot(catalog).ok());
     EXPECT_EQ((*mgr)->generation(), 1u);
     // Post-snapshot appends land in the new generation's log.
@@ -498,9 +504,11 @@ TEST(Durability, OlderValidSnapshotCoversACorruptNewerOne) {
     auto mgr = DurabilityManager::Open(Opts(dir.path()), &recovered, nullptr);
     ASSERT_TRUE(mgr.ok());
     std::vector<CatalogEntry> catalog;
-    catalog.push_back(CatalogEntry{"a", 1, MakeDb(2, " 0 1")});
+    catalog.push_back(CatalogEntry{
+        "a", 1, std::make_shared<const Structure>(MakeDb(2, " 0 1"))});
     ASSERT_TRUE((*mgr)->Snapshot(catalog).ok());          // snapshot-1
-    catalog.push_back(CatalogEntry{"b", 1, MakeDb(2, "")});
+    catalog.push_back(CatalogEntry{
+        "b", 1, std::make_shared<const Structure>(MakeDb(2, ""))});
     ASSERT_TRUE((*mgr)->Snapshot(catalog).ok());          // snapshot-2
   }
   // snapshot-2 corrupt, snapshot-1 gone (pruned) — recreate the layered
@@ -691,7 +699,8 @@ TEST(DurabilityFaults, RenameFailureFailsSnapshotButLosesNothing) {
   ASSERT_TRUE(mgr.ok());
   ASSERT_TRUE((*mgr)->AppendUpsert("a", 1, MakeDb(2, " 0 1")).ok());
   std::vector<CatalogEntry> catalog;
-  catalog.push_back(CatalogEntry{"a", 1, MakeDb(2, " 0 1")});
+  catalog.push_back(CatalogEntry{
+      "a", 1, std::make_shared<const Structure>(MakeDb(2, " 0 1"))});
   EXPECT_FALSE((*mgr)->Snapshot(catalog).ok());  // rename injected to fail
   EXPECT_EQ((*mgr)->generation(), 1u);           // rotation still happened
   EXPECT_EQ((*mgr)->stats().snapshot_failures, 1u);
@@ -741,8 +750,10 @@ TEST(DurabilityFaults, RepeatedSnapshotFailuresGrowAChainThatReplays) {
   }
   // A later successful snapshot collapses the chain.
   std::vector<CatalogEntry> catalog;
-  catalog.push_back(CatalogEntry{"a", 2, MakeDb(2, " 1 1")});
-  catalog.push_back(CatalogEntry{"b", 1, MakeDb(2, " 1 0")});
+  catalog.push_back(CatalogEntry{
+      "a", 2, std::make_shared<const Structure>(MakeDb(2, " 1 1"))});
+  catalog.push_back(CatalogEntry{
+      "b", 1, std::make_shared<const Structure>(MakeDb(2, " 1 0"))});
   ASSERT_TRUE((*reopened)->Snapshot(catalog).ok());
   EXPECT_FALSE(RealFileSystem()->Exists(dir.path() + "/wal-0"));
   EXPECT_FALSE(RealFileSystem()->Exists(dir.path() + "/wal-1"));

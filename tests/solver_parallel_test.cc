@@ -1,7 +1,8 @@
 // The work-stealing parallel search (src/solver/parallel.cc): stats
 // merging, cancellation on the first solution, node_limit as a global
-// budget across workers, the num_threads == 1 sequential regression, and
-// concurrent and nested dispatch on the shared MorselPool it runs on.
+// budget across workers, the num_threads == 1 sequential regression,
+// concurrent and nested dispatch on the shared MorselPool it runs on, and
+// the SubproblemPool handshake (solver/search_context.h) driven directly.
 //
 // A structural property this suite leans on: a stolen subproblem replays
 // the donor's exact decision prefix through the same propagation, so the
@@ -27,6 +28,7 @@
 #include "gen/generators.h"
 #include "solver/backtracking.h"
 #include "solver/csp.h"
+#include "solver/search_context.h"
 #include "treewidth/hom_dp.h"
 
 namespace cqcs {
@@ -401,6 +403,132 @@ TEST(SolverParallelTest, NestedDispatchRunsInline) {
     // Inline, one loop runs the whole search: nobody asks for a split.
     EXPECT_EQ(stats[i].splits, 0u);
   }
+}
+
+// ---- The subproblem pool, driven without a search. -------------------------
+
+using solver_internal::Subproblem;
+using solver_internal::SubproblemPool;
+
+/// Blocks until `n` threads wait inside pool.Acquire. A waiter counts itself
+/// in want_work under the pool lock, just before it sleeps, so once the
+/// count is reached a Donate/Release/NotifyCancelled (which take that lock)
+/// cannot slip in ahead of any waiter's wait.
+void AwaitWaiters(const SubproblemPool& pool, uint32_t n) {
+  while (pool.want_work.load() < n) std::this_thread::yield();
+}
+
+/// Starts `n` threads that each call Acquire once; results land in `*got`
+/// (1 = true, 0 = false) and `*tasks`.
+std::vector<std::thread> StartWaiters(SubproblemPool* pool, size_t n,
+                                      std::vector<int>* got,
+                                      std::vector<Subproblem>* tasks) {
+  got->assign(n, -1);
+  tasks->assign(n, Subproblem{});
+  std::vector<std::thread> waiters;
+  for (size_t i = 0; i < n; ++i) {
+    waiters.emplace_back(
+        [pool, got, tasks, i] { (*got)[i] = pool->Acquire(&(*tasks)[i]); });
+  }
+  return waiters;
+}
+
+TEST(SubproblemPoolTest, RootReleaseWithNothingDonatedEndsTheRun) {
+  SubproblemPool pool;
+  EXPECT_EQ(pool.pool_size.load(), 1u);
+  Subproblem root;
+  root.decisions.emplace_back(7, 7);  // overwritten by the root's prefix
+  ASSERT_TRUE(pool.Acquire(&root));
+  EXPECT_TRUE(root.decisions.empty());
+  EXPECT_EQ(pool.pool_size.load(), 0u);
+
+  std::vector<int> got;
+  std::vector<Subproblem> tasks;
+  std::vector<std::thread> waiters = StartWaiters(&pool, 3, &got, &tasks);
+  AwaitWaiters(pool, 3);
+  pool.Release();  // the root finished without donating: the run is over
+  for (std::thread& t : waiters) t.join();
+  EXPECT_EQ(got, std::vector<int>(3, 0));
+  EXPECT_EQ(pool.want_work.load(), 0u);
+  Subproblem late;
+  EXPECT_FALSE(pool.Acquire(&late));  // a latecomer finds the run over too
+  EXPECT_EQ(pool.splits(), 0u);
+  EXPECT_EQ(pool.steals(), 0u);
+}
+
+TEST(SubproblemPoolTest, DonateWakesAWaiterWithTheTask) {
+  SubproblemPool pool;
+  Subproblem root;
+  ASSERT_TRUE(pool.Acquire(&root));
+
+  std::vector<int> got;
+  std::vector<Subproblem> tasks;
+  std::vector<std::thread> waiters = StartWaiters(&pool, 1, &got, &tasks);
+  AwaitWaiters(pool, 1);
+  Subproblem donated;
+  donated.decisions = {{0, 1}, {3, 2}};
+  pool.Donate({donated});
+  waiters[0].join();
+  ASSERT_EQ(got[0], 1);
+  EXPECT_EQ(tasks[0].decisions, donated.decisions);
+  EXPECT_EQ(pool.pool_size.load(), 0u);
+
+  // Both busy workers finish: the last Release ends the run.
+  pool.Release();
+  pool.Release();
+  Subproblem late;
+  EXPECT_FALSE(pool.Acquire(&late));
+}
+
+TEST(SubproblemPoolTest, CancelWakesEveryWaiterWithFalse) {
+  SubproblemPool pool;
+  Subproblem root;
+  ASSERT_TRUE(pool.Acquire(&root));
+
+  std::vector<int> got;
+  std::vector<Subproblem> tasks;
+  std::vector<std::thread> waiters = StartWaiters(&pool, 3, &got, &tasks);
+  AwaitWaiters(pool, 3);
+  // The root worker is still busy, so only the cancel can end the wait.
+  pool.cancel.store(true);
+  pool.NotifyCancelled();
+  for (std::thread& t : waiters) t.join();
+  EXPECT_EQ(got, std::vector<int>(3, 0));
+  // A cancelled pool turns away work that is still queued.
+  pool.Donate({Subproblem{}});
+  Subproblem late;
+  EXPECT_FALSE(pool.Acquire(&late));
+  pool.Release();
+}
+
+TEST(SubproblemPoolTest, SplitsCountDonationsAndStealsCountNonRootPops) {
+  SubproblemPool pool;
+  Subproblem task;
+  ASSERT_TRUE(pool.Acquire(&task));  // the root is no steal
+  EXPECT_EQ(pool.steals(), 0u);
+
+  pool.Donate({Subproblem{{{0, 1}}}, Subproblem{{{0, 2}}}});
+  EXPECT_EQ(pool.splits(), 1u);  // one donation, however many subproblems
+  EXPECT_EQ(pool.pool_size.load(), 2u);
+  pool.Donate({});  // nothing handed over: no split
+  EXPECT_EQ(pool.splits(), 1u);
+
+  ASSERT_TRUE(pool.Acquire(&task));
+  EXPECT_EQ(task.decisions,
+            (std::vector<std::pair<Element, Element>>{{0, 1}}));
+  ASSERT_TRUE(pool.Acquire(&task));
+  EXPECT_EQ(task.decisions,
+            (std::vector<std::pair<Element, Element>>{{0, 2}}));
+  EXPECT_EQ(pool.steals(), 2u);
+
+  pool.Donate({Subproblem{{{1, 0}}}});
+  EXPECT_EQ(pool.splits(), 2u);
+  ASSERT_TRUE(pool.Acquire(&task));
+  EXPECT_EQ(pool.steals(), 3u);
+  for (int busy = 0; busy < 4; ++busy) pool.Release();
+  EXPECT_FALSE(pool.Acquire(&task));
+  EXPECT_EQ(pool.splits(), 2u);
+  EXPECT_EQ(pool.steals(), 3u);
 }
 
 }  // namespace
